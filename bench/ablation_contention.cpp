@@ -8,10 +8,7 @@
 //      benefit of staggering shrink (the bottleneck dissolves).
 //   2. Checkpoint size (SOR grid size): overhead grows with state size for
 //      write-through schemes but only with the memory-copy for buffered ones.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <map>
 
 #include "apps/sor.hpp"
 #include "bench_common.hpp"
@@ -19,14 +16,9 @@
 namespace chk::bench {
 namespace {
 
-struct SweepResult {
-  double normal = 0;
-  std::map<std::string, double> overhead;  // scheme -> seconds
-};
-
-std::map<double, SweepResult>& disk_sweep() {
-  static std::map<double, SweepResult> map;
-  return map;
+const std::vector<double>& disk_factors() {
+  static const std::vector<double> factors{0.25, 0.5, 1.0, 2.0, 4.0, 16.0};
+  return factors;
 }
 
 const std::vector<Scheme>& sweep_schemes() {
@@ -35,7 +27,7 @@ const std::vector<Scheme>& sweep_schemes() {
   return all;
 }
 
-void run_disk_point(benchmark::State& state, double bandwidth_factor) {
+ExperimentConfig disk_config(double bandwidth_factor) {
   auto machine = xplorer::MachineConfig::parsytec_xplorer();
   machine.disk.bandwidth *= bandwidth_factor;
   machine.host_link.bandwidth *= bandwidth_factor;
@@ -44,44 +36,23 @@ void run_disk_point(benchmark::State& state, double bandwidth_factor) {
   config.label = util::format("SOR/disk{:g}", bandwidth_factor);
   config.app = apps::make_sor({.n = 768, .iterations = 100});
   config.machine = machine;
-  for (auto _ : state) {
-    const auto normal = harness::run_normal(config);
-    SweepResult sweep;
-    sweep.normal = normal.exec_time_s;
-    for (Scheme scheme : sweep_schemes()) {
-      config.scheme = scheme;
-      config.checkpoints = 3;
-      config.interval = des::Duration::seconds(normal.exec_time_s / 4.0);
-      const auto result = harness::run_experiment(config);
-      sweep.overhead[std::string(to_string(scheme))] =
-          result.exec_time_s - normal.exec_time_s;
-    }
-    disk_sweep()[bandwidth_factor] = sweep;
-    state.counters["nb_overhead_s"] = sweep.overhead["Coord_NB"];
-  }
+  return config;
 }
 
-void register_benchmarks() {
-  for (double factor : {0.25, 0.5, 1.0, 2.0, 4.0, 16.0}) {
-    benchmark::RegisterBenchmark(
-        util::format("Contention/disk_x{:g}", factor).c_str(),
-        [factor](benchmark::State& state) { run_disk_point(state, factor); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void print_table() {
+void print_table(const std::vector<RowResults>& results) {
   util::Table table({"disk speed", "NORMAL (s)", "Coord_NB (s)", "Indep (s)",
                      "Coord_NBM (s)", "Coord_NBMS (s)", "NB/NBMS"});
-  for (const auto& [factor, sweep] : disk_sweep()) {
-    const double nb = sweep.overhead.at("Coord_NB");
-    const double nbms = sweep.overhead.at("Coord_NBMS");
-    table.add_row({util::format("x{:g}", factor), util::Table::fixed(sweep.normal, 1),
-                   util::Table::fixed(nb, 2),
-                   util::Table::fixed(sweep.overhead.at("Indep"), 2),
-                   util::Table::fixed(sweep.overhead.at("Coord_NBM"), 2),
-                   util::Table::fixed(nbms, 2),
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const double normal = results[r].normal.exec_time_s;
+    std::vector<double> overhead;  // sweep_schemes() order
+    for (const ExperimentResult& cell : results[r].cells) {
+      overhead.push_back(cell.exec_time_s - normal);
+    }
+    const double nb = overhead[0];
+    const double nbms = overhead[3];
+    table.add_row({util::format("x{:g}", disk_factors()[r]), util::Table::fixed(normal, 1),
+                   util::Table::fixed(nb, 2), util::Table::fixed(overhead[1], 2),
+                   util::Table::fixed(overhead[2], 2), util::Table::fixed(nbms, 2),
                    nbms > 1e-6 ? util::format("{:.1f}x", nb / nbms) : "-"});
   }
   std::fputs(table.render("Overhead (s) vs stable-storage speed — SOR-768, 3 checkpoints")
@@ -91,14 +62,19 @@ void print_table() {
             "a fast disk dissolves it and the schemes converge.");
 }
 
+int run() {
+  std::vector<ExperimentConfig> baselines;
+  for (double factor : disk_factors()) baselines.push_back(disk_config(factor));
+  const auto results = run_rows(
+      baselines, sweep_schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        return with_checkpoints(baselines[r], sweep_schemes()[s], 3, normal);
+      });
+  print_table(results);
+  return digests_ok(results) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

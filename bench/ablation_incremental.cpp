@@ -6,8 +6,6 @@
 //   SOR   — every *reached* cell is dirtied each iteration, but heat
 //           propagates one row per iteration, so early checkpoints of a
 //           large cold grid still have large clean (exactly-zero) regions.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -15,61 +13,20 @@
 namespace chk::bench {
 namespace {
 
-ExperimentConfig cell_config(const BenchRow& row, bool incremental, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = Scheme::kCoordNBM;
-  config.checkpoints = 6;
-  config.interval = des::Duration::seconds(normal_exec_s / 7.0);
-  config.incremental = incremental;
-  config.full_every = 3;
-  return config;
-}
-
-std::string key_of(const std::string& label, bool incremental) {
-  return util::format("{}/{}", label, incremental ? "incremental" : "full");
-}
-
-void register_benchmarks() {
-  for (const char* label : {"ISING-1024", "GAUSS-1024", "SOR-1024"}) {
-    const BenchRow row = harness::find_row(label);
-    for (bool incremental : {false, true}) {
-      benchmark::RegisterBenchmark(
-          util::format("Incremental/{}/{}", row.label, incremental ? "inc" : "full")
-              .c_str(),
-          [row, incremental](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(key_of(row.label, incremental),
-                                             cell_config(row, incremental, normal.exec_time_s));
-              set_common_counters(state, result, normal);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<RowResults>& results) {
   util::Table table({"app", "mode", "overhead", "ckpt bytes written", "bytes saved"});
-  for (const char* label : {"ISING-1024", "GAUSS-1024", "SOR-1024"}) {
-    const auto normal = cache.lookup(cell_key(label, Scheme::kNone));
-    const auto full = cache.lookup(key_of(label, false));
-    const auto inc = cache.lookup(key_of(label, true));
-    if (!normal || !full || !inc) continue;
+  for (const RowResults& row : results) {
+    const ExperimentResult& full = row.cells[0];
+    const ExperimentResult& inc = row.cells[1];
     for (bool incremental : {false, true}) {
-      const auto& result = incremental ? *inc : *full;
-      table.add_row({label, incremental ? "incremental" : "full",
-                     util::Table::percent(result.exec_time_s / normal->exec_time_s - 1.0, 2),
+      const auto& result = incremental ? inc : full;
+      table.add_row({row.normal.label, incremental ? "incremental" : "full",
+                     util::Table::percent(result.exec_time_s / row.normal.exec_time_s - 1.0, 2),
                      util::Table::bytes(static_cast<double>(result.bytes_written)),
                      incremental
                          ? util::Table::percent(
-                               1.0 - static_cast<double>(inc->bytes_written) /
-                                         static_cast<double>(full->bytes_written),
+                               1.0 - static_cast<double>(inc.bytes_written) /
+                                         static_cast<double>(full.bytes_written),
                                1)
                          : std::string("-")});
     }
@@ -84,14 +41,23 @@ void print_table() {
             "fraction is small — the mechanism behind [13]'s results.");
 }
 
+// Per app, column 0 takes full images and column 1 incremental ones.
+int run() {
+  const std::vector<ExperimentConfig> baselines =
+      row_configs({harness::find_row("ISING-1024"), harness::find_row("GAUSS-1024"),
+                   harness::find_row("SOR-1024")});
+  const auto results = run_rows(
+      baselines, 2, [&](std::size_t r, std::size_t column, const ExperimentResult& normal) {
+        ExperimentConfig config = with_checkpoints(baselines[r], Scheme::kCoordNBM, 6, normal);
+        config.incremental = column == 1;
+        config.full_every = 3;
+        return config;
+      });
+  print_table(results);
+  return digests_ok(results) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

@@ -7,8 +7,6 @@
 // SOR run and report overhead per scheme: it scales linearly with
 // checkpoint count for the write-through schemes and much more slowly for
 // the buffered + staggered one.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -28,79 +26,22 @@ const std::vector<std::uint32_t>& sweep_counts() {
   return counts;
 }
 
-std::map<std::uint32_t, std::map<std::string, double>>& sweep() {
-  static std::map<std::uint32_t, std::map<std::string, double>> map;
-  return map;
+// The overhead of sweep scheme `s` at the `i`-th checkpoint count.
+double overhead_s(const RowResults& sor, std::size_t i, std::size_t s) {
+  return sor.cells[i * sweep_schemes().size() + s].exec_time_s - sor.normal.exec_time_s;
 }
 
-ExperimentConfig point_config(const BenchRow& row, Scheme scheme,
-                              std::uint32_t checkpoints, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = checkpoints;
-  config.interval = des::Duration::seconds(normal_exec_s / (checkpoints + 1.0));
-  return config;
-}
-
-std::string point_key(const BenchRow& row, Scheme scheme, std::uint32_t checkpoints) {
-  return util::format("{}/{}/k{}", row.label, to_string(scheme), checkpoints);
-}
-
-// Warm the cache in parallel: every (checkpoint-count, scheme) point is an
-// independent simulation once the shared baseline exists.
-void prefetch() {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row("SOR-1024");
-  const auto& normal = cache.normal(row);
-  const auto& counts = sweep_counts();
-  const auto& schemes = sweep_schemes();
-  parallel_for(counts.size() * schemes.size(), [&](std::size_t i) {
-    const std::uint32_t k = counts[i / schemes.size()];
-    const Scheme scheme = schemes[i % schemes.size()];
-    cache.run(point_key(row, scheme, k),
-              point_config(row, scheme, k, normal.exec_time_s));
-  });
-}
-
-void run_point(benchmark::State& state, std::uint32_t checkpoints) {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row("SOR-1024");
-  const auto& normal = cache.normal(row);
-  for (auto _ : state) {
-    for (Scheme scheme : sweep_schemes()) {
-      const auto& result =
-          cache.run(point_key(row, scheme, checkpoints),
-                    point_config(row, scheme, checkpoints, normal.exec_time_s));
-      sweep()[checkpoints][std::string(to_string(scheme))] =
-          result.exec_time_s - normal.exec_time_s;
-    }
-    state.counters["checkpoints"] = checkpoints;
-  }
-}
-
-void register_benchmarks() {
-  for (std::uint32_t k : sweep_counts()) {
-    benchmark::RegisterBenchmark(util::format("Interval/ckpts{}", k).c_str(),
-                                 [k](benchmark::State& state) { run_point(state, k); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  const auto normal = cache.lookup(cell_key("SOR-1024", Scheme::kNone));
+void print_table(const RowResults& sor) {
   util::Table table({"checkpoints", "interval (s)", "Coord_NB (s)", "Indep (s)",
                      "Coord_NBMS (s)", "NB per ckpt"});
-  for (const auto& [k, by_scheme] : sweep()) {
-    const double interval = normal ? normal->exec_time_s / (k + 1.0) : 0;
+  for (std::size_t i = 0; i < sweep_counts().size(); ++i) {
+    const std::uint32_t k = sweep_counts()[i];
+    const double interval = sor.normal.exec_time_s / (k + 1.0);
     table.add_row({util::Table::integer(k), util::Table::fixed(interval, 0),
-                   util::Table::fixed(by_scheme.at("Coord_NB"), 2),
-                   util::Table::fixed(by_scheme.at("Indep"), 2),
-                   util::Table::fixed(by_scheme.at("Coord_NBMS"), 2),
-                   util::Table::fixed(by_scheme.at("Coord_NB") / k, 2)});
+                   util::Table::fixed(overhead_s(sor, i, 0), 2),
+                   util::Table::fixed(overhead_s(sor, i, 1), 2),
+                   util::Table::fixed(overhead_s(sor, i, 2), 2),
+                   util::Table::fixed(overhead_s(sor, i, 0) / k, 2)});
   }
   std::fputs(
       table.render("Overhead (s) vs checkpoint frequency — SOR-1024, fixed run length")
@@ -111,25 +52,25 @@ void print_table() {
             "checkpointing affordable.");
 }
 
-void write_json() {
+void write_json(const RowResults& sor) {
   using obs::json::Value;
-  auto& cache = ResultCache::instance();
-  const auto normal = cache.lookup(cell_key("SOR-1024", Scheme::kNone));
   Value doc = Value::object();
   doc.set("table", Value::string("ablation_interval"));
   doc.set("row", Value::string("SOR-1024"));
-  if (normal) doc.set("normal", result_to_json(*normal, nullptr));
+  doc.set("normal", result_to_json(sor.normal, nullptr));
   Value points = Value::array();
-  for (const auto& [k, by_scheme] : sweep()) {
+  for (std::size_t i = 0; i < sweep_counts().size(); ++i) {
+    const std::uint32_t k = sweep_counts()[i];
     Value point = Value::object();
     point.set("checkpoints", Value::number(std::uint64_t{k}));
-    if (normal) {
-      point.set("interval_s", Value::number(normal->exec_time_s / (k + 1.0)));
+    point.set("interval_s", Value::number(sor.normal.exec_time_s / (k + 1.0)));
+    // Keyed in scheme-name order.
+    std::map<std::string, double> by_scheme;
+    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+      by_scheme[std::string(to_string(sweep_schemes()[s]))] = overhead_s(sor, i, s);
     }
     Value overhead = Value::object();
-    for (const auto& [scheme, overhead_s] : by_scheme) {
-      overhead.set(scheme, Value::number(overhead_s));
-    }
+    for (const auto& [scheme, seconds] : by_scheme) overhead.set(scheme, Value::number(seconds));
     point.set("overhead_s", std::move(overhead));
     points.push_back(std::move(point));
   }
@@ -137,17 +78,23 @@ void write_json() {
   write_bench_json("BENCH_ablation_interval.json", doc);
 }
 
+// Every (checkpoint-count, scheme) point is one cell of the SOR-1024 row.
+int run() {
+  const std::vector<ExperimentConfig> baselines =
+      row_configs({harness::find_row("SOR-1024")});
+  const std::size_t columns = sweep_schemes().size();
+  const auto results = run_rows(
+      baselines, sweep_counts().size() * columns,
+      [&](std::size_t, std::size_t c, const ExperimentResult& normal) {
+        return with_checkpoints(baselines[0], sweep_schemes()[c % columns],
+                                sweep_counts()[c / columns], normal);
+      });
+  print_table(results[0]);
+  write_json(results[0]);
+  return digests_ok(results) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  const bool warm = chk::bench::prefetch_enabled(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  if (warm) chk::bench::prefetch();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_json();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

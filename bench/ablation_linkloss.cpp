@@ -18,73 +18,29 @@
 // --quick shrinks the sweep (2 loss points). Output is byte-identical
 // across repeats with the same seed.
 #include <cstdio>
-#include <cstdlib>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "harness/catalog.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
+#include "util/parallel.hpp"
 
-namespace {
-
-using namespace chk;
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& sweep_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  using namespace chk;
   const util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
 
   const std::string app_label = cli.get("app", "SOR-384");
-  std::vector<double> losses;
-  try {
-    for (const std::string& tok :
-         split_list(cli.get("losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2"))) {
-      char* end = nullptr;
-      const double loss = std::strtod(tok.c_str(), &end);
-      if (tok.empty() || end != tok.c_str() + tok.size() || loss != loss) {
-        throw std::invalid_argument("--losses: expected a number, got \"" + tok + "\"");
-      }
-      if (loss < 0.0 || loss >= 1.0) {
-        throw std::invalid_argument("--losses: loss rates must be in [0, 1), got " + tok);
-      }
-      losses.push_back(loss);
-    }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "ablation_linkloss: %s\n", err.what());
-    return 2;
-  }
+  const std::vector<double> losses =
+      bench::get_list_in(cli, "losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2", 0.0, 1.0);
   const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
   const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
   const double intervals = cli.get_double("intervals", 5.0);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const std::string json_out = cli.get("json-out", "BENCH_linkloss.json");
+  cli.reject_unread();
+  const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
   // Baseline: failure-free, perfect links — sets the checkpoint interval
   // and the digest every lossy run must still compute.
@@ -102,28 +58,20 @@ int main(int argc, char** argv) {
   std::vector<double> points;
   points.push_back(0.0);
   points.insert(points.end(), losses.begin(), losses.end());
-  std::vector<harness::ExperimentResult> results(points.size() * sweep_schemes().size());
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(results.size());
-    for (double loss : points) {
-      for (harness::Scheme scheme : sweep_schemes()) {
-        harness::ExperimentConfig config = base;
-        config.scheme = scheme;
-        if (loss > 0.0) {
-          chklib::LinkFaultConfig faults;
-          faults.drop = loss;
-          faults.duplicate = loss / 2;
-          faults.corrupt = loss / 4;
-          config.link_faults = faults;
-        }
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
+  const std::size_t columns = schemes.size();
+  const auto results = util::parallel_map(points.size() * columns, [&](std::size_t i) {
+    const double loss = points[i / columns];
+    harness::ExperimentConfig config = base;
+    config.scheme = schemes[i % columns];
+    if (loss > 0.0) {
+      chklib::LinkFaultConfig faults;
+      faults.drop = loss;
+      faults.duplicate = loss / 2;
+      faults.corrupt = loss / 4;
+      config.link_faults = faults;
     }
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = pending[i].get();
-  }
+    return harness::run_experiment(config);
+  });
 
   bool all_ok = true;
   for (const harness::ExperimentResult& r : results) {
@@ -131,10 +79,9 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> header{"loss"};
-  for (harness::Scheme scheme : sweep_schemes()) header.emplace_back(to_string(scheme));
+  for (harness::Scheme scheme : schemes) header.emplace_back(to_string(scheme));
   util::Table table(header);
   std::size_t index = 0;
-  const std::size_t columns = sweep_schemes().size();
   for (std::size_t p = 0; p < points.size(); ++p) {
     std::vector<std::string> row{util::Table::fixed(points[p], 2)};
     for (std::size_t s = 0; s < columns; ++s) {
@@ -192,8 +139,9 @@ int main(int argc, char** argv) {
     row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
-  const std::string path = cli.get("json-out", "BENCH_linkloss.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", json_out.c_str());
   return all_ok ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  return chk::util::usage_error(argv[0], err);
 }

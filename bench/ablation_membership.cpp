@@ -36,64 +36,19 @@
 // byte-identical across repeats with the same seed.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "harness/catalog.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
 using namespace chk;
 using chklib::membership::Detector;
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::vector<double> parse_doubles(const util::Cli& cli, const std::string& key,
-                                  const std::string& fallback, double lo, double hi) {
-  std::vector<double> out;
-  for (const std::string& tok : split_list(cli.get(key, fallback))) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end != tok.c_str() + tok.size() || v != v) {
-      throw std::invalid_argument("--" + key + ": expected a number, got \"" + tok + "\"");
-    }
-    if (v < lo || v >= hi) {
-      throw std::invalid_argument("--" + key + ": values must be in [" +
-                                  std::to_string(lo) + ", " + std::to_string(hi) +
-                                  "), got " + tok);
-    }
-    out.push_back(v);
-  }
-  return out;
-}
-
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& sweep_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
-}
 
 /// The coordinated schemes whose coordinator the kill section murders.
 const std::vector<harness::Scheme>& coordinated_schemes() {
@@ -165,60 +120,54 @@ struct GridRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
 
   const std::string app_label = cli.get("app", "SOR-384");
-  std::vector<double> timeouts;
-  std::vector<double> thresholds;
-  std::vector<double> losses;
-  double hb_period = 0.25;
-  long phi_window = 32;
   bool run_binary = true;
   bool run_phi = true;
-  try {
-    const std::string detector = cli.get("detector", "both");
-    if (detector == "binary") {
-      run_phi = false;
-    } else if (detector == "phi") {
-      run_binary = false;
-    } else if (detector != "both") {
-      throw std::invalid_argument("--detector: expected \"both\", \"binary\" or \"phi\", got \"" +
-                                  detector + "\"");
-    }
-    if (!run_phi) {
-      for (const char* flag : {"phi-thresholds", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --detector=phi or both (the binary "
-                                      "detector has no phi knobs)");
-        }
+  const std::string detector_flag = cli.get("detector", "both");
+  if (detector_flag == "binary") {
+    run_phi = false;
+  } else if (detector_flag == "phi") {
+    run_binary = false;
+  } else if (detector_flag != "both") {
+    throw std::invalid_argument("--detector: expected \"both\", \"binary\" or \"phi\", got \"" +
+                                detector_flag + "\"");
+  }
+  if (!run_phi) {
+    for (const char* flag : {"phi-thresholds", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi or both (the binary "
+                                    "detector has no phi knobs)");
       }
     }
-    timeouts = parse_doubles(cli, "timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0",
-                             1e-3, 1e3);
-    thresholds = parse_doubles(cli, "phi-thresholds", quick ? "8" : "4,8,12",
-                               1e-3, 1e3);
-    phi_window = cli.get_int("phi-window", 32);
-    if (phi_window <= 0) throw std::invalid_argument("--phi-window must be positive");
-    losses = parse_doubles(cli, "losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
-    hb_period = cli.get_nonneg_double("hb-period", 0.25);
-    for (double t : timeouts) {
-      if (t <= hb_period) {
-        throw std::invalid_argument(
-            "--timeouts: every detection timeout must exceed --hb-period (" +
-            std::to_string(hb_period) + " s)");
-      }
+  }
+  const std::vector<double> timeouts =
+      bench::get_list_in(cli, "timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0", 1e-3, 1e3);
+  const std::vector<double> thresholds =
+      bench::get_list_in(cli, "phi-thresholds", quick ? "8" : "4,8,12", 1e-3, 1e3);
+  const long phi_window = cli.get_int("phi-window", 32);
+  if (phi_window <= 0) throw std::invalid_argument("--phi-window must be positive");
+  const std::vector<double> losses =
+      bench::get_list_in(cli, "losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
+  const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
+  for (double t : timeouts) {
+    if (t <= hb_period) {
+      throw std::invalid_argument(
+          "--timeouts: every detection timeout must exceed --hb-period (" +
+          std::to_string(hb_period) + " s)");
     }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "ablation_membership: %s\n", err.what());
-    return 2;
   }
   const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
   const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
   const double intervals = cli.get_double("intervals", 5.0);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const std::string json_out = cli.get("json-out", "BENCH_membership.json");
+  cli.reject_unread();
+  const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
   // Baseline: failure-free, perfect links, no detector — sets the
   // checkpoint interval and the digest every membership run must still
@@ -265,29 +214,21 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::vector<harness::ExperimentResult> results(grid.size() * sweep_schemes().size());
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(results.size());
-    for (const GridRow& row : grid) {
-      for (harness::Scheme scheme : sweep_schemes()) {
-        harness::ExperimentConfig config = base;
-        config.scheme = scheme;
-        config.membership = make_membership(row.detector, row.knob);
-        if (row.loss > 0.0) {
-          chklib::LinkFaultConfig faults;
-          faults.drop = row.loss;
-          faults.duplicate = row.loss / 2;
-          faults.corrupt = row.loss / 4;
-          config.link_faults = faults;
-        }
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
+  const std::size_t columns = schemes.size();
+  const auto results = util::parallel_map(grid.size() * columns, [&](std::size_t i) {
+    const GridRow& row = grid[i / columns];
+    harness::ExperimentConfig config = base;
+    config.scheme = schemes[i % columns];
+    config.membership = make_membership(row.detector, row.knob);
+    if (row.loss > 0.0) {
+      chklib::LinkFaultConfig faults;
+      faults.drop = row.loss;
+      faults.duplicate = row.loss / 2;
+      faults.corrupt = row.loss / 4;
+      config.link_faults = faults;
     }
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = pending[i].get();
-  }
+    return harness::run_experiment(config);
+  });
 
   // Section 2: coordinator killed mid-run, clean links, one strike aimed
   // at whoever the current elected coordinator is — once per detector, so
@@ -295,22 +236,18 @@ int main(int argc, char** argv) {
   std::vector<Detector> kill_detectors;
   if (run_binary) kill_detectors.push_back(Detector::kBinaryTimeout);
   if (run_phi) kill_detectors.push_back(Detector::kPhiAccrual);
-  std::vector<harness::ExperimentResult> kills(kill_detectors.size() *
-                                               coordinated_schemes().size());
   const double kill_timeout =
       timeouts.size() > 1 ? timeouts[timeouts.size() / 2] : timeouts.front();
   const double kill_threshold =
       thresholds.size() > 1 ? thresholds[thresholds.size() / 2] : thresholds.front();
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(kills.size());
-    for (Detector detector : kill_detectors) {
-      for (harness::Scheme scheme : coordinated_schemes()) {
+  const std::size_t coordinated = coordinated_schemes().size();
+  const auto kills =
+      util::parallel_map(kill_detectors.size() * coordinated, [&](std::size_t i) {
+        const Detector detector = kill_detectors[i / coordinated];
         harness::ExperimentConfig config = base;
-        config.scheme = scheme;
+        config.scheme = coordinated_schemes()[i % coordinated];
         config.membership = make_membership(
-            detector, detector == Detector::kBinaryTimeout ? kill_timeout
-                                                           : kill_threshold);
+            detector, detector == Detector::kBinaryTimeout ? kill_timeout : kill_threshold);
         if (detector == Detector::kPhiAccrual) {
           // If the strike lands before the accrual windows warm up, phi
           // falls back to its bootstrap timeout. Give it the same bootstrap
@@ -323,13 +260,8 @@ int main(int argc, char** argv) {
         plan.max_failures = 1;
         plan.target_coordinator = true;
         config.faults = plan;
-        pending.push_back(std::async(std::launch::async, [config] {
-          return harness::run_experiment(config);
-        }));
-      }
-    }
-    for (std::size_t i = 0; i < kills.size(); ++i) kills[i] = pending[i].get();
-  }
+        return harness::run_experiment(config);
+      });
 
   bool all_ok = true;
   for (const harness::ExperimentResult& r : results) {
@@ -347,7 +279,7 @@ int main(int argc, char** argv) {
   {
     std::size_t index = 0;
     for (const GridRow& row : grid) {
-      for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+      for (std::size_t s = 0; s < schemes.size(); ++s) {
         const harness::ExperimentResult& r = results[index++];
         if (row.loss != max_loss) continue;
         if (row.detector == Detector::kBinaryTimeout && row.knob == timeouts.front()) {
@@ -361,14 +293,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> header{"detector", "knob", "loss"};
-  for (harness::Scheme scheme : sweep_schemes()) header.emplace_back(to_string(scheme));
+  for (harness::Scheme scheme : schemes) header.emplace_back(to_string(scheme));
   util::Table table(header);
   std::size_t index = 0;
   for (const GridRow& gr : grid) {
     std::vector<std::string> row{
         chklib::membership::to_string(gr.detector),
         util::Table::fixed(gr.knob, 1), util::Table::fixed(gr.loss, 2)};
-    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
       const harness::ExperimentResult& r = results[index++];
       row.push_back(util::format("{} ev={} wr={} rj={}",
                                  util::Table::fixed(r.exec_time_s, 1), r.evictions,
@@ -439,7 +371,7 @@ int main(int argc, char** argv) {
     }
     entry.set("loss", Value::number(gr.loss));
     Value cell_array = Value::array();
-    for (std::size_t s = 0; s < sweep_schemes().size(); ++s) {
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
       const harness::ExperimentResult& r = results[index++];
       cell_array.push_back(cell_json(r, r.digest == normal.digest));
     }
@@ -458,8 +390,9 @@ int main(int argc, char** argv) {
     }
   }
   doc.set("coordinator_kill", std::move(kill_array));
-  const std::string path = cli.get("json-out", "BENCH_membership.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", json_out.c_str());
   return all_ok ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

@@ -8,8 +8,7 @@
 // stalls and is no better (often worse) than Coord_NB; staggering the
 // *background* writes (Coord_NBMS) removes the stable-storage contention
 // and wins decisively.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -17,94 +16,56 @@
 namespace chk::bench {
 namespace {
 
-const std::vector<Scheme>& schemes() {
-  static const std::vector<Scheme> all{
-      Scheme::kCoordNB,   Scheme::kCoordNBS, Scheme::kCoordNBM,
-      Scheme::kCoordNBMS, Scheme::kIndep,    Scheme::kIndepM,
-      Scheme::kIndepMS,
-  };
-  return all;
-}
-
-ExperimentConfig cell_config(const BenchRow& row, Scheme scheme, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = 3;
-  config.interval = des::Duration::seconds(normal_exec_s / 4.0);
-  return config;
-}
-
-void register_benchmarks() {
-  for (const char* label : {"SOR-1024", "ISING-1024"}) {
-    const BenchRow row = harness::find_row(label);
-    for (Scheme scheme : schemes()) {
-      benchmark::RegisterBenchmark(
-          util::format("Stagger/{}/{}", row.label, to_string(scheme)).c_str(),
-          [row, scheme](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(cell_key(row.label, scheme),
-                                             cell_config(row, scheme, normal.exec_time_s));
-              set_common_counters(state, result, normal);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  for (const char* label : {"SOR-1024", "ISING-1024"}) {
-    const auto normal = cache.lookup(cell_key(label, Scheme::kNone));
-    if (!normal) continue;
+void print_table(const std::vector<RowResults>& results) {
+  for (const RowResults& row : results) {
+    const ExperimentResult& normal = row.normal;
     util::Table table({"scheme", "buffered?", "staggered?", "exec (s)", "overhead",
                        "app blocked (s)", "disk wait (s)"});
-    for (Scheme scheme : schemes()) {
-      const auto result = cache.lookup(cell_key(label, scheme));
-      if (!result) continue;
-      table.add_row({std::string(chklib::to_string(scheme)),
-                     chklib::is_buffered(scheme) ? "yes" : "no",
-                     chklib::is_staggered(scheme) ? "yes" : "no",
-                     util::Table::fixed(result->exec_time_s, 1),
-                     util::Table::percent(result->exec_time_s / normal->exec_time_s - 1.0, 2),
-                     util::Table::fixed(result->app_blocked_s, 2),
-                     util::Table::fixed(result->disk_wait_s, 2)});
+    for (const ExperimentResult& result : row.cells) {
+      table.add_row({std::string(chklib::to_string(result.scheme)),
+                     chklib::is_buffered(result.scheme) ? "yes" : "no",
+                     chklib::is_staggered(result.scheme) ? "yes" : "no",
+                     util::Table::fixed(result.exec_time_s, 1),
+                     util::Table::percent(result.exec_time_s / normal.exec_time_s - 1.0, 2),
+                     util::Table::fixed(result.app_blocked_s, 2),
+                     util::Table::fixed(result.disk_wait_s, 2)});
     }
     std::fputs(table.render(util::format(
                                 "Staggering x buffering ablation — {} (normal {:.1f} s)",
-                                label, normal->exec_time_s))
+                                normal.label, normal.exec_time_s))
                    .c_str(),
                stdout);
     std::puts("");
   }
-  // The headline checks:
-  const auto nb = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNB));
-  const auto nbs = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBS));
-  const auto nbm = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBM));
-  const auto nbms = cache.lookup(cell_key("SOR-1024", Scheme::kCoordNBMS));
-  if (nb && nbs && nbm && nbms) {
-    std::printf("Staggering alone:       %+.1f %% change vs Coord_NB (paper: not effective)\n",
-                (nbs->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-    std::printf("Buffering alone:        %+.1f %% change vs Coord_NB\n",
-                (nbm->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-    std::printf("Buffering + staggering: %+.1f %% change vs Coord_NB (the paper's winner)\n",
-                (nbms->exec_time_s / nb->exec_time_s - 1.0) * 100.0);
-  }
+  // The headline checks, on SOR-1024:
+  const auto sor = [&](Scheme scheme) {
+    const auto& cells = results[0].cells;
+    return std::find_if(cells.begin(), cells.end(),
+                        [scheme](const ExperimentResult& r) { return r.scheme == scheme; })
+        ->exec_time_s;
+  };
+  const double nb = sor(Scheme::kCoordNB);
+  std::printf("Staggering alone:       %+.1f %% change vs Coord_NB (paper: not effective)\n",
+              (sor(Scheme::kCoordNBS) / nb - 1.0) * 100.0);
+  std::printf("Buffering alone:        %+.1f %% change vs Coord_NB\n",
+              (sor(Scheme::kCoordNBM) / nb - 1.0) * 100.0);
+  std::printf("Buffering + staggering: %+.1f %% change vs Coord_NB (the paper's winner)\n",
+              (sor(Scheme::kCoordNBMS) / nb - 1.0) * 100.0);
+}
+
+int run() {
+  const std::vector<ExperimentConfig> baselines =
+      row_configs({harness::find_row("SOR-1024"), harness::find_row("ISING-1024")});
+  const auto results = run_rows(
+      baselines, all_schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        return with_checkpoints(baselines[r], all_schemes()[s], 3, normal);
+      });
+  print_table(results);
+  return digests_ok(results) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

@@ -7,8 +7,6 @@
 // storage is (nearly) free — what remains is protocol synchronization —
 // and sweep the node count to show it stays negligible as the machine
 // grows.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/sor.hpp"
@@ -50,57 +48,50 @@ struct Cell {
   std::uint64_t ctrl_msgs = 0, ctrl_bytes = 0;
 };
 
-std::map<std::size_t, Cell>& cells() {
-  static std::map<std::size_t, Cell> map;
-  return map;
+const std::vector<std::size_t>& node_counts() {
+  static const std::vector<std::size_t> counts{2, 4, 8, 16, 32};
+  return counts;
 }
 
-void run_node_count(benchmark::State& state, std::size_t nodes) {
-  for (auto _ : state) {
-    // The two baselines are independent; so are the two checkpointed runs
-    // once the interval is known. Fan each pair out (two phases).
-    harness::ExperimentResult normal, sync_normal;
-    parallel_for(2, [&](std::size_t i) {
-      auto config = sor_config(nodes, Scheme::kNone, /*free_storage=*/i == 1, 60);
-      (i == 0 ? normal : sync_normal) = harness::run_experiment(config);
-    });
+// Per node count, the NORMAL run on the real machine sets the interval of
+// three cells: Coord_NB on it, and the free-storage machine's own baseline
+// and Coord_NB run with empty images. Saving those costs nothing at all,
+// so the residual overhead is the synchronization protocol itself
+// (requests, markers, acks, commit).
+std::vector<RowResults> run_cells() {
+  std::vector<ExperimentConfig> baselines;
+  for (std::size_t nodes : node_counts()) {
+    baselines.push_back(sor_config(nodes, Scheme::kNone, /*free_storage=*/false, 60));
+  }
+  return run_rows(baselines, 3, [](std::size_t r, std::size_t column,
+                                   const ExperimentResult& normal) {
     const double interval = normal.exec_time_s / 4.0;
-    // Empty images on a free-storage machine: saving costs nothing at all;
-    // the residual overhead is the synchronization protocol itself
-    // (requests, markers, acks, commit).
-    harness::ExperimentResult full, sync_only;
-    parallel_for(2, [&](std::size_t i) {
-      auto config = sor_config(nodes, Scheme::kCoordNB, /*free_storage=*/i == 1, interval);
-      if (i == 1) config.ablate_empty_checkpoints = true;
-      (i == 0 ? full : sync_only) = harness::run_experiment(config);
-    });
-    Cell cell;
-    cell.normal = normal.exec_time_s;
-    cell.full = full.exec_time_s - normal.exec_time_s;
-    cell.sync_only = sync_only.exec_time_s - sync_normal.exec_time_s;
-    cell.ctrl_msgs = full.control_messages;
-    cell.ctrl_bytes = full.control_bytes;
-    cells()[nodes] = cell;
-    state.counters["sync_overhead_s"] = cell.sync_only;
-    state.counters["full_overhead_s"] = cell.full;
-  }
+    const std::size_t nodes = node_counts()[r];
+    if (column == 0) return sor_config(nodes, Scheme::kCoordNB, false, interval);
+    if (column == 1) return sor_config(nodes, Scheme::kNone, true, 60);
+    auto config = sor_config(nodes, Scheme::kCoordNB, true, interval);
+    config.ablate_empty_checkpoints = true;
+    return config;
+  });
 }
 
-void register_benchmarks() {
-  for (std::size_t nodes : {2ul, 4ul, 8ul, 16ul, 32ul}) {
-    benchmark::RegisterBenchmark(util::format("SyncCost/nodes{}", nodes).c_str(),
-                                 [nodes](benchmark::State& state) {
-                                   run_node_count(state, nodes);
-                                 })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
+Cell cell_of(const RowResults& row) {
+  const ExperimentResult& full = row.cells[0];
+  Cell cell;
+  cell.normal = row.normal.exec_time_s;
+  cell.full = full.exec_time_s - row.normal.exec_time_s;
+  cell.sync_only = row.cells[2].exec_time_s - row.cells[1].exec_time_s;
+  cell.ctrl_msgs = full.control_messages;
+  cell.ctrl_bytes = full.control_bytes;
+  return cell;
 }
 
-void print_table() {
+void print_table(const std::vector<RowResults>& rows) {
   util::Table table({"nodes", "normal (s)", "full overhead (s)", "sync-only (s)",
                      "sync share", "ctrl msgs", "ctrl bytes"});
-  for (const auto& [nodes, cell] : cells()) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::size_t nodes = node_counts()[r];
+    const Cell cell = cell_of(rows[r]);
     table.add_row({util::Table::integer(static_cast<long long>(nodes)),
                    util::Table::fixed(cell.normal, 1), util::Table::fixed(cell.full, 3),
                    util::Table::fixed(cell.sync_only, 3),
@@ -117,14 +108,15 @@ void print_table() {
             "paper's central conclusion.");
 }
 
-void write_json() {
+void write_json(const std::vector<RowResults>& rows) {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("ablation_sync_cost"));
   Value points = Value::array();
-  for (const auto& [nodes, cell] : cells()) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Cell cell = cell_of(rows[r]);
     Value point = Value::object();
-    point.set("nodes", Value::number(std::uint64_t{nodes}));
+    point.set("nodes", Value::number(std::uint64_t{node_counts()[r]}));
     point.set("normal_s", Value::number(cell.normal));
     point.set("full_overhead_s", Value::number(cell.full));
     point.set("sync_only_s", Value::number(cell.sync_only));
@@ -137,15 +129,14 @@ void write_json() {
   write_bench_json("BENCH_ablation_sync_cost.json", doc);
 }
 
+int run() {
+  const std::vector<RowResults> rows = run_cells();
+  print_table(rows);
+  write_json(rows);
+  return digests_ok(rows) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_json();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

@@ -1,112 +1,83 @@
 #include "bench_common.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <future>
-#include <string_view>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/export.hpp"
-#include "util/format.hpp"
+#include "util/parallel.hpp"
 
 namespace chk::bench {
 
-ResultCache& ResultCache::instance() {
-  static ResultCache cache;
-  return cache;
+const std::vector<Scheme>& paper_schemes() {
+  static const std::vector<Scheme> schemes{Scheme::kCoordNB, Scheme::kIndep,
+                                           Scheme::kCoordNBM, Scheme::kIndepM,
+                                           Scheme::kCoordNBMS};
+  return schemes;
 }
 
-const ExperimentResult* ResultCache::find(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(key);
-  return it == cache_.end() ? nullptr : &it->second;
+const std::vector<Scheme>& table23_schemes() {
+  static const std::vector<Scheme> schemes{Scheme::kCoordNB, Scheme::kIndep,
+                                           Scheme::kCoordNBMS, Scheme::kIndepM};
+  return schemes;
 }
 
-const ExperimentResult& ResultCache::insert(const std::string& key,
-                                            ExperimentResult result) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  // try_emplace: if another worker finished the same (deterministic) run
-  // first, keep its copy; std::map references are stable either way.
-  return cache_.try_emplace(key, std::move(result)).first->second;
+const std::vector<Scheme>& all_schemes() {
+  static const std::vector<Scheme> schemes{
+      Scheme::kCoordNB,   Scheme::kCoordNBS, Scheme::kCoordNBM,
+      Scheme::kCoordNBMS, Scheme::kIndep,    Scheme::kIndepM,
+      Scheme::kIndepMS,
+  };
+  return schemes;
 }
 
-const ExperimentResult& ResultCache::normal(const BenchRow& row) {
-  const std::string key = cell_key(row.label, Scheme::kNone);
-  if (const auto* hit = find(key)) return *hit;
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  return insert(key, harness::run_normal(config));
-}
-
-const ExperimentResult& ResultCache::run(const std::string& key,
-                                         const ExperimentConfig& config) {
-  if (const auto* hit = find(key)) return *hit;
-  return insert(key, harness::run_experiment(config));
-}
-
-std::optional<ExperimentResult> ResultCache::lookup(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string cell_key(const std::string& label, Scheme scheme) {
-  return util::format("{}/{}", label, to_string(scheme));
-}
-
-void set_common_counters(benchmark::State& state, const ExperimentResult& result,
-                         const ExperimentResult& normal) {
-  state.counters["sim_exec_s"] = result.exec_time_s;
-  state.counters["overhead_s"] = result.exec_time_s - normal.exec_time_s;
-  state.counters["overhead_pct"] =
-      (result.exec_time_s / normal.exec_time_s - 1.0) * 100.0;
-  state.counters["ctrl_msgs"] = static_cast<double>(result.control_messages);
-  state.counters["ckpt_MiB"] = static_cast<double>(result.bytes_written) / (1 << 20);
-  state.counters["blocked_s"] = result.app_blocked_s;
-  state.counters["disk_wait_s"] = result.disk_wait_s;
-}
-
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work) {
-  if (count == 0) return;
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min(count, hw);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) work(i);
-    return;
+std::vector<ExperimentConfig> row_configs(const std::vector<BenchRow>& rows) {
+  std::vector<ExperimentConfig> configs(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    configs[r].label = rows[r].label;
+    configs[r].app = rows[r].app;
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::future<void>> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.push_back(std::async(std::launch::async, [&next, count, &work] {
-      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        work(i);
-      }
-    }));
-  }
-  for (auto& worker : pool) worker.get();
+  return configs;
 }
 
-bool prefetch_enabled(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).starts_with("--benchmark_filter")) return false;
-  }
-  return true;
+ExperimentConfig with_checkpoints(ExperimentConfig base, Scheme scheme,
+                                  std::uint32_t checkpoints, const ExperimentResult& normal) {
+  base.scheme = scheme;
+  base.checkpoints = checkpoints;
+  base.interval = des::Duration::seconds(normal.exec_time_s / (checkpoints + 1.0));
+  return base;
 }
 
-void prefetch_table(const std::vector<BenchRow>& rows, const std::vector<Scheme>& schemes,
-                    const CellConfigFn& cell_config) {
-  auto& cache = ResultCache::instance();
-  parallel_for(rows.size(), [&](std::size_t i) { cache.normal(rows[i]); });
-  parallel_for(rows.size() * schemes.size(), [&](std::size_t i) {
-    const BenchRow& row = rows[i / schemes.size()];
-    const Scheme scheme = schemes[i % schemes.size()];
-    cache.run(cell_key(row.label, scheme), cell_config(row, scheme, cache.normal(row)));
+std::vector<RowResults> run_rows(const std::vector<ExperimentConfig>& baselines,
+                                 std::size_t columns, const CellConfigFn& cell_config) {
+  auto normals = util::parallel_map(
+      baselines.size(), [&](std::size_t r) { return harness::run_normal(baselines[r]); });
+  auto cells = util::parallel_map(baselines.size() * columns, [&](std::size_t i) {
+    return harness::run_experiment(cell_config(i / columns, i % columns, normals[i / columns]));
   });
+  std::vector<RowResults> rows(baselines.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r].normal = std::move(normals[r]);
+    for (std::size_t c = 0; c < columns; ++c) {
+      rows[r].cells.push_back(std::move(cells[r * columns + c]));
+    }
+  }
+  return rows;
+}
+
+bool digest_ok(const ExperimentResult& normal, const ExperimentResult& cell) {
+  if (cell.digest == normal.digest) return true;
+  std::fprintf(stderr, "digest mismatch: %s under %s differs from its NORMAL run\n",
+               cell.label.c_str(), std::string(to_string(cell.scheme)).c_str());
+  return false;
+}
+
+bool digests_ok(const std::vector<RowResults>& rows) {
+  bool ok = true;
+  for (const RowResults& row : rows) {
+    for (const ExperimentResult& cell : row.cells) ok = digest_ok(row.normal, cell) && ok;
+  }
+  return ok;
 }
 
 obs::json::Value result_to_json(const ExperimentResult& result,
@@ -135,23 +106,19 @@ obs::json::Value result_to_json(const ExperimentResult& result,
 }
 
 obs::json::Value table_json(const std::string& table, const std::vector<BenchRow>& rows,
-                            const std::vector<Scheme>& schemes) {
+                            const std::vector<RowResults>& results) {
   using obs::json::Value;
-  auto& cache = ResultCache::instance();
   Value doc = Value::object();
   doc.set("table", Value::string(table));
   Value row_array = Value::array();
-  for (const BenchRow& row : rows) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
     Value entry = Value::object();
-    entry.set("label", Value::string(row.label));
-    entry.set("approx_state_bytes", Value::number(row.approx_state_bytes));
-    const auto normal = cache.lookup(cell_key(row.label, Scheme::kNone));
-    if (normal) entry.set("normal", result_to_json(*normal, nullptr));
+    entry.set("label", Value::string(rows[r].label));
+    entry.set("approx_state_bytes", Value::number(rows[r].approx_state_bytes));
+    entry.set("normal", result_to_json(results[r].normal, nullptr));
     Value cells = Value::array();
-    for (Scheme scheme : schemes) {
-      if (const auto result = cache.lookup(cell_key(row.label, scheme))) {
-        cells.push_back(result_to_json(*result, normal ? &*normal : nullptr));
-      }
+    for (const ExperimentResult& cell : results[r].cells) {
+      cells.push_back(result_to_json(cell, &results[r].normal));
     }
     entry.set("cells", std::move(cells));
     row_array.push_back(std::move(entry));
@@ -165,17 +132,25 @@ void write_bench_json(const std::string& path, const obs::json::Value& doc) {
   std::printf("\nWrote %s\n", path.c_str());
 }
 
-const std::vector<Scheme>& table1_schemes() {
-  static const std::vector<Scheme> schemes{Scheme::kCoordNB, Scheme::kIndep,
-                                           Scheme::kCoordNBM, Scheme::kIndepM,
-                                           Scheme::kCoordNBMS};
-  return schemes;
+std::vector<double> get_list_in(const util::Cli& cli, const std::string& key,
+                                const std::string& fallback, double lo, double hi) {
+  std::vector<double> values = cli.get_list<double>(key, fallback);
+  for (const double v : values) {
+    if (v < lo || v >= hi) {
+      throw std::invalid_argument(
+          util::format("--{}: values must be in [{}, {}), got {}", key, lo, hi, v));
+    }
+  }
+  return values;
 }
 
-const std::vector<Scheme>& table23_schemes() {
-  static const std::vector<Scheme> schemes{Scheme::kCoordNB, Scheme::kIndep,
-                                           Scheme::kCoordNBMS, Scheme::kIndepM};
-  return schemes;
+int bench_main(int argc, char** argv, int (*run)()) {
+  try {
+    util::Cli(argc, argv).reject_unread();
+  } catch (const std::invalid_argument& err) {
+    return util::usage_error(argv[0], err);
+  }
+  return run();
 }
 
 }  // namespace chk::bench

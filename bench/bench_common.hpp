@@ -1,31 +1,22 @@
-// Shared infrastructure for the paper-table benchmark binaries.
+// Shared infrastructure for the bench binaries.
 //
-// Each binary registers one google-benchmark entry per (row, scheme) cell;
-// a cell's benchmark runs the full simulated experiment once (the measured
-// wall time is the simulator's own performance) and stores the simulated
-// metrics both as benchmark counters and in a process-wide cache. After
-// RunSpecifiedBenchmarks, main() prints the reconstructed paper table from
-// the cache and writes a machine-readable BENCH_<name>.json next to it.
-//
-// Drivers may warm the cache up front with prefetch_table(): every
-// (row, scheme) simulation is independent, so the warm-up fans out over a
-// small thread pool. The subsequent benchmark pass and the table printer
-// then read finished cells — output ordering never depends on completion
-// order.
+// Every bench is a plain CLI: it builds its cells, runs the independent
+// simulations through util::parallel_map (results come back in input
+// order, so the output never depends on completion order), prints its
+// table, writes its BENCH_<name>.json and exits 1 if a cell's result
+// digest differs from its NORMAL (checkpoint-free) run's.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
+#include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace chk::bench {
@@ -35,74 +26,68 @@ using harness::ExperimentConfig;
 using harness::ExperimentResult;
 using harness::Scheme;
 
-/// Process-wide experiment cache: normal baselines are shared between
-/// cells, and the end-of-run table printer reads finished cells. Safe to
-/// call from the prefetch worker threads; a simulation runs outside the
-/// lock and the first finisher of a key wins (runs are deterministic, so
-/// duplicates are identical anyway).
-class ResultCache {
- public:
-  static ResultCache& instance();
+/// The five schemes of the paper's Table 1, in its column order.
+[[nodiscard]] const std::vector<Scheme>& paper_schemes();
+/// The scheme columns of Tables 2 and 3 (paper order).
+[[nodiscard]] const std::vector<Scheme>& table23_schemes();
+/// Every checkpointing scheme: the coordinated ones, then the independent.
+[[nodiscard]] const std::vector<Scheme>& all_schemes();
 
-  /// Run (or fetch) the no-checkpointing baseline for a row.
-  const ExperimentResult& normal(const BenchRow& row);
+/// The NORMAL configs of catalog rows: each row's app on the default
+/// machine.
+[[nodiscard]] std::vector<ExperimentConfig> row_configs(const std::vector<BenchRow>& rows);
 
-  /// Run (or fetch) an arbitrary experiment, keyed by label+scheme+tag.
-  const ExperimentResult& run(const std::string& key, const ExperimentConfig& config);
+/// `base` under `scheme` with `checkpoints` evenly spaced checkpoints: the
+/// interval is the NORMAL execution time / (checkpoints + 1).
+[[nodiscard]] ExperimentConfig with_checkpoints(ExperimentConfig base, Scheme scheme,
+                                                std::uint32_t checkpoints,
+                                                const ExperimentResult& normal);
 
-  [[nodiscard]] std::optional<ExperimentResult> lookup(const std::string& key) const;
-
- private:
-  const ExperimentResult* find(const std::string& key) const;
-  const ExperimentResult& insert(const std::string& key, ExperimentResult result);
-
-  mutable std::mutex mu_;
-  std::map<std::string, ExperimentResult> cache_;
+/// One table row: its NORMAL baseline and its cells, in column order.
+struct RowResults {
+  ExperimentResult normal;
+  std::vector<ExperimentResult> cells;
 };
 
-/// Key helpers.
-[[nodiscard]] std::string cell_key(const std::string& label, Scheme scheme);
-
-/// Attach the standard simulated metrics to a benchmark's counters.
-void set_common_counters(benchmark::State& state, const ExperimentResult& result,
-                         const ExperimentResult& normal);
-
-/// Run work(0..count-1) on a small thread pool (bounded by the hardware
-/// concurrency); blocks until every item has finished. The first exception
-/// propagates to the caller.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& work);
-
-/// Whether the driver should warm the whole cache up front: true unless
-/// the user narrowed the run with --benchmark_filter (prefetching every
-/// cell would defeat the filter).
-[[nodiscard]] bool prefetch_enabled(int argc, char** argv);
-
-/// Two-phase parallel cache warm-up for the table drivers. Phase 1 runs
-/// every row's baseline (cell configs depend on the baseline's execution
-/// time); phase 2 runs every (row, scheme) cell through `cell_config`.
+/// Builds cell `column` of row `row` from the row's baseline result.
 using CellConfigFn =
-    std::function<ExperimentConfig(const BenchRow&, Scheme, const ExperimentResult&)>;
-void prefetch_table(const std::vector<BenchRow>& rows, const std::vector<Scheme>& schemes,
-                    const CellConfigFn& cell_config);
+    std::function<ExperimentConfig(std::size_t row, std::size_t column, const ExperimentResult&)>;
 
-/// One cell's standard metrics as a JSON object (the same numbers the
-/// benchmark counters carry, plus the determinism hash). `normal` adds the
-/// derived overhead fields when present.
+/// Runs harness::run_normal on every baseline config, then `columns` cells
+/// per row: two parallel phases, since a cell's config depends on its
+/// baseline's execution time.
+[[nodiscard]] std::vector<RowResults> run_rows(const std::vector<ExperimentConfig>& baselines,
+                                               std::size_t columns,
+                                               const CellConfigFn& cell_config);
+
+/// Whether `cell` computed the same result digest as its NORMAL run; a
+/// mismatch is reported on stderr.
+[[nodiscard]] bool digest_ok(const ExperimentResult& normal, const ExperimentResult& cell);
+/// digest_ok over every cell of every row (reports every mismatch).
+[[nodiscard]] bool digests_ok(const std::vector<RowResults>& rows);
+
+/// One cell's standard metrics as a JSON object, plus the determinism
+/// hash. `normal` adds the derived overhead fields when present.
 [[nodiscard]] obs::json::Value result_to_json(const ExperimentResult& result,
                                               const ExperimentResult* normal);
 
-/// Assemble the standard per-table document: one entry per row with the
-/// baseline plus every scheme cell found in the cache.
+/// The standard per-table document: one entry per row with the baseline
+/// and every cell.
 [[nodiscard]] obs::json::Value table_json(const std::string& table,
                                           const std::vector<BenchRow>& rows,
-                                          const std::vector<Scheme>& schemes);
+                                          const std::vector<RowResults>& results);
 
 /// Write `doc` to `path` and report the path on stdout.
 void write_bench_json(const std::string& path, const obs::json::Value& doc);
 
-/// The scheme columns of Table 1 (paper order).
-[[nodiscard]] const std::vector<Scheme>& table1_schemes();
-/// The scheme columns of Tables 2 and 3 (paper order).
-[[nodiscard]] const std::vector<Scheme>& table23_schemes();
+/// cli.get_list<double>(key, fallback) with every value required to lie in
+/// [lo, hi); throws std::invalid_argument naming the flag otherwise.
+[[nodiscard]] std::vector<double> get_list_in(const util::Cli& cli, const std::string& key,
+                                              const std::string& fallback, double lo,
+                                              double hi);
+
+/// main() of a bench that takes no flags: any flag is an error (exit 2);
+/// otherwise returns run()'s exit status.
+int bench_main(int argc, char** argv, int (*run)());
 
 }  // namespace chk::bench

@@ -45,43 +45,20 @@
 // digest against the failure-free baseline; the output is byte-identical
 // across repeats with the same seeds.
 #include <cstdio>
-#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "faultsim/campaign.hpp"
-#include "harness/catalog.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
 using namespace chk;
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// The five scheme columns of the paper's Table 1, in paper order.
-const std::vector<harness::Scheme>& campaign_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB, harness::Scheme::kIndep, harness::Scheme::kCoordNBM,
-      harness::Scheme::kIndepM, harness::Scheme::kCoordNBMS};
-  return schemes;
-}
 
 struct Cell {
   std::string app;
@@ -92,17 +69,15 @@ struct Cell {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
 
-  std::vector<std::string> app_labels =
-      split_list(cli.get("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14"));
-  std::vector<double> mtbf_fracs;
-  for (const std::string& tok :
-       split_list(cli.get("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4"))) {
-    mtbf_fracs.push_back(std::stod(tok));
-  }
+  const std::vector<std::string> app_labels =
+      cli.get_list<std::string>("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14");
+  for (const std::string& label : app_labels) (void)harness::find_row(label);  // known apps only
+  const std::vector<double> mtbf_fracs =
+      cli.get_list<double>("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4");
   const auto runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4));
   const auto max_failures =
       static_cast<std::uint32_t>(cli.get_int("max-failures", 6));
@@ -113,106 +88,95 @@ int main(int argc, char** argv) {
   const auto campaign_seed =
       static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1));
   chklib::LinkFaultConfig link_faults;
+  link_faults.drop = cli.get_prob("link-loss", 0.0);
+  link_faults.duplicate = cli.get_prob("link-dup", 0.0);
+  link_faults.corrupt = cli.get_prob("link-corrupt", 0.0);
+  link_faults.delay_prob = cli.get_prob("link-delay", 0.0);
+  link_faults.delay_mean_s = cli.get_nonneg_double("link-delay-mean", 1e-3);
+  link_faults.validate();
   xplorer::StorageFaultConfig storage_faults;
-  std::uint32_t keep_depth = 0;
+  const double io_error = cli.get_prob("io-error", 0.0);
+  storage_faults.write_error = io_error;
+  storage_faults.read_error = io_error;
+  storage_faults.bitrot = cli.get_prob("bitrot", 0.0);
+  storage_faults.degrade_factor = cli.get_nonneg_double("io-degrade", 1.0);
+  storage_faults.validate();
+  const long depth = cli.get_int("keep-depth", 0);
+  if (depth < 0) throw std::invalid_argument("--keep-depth must be >= 0");
+  const auto keep_depth = static_cast<std::uint32_t>(depth);
   std::optional<chklib::membership::MembershipConfig> membership;
-  try {
-    link_faults.drop = cli.get_prob("link-loss", 0.0);
-    link_faults.duplicate = cli.get_prob("link-dup", 0.0);
-    link_faults.corrupt = cli.get_prob("link-corrupt", 0.0);
-    link_faults.delay_prob = cli.get_prob("link-delay", 0.0);
-    link_faults.delay_mean_s = cli.get_nonneg_double("link-delay-mean", 1e-3);
-    link_faults.validate();
-    const double io_error = cli.get_prob("io-error", 0.0);
-    storage_faults.write_error = io_error;
-    storage_faults.read_error = io_error;
-    storage_faults.bitrot = cli.get_prob("bitrot", 0.0);
-    storage_faults.degrade_factor = cli.get_nonneg_double("io-degrade", 1.0);
-    storage_faults.validate();
-    const long depth = cli.get_int("keep-depth", 0);
-    if (depth < 0) throw std::invalid_argument("--keep-depth must be >= 0");
-    keep_depth = static_cast<std::uint32_t>(depth);
-    const double detect_timeout = cli.get_nonneg_double("detect-timeout", 0.0);
-    const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
-    const std::string detector_name = cli.get("detector", "binary");
-    const auto detector = chklib::membership::parse_detector(detector_name);
-    if (detector != chklib::membership::Detector::kPhiAccrual) {
-      // Same discipline as get_prob: a phi knob on the binary detector is a
-      // silently-ignored flag waiting to mislead — reject it loudly.
-      for (const char* flag : {"phi-threshold", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --detector=phi (the binary "
-                                      "detector has no phi knobs)");
-        }
+  const double detect_timeout = cli.get_nonneg_double("detect-timeout", 0.0);
+  const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
+  const std::string detector_name = cli.get("detector", "binary");
+  const auto detector = chklib::membership::parse_detector(detector_name);
+  if (detector != chklib::membership::Detector::kPhiAccrual) {
+    // Same discipline as get_prob: a phi knob on the binary detector is a
+    // silently-ignored flag waiting to mislead — reject it loudly.
+    for (const char* flag : {"phi-threshold", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi (the binary "
+                                    "detector has no phi knobs)");
       }
     }
-    if (detect_timeout > 0) {
-      chklib::membership::MembershipConfig m;
-      m.detect_timeout = des::Duration::seconds(detect_timeout);
-      m.hb_period = des::Duration::seconds(hb_period);
-      m.detector = detector;
-      if (detector == chklib::membership::Detector::kPhiAccrual) {
-        const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
-        if (threshold <= 0) {
-          throw std::invalid_argument("--phi-threshold must be positive");
-        }
-        const long window = cli.get_int("phi-window", 32);
-        if (window <= 0) {
-          throw std::invalid_argument("--phi-window must be positive");
-        }
-        m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-        m.accrual.window = static_cast<std::uint32_t>(window);
+  }
+  if (detect_timeout > 0) {
+    chklib::membership::MembershipConfig m;
+    m.detect_timeout = des::Duration::seconds(detect_timeout);
+    m.hb_period = des::Duration::seconds(hb_period);
+    m.detector = detector;
+    if (detector == chklib::membership::Detector::kPhiAccrual) {
+      const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
+      if (threshold <= 0) {
+        throw std::invalid_argument("--phi-threshold must be positive");
       }
-      m.validate(nodes);
-      membership = m;
-    } else if (cli.has("detector") && detector_name != "binary") {
-      throw std::invalid_argument(
-          "--detector=phi needs --detect-timeout > 0 to arm the membership "
-          "service (the detector has nothing to run on otherwise)");
+      const long window = cli.get_int("phi-window", 32);
+      if (window <= 0) {
+        throw std::invalid_argument("--phi-window must be positive");
+      }
+      m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
+      m.accrual.window = static_cast<std::uint32_t>(window);
     }
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "campaign: %s\n", err.what());
-    return 2;
+    m.validate(nodes);
+    membership = m;
+  } else if (cli.has("detector") && detector_name != "binary") {
+    throw std::invalid_argument(
+        "--detector=phi needs --detect-timeout > 0 to arm the membership "
+        "service (the detector has nothing to run on otherwise)");
   }
   const bool transport = cli.get_bool("transport", true);
   const bool target_coordinator = cli.get_bool("target-coordinator", false);
+  const std::string json_out = cli.get("json-out", "BENCH_campaign.json");
+  cli.reject_unread();
   if (membership.has_value() && !transport) {
-    std::fprintf(stderr,
-                 "campaign: --detect-timeout requires the reliable transport — "
-                 "heartbeats over raw lossy links turn every detection timeout "
-                 "into a coin flip (drop --no-transport)\n");
-    return 2;
+    throw std::invalid_argument(
+        "--detect-timeout requires the reliable transport — heartbeats over raw "
+        "lossy links turn every detection timeout into a coin flip (drop "
+        "--no-transport)");
   }
   if (target_coordinator && !membership.has_value()) {
-    std::fprintf(stderr,
-                 "campaign: --target-coordinator needs --detect-timeout > 0 — "
-                 "without the membership service there is no elected "
-                 "coordinator to aim at\n");
-    return 2;
+    throw std::invalid_argument(
+        "--target-coordinator needs --detect-timeout > 0 — without the membership "
+        "service there is no elected coordinator to aim at");
   }
+  const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
   // Failure-free baselines: the MTBF sweep and the checkpoint interval are
   // both expressed relative to each app's normal execution time, and the
   // baseline digest is the ground truth every faulted run must reproduce.
   std::printf("Baselines (no checkpointing, %zu nodes)...\n", nodes);
-  std::map<std::string, harness::ExperimentResult> normals;
-  {
-    std::vector<std::future<harness::ExperimentResult>> pending;
-    pending.reserve(app_labels.size());
-    for (const std::string& label : app_labels) {
-      harness::ExperimentConfig config;
-      config.label = label;
-      config.app = harness::find_row(label).app;
-      config.machine.num_nodes = nodes;
-      config.seed = seed;
-      pending.push_back(std::async(std::launch::async, [config] {
+  const std::vector<harness::ExperimentResult> normal_runs =
+      util::parallel_map(app_labels.size(), [&](std::size_t a) {
+        harness::ExperimentConfig config;
+        config.label = app_labels[a];
+        config.app = harness::find_row(app_labels[a]).app;
+        config.machine.num_nodes = nodes;
+        config.seed = seed;
         return harness::run_normal(config);
-      }));
-    }
-    for (std::size_t i = 0; i < app_labels.size(); ++i) {
-      normals.emplace(app_labels[i], pending[i].get());
-    }
+      });
+  std::map<std::string, harness::ExperimentResult> normals;
+  for (std::size_t a = 0; a < app_labels.size(); ++a) {
+    normals.emplace(app_labels[a], normal_runs[a]);
   }
 
   // One campaign per (app, mtbf, scheme) cell; cells are independent, so
@@ -221,50 +185,44 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const std::string& label : app_labels) {
     for (double frac : mtbf_fracs) {
-      for (harness::Scheme scheme : campaign_schemes()) {
+      for (harness::Scheme scheme : schemes) {
         cells.push_back(Cell{label, frac, scheme, {}});
       }
     }
   }
-  {
-    std::vector<std::future<faultsim::CampaignResult>> pending;
-    pending.reserve(cells.size());
-    for (const Cell& cell : cells) {
-      const harness::ExperimentResult& normal = normals.at(cell.app);
-      faultsim::CampaignConfig config;
-      config.base.label = cell.app;
-      config.base.app = harness::find_row(cell.app).app;
-      config.base.scheme = cell.scheme;
-      config.base.machine.num_nodes = nodes;
-      config.base.seed = seed;
-      config.base.checkpoints = checkpoints;
-      config.base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
-      config.mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac);
-      config.runs = runs;
-      config.campaign_seed = campaign_seed;
-      config.max_failures_per_run = max_failures;
-      config.expected_digest = normal.digest;
-      if (link_faults.enabled()) {
-        config.link_faults = link_faults;
-        config.reliable_transport = transport;
-      }
-      if (storage_faults.enabled()) config.storage_faults = storage_faults;
-      config.membership = membership;
-      // The sweep always spans every scheme; independent schemes have no
-      // coordinator to aim at, so they keep the uniform victim draw.
-      config.target_coordinator =
-          target_coordinator && chklib::is_coordinated(cell.scheme);
-      config.keep_depth = keep_depth;
-      pending.push_back(std::async(std::launch::async, [config] {
-        return faultsim::run_campaign(config);
-      }));
+  auto campaigns = util::parallel_map(cells.size(), [&](std::size_t i) {
+    const Cell& cell = cells[i];
+    const harness::ExperimentResult& normal = normals.at(cell.app);
+    faultsim::CampaignConfig config;
+    config.base.label = cell.app;
+    config.base.app = harness::find_row(cell.app).app;
+    config.base.scheme = cell.scheme;
+    config.base.machine.num_nodes = nodes;
+    config.base.seed = seed;
+    config.base.checkpoints = checkpoints;
+    config.base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+    config.mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac);
+    config.runs = runs;
+    config.campaign_seed = campaign_seed;
+    config.max_failures_per_run = max_failures;
+    config.expected_digest = normal.digest;
+    if (link_faults.enabled()) {
+      config.link_faults = link_faults;
+      config.reliable_transport = transport;
     }
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = pending[i].get();
-  }
+    if (storage_faults.enabled()) config.storage_faults = storage_faults;
+    config.membership = membership;
+    // The sweep always spans every scheme; independent schemes have no
+    // coordinator to aim at, so they keep the uniform victim draw.
+    config.target_coordinator = target_coordinator && chklib::is_coordinated(cell.scheme);
+    config.keep_depth = keep_depth;
+    return faultsim::run_campaign(config);
+  });
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = std::move(campaigns[i]);
 
   // Expected-completion-time table: rows = app x MTBF, columns = schemes.
   std::vector<std::string> header{"app", "MTBF/T"};
-  for (harness::Scheme scheme : campaign_schemes()) {
+  for (harness::Scheme scheme : schemes) {
     header.emplace_back(to_string(scheme));
   }
   util::Table table(header);
@@ -273,7 +231,7 @@ int main(int argc, char** argv) {
   for (const std::string& label : app_labels) {
     for (double frac : mtbf_fracs) {
       std::vector<std::string> row{label, util::Table::fixed(frac, 2)};
-      for (std::size_t s = 0; s < campaign_schemes().size(); ++s) {
+      for (std::size_t s = 0; s < schemes.size(); ++s) {
         const faultsim::CampaignSummary& sum = cells[cell_index++].result.summary;
         all_verified = all_verified && sum.all_verified;
         const double slowdown =
@@ -351,7 +309,7 @@ int main(int argc, char** argv) {
       entry.set("mtbf_frac", Value::number(frac));
       entry.set("mtbf_s", Value::number(normal.exec_time_s * frac));
       Value cell_array = Value::array();
-      for (std::size_t s = 0; s < campaign_schemes().size(); ++s) {
+      for (std::size_t s = 0; s < schemes.size(); ++s) {
         const Cell& cell = cells[cell_index++];
         Value cv = Value::object();
         cv.set("scheme", Value::string(std::string(to_string(cell.scheme))));
@@ -368,8 +326,9 @@ int main(int argc, char** argv) {
     }
   }
   doc.set("rows", std::move(row_array));
-  const std::string path = cli.get("json-out", "BENCH_campaign.json");
-  obs::write_text_file(path, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", path.c_str());
+  obs::write_text_file(json_out, doc.dump() + "\n");
+  std::printf("\nWrote %s\n", json_out.c_str());
   return all_verified ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <chrono>  // chklint:allow(no-ambient-nondeterminism): wall-clock events/sec is the measurement; none of it reaches the JSON artifact.
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,54 +143,40 @@ CellResult run_cell(const CellConfig& cc) {
   return out;
 }
 
-std::vector<std::size_t> parse_sizes(const std::string& flag, const std::string& csv,
-                                     std::size_t min, std::size_t max) {
+/// A strict integer list flag whose every value must lie in [min, max].
+std::vector<std::size_t> get_sizes(const util::Cli& cli, const std::string& key,
+                                   const std::string& fallback, std::int64_t min,
+                                   std::int64_t max) {
   std::vector<std::size_t> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) {
-      const std::string tok = csv.substr(start, end - start);
-      char* tail = nullptr;
-      const unsigned long long v = std::strtoull(tok.c_str(), &tail, 10);
-      if (tail != tok.c_str() + tok.size() || v < min || v > max) {
-        throw std::invalid_argument(flag + ": expected an integer in [" +
-                                    std::to_string(min) + "," + std::to_string(max) +
-                                    "], got \"" + tok + "\"");
-      }
-      out.push_back(static_cast<std::size_t>(v));
+  for (const std::int64_t v : cli.get_list<std::int64_t>(key, fallback)) {
+    if (v < min || v > max) {
+      throw std::invalid_argument(
+          util::format("--{}: expected an integer in [{},{}], got {}", key, min, max, v));
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    out.push_back(static_cast<std::size_t>(v));
   }
-  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
   return out;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// The cells run one after another: each measures wall-clock events/sec,
+// which concurrent cells would distort.
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
 
-  std::vector<std::size_t> ranks;
-  std::vector<std::size_t> churns;
-  try {
-    ranks = parse_sizes("--ranks", cli.get("ranks", quick ? "8,64" : "8,64,256"), 2, 4096);
-    churns = parse_sizes("--churn", cli.get("churn", "0,8"), 0, 1024);
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "kernel_throughput: %s\n", err.what());
-    return 2;
-  }
+  const std::vector<std::size_t> ranks =
+      get_sizes(cli, "ranks", quick ? "8,64" : "8,64,256", 2, 4096);
+  const std::vector<std::size_t> churns = get_sizes(cli, "churn", "0,8", 0, 1024);
   const auto iters = static_cast<std::size_t>(
       cli.get_int("iters", quick ? 60 : 300));
   const auto payload = static_cast<std::size_t>(cli.get_int("payload", 32));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
   const std::string json_out = cli.get("json-out", "BENCH_kernel.json");
+  cli.reject_unread();
   if (iters < 1 || payload > 4096) {
-    std::fprintf(stderr, "kernel_throughput: --iters >= 1, --payload <= 4096\n");
-    return 2;
+    throw std::invalid_argument("--iters >= 1, --payload <= 4096");
   }
 
   struct Row {
@@ -285,4 +272,6 @@ int main(int argc, char** argv) {
   obs::write_text_file(json_out, doc.dump() + "\n");
   std::printf("wrote %s\n", json_out.c_str());
   return all_ok ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

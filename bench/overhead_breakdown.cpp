@@ -16,29 +16,19 @@
 // JSON (load with ui.perfetto.dev); --metrics-out writes its metrics
 // snapshot + attribution; --json-out (default BENCH_overhead_breakdown.json)
 // collects every scheme's breakdown machine-readably.
+#include <algorithm>
 #include <cstdio>
-#include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/sor.hpp"
-#include "harness/experiment.hpp"
+#include "bench_common.hpp"
 #include "obs/export.hpp"
-#include "util/cli.hpp"
-#include "util/format.hpp"
-#include "util/table.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
 using namespace chk;
-
-const std::vector<harness::Scheme>& all_schemes() {
-  static const std::vector<harness::Scheme> schemes{
-      harness::Scheme::kCoordNB,  harness::Scheme::kCoordNBS,
-      harness::Scheme::kCoordNBM, harness::Scheme::kCoordNBMS,
-      harness::Scheme::kIndep,    harness::Scheme::kIndepM,
-      harness::Scheme::kIndepMS};
-  return schemes;
-}
 
 obs::json::Value scheme_json(const harness::ExperimentResult& result,
                              const harness::ExperimentResult& normal) {
@@ -55,7 +45,7 @@ obs::json::Value scheme_json(const harness::ExperimentResult& result,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
 
   harness::ExperimentConfig base;
@@ -68,27 +58,33 @@ int main(int argc, char** argv) {
   base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
   base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
   base.observe = true;
+  const bool fixed_interval = cli.has("interval-s");
+  const double interval_s = cli.get_double("interval-s", 30.0);
+  const std::string trace_scheme = cli.get("trace-scheme", "Coord_NBM");
+  const std::string trace_out = cli.get("trace-out", "");
+  const std::string metrics_out = cli.get("metrics-out", "");
+  const std::string json_out = cli.get("json-out", "BENCH_overhead_breakdown.json");
+  cli.reject_unread();
+  const auto& schemes = bench::all_schemes();
+  const auto traced =
+      std::find_if(schemes.begin(), schemes.end(),
+                   [&](harness::Scheme scheme) { return to_string(scheme) == trace_scheme; });
+  if (traced == schemes.end()) {
+    throw std::invalid_argument("--trace-scheme=" + trace_scheme +
+                                " is not a checkpointing scheme");
+  }
 
   std::printf("Baseline run (no checkpointing, %zu nodes)...\n", base.machine.num_nodes);
   const auto normal = harness::run_normal(base);
   base.interval = des::Duration::seconds(
-      cli.has("interval-s") ? cli.get_double("interval-s", 30.0)
-                            : normal.exec_time_s / (base.checkpoints + 1.0));
+      fixed_interval ? interval_s : normal.exec_time_s / (base.checkpoints + 1.0));
 
   // Every scheme's run is independent: fan out, then report in fixed order.
-  const auto& schemes = all_schemes();
-  std::vector<std::future<harness::ExperimentResult>> pending;
-  pending.reserve(schemes.size());
-  for (harness::Scheme scheme : schemes) {
+  const auto results = util::parallel_map(schemes.size(), [&](std::size_t s) {
     harness::ExperimentConfig config = base;
-    config.scheme = scheme;
-    pending.push_back(std::async(std::launch::async, [config] {
-      return harness::run_experiment(config);
-    }));
-  }
-  std::vector<harness::ExperimentResult> results;
-  results.reserve(schemes.size());
-  for (auto& future : pending) results.push_back(future.get());
+    config.scheme = schemes[s];
+    return harness::run_experiment(config);
+  });
 
   // Buckets are summed over ranks (rank-seconds); the comparable total is
   // the wall-clock overhead every rank experiences, overhead x num_ranks.
@@ -123,32 +119,22 @@ int main(int argc, char** argv) {
              stdout);
 
   // Detailed exports for one selected scheme.
-  const std::string trace_scheme = cli.get("trace-scheme", "Coord_NBM");
-  const harness::ExperimentResult* selected = nullptr;
-  for (const auto& result : results) {
-    if (to_string(result.scheme) == trace_scheme) selected = &result;
-  }
-  if (selected == nullptr) {
-    std::fprintf(stderr, "ERROR: --trace-scheme=%s is not a checkpointing scheme\n",
-                 trace_scheme.c_str());
-    return 1;
-  }
-  if (cli.has("trace-out")) {
-    const std::string path = cli.get("trace-out", "trace.json");
+  const harness::ExperimentResult& selected =
+      results[static_cast<std::size_t>(traced - schemes.begin())];
+  if (!trace_out.empty()) {
     obs::write_text_file(
-        path, obs::to_chrome_trace(selected->obs->trace, base.machine.num_nodes).dump());
-    std::printf("\nWrote %s (%s, %zu events; open with ui.perfetto.dev)\n", path.c_str(),
-                trace_scheme.c_str(), selected->obs->trace.events.size());
+        trace_out, obs::to_chrome_trace(selected.obs->trace, base.machine.num_nodes).dump());
+    std::printf("\nWrote %s (%s, %zu events; open with ui.perfetto.dev)\n",
+                trace_out.c_str(), trace_scheme.c_str(), selected.obs->trace.events.size());
   }
-  if (cli.has("metrics-out")) {
+  if (!metrics_out.empty()) {
     using obs::json::Value;
     Value doc = Value::object();
     doc.set("scheme", Value::string(trace_scheme));
-    doc.set("metrics", obs::metrics_to_json(selected->obs->metrics));
-    doc.set("attribution", obs::attribution_to_json(selected->obs->attribution));
-    const std::string path = cli.get("metrics-out", "metrics.json");
-    obs::write_text_file(path, doc.dump() + "\n");
-    std::printf("Wrote %s\n", path.c_str());
+    doc.set("metrics", obs::metrics_to_json(selected.obs->metrics));
+    doc.set("attribution", obs::attribution_to_json(selected.obs->attribution));
+    obs::write_text_file(metrics_out, doc.dump() + "\n");
+    std::printf("Wrote %s\n", metrics_out.c_str());
   }
 
   // Machine-readable summary of the whole table.
@@ -163,9 +149,10 @@ int main(int argc, char** argv) {
     Value entries = Value::array();
     for (const auto& result : results) entries.push_back(scheme_json(result, normal));
     doc.set("schemes", std::move(entries));
-    const std::string path = cli.get("json-out", "BENCH_overhead_breakdown.json");
-    obs::write_text_file(path, doc.dump() + "\n");
-    std::printf("Wrote %s\n", path.c_str());
+    obs::write_text_file(json_out, doc.dump() + "\n");
+    std::printf("Wrote %s\n", json_out.c_str());
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

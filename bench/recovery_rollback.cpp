@@ -7,11 +7,11 @@
 // the run and report how far the system rolled back and how much work was
 // lost. Every recovered run's result is verified against the failure-free
 // digest.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "util/parallel.hpp"
 
 namespace chk::bench {
 namespace {
@@ -41,17 +41,22 @@ const std::vector<double>& fail_fractions() {
   return fracs;
 }
 
-std::string key_of(const Case& c, double frac) {
-  return util::format("{}/{}/f{:.2f}", c.app, c.name(), frac);
+/// The apps the cases run on; each gets one NORMAL baseline.
+const std::vector<BenchRow>& apps() {
+  static const std::vector<BenchRow> all{harness::find_row("SOR-512"),
+                                         harness::find_row("NQUEENS-14")};
+  return all;
 }
 
-void run_case(benchmark::State& state, const Case& c, double frac) {
-  auto& cache = ResultCache::instance();
-  const BenchRow row = harness::find_row(c.app);
-  const auto& normal = cache.normal(row);
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
+std::size_t app_of(const Case& c) {
+  return static_cast<std::size_t>(
+      std::find_if(apps().begin(), apps().end(),
+                   [&c](const BenchRow& row) { return row.label == c.app; }) -
+      apps().begin());
+}
+
+ExperimentConfig case_config(ExperimentConfig config, const Case& c, double frac,
+                             const ExperimentResult& normal) {
   config.scheme = c.scheme;
   config.checkpoints = 0;  // keep checkpointing until done
   config.interval = des::Duration::seconds(normal.exec_time_s / 5.0);
@@ -61,62 +66,44 @@ void run_case(benchmark::State& state, const Case& c, double frac) {
   }
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * frac), 3};
-  for (auto _ : state) {
-    const auto& result = cache.run(key_of(c, frac), config);
-    if (result.digest != normal.digest) {
-      state.SkipWithError("recovered digest mismatch!");
-      return;
-    }
-    if (!result.recoveries.empty()) {
-      const auto& report = result.recoveries.front();
-      double max_rollback = 0;
-      for (const auto& d : report.rollback_distance) {
-        max_rollback = std::max(max_rollback, d.to_seconds());
-      }
-      state.counters["rollback_s"] = max_rollback;
-      state.counters["latency_s"] = report.recovery_latency.to_seconds();
-      state.counters["domino_origin"] = report.rolled_to_origin ? 1 : 0;
-    }
-    state.counters["total_s"] = result.exec_time_s;
-  }
+  return config;
 }
 
-void register_benchmarks() {
-  for (const auto& c : cases()) {
-    for (double frac : fail_fractions()) {
-      benchmark::RegisterBenchmark(
-          util::format("Recovery/{}/{}/fail{:.0f}pct", c.app, c.name(), frac * 100)
-              .c_str(),
-          [c, frac](benchmark::State& state) { run_case(state, c, frac); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
+int run() {
+  const std::vector<ExperimentConfig> baselines = row_configs(apps());
+  const auto normals = util::parallel_map(
+      baselines.size(), [&](std::size_t a) { return harness::run_normal(baselines[a]); });
+  const std::size_t fracs = fail_fractions().size();
+  const auto results = util::parallel_map(cases().size() * fracs, [&](std::size_t i) {
+    const Case& c = cases()[i / fracs];
+    return harness::run_experiment(case_config(baselines[app_of(c)], c,
+                                               fail_fractions()[i % fracs],
+                                               normals[app_of(c)]));
+  });
 
-void print_table() {
-  auto& cache = ResultCache::instance();
+  bool all_ok = true;
   util::Table table({"app", "scheme", "fail at", "rollback (s)", "domino depth",
                      "to origin?", "recovery (s)", "total (s)", "verified"});
-  for (const auto& c : cases()) {
-    for (double frac : fail_fractions()) {
-      const auto result = cache.lookup(key_of(c, frac));
-      if (!result || result->recoveries.empty()) continue;
-      const auto& report = result->recoveries.front();
-      double max_rollback = 0;
-      std::uint32_t max_depth = 0;
-      for (const auto& d : report.rollback_distance) {
-        max_rollback = std::max(max_rollback, d.to_seconds());
-      }
-      for (auto depth : report.domino_depth) max_depth = std::max(max_depth, depth);
-      table.add_row({c.app, c.name(), util::Table::percent(frac, 0),
-                     util::Table::fixed(max_rollback, 1),
-                     util::Table::integer(max_depth),
-                     report.rolled_to_origin ? "YES" : "no",
-                     util::Table::fixed(report.recovery_latency.to_seconds(), 2),
-                     util::Table::fixed(result->exec_time_s, 1),
-                     result->digest ? "ok" : "?"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Case& c = cases()[i / fracs];
+    const ExperimentResult& result = results[i];
+    const bool verified = digest_ok(normals[app_of(c)], result);
+    all_ok = all_ok && verified;
+    if (result.recoveries.empty()) continue;
+    const auto& report = result.recoveries.front();
+    double max_rollback = 0;
+    std::uint32_t max_depth = 0;
+    for (const auto& d : report.rollback_distance) {
+      max_rollback = std::max(max_rollback, d.to_seconds());
     }
+    for (auto depth : report.domino_depth) max_depth = std::max(max_depth, depth);
+    table.add_row({c.app, c.name(), util::Table::percent(fail_fractions()[i % fracs], 0),
+                   util::Table::fixed(max_rollback, 1),
+                   util::Table::integer(max_depth),
+                   report.rolled_to_origin ? "YES" : "no",
+                   util::Table::fixed(report.recovery_latency.to_seconds(), 2),
+                   util::Table::fixed(result.exec_time_s, 1),
+                   verified ? "ok" : "MISMATCH"});
   }
   std::fputs(table.render("Rollback behaviour under a node crash (all results verified "
                           "bit-identical)")
@@ -127,16 +114,10 @@ void print_table() {
             "all checkpointing work wasted. On the loosely coupled app the line holds.\n"
             "Indep+log (the paper's suggested message-logging remedy) recovers to\n"
             "the newest checkpoints like coordinated — trading storage for it.");
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

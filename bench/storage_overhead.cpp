@@ -7,8 +7,6 @@
 // We run SOR (tightly coupled: the strict recovery line cannot advance, so
 // GC reclaims nothing) and NQUEENS (loosely coupled: GC can reclaim) with
 // 6 checkpoints and compare peak/final stable-storage footprints.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -33,64 +31,20 @@ const std::vector<Variant>& variants() {
   return all;
 }
 
-ExperimentConfig cell_config(const BenchRow& row, const Variant& variant,
-                             double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = variant.scheme;
-  config.checkpoints = 6;
-  config.interval = des::Duration::seconds(normal_exec_s / 7.0);
-  config.gc = variant.gc;
-  config.gc_mode = variant.gc_mode;
-  return config;
-}
-
-std::string key_of(const std::string& label, const Variant& variant) {
-  return util::format("{}/{}", label, variant.name);
-}
-
-void register_benchmarks() {
-  for (const char* label : {"SOR-768", "NQUEENS-14"}) {
-    const BenchRow row = harness::find_row(label);
-    for (const auto& variant : variants()) {
-      benchmark::RegisterBenchmark(
-          util::format("Storage/{}/{}", row.label, variant.name).c_str(),
-          [row, variant](benchmark::State& state) {
-            auto& cache = ResultCache::instance();
-            const auto& normal = cache.normal(row);
-            for (auto _ : state) {
-              const auto& result = cache.run(key_of(row.label, variant),
-                                             cell_config(row, variant, normal.exec_time_s));
-              state.counters["peak_MiB"] =
-                  static_cast<double>(result.peak_storage_bytes) / (1 << 20);
-              state.counters["final_ckpts"] =
-                  static_cast<double>(result.final_stored_checkpoints);
-              state.counters["gc_reclaimed"] = static_cast<double>(result.gc_reclaimed);
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
-  for (const char* label : {"SOR-768", "NQUEENS-14"}) {
+void print_table(const std::vector<RowResults>& results) {
+  for (const RowResults& row : results) {
     util::Table table({"variant", "peak storage", "final storage", "ckpts kept",
                        "GC reclaimed"});
-    for (const auto& variant : variants()) {
-      const auto result = cache.lookup(key_of(label, variant));
-      if (!result) continue;
-      table.add_row({variant.name,
-                     util::Table::bytes(static_cast<double>(result->peak_storage_bytes)),
-                     util::Table::bytes(static_cast<double>(result->final_storage_bytes)),
-                     util::Table::integer(static_cast<long long>(result->final_stored_checkpoints)),
-                     util::Table::integer(static_cast<long long>(result->gc_reclaimed))});
+    for (std::size_t v = 0; v < variants().size(); ++v) {
+      const ExperimentResult& result = row.cells[v];
+      table.add_row({variants()[v].name,
+                     util::Table::bytes(static_cast<double>(result.peak_storage_bytes)),
+                     util::Table::bytes(static_cast<double>(result.final_storage_bytes)),
+                     util::Table::integer(static_cast<long long>(result.final_stored_checkpoints)),
+                     util::Table::integer(static_cast<long long>(result.gc_reclaimed))});
     }
     std::fputs(table.render(util::format("Stable-storage footprint — {} (6 checkpoints, 8 nodes)",
-                                         label))
+                                         row.normal.label))
                    .c_str(),
                stdout);
     std::puts("");
@@ -101,14 +55,23 @@ void print_table() {
             "advances) — the paper's storage-overhead argument.");
 }
 
+int run() {
+  const std::vector<ExperimentConfig> baselines =
+      row_configs({harness::find_row("SOR-768"), harness::find_row("NQUEENS-14")});
+  const auto results = run_rows(
+      baselines, variants().size(),
+      [&](std::size_t r, std::size_t v, const ExperimentResult& normal) {
+        const Variant& variant = variants()[v];
+        ExperimentConfig config = with_checkpoints(baselines[r], variant.scheme, 6, normal);
+        config.gc = variant.gc;
+        config.gc_mode = variant.gc_mode;
+        return config;
+      });
+  print_table(results);
+  return digests_ok(results) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

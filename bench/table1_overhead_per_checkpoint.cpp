@@ -9,8 +9,6 @@
 // (autonomous checkpoints stall tightly-coupled neighbours once per node);
 // Indep_M edges out Coord_NBM (spread background writes contend less); and
 // Coord_NBMS beats everything.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -18,69 +16,21 @@
 namespace chk::bench {
 namespace {
 
-ExperimentConfig cell_config(const BenchRow& row, Scheme scheme, double normal_exec_s) {
-  ExperimentConfig config;
-  config.label = row.label;
-  config.app = row.app;
-  config.scheme = scheme;
-  config.checkpoints = 1;
-  config.interval = des::Duration::seconds(normal_exec_s / 2.0);
-  return config;
-}
-
-void run_cell(benchmark::State& state, const BenchRow& row, Scheme scheme) {
-  auto& cache = ResultCache::instance();
-  const auto& normal = cache.normal(row);
-  for (auto _ : state) {
-    const auto& result =
-        cache.run(cell_key(row.label, scheme), cell_config(row, scheme, normal.exec_time_s));
-    set_common_counters(state, result, normal);
-  }
-}
-
-// Warm the cache in parallel: every (row, scheme) simulation is
-// independent. The benchmark pass then reports the cached cells.
-void prefetch() {
-  prefetch_table(harness::table1_rows(), table1_schemes(),
-                 [](const BenchRow& row, Scheme scheme, const ExperimentResult& normal) {
-                   return cell_config(row, scheme, normal.exec_time_s);
-                 });
-}
-
-void register_benchmarks() {
-  for (const auto& row : harness::table1_rows()) {
-    for (Scheme scheme : table1_schemes()) {
-      benchmark::RegisterBenchmark(
-          util::format("Table1/{}/{}", row.label, to_string(scheme)).c_str(),
-          [row, scheme](benchmark::State& state) { run_cell(state, row, scheme); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void print_table() {
-  auto& cache = ResultCache::instance();
+void print_table(const std::vector<BenchRow>& rows, const std::vector<RowResults>& results) {
   util::Table table({"Applications", "Coord NB", "Indep", "Coord NBM", "Indep M",
                      "Coord NBMS"});
   int nb_wins = 0, nb_comparisons = 0;
   int indep_m_wins = 0, m_comparisons = 0;
-  for (const auto& row : harness::table1_rows()) {
-    const auto normal = cache.lookup(cell_key(row.label, Scheme::kNone));
-    std::vector<std::string> cells{row.label};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::vector<std::string> cells{rows[r].label};
     double nb = -1, indep = -1, nbm = -1, indep_m = -1;
-    for (Scheme scheme : table1_schemes()) {
-      const auto result = cache.lookup(cell_key(row.label, scheme));
-      if (!result || !normal) {
-        cells.push_back("-");
-        continue;
-      }
-      const double overhead = result->exec_time_s - normal->exec_time_s;
+    for (const ExperimentResult& result : results[r].cells) {
+      const double overhead = result.exec_time_s - results[r].normal.exec_time_s;
       cells.push_back(util::Table::fixed(overhead, 2));
-      if (scheme == Scheme::kCoordNB) nb = overhead;
-      if (scheme == Scheme::kIndep) indep = overhead;
-      if (scheme == Scheme::kCoordNBM) nbm = overhead;
-      if (scheme == Scheme::kIndepM) indep_m = overhead;
+      if (result.scheme == Scheme::kCoordNB) nb = overhead;
+      if (result.scheme == Scheme::kIndep) indep = overhead;
+      if (result.scheme == Scheme::kCoordNBM) nbm = overhead;
+      if (result.scheme == Scheme::kIndepM) indep_m = overhead;
     }
     if (nb >= 0 && indep >= 0) {
       ++nb_comparisons;
@@ -102,20 +52,21 @@ void print_table() {
               " (paper: 12 of 15 decided).\n", indep_m_wins, m_comparisons);
 }
 
+int run() {
+  const std::vector<BenchRow> rows = harness::table1_rows();
+  const std::vector<ExperimentConfig> baselines = row_configs(rows);
+  const auto results = run_rows(
+      baselines, paper_schemes().size(),
+      [&](std::size_t r, std::size_t s, const ExperimentResult& normal) {
+        return with_checkpoints(baselines[r], paper_schemes()[s], 1, normal);
+      });
+  print_table(rows, results);
+  write_bench_json("BENCH_table1.json",
+                   table_json("table1_overhead_per_checkpoint", rows, results));
+  return digests_ok(results) ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace chk::bench
 
-int main(int argc, char** argv) {
-  const bool warm = chk::bench::prefetch_enabled(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  chk::bench::register_benchmarks();
-  if (warm) chk::bench::prefetch();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  chk::bench::print_table();
-  chk::bench::write_bench_json(
-      "BENCH_table1.json",
-      chk::bench::table_json("table1_overhead_per_checkpoint",
-                             chk::harness::table1_rows(), chk::bench::table1_schemes()));
-  return 0;
-}
+int main(int argc, char** argv) { return chk::bench::bench_main(argc, argv, chk::bench::run); }

@@ -11,6 +11,7 @@
 //
 //   ./custom_app [--scheme=Coord_NBM] [--slices=2000000] [--chunks=50]
 #include <cstdio>
+#include <stdexcept>
 
 #include "harness/experiment.hpp"
 #include "util/cli.hpp"
@@ -57,7 +58,7 @@ chklib::AppFn make_pi_app(std::uint64_t slices, std::uint32_t chunks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   harness::ExperimentConfig config;
   config.label = "PI";
@@ -65,6 +66,7 @@ int main(int argc, char** argv) {
                            static_cast<std::uint32_t>(cli.get_int("chunks", 50)));
   config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBM"));
   config.verify = util::verify_requested(cli);
+  cli.reject_unread();
 
   const auto normal = harness::run_normal(config);
   config.interval = des::Duration::seconds(normal.exec_time_s / 4.0);
@@ -86,4 +88,6 @@ int main(int argc, char** argv) {
   }
   std::puts("Recovered result identical. This is the whole authoring contract.");
   return 0;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

@@ -9,6 +9,7 @@
 //
 //   ./domino_effect [--fail-at-frac=0.8]
 #include <cstdio>
+#include <stdexcept>
 
 #include "apps/nqueens.hpp"
 #include "apps/sor.hpp"
@@ -56,10 +57,11 @@ void describe(const char* label, const harness::ExperimentResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const double fail_frac = cli.get_double("fail-at-frac", 0.8);
   const bool verify = util::verify_requested(cli);
+  cli.reject_unread();
 
   std::puts("Tightly coupled (SOR, halo exchange every iteration):");
   const auto sor =
@@ -75,4 +77,6 @@ int main(int argc, char** argv) {
   std::puts(ok ? "Domino observed exactly where the theory predicts."
                : "NOTE: rollback pattern differs from the typical outcome for these sizes.");
   return 0;
+} catch (const std::invalid_argument& err) {
+  return util::usage_error(argv[0], err);
 }

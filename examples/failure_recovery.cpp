@@ -6,13 +6,14 @@
 //
 //   ./failure_recovery [--fail-at-frac=0.6] [--fail-rank=3] [--n=256] [--verify]
 #include <cstdio>
+#include <stdexcept>
 
 #include "apps/asp.hpp"
 #include "harness/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk;
   const util::Cli cli(argc, argv);
   const double fail_frac = cli.get_double("fail-at-frac", 0.6);
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
   config.scheme = harness::Scheme::kCoordNB;
   config.checkpoints = 0;  // periodic until the run completes
   config.verify = util::verify_requested(cli);
+  cli.reject_unread();
 
   const auto normal = harness::run_normal(config);
   config.interval = des::Duration::seconds(normal.exec_time_s / 5.0);
@@ -66,4 +68,6 @@ int main(int argc, char** argv) {
   }
   std::puts("Recovered result verified: bit-identical to the failure-free run.");
   return 0;
+} catch (const std::invalid_argument& err) {
+  return chk::util::usage_error(argv[0], err);
 }

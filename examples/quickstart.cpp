@@ -11,6 +11,7 @@
 // snapshot and the per-rank overhead attribution. Observation never changes
 // the simulation: the trace hash is identical with these flags on or off.
 #include <cstdio>
+#include <stdexcept>
 
 #include "apps/sor.hpp"
 #include "harness/experiment.hpp"
@@ -18,7 +19,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace chk;
   const util::Cli cli(argc, argv);
 
@@ -32,7 +33,12 @@ int main(int argc, char** argv) {
   config.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
   config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
   config.verify = util::verify_requested(cli);
-  config.observe = cli.has("trace-out") || cli.has("metrics-out");
+  const bool fixed_interval = cli.has("interval-s");
+  const double interval_s = cli.get_double("interval-s", 30.0);
+  const std::string trace_out = cli.get("trace-out", "");
+  const std::string metrics_out = cli.get("metrics-out", "");
+  cli.reject_unread();
+  config.observe = !trace_out.empty() || !metrics_out.empty();
 
   std::printf("Running %s on %zu simulated T805 nodes...\n", config.label.c_str(),
               config.machine.num_nodes);
@@ -40,8 +46,7 @@ int main(int argc, char** argv) {
   // Default interval: a quarter of the failure-free run, so the requested
   // checkpoints comfortably fit (the paper used per-application intervals).
   config.interval = des::Duration::seconds(
-      cli.has("interval-s") ? cli.get_double("interval-s", 30.0)
-                            : normal.exec_time_s / (config.checkpoints + 1.0));
+      fixed_interval ? interval_s : normal.exec_time_s / (config.checkpoints + 1.0));
   const auto result = harness::run_experiment(config);
 
   util::Table table({"metric", "value"});
@@ -82,25 +87,20 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render("CHK-LIB quickstart").c_str(), stdout);
 
-  if (result.obs) {
-    if (cli.has("trace-out")) {
-      const std::string path = cli.get("trace-out", "trace.json");
-      obs::write_text_file(
-          path,
-          obs::to_chrome_trace(result.obs->trace, config.machine.num_nodes).dump());
-      std::printf("Wrote %s (%zu events; open with ui.perfetto.dev)\n", path.c_str(),
-                  result.obs->trace.events.size());
-    }
-    if (cli.has("metrics-out")) {
-      using obs::json::Value;
-      Value doc = Value::object();
-      doc.set("scheme", Value::string(std::string(to_string(config.scheme))));
-      doc.set("metrics", obs::metrics_to_json(result.obs->metrics));
-      doc.set("attribution", obs::attribution_to_json(result.obs->attribution));
-      const std::string path = cli.get("metrics-out", "metrics.json");
-      obs::write_text_file(path, doc.dump() + "\n");
-      std::printf("Wrote %s\n", path.c_str());
-    }
+  if (!trace_out.empty()) {
+    obs::write_text_file(
+        trace_out, obs::to_chrome_trace(result.obs->trace, config.machine.num_nodes).dump());
+    std::printf("Wrote %s (%zu events; open with ui.perfetto.dev)\n", trace_out.c_str(),
+                result.obs->trace.events.size());
+  }
+  if (!metrics_out.empty()) {
+    using obs::json::Value;
+    Value doc = Value::object();
+    doc.set("scheme", Value::string(std::string(to_string(config.scheme))));
+    doc.set("metrics", obs::metrics_to_json(result.obs->metrics));
+    doc.set("attribution", obs::attribution_to_json(result.obs->attribution));
+    obs::write_text_file(metrics_out, doc.dump() + "\n");
+    std::printf("Wrote %s\n", metrics_out.c_str());
   }
 
   if (result.digest != normal.digest) {
@@ -109,4 +109,6 @@ int main(int argc, char** argv) {
   }
   std::puts("Result verified: identical to the run without checkpointing.");
   return 0;
+} catch (const std::invalid_argument& err) {
+  return chk::util::usage_error(argv[0], err);
 }

@@ -14,14 +14,6 @@
 
 namespace chk::obs {
 
-/// Compile-time gate, mirroring the CHK_INVARIANTS pattern: configure with
-/// -DCHK_OBS=OFF to compile every emission site down to nothing.
-#ifdef CHK_OBS_DISABLED
-inline constexpr bool kObsCompiled = false;
-#else
-inline constexpr bool kObsCompiled = true;
-#endif
-
 /// Rank value for events not attributable to a rank (kernel, metadata).
 inline constexpr std::uint16_t kMetaRank = 0xFFFF;
 

@@ -55,7 +55,7 @@ std::vector<std::byte> Trace::serialize() const {
   return out;
 }
 
-void Tracer::push(const Event& event) {
+void Tracer::emit(const Event& event) {
   if (chunks_.empty() || chunks_.back()->size() == kChunkEvents) {
     chunks_.push_back(std::make_unique<std::vector<Event>>());
     chunks_.back()->reserve(kChunkEvents);

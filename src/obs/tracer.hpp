@@ -2,11 +2,10 @@
 //
 // Events are appended to fixed-size chunks (no per-event allocation, no
 // reallocation copying), with a running order-sensitive hash over the
-// emitted records. The tracer is gated twice: at compile time (CHK_OBS=OFF
-// removes every emission) and at run time (instrumented objects hold a
-// Tracer* that is null unless an experiment opted in), so a run without
-// observation executes the exact same simulated schedule — emission never
-// touches the event queue or simulated time.
+// emitted records. The tracer is gated at run time: instrumented objects
+// hold a Tracer* that is null unless an experiment opted in, so a run
+// without observation executes the exact same simulated schedule —
+// emission never touches the event queue or simulated time.
 #pragma once
 
 #include <cstddef>
@@ -38,10 +37,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void emit(const Event& event) {
-    if constexpr (!kObsCompiled) return;
-    push(event);
-  }
+  void emit(const Event& event);
 
   void span(EventKind kind, std::uint16_t rank, std::int64_t t0_ns, std::int64_t t1_ns,
             std::uint64_t aux = 0, std::uint32_t arg = 0) {
@@ -60,8 +56,6 @@ class Tracer {
 
  private:
   static constexpr std::size_t kChunkEvents = 4096;
-
-  void push(const Event& event);
 
   std::vector<std::unique_ptr<std::vector<Event>>> chunks_;
   std::size_t count_ = 0;

@@ -1,13 +1,15 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace chk::util {
 
 Cli::Cli(int argc, char** argv) {
-  if (argc > 0) program_ = argv[0];
   bool passthrough = false;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -32,65 +34,113 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-bool Cli::has(const std::string& key) const { return values_.contains(key); }
-
-std::string Cli::get(const std::string& key, const std::string& fallback) const {
+const std::string* Cli::find(const std::string& key) const {
+  read_.insert(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Cli::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 namespace {
 
-/// Full-string numeric parse; "" / "0.5x" / "nan" all fail.
-double parse_strict(const std::string& key, const std::string& text) {
+[[noreturn]] void bad_value(const std::string& key, const char* expected,
+                            const std::string& text) {
+  throw std::invalid_argument("--" + key + ": expected " + expected + ", got \"" + text +
+                              "\"");
+}
+
+/// Full-string numeric parses; "" / "0.5x" / "nan" / "2x" all fail.
+double parse_double(const std::string& key, const std::string& text) {
   const char* begin = text.c_str();
   char* end = nullptr;
   const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || v != v) {
-    throw std::invalid_argument("--" + key + ": expected a number, got \"" + text + "\"");
-  }
+  if (end == begin || *end != '\0' || v != v) bad_value(key, "a number", text);
+  return v;
+}
+
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) bad_value(key, "an integer", text);
   return v;
 }
 
 }  // namespace
 
+bool Cli::has(const std::string& key) const { return find(key) != nullptr; }
+
+std::string Cli::get(const std::string& key, const std::string& fallback) const {
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
+}
+
+std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : parse_int(key, *value);
+}
+
+double Cli::get_double(const std::string& key, double fallback) const {
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : parse_double(key, *value);
+}
+
 double Cli::get_prob(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const double v = parse_strict(key, it->second);
+  const double v = get_double(key, fallback);
   if (v < 0.0 || v > 1.0) {
     throw std::invalid_argument("--" + key + ": probability must be in [0, 1], got " +
-                                it->second);
+                                get(key, ""));
   }
   return v;
 }
 
 double Cli::get_nonneg_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const double v = parse_strict(key, it->second);
+  const double v = get_double(key, fallback);
   if (v < 0.0) {
-    throw std::invalid_argument("--" + key + ": value must be >= 0, got " + it->second);
+    throw std::invalid_argument("--" + key + ": value must be >= 0, got " + get(key, ""));
   }
   return v;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  if (*value == "true" || *value == "1" || *value == "yes") return true;
+  if (*value == "false" || *value == "0" || *value == "no") return false;
+  bad_value(key, "true/false", *value);
+}
+
+template <typename T>
+std::vector<T> Cli::get_list(const std::string& key, const std::string& fallback) const {
+  const std::string* value = find(key);
+  const std::string& text = value == nullptr ? fallback : *value;
+  if (text.empty()) throw std::invalid_argument("--" + key + ": empty list");
+  std::vector<T> out;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', start);
+    const std::string token = text.substr(start, comma - start);
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (token.empty()) bad_value(key, "a comma-separated list", text);
+      out.push_back(token);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      out.push_back(parse_int(key, token));
+    } else {
+      out.push_back(parse_double(key, token));
+    }
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+template std::vector<std::string> Cli::get_list(const std::string&, const std::string&) const;
+template std::vector<std::int64_t> Cli::get_list(const std::string&, const std::string&) const;
+template std::vector<double> Cli::get_list(const std::string&, const std::string&) const;
+
+void Cli::reject_unread() const {
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) throw std::invalid_argument("unknown flag --" + key);
+  }
 }
 
 bool verify_requested(const Cli& cli) {
@@ -99,6 +149,13 @@ bool verify_requested(const Cli& cli) {
 #else
   return cli.get_bool("verify", false);
 #endif
+}
+
+int usage_error(const char* argv0, const std::exception& err) {
+  const std::string_view path = argv0 == nullptr ? "" : argv0;
+  const std::string name(path.substr(path.rfind('/') + 1));
+  std::fprintf(stderr, "%s: %s\n", name.c_str(), err.what());
+  return 2;
 }
 
 }  // namespace chk::util

@@ -37,16 +37,9 @@ constexpr Scheme kAllSchemes[] = {Scheme::kCoordNB, Scheme::kCoordNBS,
                                   Scheme::kIndep,    Scheme::kIndepM,
                                   Scheme::kIndepMS};
 
-// Tests that inspect recorded events need the compiled-in tracer; in a
-// -DCHK_OBS=OFF build every emission site compiles to nothing and traces
-// are empty by design.
-#define CHK_REQUIRE_OBS() \
-  if (!obs::kObsCompiled) GTEST_SKIP() << "built with CHK_OBS=OFF"
-
 // ---- tracer determinism and non-perturbation --------------------------------
 
 TEST(Tracer, SameSeedProducesIdenticalEventStreams) {
-  CHK_REQUIRE_OBS();
   const auto a = run_experiment(observed_sor(Scheme::kCoordNBMS));
   const auto b = run_experiment(observed_sor(Scheme::kCoordNBMS));
   ASSERT_TRUE(a.obs && b.obs);
@@ -99,7 +92,6 @@ TEST(Metrics, HistogramRejectsNonIncreasingEdges) {
 }
 
 TEST(Metrics, ObservedRunPublishesConsistentSnapshot) {
-  CHK_REQUIRE_OBS();
   const auto result = run_experiment(observed_sor(Scheme::kCoordNB));
   ASSERT_TRUE(result.obs);
   const obs::MetricsSnapshot& snap = result.obs->metrics;
@@ -115,7 +107,6 @@ TEST(Metrics, ObservedRunPublishesConsistentSnapshot) {
 // ---- attribution ------------------------------------------------------------
 
 TEST(Attribution, BucketsSumToMeasuredOverheadForEveryScheme) {
-  CHK_REQUIRE_OBS();
   for (Scheme scheme : kAllSchemes) {
     const auto result = run_experiment(observed_sor(scheme));
     ASSERT_TRUE(result.obs) << to_string(scheme);
@@ -164,7 +155,6 @@ TEST(Attribution, CoordNbBreakdownReproducesThePaperShape) {
   // The paper's central conclusion: for the write-through coordinated
   // scheme the overhead is the checkpoint *saving* (stable write + storage
   // contention), not the synchronization.
-  CHK_REQUIRE_OBS();
   const auto result = run_experiment(observed_sor(Scheme::kCoordNB));
   ASSERT_TRUE(result.obs);
   const obs::RankBuckets& total = result.obs->attribution.total;
@@ -179,7 +169,6 @@ TEST(Attribution, CoordNbBreakdownReproducesThePaperShape) {
 TEST(Attribution, BufferedSchemeTradesWritesForMemCopies) {
   // Coord_NBM blocks only for the main-memory copy; the stable write moves
   // to the background (interference), shrinking the blocked window.
-  CHK_REQUIRE_OBS();
   const auto nb = run_experiment(observed_sor(Scheme::kCoordNB));
   const auto nbm = run_experiment(observed_sor(Scheme::kCoordNBM));
   ASSERT_TRUE(nb.obs && nbm.obs);

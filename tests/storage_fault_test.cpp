@@ -57,9 +57,6 @@ using xplorer::IoStatus;
 using xplorer::StorageFaultConfig;
 using xplorer::StorageFaultModel;
 
-#define CHK_REQUIRE_OBS() \
-  if (!obs::kObsCompiled) GTEST_SKIP() << "built with CHK_OBS=OFF"
-
 ExperimentConfig small_sor(Scheme scheme) {
   ExperimentConfig config;
   config.label = "SOR";
@@ -513,7 +510,6 @@ TEST(RetentionGc, IndependentKeepDepthFloorsTheGc) {
 // ---------------------------------------------------------------------------
 
 TEST(StorageFaults, AttributionPartitionStaysExactWithRetries) {
-  CHK_REQUIRE_OBS();
   auto config = small_sor(Scheme::kCoordNB);
   config.checkpoints = 3;
   StorageFaultConfig faults;

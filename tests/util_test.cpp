@@ -1,12 +1,20 @@
-// Unit tests for chk::util — RNG determinism/quality, stats, tables, CLI.
+// Unit tests for chk::util — RNG determinism/quality, stats, tables, CLI,
+// and the parallel job runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -204,6 +212,154 @@ TEST(Cli, StrictNonNegativeRejectsNegativesAndGarbage) {
   EXPECT_DOUBLE_EQ(cli.get_nonneg_double("missing", 3.5), 3.5);
   EXPECT_THROW((void)cli.get_nonneg_double("neg", 0), std::invalid_argument);
   EXPECT_THROW((void)cli.get_nonneg_double("junk", 0), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `read` throws ("" if none).
+template <typename Read>
+std::string rejection(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(Cli, StrictNumbersRejectTrailingJunkEmptyAndWordsNamingTheFlag) {
+  const char* argv[] = {"prog", "--runs=2x", "--nodes=", "--frac=abc", "--ok=12"};
+  Cli cli(5, const_cast<char**>(argv));
+  for (const std::string key : {"runs", "nodes", "frac"}) {
+    EXPECT_NE(rejection([&] { (void)cli.get_int(key, 0); }).find("--" + key), std::string::npos)
+        << key;
+    EXPECT_NE(rejection([&] { (void)cli.get_double(key, 0); }).find("--" + key),
+              std::string::npos)
+        << key;
+  }
+  EXPECT_EQ(cli.get_int("ok", 0), 12);
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0), 12.0);
+  EXPECT_THROW((void)cli.get_int("frac", 0), std::invalid_argument);
+}
+
+TEST(Cli, GetListParsesEveryEntryStrictly) {
+  const char* argv[] = {"prog", "--fracs=0.35,0.7,1.4", "--ranks=8,64",
+                        "--apps=SOR-384,NQUEENS-14", "--bad=0.4,abc", "--hole=1,,2",
+                        "--none="};
+  Cli cli(7, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_list<double>("fracs", ""), (std::vector<double>{0.35, 0.7, 1.4}));
+  EXPECT_EQ(cli.get_list<std::int64_t>("ranks", ""), (std::vector<std::int64_t>{8, 64}));
+  EXPECT_EQ(cli.get_list<std::string>("apps", ""),
+            (std::vector<std::string>{"SOR-384", "NQUEENS-14"}));
+  // An absent flag parses its fallback the same way.
+  EXPECT_EQ(cli.get_list<double>("missing", "0.4,0.8"), (std::vector<double>{0.4, 0.8}));
+  EXPECT_NE(rejection([&] { (void)cli.get_list<double>("bad", ""); }).find("--bad"),
+            std::string::npos);
+  EXPECT_THROW((void)cli.get_list<std::int64_t>("fracs", ""), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_list<double>("hole", ""), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_list<std::string>("hole", ""), std::invalid_argument);
+  EXPECT_NE(rejection([&] { (void)cli.get_list<double>("none", ""); }).find("--none"),
+            std::string::npos);
+  EXPECT_THROW((void)cli.get_list<std::string>("none", ""), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_list<double>("missing", ""), std::invalid_argument);
+}
+
+TEST(Cli, ReportsAFlagThatNoGetterRead) {
+  const char* argv[] = {"prog", "--quick", "--mtbf-frac=0.5", "--no-verify"};
+  Cli cli(4, const_cast<char**>(argv));
+  (void)cli.get_bool("quick", false);
+  (void)cli.get_bool("verify", true);
+  (void)cli.get_list<double>("mtbf-fracs", "0.4");  // the flag the user meant
+  EXPECT_NE(rejection([&] { cli.reject_unread(); }).find("--mtbf-frac"), std::string::npos);
+}
+
+TEST(Cli, AcceptsWhenEveryFlagWasRead) {
+  const char* argv[] = {"prog", "--quick", "--trace-out=t.json"};
+  Cli cli(3, const_cast<char**>(argv));
+  EXPECT_TRUE(cli.get_bool("quick", false));
+  EXPECT_TRUE(cli.has("trace-out"));
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, StrictBoolRejectsOtherWords) {
+  const char* argv[] = {"prog", "--quick=yes", "--verify=maybe"};
+  Cli cli(3, const_cast<char**>(argv));
+  EXPECT_TRUE(cli.get_bool("quick", false));
+  EXPECT_THROW((void)cli.get_bool("verify", false), std::invalid_argument);
+}
+
+TEST(ParallelMap, ResultsFollowInputOrderWhenLaterJobsFinishFirst) {
+  const std::size_t count = std::min(8u, std::thread::hardware_concurrency());
+  if (count < 2) GTEST_SKIP() << "needs two hardware threads";
+  // Every job gets its own worker, and job i finishes only after job i + 1:
+  // completion runs from the last job to the first.
+  std::vector<std::atomic<bool>> done(count);
+  std::mutex mu;
+  std::vector<std::size_t> completion;
+  const std::vector<std::size_t> out = parallel_map(count, [&](std::size_t i) {
+    while (i + 1 < count && !done[i + 1]) std::this_thread::yield();
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      completion.push_back(i);
+    }
+    done[i] = true;
+    return 10 * i;
+  });
+  std::vector<std::size_t> last_to_first(count);
+  for (std::size_t i = 0; i < count; ++i) last_to_first[i] = count - 1 - i;
+  EXPECT_EQ(completion, last_to_first);
+  ASSERT_EQ(out.size(), count);
+  for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(out[i], 10 * i);
+}
+
+TEST(ParallelMap, RethrowsTheFirstFailureOnlyAfterEveryWorkerJoined) {
+  constexpr std::size_t kJobs = 64;
+  const std::size_t workers =
+      std::min<std::size_t>(kJobs, std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<std::size_t> started{0};
+  std::atomic<int> running{0};
+  std::string message;
+  try {
+    (void)parallel_map(kJobs, [&](std::size_t i) {
+      ++started;
+      ++running;
+      if (i == 0) {
+        // Fail once every worker is busy with a job of its own.
+        while (started < workers) std::this_thread::yield();
+        --running;
+        throw std::runtime_error("job 0 failed");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      --running;
+      return i;
+    });
+  } catch (const std::runtime_error& err) {
+    message = err.what();
+    // The jobs still sleeping at the failure have all returned.
+    EXPECT_EQ(running.load(), 0);
+  }
+  EXPECT_EQ(message, "job 0 failed");
+  // No job was handed out after the failure.
+  EXPECT_LT(started.load(), kJobs);
+}
+
+TEST(ParallelMap, RunsAtMostHardwareConcurrencyJobsAtOnce) {
+  std::atomic<unsigned> running{0};
+  std::atomic<unsigned> peak{0};
+  const auto out = parallel_map(64, [&](std::size_t i) {
+    const unsigned now = ++running;
+    unsigned seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    --running;
+    return i;
+  });
+  EXPECT_EQ(out.size(), 64u);
+  EXPECT_GE(peak.load(), 1u);
+  EXPECT_LE(peak.load(), std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST(ParallelMap, NoJobsNoResults) {
+  EXPECT_TRUE(parallel_map(0, [](std::size_t i) { return i; }).empty());
 }
 
 }  // namespace
