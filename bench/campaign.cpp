@@ -13,7 +13,7 @@
 //              [--runs=4] [--max-failures=6] [--nodes=8] [--checkpoints=0]
 //              [--intervals=5] [--seed=2026] [--campaign-seed=1]
 //              [--link-loss=0] [--link-dup=0] [--link-corrupt=0]
-//              [--link-delay=0] [--link-delay-mean=0.001] [--transport]
+//              [--link-delay=0] [--link-delay-mean=0.001]
 //              [--io-error=0] [--io-degrade=1] [--bitrot=0] [--keep-depth=0]
 //              [--detect-timeout=0] [--hb-period=0.25] [--target-coordinator]
 //              [--detector=binary|phi] [--phi-threshold=8] [--phi-window=32]
@@ -23,18 +23,16 @@
 // --checkpoints=0 keeps checkpointing active until the app completes (the
 // right setting when failures extend the run). --link-loss/--link-dup/
 // --link-corrupt/--link-delay add per-frame link faults on top of the
-// failure process; the reliable FIFO transport repairs them (disable it
-// with --no-transport to expose the raw loss). --io-error/--io-degrade/
-// --bitrot make the stable storage itself unreliable (transient write/read
-// I/O errors, degraded-throughput windows, silent image corruption); the
-// retrying storage client and verified multi-generation recovery absorb
-// them, with --keep-depth (0 = auto) controlling how many generations
-// retention keeps per rank. --detect-timeout=S (> 0) arms the cluster-
-// membership service: failures go through heartbeat detection, quorum
-// eviction and coordinator election instead of the oracle, with
-// --hb-period setting the beacon period and --target-coordinator aiming
-// every strike at the elected coordinator; the detector needs the
-// reliable transport, so combining it with --no-transport is rejected.
+// failure process; the reliable FIFO transport always repairs them.
+// --io-error/--io-degrade/--bitrot make the stable storage itself
+// unreliable (transient write/read I/O errors, degraded-throughput
+// windows, silent image corruption); the retrying storage client and
+// verified multi-generation recovery absorb them, with --keep-depth
+// (0 = auto) controlling how many generations retention keeps per rank.
+// --detect-timeout=S (> 0) arms the cluster-membership service: failures
+// go through heartbeat detection, quorum eviction and coordinator election
+// instead of the oracle, with --hb-period setting the beacon period and
+// --target-coordinator aiming every strike at the elected coordinator.
 // --detector picks how suspicion forms: "binary" (fixed timeout, the
 // default) or "phi" (accrual detection adapting to the observed heartbeat
 // inter-arrivals), with --phi-threshold (suspicion level, phi units) and
@@ -144,16 +142,9 @@ int main(int argc, char** argv) try {
         "--detector=phi needs --detect-timeout > 0 to arm the membership "
         "service (the detector has nothing to run on otherwise)");
   }
-  const bool transport = cli.get_bool("transport", true);
   const bool target_coordinator = cli.get_bool("target-coordinator", false);
   const std::string json_out = cli.get("json-out", "BENCH_campaign.json");
   cli.reject_unread();
-  if (membership.has_value() && !transport) {
-    throw std::invalid_argument(
-        "--detect-timeout requires the reliable transport — heartbeats over raw "
-        "lossy links turn every detection timeout into a coin flip (drop "
-        "--no-transport)");
-  }
   if (target_coordinator && !membership.has_value()) {
     throw std::invalid_argument(
         "--target-coordinator needs --detect-timeout > 0 — without the membership "
@@ -206,10 +197,7 @@ int main(int argc, char** argv) try {
     config.campaign_seed = campaign_seed;
     config.max_failures_per_run = max_failures;
     config.expected_digest = normal.digest;
-    if (link_faults.enabled()) {
-      config.link_faults = link_faults;
-      config.reliable_transport = transport;
-    }
+    if (link_faults.enabled()) config.link_faults = link_faults;
     if (storage_faults.enabled()) config.storage_faults = storage_faults;
     config.membership = membership;
     // The sweep always spans every scheme; independent schemes have no
@@ -268,7 +256,6 @@ int main(int argc, char** argv) try {
   doc.set("link_dup", Value::number(link_faults.duplicate));
   doc.set("link_corrupt", Value::number(link_faults.corrupt));
   doc.set("link_delay", Value::number(link_faults.delay_prob));
-  doc.set("reliable_transport", Value::boolean(transport));
   doc.set("io_error", Value::number(storage_faults.write_error));
   doc.set("io_degrade", Value::number(storage_faults.degrade_factor));
   doc.set("bitrot", Value::number(storage_faults.bitrot));

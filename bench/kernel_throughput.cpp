@@ -89,7 +89,7 @@ CellResult run_cell(const CellConfig& cc) {
   xplorer::MachineConfig mc;
   mc.num_nodes = cc.ranks;
   xplorer::Network net(sim, mc);
-  chklib::Transport transport(sim, net, chklib::TransportConfig{});
+  chklib::Transport transport(sim, net);
   if (cc.tracing) transport.set_tracer(&tracer);
 
   CellResult out;

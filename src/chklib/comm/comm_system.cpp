@@ -15,25 +15,17 @@ CommSystem::CommSystem(xplorer::Machine& machine) : machine_(&machine) {
 
 void CommSystem::set_link_faults(const LinkFaultConfig& config, util::Rng rng) {
   faults_ = std::make_unique<LinkFaultModel>(config, rng);
-  if (transport_ != nullptr) transport_->set_fault_model(faults_.get());
+  if (transport_ == nullptr) enable_transport();
+  transport_->set_fault_model(faults_.get());
 }
 
-void CommSystem::enable_transport(TransportConfig config) {
-  transport_ = std::make_unique<Transport>(machine_->sim(), machine_->network(), config);
+void CommSystem::enable_transport() {
+  transport_ = std::make_unique<Transport>(machine_->sim(), machine_->network());
   transport_->set_fault_model(faults_.get());
   transport_->set_tracer(tracer_);
   transport_->set_deliver_app([this](Envelope env) { deliver_app(std::move(env)); });
   transport_->set_deliver_control(
       [this](Rank dst, const ControlMsg& msg) { deliver_control(dst, msg); });
-  if (raw_drop_filter_) transport_->set_control_drop_filter(std::move(raw_drop_filter_));
-}
-
-void CommSystem::set_control_drop_filter(Transport::ControlDropFilter filter) {
-  if (transport_ != nullptr) {
-    transport_->set_control_drop_filter(std::move(filter));
-  } else {
-    raw_drop_filter_ = std::move(filter);
-  }
 }
 
 void CommSystem::deliver_app(Envelope env) {
@@ -65,62 +57,6 @@ void CommSystem::deliver_control(Rank dst, const ControlMsg& msg) {
   endpoint(dst).control_mailbox().send(msg);
 }
 
-void CommSystem::arrive_raw_app(const std::shared_ptr<Envelope>& carried) {
-  if (faults_ == nullptr) {
-    deliver_app(std::move(*carried));
-    return;
-  }
-  if (faults_->partitioned(carried->src, carried->dst,
-                           machine_->sim().now().to_nanos())) {
-    faults_->note_partition_drop();
-    return;
-  }
-  const LinkFaultModel::Verdict verdict = faults_->judge();
-  if (verdict.drop) return;
-  if (verdict.corrupt) return;  // no transport checksum: link-level CRC discard
-  if (verdict.duplicate) {
-    machine_->sim().schedule_after(des::Duration::nanos(verdict.dup_lag_ns),
-                                   [this, copy = *carried]() mutable {
-                                     deliver_app(std::move(copy));
-                                   });
-  }
-  if (verdict.extra_delay_ns > 0) {
-    machine_->sim().schedule_after(des::Duration::nanos(verdict.extra_delay_ns),
-                                   [this, carried] {
-                                     deliver_app(std::move(*carried));
-                                   });
-    return;
-  }
-  deliver_app(std::move(*carried));
-}
-
-void CommSystem::arrive_raw_control(Rank dst, const ControlMsg& msg) {
-  if (raw_drop_filter_ && raw_drop_filter_(msg)) return;
-  if (faults_ == nullptr) {
-    deliver_control(dst, msg);
-    return;
-  }
-  if (faults_->partitioned(msg.src, dst, machine_->sim().now().to_nanos())) {
-    faults_->note_partition_drop();
-    return;
-  }
-  const LinkFaultModel::Verdict verdict = faults_->judge();
-  if (verdict.drop) return;
-  if (verdict.corrupt) return;
-  if (verdict.duplicate) {
-    machine_->sim().schedule_after(
-        des::Duration::nanos(verdict.dup_lag_ns),
-        [this, dst, msg] { deliver_control(dst, msg); });
-  }
-  if (verdict.extra_delay_ns > 0) {
-    machine_->sim().schedule_after(
-        des::Duration::nanos(verdict.extra_delay_ns),
-        [this, dst, msg] { deliver_control(dst, msg); });
-    return;
-  }
-  deliver_control(dst, msg);
-}
-
 void CommSystem::transmit(des::Process& self, Envelope env) {
   if (rank_down(env.src)) return;  // zombie sender: nothing leaves the node
   if (hooks_ != nullptr) hooks_->on_send(env.src, env);
@@ -139,7 +75,7 @@ void CommSystem::transmit(des::Process& self, Envelope env) {
   const std::size_t wire_bytes = env.payload.size() + kHeaderWireBytes;
   auto carried = std::make_shared<Envelope>(std::move(env));
   machine_->network().transfer(src, dst, wire_bytes, xplorer::Traffic::kApplication,
-                               [this, carried] { arrive_raw_app(carried); });
+                               [this, carried] { deliver_app(std::move(*carried)); });
 }
 
 void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {
@@ -156,7 +92,7 @@ void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {
     return;
   }
   machine_->network().transfer(src, dst, kControlWireBytes, xplorer::Traffic::kControl,
-                               [this, dst, msg] { arrive_raw_control(dst, msg); });
+                               [this, dst, msg] { deliver_control(dst, msg); });
 }
 
 void CommSystem::send_control_datagram(Rank src, Rank dst, ControlMsg msg) {
@@ -173,7 +109,7 @@ void CommSystem::send_control_datagram(Rank src, Rank dst, ControlMsg msg) {
     return;
   }
   machine_->network().transfer(src, dst, kControlWireBytes, xplorer::Traffic::kControl,
-                               [this, dst, msg] { arrive_raw_control(dst, msg); });
+                               [this, dst, msg] { deliver_control(dst, msg); });
 }
 
 void CommSystem::flush_all() {

@@ -42,22 +42,19 @@ class CommSystem {
   void set_observer(InvariantObserver* observer) noexcept { observer_ = observer; }
   [[nodiscard]] InvariantObserver* observer() const noexcept { return observer_; }
 
-  /// Install the unreliable-link model. Every frame arrival (app, control,
-  /// and — with the transport enabled — transport acks and retransmissions)
-  /// is judged by it. Call before traffic starts.
+  /// Install the unreliable-link model, and with it the reliable transport:
+  /// lossy links only ever carry transport frames, so every frame the model
+  /// judges (data, acks, retransmissions, datagrams) is one the transport
+  /// can repair or tolerate. Call before traffic starts.
   void set_link_faults(const LinkFaultConfig& config, util::Rng rng);
-  [[nodiscard]] LinkFaultModel* link_faults() noexcept { return faults_.get(); }
 
   /// Layer the reliable FIFO transport (sequence numbers, cumulative acks,
   /// retransmission) under the message paths, restoring exactly-once FIFO
-  /// delivery over lossy links. Call before traffic starts.
-  void enable_transport(TransportConfig config = {});
+  /// delivery over lossy links. Without it messages take the raw network
+  /// path, which only ever carries perfect links. Call before traffic
+  /// starts.
+  void enable_transport();
   [[nodiscard]] Transport* transport() noexcept { return transport_.get(); }
-
-  /// Test hook: make the link swallow matching control frames (each
-  /// physical copy re-evaluated, so stateful filters can drop only the
-  /// first). Works with and without the transport.
-  void set_control_drop_filter(Transport::ControlDropFilter filter);
 
   /// Membership control kinds (heartbeats, suspicions, view changes) are
   /// routed here instead of the destination's control mailbox — the
@@ -91,9 +88,8 @@ class CommSystem {
   /// Fire-and-forget control transmission: unsequenced, unacked, never
   /// retransmitted. Heartbeat beacons use this so a stalled FIFO stream
   /// (one lost data frame under RTO backoff) cannot head-of-line-block
-  /// liveness signals into multi-second false silences. Over the raw
-  /// (transport-less) path it behaves exactly like send_control — that
-  /// path never retransmits anything anyway.
+  /// liveness signals into multi-second false silences. Over the raw path
+  /// (perfect links, no transport) it behaves exactly like send_control.
   void send_control_datagram(Rank src, Rank dst, ControlMsg msg);
 
   /// Recovery support: stale-incarnation messages in flight are dropped on
@@ -153,9 +149,6 @@ class CommSystem {
   /// endpoint delivery.
   void deliver_app(Envelope env);
   void deliver_control(Rank dst, const ControlMsg& msg);
-  /// Raw-path (transport off) fault application at link exit.
-  void arrive_raw_app(const std::shared_ptr<Envelope>& carried);
-  void arrive_raw_control(Rank dst, const ControlMsg& msg);
 
   xplorer::Machine* machine_;
   ProtocolHooks* hooks_ = nullptr;
@@ -164,7 +157,6 @@ class CommSystem {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<LinkFaultModel> faults_;
   std::unique_ptr<Transport> transport_;
-  Transport::ControlDropFilter raw_drop_filter_;
   MembershipSink membership_sink_;
   DownGate down_gate_;
   std::uint32_t incarnation_ = 0;

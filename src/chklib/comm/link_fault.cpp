@@ -23,6 +23,9 @@ void check_nonneg(const char* name, double v) {
   }
 }
 
+/// Mean lag of a duplicate copy behind the original.
+constexpr double kDupLagMeanS = 5e-4;
+
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e9);
 }
@@ -35,7 +38,6 @@ void LinkFaultConfig::validate() const {
   check_prob("link corrupt", corrupt);
   check_prob("link delay probability", delay_prob);
   check_nonneg("link delay mean", delay_mean_s);
-  check_nonneg("link duplicate lag mean", dup_lag_mean_s);
   check_nonneg("partition period", partition_period_s);
   check_nonneg("partition duration", partition_duration_s);
   if (partition_duration_s > 0 && partition_period_s > 0 &&
@@ -60,9 +62,9 @@ bool LinkFaultModel::partitioned(std::size_t a, std::size_t b,
 
 LinkFaultModel::Verdict LinkFaultModel::judge() {
   Verdict v;
-  // Base draws happen unconditionally and in a fixed order; only the
-  // value draws (mask, lags) are conditional — determinism needs the same
-  // call sequence for the same seed, which this guarantees.
+  // One base draw per enabled fault, in a fixed order; a zero probability
+  // short-circuits and draws nothing. Value draws (lag, mask) depend on the
+  // flags. The call sequence is a function of the config and the seed.
   v.drop = cfg_.drop > 0 && rng_.bernoulli(cfg_.drop);
   v.duplicate = cfg_.duplicate > 0 && rng_.bernoulli(cfg_.duplicate);
   v.corrupt = cfg_.corrupt > 0 && rng_.bernoulli(cfg_.corrupt);
@@ -74,7 +76,7 @@ LinkFaultModel::Verdict LinkFaultModel::judge() {
   }
   if (v.duplicate) {
     ++duplicates_;
-    v.dup_lag_ns = to_ns(rng_.exponential(cfg_.dup_lag_mean_s));
+    v.dup_lag_ns = to_ns(rng_.exponential(kDupLagMeanS));
   }
   if (v.corrupt) {
     ++corrupted_;

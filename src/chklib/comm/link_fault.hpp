@@ -5,10 +5,11 @@
 // survive: per-frame drop, duplication, corruption and extra queueing
 // delay, each an independent Bernoulli draw from a dedicated seed-stable
 // RNG stream (same seed, same fault schedule, same trace — the campaign
-// discipline of src/faultsim/injector.*). The model judges every frame the
-// network delivers, including transport-layer acks and retransmissions;
-// when no model is installed the comm layer takes its historical
-// fault-free path, so the feature is zero-overhead when disabled.
+// discipline of src/faultsim/injector.*). The model only ever judges
+// reliable-transport frames (installing it installs the transport, see
+// CommSystem::set_link_faults), including acks and retransmissions; when
+// no model is installed the comm layer takes its historical fault-free
+// path, so the feature is zero-overhead when disabled.
 #pragma once
 
 #include <cstddef>
@@ -22,18 +23,17 @@ struct LinkFaultConfig {
   /// Per-frame loss probability in [0, 1).
   double drop = 0;
   /// Per-frame duplication probability in [0, 1): a second, clean copy of
-  /// the frame arrives `dup_lag_mean_s` (exponential) later.
+  /// the frame arrives 0.5 ms (mean, exponential) later.
   double duplicate = 0;
   /// Per-frame payload-corruption probability in [0, 1): the frame arrives
-  /// with flipped bits. With the reliable transport installed the checksum
-  /// catches it (and the retransmit recovers it); without, the frame is
-  /// discarded as a link-level CRC failure — i.e. it behaves as a loss.
+  /// with flipped bits; the transport checksum catches it and the
+  /// retransmit recovers it.
   double corrupt = 0;
   /// Per-frame extra-delay probability in [0, 1); a delayed frame arrives
-  /// `delay_mean_s` (exponential) later, which can reorder the raw link.
+  /// `delay_mean_s` (exponential) later, which can reorder frames on the
+  /// link (the transport's sequence numbers put them back in order).
   double delay_prob = 0;
   double delay_mean_s = 1e-3;
-  double dup_lag_mean_s = 5e-4;
   /// Stream selector forked off the experiment seed, so one experiment
   /// config hosts many campaign runs differing only in the link weather.
   std::uint64_t stream = 0;
@@ -65,9 +65,13 @@ struct LinkFaultConfig {
 
 class LinkFaultModel {
  public:
-  /// The model's ruling on one frame arrival. Draw order is fixed
-  /// (drop, duplicate, corrupt, delay) regardless of outcomes, so the
-  /// stream stays aligned across configs that toggle individual faults.
+  /// The model's ruling on one frame arrival. Each fault with a positive
+  /// probability takes one Bernoulli draw per verdict, in the fixed order
+  /// (drop, duplicate, corrupt, delay), whatever the outcomes; a fault at
+  /// probability zero takes none. Value draws (lag, mask) follow only for
+  /// flags that fired on a frame that was not dropped. So the stream lines
+  /// up across configs that enable the same faults, not across configs
+  /// that switch one on or off.
   struct Verdict {
     bool drop = false;
     bool duplicate = false;

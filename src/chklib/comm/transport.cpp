@@ -6,6 +6,13 @@ namespace chk::chklib {
 
 namespace {
 
+/// Initial retransmission timeout. The modelled mesh (1.7 MB/s links, 8 us
+/// latency) round-trips a control frame in well under 1 ms; 50 ms keeps
+/// spurious retransmits out of even deep checkpoint-traffic queues.
+constexpr des::Duration kRtoInitial = des::Duration::millis(50);
+/// Backoff cap: the RTO doubles per expiry up to this.
+constexpr des::Duration kRtoCap = des::Duration::secs(1);
+
 /// Wire size of one physical frame copy.
 std::size_t frame_wire_bytes(std::size_t logical_bytes) {
   return logical_bytes + kTransportWireBytes;
@@ -13,9 +20,8 @@ std::size_t frame_wire_bytes(std::size_t logical_bytes) {
 
 }  // namespace
 
-Transport::Transport(des::Simulator& sim, xplorer::Network& network,
-                     TransportConfig config)
-    : sim_(&sim), network_(&network), cfg_(config) {}
+Transport::Transport(des::Simulator& sim, xplorer::Network& network)
+    : sim_(&sim), network_(&network) {}
 
 std::uint64_t Transport::checksum_of(const Frame& frame) {
   // splitmix64-fold over every field the "wire" carries, including `pad`
@@ -99,7 +105,7 @@ void Transport::submit(Frame frame) {
   transmit_frame(frame);
   tx.unacked.emplace(frame.seq, std::move(frame));
   if (!tx.rto_timer.pending()) {
-    tx.rto = cfg_.rto_initial;
+    tx.rto = kRtoInitial;
     arm_rto(link, tx);
   }
 }
@@ -227,7 +233,7 @@ void Transport::handle_ack(const Frame& frame) {
   if (!advanced) return;
   if (tx.rto_timer.pending()) ++stats_.rto_cancelled;
   tx.rto_timer.cancel();
-  tx.rto = cfg_.rto_initial;
+  tx.rto = kRtoInitial;
   if (!tx.unacked.empty()) arm_rto(link, tx);
 }
 
@@ -268,8 +274,7 @@ void Transport::on_rto(const LinkKey& link) {
     }
     transmit_frame(frame);
   }
-  tx.rto = des::Duration::nanos(
-      std::min(tx.rto.to_nanos() * 2, cfg_.rto_cap.to_nanos()));
+  tx.rto = std::min(tx.rto * 2, kRtoCap);
   arm_rto(link, tx);
 }
 

@@ -12,14 +12,14 @@
 //
 // Per-link sender: frames are stamped with the next sequence number,
 // buffered until cumulatively acked, and retransmitted in bulk when the
-// RTO fires (RTO doubles per expiry up to a cap and resets when the
-// cumulative ack advances). Per-link receiver: in-order frames are handed
-// up immediately; out-of-order frames wait in a reorder buffer (the gap
-// opens a `retransmit_wait` span attributed to the receiving rank);
-// duplicates are suppressed but re-acked (a lost ack must not wedge the
-// sender); checksum mismatches are dropped silently — the retransmit
-// recovers them. Every data frame triggers a cumulative ack; acks are
-// unsequenced, unacked, and themselves subject to link faults.
+// RTO fires (the RTO starts at 50 ms, doubles per expiry up to 1 s, and
+// resets when the cumulative ack advances). Per-link receiver: in-order
+// frames are handed up immediately; out-of-order frames wait in a reorder
+// buffer (the gap opens a `retransmit_wait` span attributed to the
+// receiving rank); duplicates are suppressed but re-acked (a lost ack must
+// not wedge the sender); checksum mismatches are dropped silently — the
+// retransmit recovers them. Every data frame triggers a cumulative ack;
+// acks are unsequenced, unacked, and themselves subject to link faults.
 //
 // Datagram plane: send_datagram() puts a control message on the wire with
 // no sequence number, no ack and no retransmission — delivered if it
@@ -50,16 +50,6 @@
 
 namespace chk::chklib {
 
-struct TransportConfig {
-  /// Initial retransmission timeout. The modelled mesh (1.7 MB/s links,
-  /// 8 us latency) round-trips a control frame in well under 1 ms; 50 ms
-  /// keeps spurious retransmits out of even deep checkpoint-traffic
-  /// queues.
-  des::Duration rto_initial = des::Duration::millis(50);
-  /// Backoff cap: RTO doubles per expiry up to this.
-  des::Duration rto_cap = des::Duration::secs(1);
-};
-
 struct TransportStats {
   std::uint64_t data_frames = 0;      ///< first transmissions (app + control)
   std::uint64_t datagrams_sent = 0;   ///< unsequenced fire-and-forget frames
@@ -89,7 +79,7 @@ class Transport {
   /// (applied per physical copy, so retransmissions are re-evaluated).
   using ControlDropFilter = std::function<bool(const ControlMsg&)>;
 
-  Transport(des::Simulator& sim, xplorer::Network& network, TransportConfig config);
+  Transport(des::Simulator& sim, xplorer::Network& network);
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
@@ -167,7 +157,6 @@ class Transport {
 
   des::Simulator* sim_;
   xplorer::Network* network_;
-  TransportConfig cfg_;
   LinkFaultModel* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   DeliverApp deliver_app_;

@@ -11,6 +11,10 @@ namespace chk::chklib::membership {
 
 namespace {
 
+/// Distinct members (including the candidate itself) that must suspect a
+/// rank before its eviction is proposed; clamped to the member count - 1.
+constexpr std::uint32_t kSuspectQuorum = 2;
+
 [[nodiscard]] constexpr std::uint64_t full_bitmap(std::size_t n) noexcept {
   return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
@@ -37,12 +41,6 @@ void MembershipConfig::validate(std::size_t num_ranks) const {
   }
   if (detect_timeout <= hb_period) {
     throw std::invalid_argument("membership: detect_timeout must exceed hb_period");
-  }
-  if (rejoin_grace < des::Duration::zero()) {
-    throw std::invalid_argument("membership: rejoin_grace must be non-negative");
-  }
-  if (suspect_quorum == 0) {
-    throw std::invalid_argument("membership: suspect_quorum must be at least 1");
   }
   if (detector == Detector::kPhiAccrual) accrual.validate();
 }
@@ -129,13 +127,12 @@ void MembershipService::finalize() {
 }
 
 des::Duration MembershipService::grace() const noexcept {
-  return cfg_.rejoin_grace > des::Duration::zero() ? cfg_.rejoin_grace
-                                                   : cfg_.detect_timeout * 2;
+  return cfg_.detect_timeout * 2;
 }
 
 std::uint32_t MembershipService::effective_quorum() const noexcept {
   const auto live = static_cast<std::uint32_t>(std::popcount(members_));
-  return std::min(cfg_.suspect_quorum, std::max(1u, live - 1));
+  return std::min(kSuspectQuorum, std::max(1u, live - 1));
 }
 
 Rank MembershipService::candidate_of(Rank r) const {

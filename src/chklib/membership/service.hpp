@@ -14,11 +14,11 @@
 //              silence the configured detector (binary timeout or
 //              phi-accrual) deems improbable.
 //   election   suspicion reports flow to the current *candidate* (the
-//              lowest member the reporter does not suspect). Once
-//              suspect_quorum distinct members suspect the same rank, the
-//              candidate proposes a new view excluding it: a kViewChange
-//              broadcast carrying a strictly increasing view id and the
-//              member bitmap. View ids encode their proposer
+//              lowest member the reporter does not suspect). Once two
+//              distinct members (one if only two are left) suspect the
+//              same rank, the candidate proposes a new view excluding it:
+//              a kViewChange broadcast carrying a strictly increasing view
+//              id and the member bitmap. View ids encode their proposer
 //              (view % num_ranks == proposer), so the elected coordinator
 //              of a view is a pure function of its id — at most one live
 //              coordinator per membership epoch, by construction. Members
@@ -28,7 +28,7 @@
 //              protocol layer discards its in-flight round state (via the
 //              fence callback) and its acks stop counting toward commits.
 //              A fenced rank petitions the coordinator with kJoinRequest
-//              每 sweep until a re-adding view is established.
+//              each sweep until a re-adding view is established.
 //   crash      RecoveryManager::fail_now strikes are intercepted: instead
 //              of the oracle rollback, the victim merely goes silent (its
 //              application process dies and the comm down-gate swallows
@@ -92,12 +92,6 @@ struct MembershipConfig {
   /// only as the warm-up bootstrap timeout (accrual.bootstrap = 0) and as
   /// the base of the pre-warm-up deadman.
   des::Duration detect_timeout = des::Duration::seconds(2);
-  /// Extra slack the deadman recovery fallback grants a crashed rank's
-  /// eviction before forcing the rollback. Zero = auto (2x detect_timeout).
-  des::Duration rejoin_grace = des::Duration::zero();
-  /// Distinct members (including the candidate itself) that must suspect a
-  /// rank before its eviction is proposed. Clamped to the member count - 1.
-  std::uint32_t suspect_quorum = 2;
   /// Stream selector forked off the experiment seed (campaign runs differ
   /// only in membership timer phases).
   std::uint64_t stream = 0;
@@ -110,8 +104,8 @@ struct MembershipConfig {
   AccrualConfig accrual;
 
   /// Throws std::invalid_argument on nonsense values (num_ranks > 64,
-  /// non-positive periods, detect_timeout <= hb_period, quorum == 0,
-  /// malformed accrual config in phi mode).
+  /// non-positive periods, detect_timeout <= hb_period, malformed accrual
+  /// config in phi mode).
   void validate(std::size_t num_ranks) const;
 };
 
@@ -220,6 +214,8 @@ class MembershipService final : public RecoveryObserver {
   /// `r` does not currently suspect.
   [[nodiscard]] Rank candidate_of(Rank r) const;
   [[nodiscard]] std::uint32_t effective_quorum() const noexcept;
+  /// Extra slack the deadman grants a crashed rank's eviction before
+  /// forcing the rollback: 2 x detect_timeout.
   [[nodiscard]] des::Duration grace() const noexcept;
   void begin_exclusion(Rank r);
   void end_exclusion(Rank r);

@@ -9,6 +9,13 @@
 
 namespace chk::chklib {
 
+namespace {
+
+/// The coordinator without membership; also view 0's elected one (0 % N).
+constexpr Rank kFixedCoordinator = 0;
+
+}  // namespace
+
 CoordinatedProtocol::CoordinatedProtocol(Runtime& runtime, Config config)
     : Protocol(runtime), cfg_(config) {
   if (!is_coordinated(cfg_.scheme)) {
@@ -28,7 +35,7 @@ void CoordinatedProtocol::start() {
 }
 
 Rank CoordinatedProtocol::coordinator() const noexcept {
-  return membership_ != nullptr ? membership_->coordinator() : cfg_.coordinator;
+  return membership_ != nullptr ? membership_->coordinator() : kFixedCoordinator;
 }
 
 std::uint64_t CoordinatedProtocol::current_view() const noexcept {
@@ -154,42 +161,15 @@ void CoordinatedProtocol::on_round_timeout(std::uint32_t epoch) {
             rt_->sim().now().str(), acked_.size(), rt_->num_ranks());
   token_watchdog_.cancel();
   round_in_progress_ = false;
-  if (is_staggered(cfg_.scheme) && !is_buffered(cfg_.scheme)) {
-    if (grant_held_ && acked_.empty() &&
-        (!stall_valid_ || stall_holder_ == grant_holder_)) {
-      stall_valid_ = true;
-      stall_holder_ = grant_holder_;
-      // With membership attached the stall may be a crashed/fenced holder
-      // instead of a lost release: detection + eviction (or the deadman)
-      // resolves it, so keep aborting rather than failing fast.
-      if (++fruitless_rounds_ >= kGrantStallLimit && membership_ == nullptr) {
-        // The write grant has been parked at the same holder through
-        // kGrantStallLimit consecutive rounds that produced zero acks:
-        // the holder's grant-release was lost on the raw links and no
-        // watchdog can regenerate it (a release is not re-requestable the
-        // way a grant is). Fail fast with the cure instead of live-locking
-        // through endless aborts.
-        throw des::SimError(util::format(
-            "Coord_NBS: write grant stuck at rank {} for {} consecutive "
-            "aborted rounds with no acks — a grant-release was lost on the "
-            "raw links, which Coord_NBS cannot recover without the "
-            "reliable transport. Enable the reliable transport "
-            "(reliable_transport=true / omit --no-transport) or use "
-            "Coord_NBMS over lossy links.",
-            grant_holder_, fruitless_rounds_));
-      }
-    } else {
-      fruitless_rounds_ = 0;
-      stall_valid_ = false;
-    }
-    if (grant_held_) {
-      // A lost Coord_NBS write grant leaves its holder's application
-      // blocked in the acquire forever; re-issue it. If the original did
-      // arrive, the holder's epoch dedup drops this copy harmlessly.
-      rt_->comm().send_control(
-          coordinator(), grant_holder_,
-          ControlMsg{ControlKind::kToken, coordinator(), grant_epoch_, 0});
-    }
+  if (is_staggered(cfg_.scheme) && !is_buffered(cfg_.scheme) && grant_held_) {
+    // A lost Coord_NBS write grant leaves its holder's application blocked
+    // in the acquire forever; re-issue it. Grants are lost even over the
+    // transport: under membership the down gate drops a grant still in
+    // flight when its sender, the arbiter, crashes. If the original did
+    // arrive, the holder's grant_outstanding check drops this copy.
+    rt_->comm().send_control(
+        coordinator(), grant_holder_,
+        ControlMsg{ControlKind::kToken, coordinator(), grant_epoch_, 0});
   }
   begin_round(epoch + 1);
 }
@@ -215,9 +195,10 @@ void CoordinatedProtocol::arm_token_watchdog() {
 void CoordinatedProtocol::on_token_timeout(std::uint32_t epoch) {
   if (!round_in_progress_ || round_epoch_ != epoch || ring_done_) return;
   if (!token_progress_) {
-    // A whole period with no beacon: assume the token (or its carrier's
-    // beacon) died on the link and re-issue it toward the next expected
-    // holder. A rank that did receive the original drops the duplicate.
+    // A whole period with no beacon: the token (or its carrier's beacon)
+    // is held back on a lossy link by retransmission backoff, or went down
+    // with a crashed sender. Re-issue it toward the next expected holder;
+    // a rank that does receive the original drops the duplicate.
     ++stats_.tokens_regenerated;
     if (auto* iobs = rt_->store().observer()) iobs->on_token_regenerated(epoch);
     CHK_DEBUG("coord", "stagger token regenerated toward rank {} (epoch {})",
@@ -283,12 +264,13 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       try_finish(r, self);
       break;
     case ControlKind::kToken:
-      // Duplicate suppression — a lossy link can replay a token, and the
-      // watchdogs deliberately re-issue possibly-lost ones; honouring a
-      // duplicate makes the stagger semaphore creep and staggering
-      // silently degrade. Coord_NBS grants answer an explicit request
-      // (exact test); Coord_NBMS ring tokens carry strictly increasing
-      // epochs at any given rank (exact floor test).
+      // Duplicate suppression — the watchdogs re-issue possibly-lost tokens
+      // (the round watchdog a Coord_NBS grant, the token watchdog a ring
+      // token), and the original may still arrive; honouring a duplicate
+      // makes the stagger semaphore creep and staggering silently degrade.
+      // Coord_NBS grants answer an explicit request (exact test);
+      // Coord_NBMS ring tokens carry strictly increasing epochs at any
+      // given rank (exact floor test).
       if (is_staggered(cfg_.scheme) && !is_buffered(cfg_.scheme)) {
         if (!agent.grant_outstanding) break;
         agent.grant_outstanding = false;
@@ -330,12 +312,10 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
           (msg.view != round_view_ || !membership_->is_member(msg.src))) {
         break;
       }
-      if (!acked_.insert(msg.src).second) break;
+      acked_.insert(msg.src);
       if (acked_.size() == rt_->num_ranks()) {
         round_watchdog_.cancel();
         token_watchdog_.cancel();
-        fruitless_rounds_ = 0;
-        stall_valid_ = false;
         // The view moved since this round began: its membership no longer
         // backs the commit. Abort — the established-view callback normally
         // gets here first, so this is the last line of defence.
@@ -599,7 +579,12 @@ void CoordinatedProtocol::handle_commit(Rank r, std::uint32_t epoch) {
   // incremental mode a chain is the single image itself.
   Agent& agent = *agents_[r];
   if (!agent.commit_history.empty() && agent.commit_history.back() >= epoch) {
-    return;  // duplicate commit broadcast (lossy raw links)
+    // A commit for an epoch already seen. Still reachable with the
+    // transport on: a view change that lands while the coordinator's daemon
+    // is blocked in the commit write re-initiates the round at e + 1, and
+    // the daemon then broadcasts Commit(e + 1), which the re-run round can
+    // commit a second time.
+    return;
   }
   agent.commit_history.push_back(epoch);
   // Prune only when the just-committed generation verifies here: a rotted
@@ -703,8 +688,6 @@ void CoordinatedProtocol::prepare_recovery(const RecoveryLine& line) {
   // Post-recovery rounds restart just above the line — aborts of the dead
   // incarnation must not swallow their tokens (mirrors the monitor reset).
   ring_abort_floor_ = 0;
-  fruitless_rounds_ = 0;
-  stall_valid_ = false;
 }
 
 void CoordinatedProtocol::resume_after_recovery() {

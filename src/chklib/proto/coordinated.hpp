@@ -50,7 +50,6 @@ class CoordinatedProtocol final : public Protocol {
     des::Duration interval = des::Duration::secs(60);
     /// Total global checkpoints to take; 0 = keep going until the run ends.
     std::uint32_t rounds = 3;
-    Rank coordinator = 0;
     /// Ablation knob: capture empty state images. The remaining overhead is
     /// pure protocol synchronization (requests, markers, acks, commit) —
     /// used to isolate the paper's "sync cost is negligible" claim.
@@ -108,14 +107,14 @@ class CoordinatedProtocol final : public Protocol {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// Attach the cluster-membership service (call before start()): the
-  /// coordinator becomes the *elected* one (cfg_.coordinator is only the
-  /// initial holder via view 0), round messages are stamped with the view
-  /// they run under, acks from evicted ranks stop counting, and fenced
-  /// ranks discard their in-flight round state instead of corrupting a
-  /// commit. Without it the protocol behaves exactly as before.
+  /// coordinator becomes the *elected* one (rank 0 is only the initial
+  /// holder via view 0), round messages are stamped with the view they run
+  /// under, acks from evicted ranks stop counting, and fenced ranks
+  /// discard their in-flight round state instead of corrupting a commit.
+  /// Without it the protocol behaves exactly as before.
   void set_membership(membership::MembershipService* membership);
   /// The round-initiating coordinator: elected when membership is attached,
-  /// cfg_.coordinator otherwise.
+  /// rank 0 otherwise.
   [[nodiscard]] Rank coordinator() const noexcept;
 
  private:
@@ -127,16 +126,17 @@ class CoordinatedProtocol final : public Protocol {
     bool durable = false;             ///< state image on disk
     bool finishing = false;           ///< log write + ack underway/done
     ChannelLog log;
-    /// Marker senders per epoch. A set (not a count): lossy raw links can
-    /// duplicate a marker, and a duplicate must not complete the round.
+    /// Marker senders per epoch; the channel log closes once every peer's
+    /// marker for the rank's epoch is in.
     std::map<std::uint32_t, std::set<Rank>> markers;
     des::SimSemaphore token;          ///< stagger permission to write
     IncrementalTracker tracker;       ///< dirty-chunk baseline (incremental mode)
     std::uint32_t last_ckpt_epoch = 0;
-    /// Highest ring-token epoch honoured (Coord_NBMS); duplicates
-    /// (link-level or watchdog-regenerated) are dropped so the stagger
-    /// semaphore never creeps. Ring tokens carry strictly increasing
-    /// epochs at any given rank, so the floor test is exact.
+    /// Highest ring-token epoch honoured (Coord_NBMS). The token watchdog
+    /// re-issues a token it cannot tell from lost, so the original may
+    /// still arrive after the copy; such duplicates are dropped so the
+    /// stagger semaphore never creeps. Ring tokens carry strictly
+    /// increasing epochs at any given rank, so the floor test is exact.
     std::uint32_t last_token_epoch = 0;
     /// Epochs of accepted ring tokens whose permit is not yet consumed
     /// (Coord_NBMS). Releases and acquires are FIFO-matched, so the front
@@ -145,9 +145,10 @@ class CoordinatedProtocol final : public Protocol {
     /// admitted by a newer token cannot relabel (and thereby duplicate)
     /// the ring token.
     std::deque<std::uint32_t> ring_tokens;
-    /// Coord_NBS: a write grant was requested and not yet received. Grants
-    /// arriving without an outstanding request are duplicates (an abort
-    /// regrant racing the original) and are dropped.
+    /// Coord_NBS: a write grant was requested and not yet received. The
+    /// round watchdog re-issues a grant it cannot tell from lost (see
+    /// on_round_timeout), so grants arriving without an outstanding
+    /// request are duplicates of one that did arrive, and are dropped.
     bool grant_outstanding = false;
     /// Commit epochs this rank has observed, ascending — the retention
     /// floor for keep-depth GC.
@@ -201,8 +202,7 @@ class CoordinatedProtocol final : public Protocol {
   /// View the in-flight round was initiated under (0 with no membership).
   std::uint64_t round_view_ = 0;
   std::vector<std::unique_ptr<Agent>> agents_;
-  /// Ranks that acked the in-progress round (a set, not a count: lossy raw
-  /// links can duplicate an ack, and a duplicate must not commit early).
+  /// Ranks that acked the in-progress round.
   std::set<Rank> acked_;
   std::uint32_t round_epoch_ = 0;
   bool round_in_progress_ = false;
@@ -223,15 +223,6 @@ class CoordinatedProtocol final : public Protocol {
   /// (and let its writer relabel it with a live epoch), so tokens at or
   /// below this floor are dropped on arrival instead.
   std::uint32_t ring_abort_floor_ = 0;
-  // Coord_NBS fail-fast: consecutive fruitless aborts (zero acks) with the
-  // write grant stuck at the same holder indicate a lost grant-release on
-  // raw links, which this scheme cannot recover without the reliable
-  // transport — abort the run with an actionable diagnostic instead of
-  // live-locking through endless round aborts.
-  static constexpr std::uint32_t kGrantStallLimit = 3;
-  std::uint32_t fruitless_rounds_ = 0;
-  bool stall_valid_ = false;
-  Rank stall_holder_ = 0;       ///< valid while stall_valid_
 };
 
 }  // namespace chk::chklib

@@ -7,6 +7,13 @@
 
 namespace chk::chklib {
 
+namespace {
+
+/// Indep_MS stagger-grant arbiter node.
+constexpr Rank kArbiter = 0;
+
+}  // namespace
+
 std::vector<ProcessHistory> collect_histories(const CheckpointStore& store,
                                               std::size_t num_ranks) {
   std::vector<ProcessHistory> histories(num_ranks);
@@ -191,7 +198,7 @@ void IndependentProtocol::do_local_checkpoint(des::Process& carrier, Rank r) {
       [this, r, image = std::move(image)](des::Process& self) mutable {
         Agent& a = *agents_[r];
         if (is_staggered(cfg_.scheme)) {
-          rt_->comm().send_control(r, cfg_.arbiter,
+          rt_->comm().send_control(r, kArbiter,
                                    ControlMsg{ControlKind::kTokenRequest, r, image.index, 0});
           a.token.acquire(self);
         }
@@ -200,7 +207,7 @@ void IndependentProtocol::do_local_checkpoint(des::Process& carrier, Rank r) {
         const xplorer::IoStatus status = rt_->store().write_image_blocking(self, r, image);
         node.end_background_io();
         if (is_staggered(cfg_.scheme)) {
-          rt_->comm().send_control(r, cfg_.arbiter,
+          rt_->comm().send_control(r, kArbiter,
                                    ControlMsg{ControlKind::kTokenRelease, r, image.index, 0});
         }
         if (status != xplorer::IoStatus::kOk) {

@@ -47,7 +47,6 @@ class IndependentProtocol final : public Protocol {
     bool gc = false;
     LineMode gc_mode = LineMode::kStrict;
     LineMode recovery_mode = LineMode::kStrict;
-    Rank arbiter = 0;  ///< stagger-grant arbiter node (Indep_MS)
     /// Pessimistic sender-based message logging (the paper's §1 remedy):
     /// checkpoint images additionally carry the payloads of the interval's
     /// sends, so recovery can replay lost messages and the orphan-free
@@ -112,7 +111,7 @@ class IndependentProtocol final : public Protocol {
 
   Config cfg_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  // Stagger arbiter state (lives logically at cfg_.arbiter's dispatcher).
+  // Stagger arbiter state (lives logically at rank 0's dispatcher).
   std::deque<Rank> grant_queue_;
   bool grant_held_ = false;
 };

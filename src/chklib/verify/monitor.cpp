@@ -17,14 +17,7 @@ Monitor::Options Monitor::options_for(Scheme scheme, Policy policy) {
 }
 
 Monitor::Monitor(Runtime& runtime, Options options)
-    : rt_(&runtime), opt_(options), sink_(runtime.sim(), options.policy) {
-  if (opt_.lossy_raw_links) {
-    // These invariants genuinely do not hold over unrepaired lossy links.
-    opt_.check_quiescence = false;
-    opt_.check_consume = false;
-    opt_.check_stagger = false;
-  }
-}
+    : rt_(&runtime), opt_(options), sink_(runtime.sim(), options.policy) {}
 
 Monitor::~Monitor() { uninstall(); }
 
@@ -85,8 +78,7 @@ void Monitor::on_endpoint_arrival(const Envelope& env) {
     }
     // Within an incarnation nothing is dropped and FIFO order holds, so
     // the arrival stream must replay the transmission stream exactly.
-    // (Not so over unrepaired lossy links — skip the replay equality.)
-    if (!opt_.lossy_raw_links && (ch.rx_seen || ch.tx_seen)) {
+    if (ch.rx_seen || ch.tx_seen) {
       const std::uint64_t expected = ch.rx_seen ? ch.rx_next : ch.tx_base;
       if (env.seq != expected) {
         sink_.report(
@@ -313,19 +305,6 @@ std::uint64_t Monitor::in_flight() const noexcept {
     if (ch.tx_count > ch.rx_count) total += ch.tx_count - ch.rx_count;
   }
   return total;
-}
-
-void Monitor::finalize() {
-  if (!opt_.strict_final_inflight) return;
-  for (const auto& [key, ch] : channels_) {
-    sink_.note_check();
-    if (ch.tx_count != ch.rx_count) {
-      sink_.report("conservation", key.second,
-                   util::format("channel {}->{}: {} transmitted but {} arrived at the "
-                                "end of the run",
-                                key.first, key.second, ch.tx_count, ch.rx_count));
-    }
-  }
 }
 
 }  // namespace chk::chklib::verify

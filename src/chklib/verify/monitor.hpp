@@ -59,19 +59,9 @@ class Monitor final : public InvariantObserver {
     bool check_quiescence = false;
     /// Default: armed automatically for staggered schemes.
     bool check_stagger = false;
-    /// finalize(): require zero in-flight messages (off by default — the
-    /// simulation stops the instant the last rank finishes, which can
-    /// legitimately leave regenerated duplicates in flight).
-    bool strict_final_inflight = false;
     /// Membership-safety checks (see header comment). Off by default; the
     /// harness arms it when the membership service is attached.
     bool check_membership = false;
-    /// The raw links below the monitor drop / duplicate / reorder frames
-    /// and no reliable transport repairs them (link faults on, transport
-    /// off). Arrival-replay, quiescence, consume and stagger checks assume
-    /// loss-free FIFO channels and are disabled; the transmit-side dense
-    /// check and the "arrived but never transmitted" check remain.
-    bool lossy_raw_links = false;
   };
 
   /// Builds scheme-appropriate options (quiescence for Coord_*, stagger
@@ -85,9 +75,6 @@ class Monitor final : public InvariantObserver {
   /// unhooks itself on destruction.
   void install();
   void uninstall();
-
-  /// End-of-run checks (conservation) — call after the simulation stops.
-  void finalize();
 
   [[nodiscard]] const InvariantSink& sink() const noexcept { return sink_; }
   [[nodiscard]] std::uint64_t checks() const noexcept { return sink_.checks(); }

@@ -14,8 +14,8 @@ RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index) {
   plan.mtbf = config.mtbf;
   plan.max_failures = config.max_failures_per_run;
   plan.stream = config.campaign_seed + run_index;
-  plan.ensure_midwrite = config.ensure_midwrite;
-  plan.ensure_during_recovery = config.ensure_during_recovery;
+  plan.ensure_midwrite = true;
+  plan.ensure_during_recovery = true;
   plan.target_coordinator = config.target_coordinator;
   experiment.faults = plan;
   if (config.membership.has_value()) {
@@ -25,7 +25,6 @@ RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index) {
   if (config.link_faults.has_value()) {
     experiment.link_faults = config.link_faults;
     experiment.link_faults->stream = config.campaign_seed + run_index;
-    experiment.reliable_transport = config.reliable_transport;
   }
   if (config.storage_faults.has_value()) {
     experiment.storage_faults = config.storage_faults;

@@ -29,15 +29,11 @@ struct CampaignConfig {
   /// campaign_seed + i on top of the experiment seed.
   std::uint64_t campaign_seed = 1;
   std::uint32_t max_failures_per_run = 6;
-  bool ensure_midwrite = true;
-  bool ensure_during_recovery = true;
   /// Unreliable links during the campaign runs (composes with the failure
-  /// process). Run i forks the link-fault stream by campaign_seed + i so
-  /// loss realizations vary per run but reproduce exactly.
+  /// process), carried by the reliable transport. Run i forks the
+  /// link-fault stream by campaign_seed + i so loss realizations vary per
+  /// run but reproduce exactly.
   std::optional<chklib::LinkFaultConfig> link_faults;
-  /// Run the reliable FIFO transport above the lossy links (see
-  /// ExperimentConfig::reliable_transport).
-  bool reliable_transport = true;
   /// Unreliable stable storage during the campaign runs (composes with the
   /// failure process and the link faults — every fault domain draws from
   /// its own forked stream). Run i forks the storage-fault stream by
@@ -119,6 +115,8 @@ struct CampaignResult {
 };
 
 /// Execute run `run_index` of the campaign (one full simulated experiment).
+/// Every run arms both targeted strikes, mid-write and during-recovery, on
+/// top of the Poisson arrivals.
 [[nodiscard]] RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index);
 
 /// Execute all runs sequentially and summarize. Drivers that parallelize

@@ -13,6 +13,11 @@ namespace {
 // plan's stream index forks once more below it.
 constexpr std::uint64_t kInjectorRngTag = 0xFA11;
 
+// Where inside the write's uncontended service time the targeted mid-write
+// strike lands; the observed write takes at least that long, so the strike
+// is guaranteed to catch the write in flight.
+constexpr double kMidwriteFrac = 0.5;
+
 des::Duration duration_from_seconds(double seconds) {
   constexpr double kMaxNs = 9.0e18;  // stay clear of int64 overflow
   const double ns = std::min(seconds * 1e9, kMaxNs);
@@ -60,7 +65,7 @@ void FaultInjector::arm() {
           }
           midwrite_armed_ = true;
           const auto pure = rt_->store().storage().pure_write_time(from, bytes);
-          rt_->sim().schedule_after(pure.scaled(plan_.midwrite_frac), [this, from] {
+          rt_->sim().schedule_after(pure.scaled(kMidwriteFrac), [this, from] {
             midwrite_armed_ = false;
             strike(from, Require::kMidWrite);
           });

@@ -70,10 +70,6 @@ struct FaultPlan {
   /// victim draw still happens — the stream consumption per arrival stays
   /// fixed — but the drawn rank is overridden by the coordinator provider.
   bool target_coordinator = false;
-  /// Where inside the write's uncontended service time the targeted
-  /// mid-write strike lands (0, 1); the observed write takes at least that
-  /// long, so the strike is guaranteed to catch the write in flight.
-  double midwrite_frac = 0.5;
 };
 
 struct InjectionStats {

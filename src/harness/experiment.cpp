@@ -133,20 +133,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.observe) runtime.set_tracer(&tracer);
   runtime.set_app(config.label, config.app);
 
-  // Unreliable links + reliable transport. Configured before the protocol
-  // exists so its control traffic rides the transport from the first send.
+  // Unreliable links, which install the reliable transport with them.
+  // Configured before the protocol exists so its control traffic rides the
+  // transport from the first send.
   const bool lossy_links = config.link_faults.has_value() && config.link_faults->enabled();
   const bool membership_on = config.membership.has_value();
-  if (membership_on && lossy_links && !config.reliable_transport) {
+  if (lossy_links && !config.reliable_transport) {
     throw std::invalid_argument(
-        "membership requires the reliable transport under link faults: raw "
-        "lossy links turn every detection timeout into a coin flip");
+        "reliable_transport = false with link faults on: lossy links always "
+        "ride the reliable transport");
   }
   if (lossy_links) {
     runtime.comm().set_link_faults(
         *config.link_faults,
         runtime.fork_rng(0x11F0u).fork(config.link_faults->stream));
-    if (config.reliable_transport) runtime.comm().enable_transport();
   }
   // Unreliable stable storage. Installed before any write is submitted;
   // its RNG stream (tag 0x510F) is forked independently of the link-fault
@@ -166,19 +166,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::uint32_t keep_depth = config.keep_depth;
   if (keep_depth == 0) keep_depth = faulty_storage ? 2 : 1;
   // Watchdogs: off by default (arming the timers perturbs fault-free event
-  // sequencing); auto-armed whenever the links can actually lose messages —
-  // or the storage can fail a commit write, which aborts rounds through the
-  // same re-initiation path — or the membership service can crash / fence
-  // ranks mid-round, which strands acks the same way.
+  // sequencing); auto-armed whenever the links are lossy — retransmission
+  // backoff can hold a control frame for seconds — or the storage can fail
+  // a commit write, which aborts rounds through the same re-initiation
+  // path — or the membership service can crash / fence ranks mid-round,
+  // which strands acks the same way.
   const bool needs_watchdog = lossy_links || faulty_storage || membership_on;
-  des::Duration round_timeout = config.round_timeout;
-  des::Duration token_timeout = config.token_timeout;
-  if (needs_watchdog && round_timeout.to_nanos() == 0) {
-    round_timeout = config.interval + des::Duration::secs(30);
-  }
-  if (needs_watchdog && token_timeout.to_nanos() == 0) {
-    token_timeout = round_timeout / 4;
-  }
+  const des::Duration round_timeout =
+      needs_watchdog ? config.interval + des::Duration::secs(30) : des::Duration::zero();
+  const des::Duration token_timeout = round_timeout / 4;
 
   std::unique_ptr<chklib::Protocol> protocol;
   if (is_coordinated(config.scheme)) {
@@ -211,7 +207,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<chklib::verify::Monitor> monitor;
   if (config.verify) {
     auto options = chklib::verify::Monitor::options_for(config.scheme);
-    options.lossy_raw_links = lossy_links && !config.reliable_transport;
     options.check_membership = membership_on;
     monitor = std::make_unique<chklib::verify::Monitor>(runtime, options);
     monitor->install();
@@ -273,7 +268,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.trace_hash = sim.trace_hash();
   if (membership) membership->finalize();  // closes still-open exclusion spans
   if (monitor) {
-    monitor->finalize();
     result.invariant_checks = monitor->checks();
     result.invariant_violations = monitor->violations();
     result.messages_in_flight_at_end = monitor->in_flight();

@@ -59,21 +59,21 @@ struct ExperimentConfig {
   /// with `failure` (the hand-placed failure fires in addition).
   std::optional<faultsim::FaultPlan> faults;
   /// Unreliable-link model: per-link drop / duplicate / corrupt / delay
-  /// faults on the message network. Unset (or all-zero probabilities) =
-  /// perfect links, bit-identical to pre-fault-model builds.
+  /// faults on the message network, always carried by the reliable FIFO
+  /// transport (acks, retransmission, duplicate suppression). Unset (or
+  /// all-zero probabilities) = perfect links on the raw path, bit-identical
+  /// to pre-fault-model builds.
   std::optional<chklib::LinkFaultConfig> link_faults;
-  /// With link faults on: run the reliable FIFO transport (acks,
-  /// retransmission, duplicate suppression) above the lossy links. Turning
-  /// this off exposes the protocols to raw loss — only the round/token
-  /// watchdogs stand between them and a hang. Ignored without link faults.
+  /// Must stay true when link faults are on: false then throws
+  /// std::invalid_argument. Lossy links always ride the transport; the
+  /// field remains only because the perfbench workloads set it.
   bool reliable_transport = true;
   /// Cluster-membership service: heartbeat failure detection, quorum view
   /// changes, deterministic coordinator election and fencing. Opt-in —
   /// unset, runs are bit-identical to pre-membership builds. When set,
   /// crashes go through the detector (eviction + elected recovery) instead
   /// of the oracle path, and coordinated schemes survive coordinator death
-  /// mid-round. Requires the reliable transport when link faults are on
-  /// (heartbeats over raw lossy links make every timeout a coin flip).
+  /// mid-round.
   std::optional<chklib::membership::MembershipConfig> membership;
   /// Unreliable stable storage: per-operation transient write/read I/O
   /// errors, timed degraded-throughput windows, and silent bit-rot of
@@ -89,12 +89,6 @@ struct ExperimentConfig {
   /// faults are enabled so verified recovery has a generation to fall
   /// back to.
   std::uint32_t keep_depth = 0;
-  /// Coordinated round watchdog; zero = auto (interval + 30 s) when link
-  /// faults are enabled, otherwise off.
-  des::Duration round_timeout = des::Duration::zero();
-  /// Coord_NBMS stagger-token watchdog; zero = auto (round watchdog / 4)
-  /// when link faults are enabled, otherwise off.
-  des::Duration token_timeout = des::Duration::zero();
   /// Safety valve: abort (throw) if the simulation exceeds this many events.
   std::uint64_t max_events = std::uint64_t{1} << 40;
   /// Ablation: coordinated checkpoints capture empty images (isolates the

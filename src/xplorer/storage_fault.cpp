@@ -8,6 +8,10 @@ namespace chk::xplorer {
 
 namespace {
 
+/// Mean gap between degraded windows and mean window length (exponential).
+constexpr double kDegradeGapMeanS = 5.0;
+constexpr double kDegradeLenMeanS = 1.0;
+
 void check_prob(const char* name, double p) {
   if (!(p >= 0.0) || !(p < 1.0)) {
     throw std::invalid_argument(std::string(name) +
@@ -26,12 +30,6 @@ void StorageFaultConfig::validate() const {
     throw std::invalid_argument("storage degrade factor: must be >= 1, got " +
                                 std::to_string(degrade_factor));
   }
-  if (degrade_factor > 1.0 &&
-      (!(degrade_gap_mean_s > 0.0) || !(degrade_len_mean_s > 0.0))) {
-    throw std::invalid_argument(
-        "storage degrade window means: must be positive when degradation "
-        "is enabled");
-  }
 }
 
 StorageFaultModel::StorageFaultModel(const StorageFaultConfig& config, util::Rng rng)
@@ -44,9 +42,8 @@ StorageFaultModel::WriteVerdict StorageFaultModel::judge_write() {
   v.io_error = cfg_.write_error > 0 && rng_.bernoulli(cfg_.write_error);
   v.bitrot = cfg_.bitrot > 0 && rng_.bernoulli(cfg_.bitrot);
   if (v.bitrot) {
-    // Value draws are keyed to the bitrot flag alone so the stream stays
-    // aligned when write_error is toggled; the storage only applies them
-    // when the write actually lands.
+    // Value draws are keyed to the bitrot flag alone, not to whether the
+    // write fails; the storage only applies them when the write lands.
     v.rot_offset = rng_();
     v.rot_mask = static_cast<std::uint8_t>(rng_() | 1u);
   }
@@ -77,8 +74,8 @@ double StorageFaultModel::slowdown_at(des::TimePoint now) {
 }
 
 void StorageFaultModel::advance_window() {
-  const double gap = std::max(1e-9, degrade_rng_.exponential(cfg_.degrade_gap_mean_s));
-  const double len = std::max(1e-9, degrade_rng_.exponential(cfg_.degrade_len_mean_s));
+  const double gap = std::max(1e-9, degrade_rng_.exponential(kDegradeGapMeanS));
+  const double len = std::max(1e-9, degrade_rng_.exponential(kDegradeLenMeanS));
   window_start_ = window_end_ + des::Duration::seconds(gap);
   window_end_ = window_start_ + des::Duration::seconds(len);
 }

@@ -36,11 +36,9 @@ struct StorageFaultConfig {
   double bitrot = 0;
   /// Degraded-throughput windows: while a window is open, disk service for
   /// each operation takes `degrade_factor` times as long. 1.0 disables;
-  /// must be >= 1.
+  /// must be >= 1. Windows open after exponential gaps (mean 5 s) and last
+  /// an exponential length (mean 1 s).
   double degrade_factor = 1.0;
-  /// Mean gap between degraded windows / mean window length (exponential).
-  double degrade_gap_mean_s = 5.0;
-  double degrade_len_mean_s = 1.0;
   /// Stream selector forked off the experiment seed, so one experiment
   /// config hosts many campaign runs differing only in the disk weather.
   std::uint64_t stream = 0;
@@ -50,17 +48,18 @@ struct StorageFaultConfig {
     return write_error > 0 || read_error > 0 || bitrot > 0 || degrade_factor > 1.0;
   }
   /// Throws std::invalid_argument on out-of-range probabilities (outside
-  /// [0, 1)), a degrade factor below 1, or non-positive window parameters
-  /// when degradation is enabled.
+  /// [0, 1)) or a degrade factor below 1.
   void validate() const;
 };
 
 class StorageFaultModel {
  public:
-  /// The model's ruling on one write submission. Base draws happen
-  /// unconditionally in a fixed order (error, bitrot), value draws only
-  /// when their flag fired — the stream stays aligned across configs that
-  /// toggle individual faults.
+  /// The model's ruling on one write submission. Each fault with a positive
+  /// probability takes one Bernoulli draw per verdict, in the fixed order
+  /// (error, bitrot); a fault at probability zero takes none. The bitrot
+  /// value draws (offset, mask) follow only when its flag fired. So the
+  /// stream lines up across configs that enable the same faults, not
+  /// across configs that switch one on or off.
   struct WriteVerdict {
     bool io_error = false;
     bool bitrot = false;

@@ -400,8 +400,7 @@ TEST(Comm, ResetStatsZeroesEveryCounter) {
   faults.corrupt = 0.1;
   faults.delay_prob = 0.2;
   faults.delay_mean_s = 1e-4;
-  f.comm.set_link_faults(faults, util::Rng(99));
-  f.comm.enable_transport();
+  f.comm.set_link_faults(faults, util::Rng(99));  // installs the transport too
   f.comm.send_control(0, 1, ControlMsg{ControlKind::kCkptRequest, 0, 1, 0});
   std::vector<int> got;
   f.sim.spawn("tx", [&](Process& self) {
@@ -451,7 +450,7 @@ TEST(Comm, TransportPreservesFifoUnderReordering) {
   faults.delay_prob = 0.5;
   faults.delay_mean_s = 5e-4;
   f.comm.set_link_faults(faults, util::Rng(7));
-  f.comm.enable_transport();
+  ASSERT_NE(f.comm.transport(), nullptr) << "lossy links must ride the transport";
   std::vector<int> got;
   f.sim.spawn("tx", [&](Process& self) {
     for (int i = 0; i < 100; ++i) send_value<int>(f.comm.endpoint(2), self, 6, 1, i);

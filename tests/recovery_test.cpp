@@ -152,8 +152,6 @@ class CampaignSweep : public ::testing::TestWithParam<Scheme> {};
 
 TEST_P(CampaignSweep, SurvivesAMultiFailureCampaignRun) {
   auto config = small_campaign(GetParam());
-  config.ensure_midwrite = true;
-  config.ensure_during_recovery = true;
   const faultsim::RunOutcome outcome = faultsim::run_one(config, 0);
 
   EXPECT_TRUE(outcome.digest_ok) << to_string(GetParam());
