@@ -34,10 +34,11 @@ int main(int argc, char** argv) try {
   const std::string app_label = cli.get("app", "SOR-384");
   const std::vector<double> losses =
       bench::get_list_in(cli, "losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2", 0.0, 1.0);
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
+  const auto checkpoints =
+      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
+  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_linkloss.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
@@ -122,17 +123,8 @@ int main(int argc, char** argv) try {
       const harness::ExperimentResult& r = results[index++];
       Value cv = Value::object();
       cv.set("scheme", Value::string(std::string(to_string(r.scheme))));
-      cv.set("exec_s", Value::number(r.exec_time_s));
-      cv.set("retransmits", Value::number(r.retransmits));
-      cv.set("dups_suppressed", Value::number(r.dups_suppressed));
-      cv.set("corrupt_detected", Value::number(r.corrupt_detected));
-      cv.set("link_drops", Value::number(r.link_drops));
-      cv.set("link_duplicates", Value::number(r.link_duplicates));
-      cv.set("link_corrupted", Value::number(r.link_corrupted));
-      cv.set("aborted_rounds", Value::number(std::uint64_t{r.aborted_rounds}));
-      cv.set("committed_rounds", Value::number(std::uint64_t{r.committed_rounds}));
       cv.set("digest_ok", Value::boolean(r.digest == normal.digest));
-      cv.set("invariant_violations", Value::number(r.invariant_violations));
+      cv.set("metrics", obs::metrics_to_json(harness::run_metrics(r)));
       cell_array.push_back(std::move(cv));
     }
     entry.set("cells", std::move(cell_array));

@@ -42,7 +42,6 @@
 
 #include "bench_common.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -69,44 +68,20 @@ obs::json::Value cell_json(const harness::ExperimentResult& r, bool digest_ok) {
   using obs::json::Value;
   Value cv = Value::object();
   cv.set("scheme", Value::string(std::string(to_string(r.scheme))));
-  cv.set("exec_s", Value::number(r.exec_time_s));
-  cv.set("heartbeats_sent", Value::number(r.heartbeats_sent));
-  cv.set("suspicions", Value::number(r.suspicions));
-  cv.set("suspicions_cleared", Value::number(r.suspicions_cleared));
-  cv.set("views_established", Value::number(r.views_established));
-  cv.set("evictions", Value::number(r.evictions));
-  cv.set("wrongful_evictions", Value::number(r.wrongful_evictions));
-  cv.set("rejoins", Value::number(r.rejoins));
-  cv.set("crashes", Value::number(r.membership_crashes));
-  cv.set("forced_recoveries", Value::number(r.forced_recoveries));
-  cv.set("detections", Value::number(r.detections));
-  // Exact per-detection latencies plus the same log-spaced bins the
-  // "membership/detection_latency_s" metric exports, so the bench JSON and
-  // the obs histogram agree bucket for bucket.
+  // Exact per-detection latencies; the metrics carry the same samples in
+  // the log-spaced "membership/detection_latency_s" histogram.
   Value lats = Value::array();
-  std::vector<std::uint64_t> bins(
-      static_cast<std::size_t>(harness::kDetectLatMaxExp - harness::kDetectLatMinExp) + 2,
-      0);
   double lat_max = 0;
   for (const std::int64_t ns : r.detection_latency_ns) {
     const double s = static_cast<double>(ns) * 1e-9;
     lats.push_back(Value::number(s));
     if (s > lat_max) lat_max = s;
-    ++bins[obs::LogHistogram::bucket_of(static_cast<std::uint64_t>(ns < 0 ? 0 : ns),
-                                        harness::kDetectLatMinExp,
-                                        harness::kDetectLatMaxExp)];
   }
   cv.set("detection_latency_s", std::move(lats));
-  Value bin_array = Value::array();
-  for (const std::uint64_t b : bins) bin_array.push_back(Value::number(b));
-  cv.set("detection_lat_counts", std::move(bin_array));
   cv.set("detection_lat_mean_s", Value::number(mean_latency_s(r)));
   cv.set("detection_lat_max_s", Value::number(lat_max));
-  cv.set("aborted_rounds", Value::number(std::uint64_t{r.aborted_rounds}));
-  cv.set("committed_rounds", Value::number(std::uint64_t{r.committed_rounds}));
-  cv.set("retransmits", Value::number(r.retransmits));
   cv.set("digest_ok", Value::boolean(digest_ok));
-  cv.set("invariant_violations", Value::number(r.invariant_violations));
+  cv.set("metrics", obs::metrics_to_json(harness::run_metrics(r)));
   return cv;
 }
 
@@ -149,11 +124,10 @@ int main(int argc, char** argv) try {
       bench::get_list_in(cli, "timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0", 1e-3, 1e3);
   const std::vector<double> thresholds =
       bench::get_list_in(cli, "phi-thresholds", quick ? "8" : "4,8,12", 1e-3, 1e3);
-  const long phi_window = cli.get_int("phi-window", 32);
-  if (phi_window <= 0) throw std::invalid_argument("--phi-window must be positive");
+  const auto phi_window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1, 1024));
   const std::vector<double> losses =
       bench::get_list_in(cli, "losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
-  const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
+  const double hb_period = cli.get_double("hb-period", 0.25, 0.0, 1e3);
   for (double t : timeouts) {
     if (t <= hb_period) {
       throw std::invalid_argument(
@@ -161,10 +135,11 @@ int main(int argc, char** argv) try {
           std::to_string(hb_period) + " s)");
     }
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
+  const auto checkpoints =
+      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
+  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_membership.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
@@ -193,7 +168,7 @@ int main(int argc, char** argv) try {
       // hand-tuned timeout — that is the point of the comparison.
       membership.accrual.threshold_milli =
           static_cast<std::int64_t>(knob * 1000.0);
-      membership.accrual.window = static_cast<std::uint32_t>(phi_window);
+      membership.accrual.window = phi_window;
     }
     return membership;
   };
@@ -354,7 +329,7 @@ int main(int argc, char** argv) try {
   doc.set("nodes", Value::number(std::uint64_t{nodes}));
   doc.set("seed", Value::number(seed));
   doc.set("hb_period_s", Value::number(hb_period));
-  doc.set("phi_window", Value::number(std::uint64_t{static_cast<std::uint64_t>(phi_window)}));
+  doc.set("phi_window", Value::number(std::uint64_t{phi_window}));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   doc.set("binary_aggressive_wrongful", Value::number(binary_aggressive_wrongful));

@@ -37,12 +37,14 @@ int main(int argc, char** argv) try {
   const std::string app_label = cli.get("app", "SOR-384");
   const std::vector<double> rates =
       bench::get_list_in(cli, "rates", quick ? "0.1" : "0.05,0.1,0.2", 0.0, 1.0);
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const double mtbf_frac = cli.get_double("mtbf-frac", 0.7);
-  const auto max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 3));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
+  const auto checkpoints =
+      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
+  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
+  const double mtbf_frac = cli.get_double("mtbf-frac", 0.7, 1e-3, 1e3);
+  const auto max_failures =
+      static_cast<std::uint32_t>(cli.get_int("max-failures", 3, 0, 1000));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_storagefault.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
@@ -143,25 +145,8 @@ int main(int argc, char** argv) try {
       const harness::ExperimentResult& r = results[index++];
       Value cv = Value::object();
       cv.set("scheme", Value::string(std::string(to_string(r.scheme))));
-      cv.set("exec_s", Value::number(r.exec_time_s));
-      cv.set("io_write_errors", Value::number(r.io_write_errors));
-      cv.set("io_read_errors", Value::number(r.io_read_errors));
-      cv.set("bitrot_injected", Value::number(r.bitrot_injected));
-      cv.set("degraded_ops", Value::number(r.degraded_ops));
-      cv.set("storage_retries", Value::number(r.storage_retries));
-      cv.set("storage_write_failures", Value::number(r.storage_write_failures));
-      cv.set("storage_read_failures", Value::number(r.storage_read_failures));
-      cv.set("storage_retry_wait_s", Value::number(r.storage_retry_wait_s));
-      cv.set("ckpt_write_failures", Value::number(r.ckpt_write_failures));
-      cv.set("commit_write_failures", Value::number(std::uint64_t{r.commit_write_failures}));
-      cv.set("corrupt_discarded", Value::number(r.corrupt_discarded));
-      cv.set("generations_skipped", Value::number(std::uint64_t{r.generations_skipped}));
-      cv.set("reclaimed_bytes", Value::number(r.reclaimed_bytes));
-      cv.set("aborted_rounds", Value::number(std::uint64_t{r.aborted_rounds}));
-      cv.set("committed_rounds", Value::number(std::uint64_t{r.committed_rounds}));
-      cv.set("recoveries", Value::number(std::uint64_t{r.recoveries.size()}));
       cv.set("digest_ok", Value::boolean(r.digest == normal.digest));
-      cv.set("invariant_violations", Value::number(r.invariant_violations));
+      cv.set("metrics", obs::metrics_to_json(harness::run_metrics(r)));
       cell_array.push_back(std::move(cv));
     }
     entry.set("cells", std::move(cell_array));

@@ -85,23 +85,13 @@ obs::json::Value result_to_json(const ExperimentResult& result,
   using obs::json::Value;
   Value cell = Value::object();
   cell.set("scheme", Value::string(std::string(to_string(result.scheme))));
-  cell.set("exec_time_s", Value::number(result.exec_time_s));
-  cell.set("events", Value::number(result.events));
   cell.set("trace_hash", Value::string(util::format("{:016x}", result.trace_hash)));
-  cell.set("app_blocked_s", Value::number(result.app_blocked_s));
-  cell.set("interference_s", Value::number(result.interference_s));
-  cell.set("frozen_stall_s", Value::number(result.frozen_stall_s));
-  cell.set("disk_wait_s", Value::number(result.disk_wait_s));
-  cell.set("control_messages", Value::number(result.control_messages));
-  cell.set("control_bytes", Value::number(result.control_bytes));
-  cell.set("local_checkpoints", Value::number(result.local_checkpoints));
-  cell.set("committed_rounds", Value::number(std::uint64_t{result.committed_rounds}));
-  cell.set("bytes_written", Value::number(result.bytes_written));
   if (normal != nullptr && normal->exec_time_s > 0) {
     cell.set("overhead_s", Value::number(result.exec_time_s - normal->exec_time_s));
     cell.set("overhead_pct",
              Value::number((result.exec_time_s / normal->exec_time_s - 1.0) * 100.0));
   }
+  cell.set("metrics", obs::metrics_to_json(harness::run_metrics(result)));
   return cell;
 }
 
@@ -142,6 +132,27 @@ std::vector<double> get_list_in(const util::Cli& cli, const std::string& key,
     }
   }
   return values;
+}
+
+void read_detector(const util::Cli& cli, chklib::membership::MembershipConfig& membership) {
+  using chklib::membership::Detector;
+  membership.detector = chklib::membership::parse_detector(cli.get("detector", "binary"));
+  if (membership.detector != Detector::kPhiAccrual) {
+    // A phi knob on the binary detector is a silently ignored flag waiting
+    // to mislead: reject it loudly.
+    for (const char* flag : {"phi-threshold", "phi-window"}) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --detector=phi (the binary "
+                                    "detector has no phi knobs)");
+      }
+    }
+    return;
+  }
+  const double threshold = cli.get_double("phi-threshold", 8.0, 0.0, 1e3);
+  if (threshold <= 0) throw std::invalid_argument("--phi-threshold must be positive");
+  membership.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
+  membership.accrual.window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1, 1024));
 }
 
 int bench_main(int argc, char** argv, int (*run)()) {

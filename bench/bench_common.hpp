@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,9 @@ using harness::BenchRow;
 using harness::ExperimentConfig;
 using harness::ExperimentResult;
 using harness::Scheme;
+
+/// Upper bound of a --seed flag (seeds are non-negative).
+inline constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
 
 /// The five schemes of the paper's Table 1, in its column order.
 [[nodiscard]] const std::vector<Scheme>& paper_schemes();
@@ -66,8 +70,9 @@ using CellConfigFn =
 /// digest_ok over every cell of every row (reports every mismatch).
 [[nodiscard]] bool digests_ok(const std::vector<RowResults>& rows);
 
-/// One cell's standard metrics as a JSON object, plus the determinism
-/// hash. `normal` adds the derived overhead fields when present.
+/// One cell as a JSON object: its scheme, determinism hash and
+/// harness::run_metrics snapshot. `normal` adds the derived overhead fields
+/// when present.
 [[nodiscard]] obs::json::Value result_to_json(const ExperimentResult& result,
                                               const ExperimentResult* normal);
 
@@ -85,6 +90,11 @@ void write_bench_json(const std::string& path, const obs::json::Value& doc);
 [[nodiscard]] std::vector<double> get_list_in(const util::Cli& cli, const std::string& key,
                                               const std::string& fallback, double lo,
                                               double hi);
+
+/// --detector=binary|phi and, for phi, --phi-threshold (phi units, > 0,
+/// default 8) and --phi-window (samples, default 32) into `membership`. A
+/// phi knob with the binary detector throws std::invalid_argument.
+void read_detector(const util::Cli& cli, chklib::membership::MembershipConfig& membership);
 
 /// main() of a bench that takes no flags: any flag is an error (exit 2);
 /// otherwise returns run()'s exit status.

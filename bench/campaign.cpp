@@ -75,69 +75,43 @@ int main(int argc, char** argv) try {
       cli.get_list<std::string>("apps", quick ? "SOR-384" : "SOR-384,NQUEENS-14");
   for (const std::string& label : app_labels) (void)harness::find_row(label);  // known apps only
   const std::vector<double> mtbf_fracs =
-      cli.get_list<double>("mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4");
-  const auto runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4));
+      bench::get_list_in(cli, "mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4", 1e-3, 1e3);
+  const auto runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4, 1, 1000));
   const auto max_failures =
-      static_cast<std::uint32_t>(cli.get_int("max-failures", 6));
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const auto checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 0));
-  const double intervals = cli.get_double("intervals", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+      static_cast<std::uint32_t>(cli.get_int("max-failures", 6, 0, 1000));
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
+  const auto checkpoints =
+      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
+  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const auto campaign_seed =
-      static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1));
+      static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1, 0, bench::kMaxSeed));
   chklib::LinkFaultConfig link_faults;
-  link_faults.drop = cli.get_prob("link-loss", 0.0);
-  link_faults.duplicate = cli.get_prob("link-dup", 0.0);
-  link_faults.corrupt = cli.get_prob("link-corrupt", 0.0);
-  link_faults.delay_prob = cli.get_prob("link-delay", 0.0);
-  link_faults.delay_mean_s = cli.get_nonneg_double("link-delay-mean", 1e-3);
+  link_faults.drop = cli.get_double("link-loss", 0.0, 0.0, 1.0);
+  link_faults.duplicate = cli.get_double("link-dup", 0.0, 0.0, 1.0);
+  link_faults.corrupt = cli.get_double("link-corrupt", 0.0, 0.0, 1.0);
+  link_faults.delay_prob = cli.get_double("link-delay", 0.0, 0.0, 1.0);
+  link_faults.delay_mean_s = cli.get_double("link-delay-mean", 1e-3, 0.0, 1e3);
   link_faults.validate();
   xplorer::StorageFaultConfig storage_faults;
-  const double io_error = cli.get_prob("io-error", 0.0);
+  const double io_error = cli.get_double("io-error", 0.0, 0.0, 1.0);
   storage_faults.write_error = io_error;
   storage_faults.read_error = io_error;
-  storage_faults.bitrot = cli.get_prob("bitrot", 0.0);
-  storage_faults.degrade_factor = cli.get_nonneg_double("io-degrade", 1.0);
+  storage_faults.bitrot = cli.get_double("bitrot", 0.0, 0.0, 1.0);
+  storage_faults.degrade_factor = cli.get_double("io-degrade", 1.0, 1.0, 1e3);
   storage_faults.validate();
-  const long depth = cli.get_int("keep-depth", 0);
-  if (depth < 0) throw std::invalid_argument("--keep-depth must be >= 0");
-  const auto keep_depth = static_cast<std::uint32_t>(depth);
+  const auto keep_depth = static_cast<std::uint32_t>(cli.get_int("keep-depth", 0, 0, 1000));
   std::optional<chklib::membership::MembershipConfig> membership;
-  const double detect_timeout = cli.get_nonneg_double("detect-timeout", 0.0);
-  const double hb_period = cli.get_nonneg_double("hb-period", 0.25);
-  const std::string detector_name = cli.get("detector", "binary");
-  const auto detector = chklib::membership::parse_detector(detector_name);
-  if (detector != chklib::membership::Detector::kPhiAccrual) {
-    // Same discipline as get_prob: a phi knob on the binary detector is a
-    // silently-ignored flag waiting to mislead — reject it loudly.
-    for (const char* flag : {"phi-threshold", "phi-window"}) {
-      if (cli.has(flag)) {
-        throw std::invalid_argument(std::string("--") + flag +
-                                    " needs --detector=phi (the binary "
-                                    "detector has no phi knobs)");
-      }
-    }
-  }
+  const double detect_timeout = cli.get_double("detect-timeout", 0.0, 0.0, 1e3);
+  const double hb_period = cli.get_double("hb-period", 0.25, 0.0, 1e3);
+  chklib::membership::MembershipConfig m;
+  bench::read_detector(cli, m);
   if (detect_timeout > 0) {
-    chklib::membership::MembershipConfig m;
     m.detect_timeout = des::Duration::seconds(detect_timeout);
     m.hb_period = des::Duration::seconds(hb_period);
-    m.detector = detector;
-    if (detector == chklib::membership::Detector::kPhiAccrual) {
-      const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
-      if (threshold <= 0) {
-        throw std::invalid_argument("--phi-threshold must be positive");
-      }
-      const long window = cli.get_int("phi-window", 32);
-      if (window <= 0) {
-        throw std::invalid_argument("--phi-window must be positive");
-      }
-      m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-      m.accrual.window = static_cast<std::uint32_t>(window);
-    }
     m.validate(nodes);
     membership = m;
-  } else if (cli.has("detector") && detector_name != "binary") {
+  } else if (m.detector == chklib::membership::Detector::kPhiAccrual) {
     throw std::invalid_argument(
         "--detector=phi needs --detect-timeout > 0 to arm the membership "
         "service (the detector has nothing to run on otherwise)");

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <chrono>  // chklint:allow(no-ambient-nondeterminism): wall-clock events/sec is the measurement; none of it reaches the JSON artifact.
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,15 +170,13 @@ int main(int argc, char** argv) try {
   const std::vector<std::size_t> ranks =
       get_sizes(cli, "ranks", quick ? "8,64" : "8,64,256", 2, 4096);
   const std::vector<std::size_t> churns = get_sizes(cli, "churn", "0,8", 0, 1024);
-  const auto iters = static_cast<std::size_t>(
-      cli.get_int("iters", quick ? 60 : 300));
-  const auto payload = static_cast<std::size_t>(cli.get_int("payload", 32));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const auto iters =
+      static_cast<std::size_t>(cli.get_int("iters", quick ? 60 : 300, 1, 1'000'000));
+  const auto payload = static_cast<std::size_t>(cli.get_int("payload", 32, 0, 4096));
+  const auto seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", 2026, 0, std::numeric_limits<std::int64_t>::max()));
   const std::string json_out = cli.get("json-out", "BENCH_kernel.json");
   cli.reject_unread();
-  if (iters < 1 || payload > 4096) {
-    throw std::invalid_argument("--iters >= 1, --payload <= 4096");
-  }
 
   struct Row {
     CellConfig config;

@@ -35,11 +35,10 @@ obs::json::Value scheme_json(const harness::ExperimentResult& result,
   using obs::json::Value;
   Value entry = Value::object();
   entry.set("scheme", Value::string(std::string(to_string(result.scheme))));
-  entry.set("exec_time_s", Value::number(result.exec_time_s));
   entry.set("overhead_s", Value::number(result.exec_time_s - normal.exec_time_s));
   entry.set("trace_hash", Value::string(util::format("{:016x}", result.trace_hash)));
-  entry.set("trace_events", Value::number(std::uint64_t{result.obs->trace.events.size()}));
   entry.set("attribution", obs::attribution_to_json(result.obs->attribution));
+  entry.set("metrics", obs::metrics_to_json(result.obs->metrics));
   return entry;
 }
 
@@ -51,15 +50,15 @@ int main(int argc, char** argv) try {
   harness::ExperimentConfig base;
   base.label = "SOR";
   base.app = apps::make_sor({
-      .n = static_cast<std::size_t>(cli.get_int("n", 256)),
-      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 60)),
+      .n = static_cast<std::size_t>(cli.get_int("n", 256, 1, 4096)),
+      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 60, 1, 1'000'000)),
   });
-  base.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  base.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
+  base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3, 0, 1'000'000));
+  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   base.observe = true;
   const bool fixed_interval = cli.has("interval-s");
-  const double interval_s = cli.get_double("interval-s", 30.0);
+  const double interval_s = cli.get_double("interval-s", 30.0, 1e-3, 1e6);
   const std::string trace_scheme = cli.get("trace-scheme", "Coord_NBM");
   const std::string trace_out = cli.get("trace-out", "");
   const std::string metrics_out = cli.get("metrics-out", "");

@@ -95,40 +95,23 @@ int main(int argc, char** argv) try {
     }
   } else {
     chklib::membership::MembershipConfig m;
-    m.detector = chklib::membership::parse_detector(cli.get("detector", "binary"));
-    if (m.detector != chklib::membership::Detector::kPhiAccrual) {
-      for (const char* flag : {"phi-threshold", "phi-window"}) {
-        if (cli.has(flag)) {
-          throw std::invalid_argument(std::string("--") + flag +
-                                      " needs --detector=phi (the binary "
-                                      "detector has no phi knobs)");
-        }
-      }
-    } else {
-      const double threshold = cli.get_nonneg_double("phi-threshold", 8.0);
-      if (threshold <= 0) throw std::invalid_argument("--phi-threshold must be positive");
-      const long window = cli.get_int("phi-window", 32);
-      if (window <= 0) throw std::invalid_argument("--phi-window must be positive");
-      m.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-      m.accrual.window = static_cast<std::uint32_t>(window);
-    }
+    bench::read_detector(cli, m);
     // Aggressive by default: the svc horizon is seconds, so detection at
     // the lax 2 s default would dominate every faulty cell's tail. The
     // links are clean here — storms need loss — so 0.6 s is safe.
-    m.detect_timeout = des::Duration::seconds(cli.get_nonneg_double("detect-timeout", 0.6));
-    m.hb_period = des::Duration::seconds(cli.get_nonneg_double("hb-period", 0.25));
+    m.detect_timeout =
+        des::Duration::seconds(cli.get_double("detect-timeout", 0.6, 0.0, 1e3));
+    m.hb_period = des::Duration::seconds(cli.get_double("hb-period", 0.25, 0.0, 1e3));
     membership = m;
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
-  const double horizon = cli.get_double("horizon", 4.0);
-  const double interval = cli.get_double("interval", 0.8);
-  const auto max_failures = static_cast<std::uint32_t>(cli.get_int("max-failures", 2));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 64));
+  const double horizon = cli.get_double("horizon", 4.0, 1e-3, 1e3);
+  const double interval = cli.get_double("interval", 0.8, 1e-3, 1e3);
+  const auto max_failures =
+      static_cast<std::uint32_t>(cli.get_int("max-failures", 2, 0, 1000));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_svc.json");
   cli.reject_unread();
-  if (nodes < 1 || nodes > 64 || horizon <= 0 || interval <= 0) {
-    throw std::invalid_argument("--nodes in [1,64], --horizon/--interval > 0");
-  }
   if (membership.has_value()) membership->validate(nodes);
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
@@ -337,7 +320,6 @@ int main(int argc, char** argv) try {
         const obs::HistogramSnapshot snap = latency_snapshot(cell.metrics);
         Value cv = Value::object();
         cv.set("scheme", Value::string(std::string(to_string(cell.result.scheme))));
-        cv.set("exec_s", Value::number(cell.result.exec_time_s));
         cv.set("issued", Value::number(cell.metrics.issued));
         cv.set("completed", Value::number(cell.metrics.completed));
         cv.set("hits", Value::number(cell.metrics.hits));
@@ -360,17 +342,14 @@ int main(int argc, char** argv) try {
         // Recovery-downtime windows: when each failure hit and how long the
         // service was down until every process was restarted.
         Value recoveries = Value::array();
-        double downtime = 0;
         for (const harness::RecoveryReport& rec : cell.result.recoveries) {
           Value rv = Value::object();
           rv.set("failed_at_s", Value::number(rec.failed_at.to_seconds()));
           rv.set("failed_rank", Value::number(std::uint64_t{rec.failed_rank}));
           rv.set("downtime_s", Value::number(rec.recovery_latency.to_seconds()));
           recoveries.push_back(std::move(rv));
-          downtime += rec.recovery_latency.to_seconds();
         }
         cv.set("recoveries", std::move(recoveries));
-        cv.set("downtime_total_s", Value::number(downtime));
         // The measured checkpoint-image curve: the shard grows and shrinks
         // with the put/delete mix, so bytes per capture is data, not a
         // constant.
@@ -385,21 +364,8 @@ int main(int argc, char** argv) try {
           images.push_back(std::move(iv));
         }
         cv.set("image_log", std::move(images));
-        cv.set("bytes_written", Value::number(cell.result.bytes_written));
-        cv.set("local_checkpoints", Value::number(cell.result.local_checkpoints));
-        cv.set("committed_rounds", Value::number(std::uint64_t{cell.result.committed_rounds}));
-        if (membership.has_value()) {
-          cv.set("heartbeats_sent", Value::number(cell.result.heartbeats_sent));
-          cv.set("suspicions", Value::number(cell.result.suspicions));
-          cv.set("suspicions_cleared", Value::number(cell.result.suspicions_cleared));
-          cv.set("views_established", Value::number(cell.result.views_established));
-          cv.set("evictions", Value::number(cell.result.evictions));
-          cv.set("wrongful_evictions", Value::number(cell.result.wrongful_evictions));
-          cv.set("detections", Value::number(cell.result.detections));
-          cv.set("membership_crashes", Value::number(cell.result.membership_crashes));
-        }
         cv.set("digest_ok", Value::boolean(cell.result.digest == references[r]));
-        cv.set("invariant_violations", Value::number(cell.result.invariant_violations));
+        cv.set("metrics", obs::metrics_to_json(harness::run_metrics(cell.result)));
         cell_array.push_back(std::move(cv));
       }
       entry.set("cells", std::move(cell_array));
@@ -413,16 +379,9 @@ int main(int argc, char** argv) try {
       const obs::HistogramSnapshot snap = latency_snapshot(cell.metrics);
       Value kv = Value::object();
       kv.set("scheme", Value::string(std::string(to_string(cell.result.scheme))));
-      kv.set("exec_s", Value::number(cell.result.exec_time_s));
       kv.set("lat_p50_s", Value::number(obs::histogram_quantile(snap, 0.50)));
       kv.set("lat_p99_s", Value::number(obs::histogram_quantile(snap, 0.99)));
       kv.set("lat_p999_s", Value::number(obs::histogram_quantile(snap, 0.999)));
-      kv.set("views_established", Value::number(cell.result.views_established));
-      kv.set("evictions", Value::number(cell.result.evictions));
-      kv.set("wrongful_evictions", Value::number(cell.result.wrongful_evictions));
-      kv.set("detections", Value::number(cell.result.detections));
-      kv.set("membership_crashes", Value::number(cell.result.membership_crashes));
-      kv.set("forced_recoveries", Value::number(cell.result.forced_recoveries));
       Value lats = Value::array();
       for (const std::int64_t ns : cell.result.detection_latency_ns) {
         lats.push_back(Value::number(static_cast<double>(ns) * 1e-9));
@@ -434,7 +393,7 @@ int main(int argc, char** argv) try {
                                : 0.0));
       kv.set("partition_exact", Value::boolean(partition_exact(cell)));
       kv.set("digest_ok", Value::boolean(cell.result.digest == references.front()));
-      kv.set("invariant_violations", Value::number(cell.result.invariant_violations));
+      kv.set("metrics", obs::metrics_to_json(harness::run_metrics(cell.result)));
       kill_array.push_back(std::move(kv));
     }
     doc.set("coordinator_kill", std::move(kill_array));

@@ -62,8 +62,9 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   harness::ExperimentConfig config;
   config.label = "PI";
-  config.app = make_pi_app(static_cast<std::uint64_t>(cli.get_int("slices", 2'000'000)),
-                           static_cast<std::uint32_t>(cli.get_int("chunks", 50)));
+  config.app =
+      make_pi_app(static_cast<std::uint64_t>(cli.get_int("slices", 2'000'000, 1, 1'000'000'000)),
+                  static_cast<std::uint32_t>(cli.get_int("chunks", 50, 1, 1'000'000)));
   config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBM"));
   config.verify = util::verify_requested(cli);
   cli.reject_unread();

@@ -59,7 +59,7 @@ void describe(const char* label, const harness::ExperimentResult& result) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const double fail_frac = cli.get_double("fail-at-frac", 0.8);
+  const double fail_frac = cli.get_double("fail-at-frac", 0.8, 0.0, 0.99);
   const bool verify = util::verify_requested(cli);
   cli.reject_unread();
 

@@ -16,12 +16,12 @@
 int main(int argc, char** argv) try {
   using namespace chk;
   const util::Cli cli(argc, argv);
-  const double fail_frac = cli.get_double("fail-at-frac", 0.6);
-  const auto fail_rank = static_cast<chklib::Rank>(cli.get_int("fail-rank", 3));
-
   harness::ExperimentConfig config;
+  const double fail_frac = cli.get_double("fail-at-frac", 0.6, 0.0, 0.99);
+  const auto fail_rank = static_cast<chklib::Rank>(cli.get_int(
+      "fail-rank", 3, 0, static_cast<std::int64_t>(config.machine.num_nodes) - 1));
   config.label = "ASP";
-  config.app = apps::make_asp({.n = static_cast<std::size_t>(cli.get_int("n", 256))});
+  config.app = apps::make_asp({.n = static_cast<std::size_t>(cli.get_int("n", 256, 1, 4096))});
   config.scheme = harness::Scheme::kCoordNB;
   config.checkpoints = 0;  // periodic until the run completes
   config.verify = util::verify_requested(cli);

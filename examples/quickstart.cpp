@@ -26,15 +26,15 @@ int main(int argc, char** argv) try {
   harness::ExperimentConfig config;
   config.label = "SOR";
   config.app = apps::make_sor({
-      .n = static_cast<std::size_t>(cli.get_int("n", 512)),
-      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 100)),
+      .n = static_cast<std::size_t>(cli.get_int("n", 512, 1, 4096)),
+      .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 100, 1, 1'000'000)),
   });
   config.scheme = chklib::scheme_from_string(cli.get("scheme", "Coord_NBMS"));
-  config.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3));
-  config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8));
+  config.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3, 0, 1'000'000));
+  config.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
   config.verify = util::verify_requested(cli);
   const bool fixed_interval = cli.has("interval-s");
-  const double interval_s = cli.get_double("interval-s", 30.0);
+  const double interval_s = cli.get_double("interval-s", 30.0, 1e-3, 1e6);
   const std::string trace_out = cli.get("trace-out", "");
   const std::string metrics_out = cli.get("metrics-out", "");
   cli.reject_unread();

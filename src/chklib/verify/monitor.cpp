@@ -35,63 +35,59 @@ void Monitor::uninstall() {
 }
 
 void Monitor::on_transmit(const Envelope& env) {
-  if (opt_.check_fifo) {
-    sink_.note_check();
-    ChannelState& ch = channel(env.src, env.dst);
-    if (!ch.tx_seen) {
-      ch.tx_seen = true;
-      ch.tx_base = env.seq;
-      ch.tx_next = env.seq;
-    }
-    if (env.seq != ch.tx_next) {
-      sink_.report("fifo", env.src,
-                   util::format("channel {}->{}: transmitted seq {} but expected {} "
-                                "(sends must be dense and monotone)",
-                                env.src, env.dst, env.seq, ch.tx_next));
-    }
-    ch.tx_next = env.seq + 1;
-    ++ch.tx_count;
+  sink_.note_check();
+  ChannelState& ch = channel(env.src, env.dst);
+  if (!ch.tx_seen) {
+    ch.tx_seen = true;
+    ch.tx_base = env.seq;
+    ch.tx_next = env.seq;
   }
-  if (opt_.check_epoch) {
-    sink_.note_check();
-    auto [it, inserted] = last_tx_epoch_.try_emplace(env.src, env.epoch);
-    if (!inserted) {
-      if (env.epoch < it->second) {
-        sink_.report("epoch", env.src,
-                     util::format("sender {} stamped epoch {} after already sending epoch {}",
-                                  env.src, env.epoch, it->second));
-      }
-      it->second = std::max(it->second, env.epoch);
+  if (env.seq != ch.tx_next) {
+    sink_.report("fifo", env.src,
+                 util::format("channel {}->{}: transmitted seq {} but expected {} "
+                              "(sends must be dense and monotone)",
+                              env.src, env.dst, env.seq, ch.tx_next));
+  }
+  ch.tx_next = env.seq + 1;
+  ++ch.tx_count;
+
+  sink_.note_check();
+  auto [it, inserted] = last_tx_epoch_.try_emplace(env.src, env.epoch);
+  if (!inserted) {
+    if (env.epoch < it->second) {
+      sink_.report("epoch", env.src,
+                   util::format("sender {} stamped epoch {} after already sending epoch {}",
+                                env.src, env.epoch, it->second));
     }
+    it->second = std::max(it->second, env.epoch);
   }
 }
 
 void Monitor::on_endpoint_arrival(const Envelope& env) {
   ChannelState& ch = channel(env.src, env.dst);
-  if (opt_.check_fifo) {
-    sink_.note_check();
-    if (ch.tx_seen && env.seq >= ch.tx_next) {
-      sink_.report("fifo", env.dst,
-                   util::format("channel {}->{}: seq {} arrived but only seqs below {} "
-                                "were ever transmitted",
-                                env.src, env.dst, env.seq, ch.tx_next));
-    }
-    // Within an incarnation nothing is dropped and FIFO order holds, so
-    // the arrival stream must replay the transmission stream exactly.
-    if (ch.rx_seen || ch.tx_seen) {
-      const std::uint64_t expected = ch.rx_seen ? ch.rx_next : ch.tx_base;
-      if (env.seq != expected) {
-        sink_.report(
-            "fifo", env.dst,
-            util::format("channel {}->{}: seq {} arrived but expected {} ({})", env.src,
-                         env.dst, env.seq, expected,
-                         env.seq > expected ? "message lost" : "duplicated or reordered"));
-      }
-    }
-    ch.rx_seen = true;
-    ch.rx_next = env.seq + 1;
-    ++ch.rx_count;
+  sink_.note_check();
+  if (ch.tx_seen && env.seq >= ch.tx_next) {
+    sink_.report("fifo", env.dst,
+                 util::format("channel {}->{}: seq {} arrived but only seqs below {} "
+                              "were ever transmitted",
+                              env.src, env.dst, env.seq, ch.tx_next));
   }
+  // Within an incarnation nothing is dropped and FIFO order holds, so
+  // the arrival stream must replay the transmission stream exactly.
+  if (ch.rx_seen || ch.tx_seen) {
+    const std::uint64_t expected = ch.rx_seen ? ch.rx_next : ch.tx_base;
+    if (env.seq != expected) {
+      sink_.report(
+          "fifo", env.dst,
+          util::format("channel {}->{}: seq {} arrived but expected {} ({})", env.src,
+                       env.dst, env.seq, expected,
+                       env.seq > expected ? "message lost" : "duplicated or reordered"));
+    }
+  }
+  ch.rx_seen = true;
+  ch.rx_next = env.seq + 1;
+  ++ch.rx_count;
+
   if (opt_.check_quiescence) {
     sink_.note_check();
     if (ch.marker_epoch > 0 && env.epoch < ch.marker_epoch) {
@@ -105,20 +101,19 @@ void Monitor::on_endpoint_arrival(const Envelope& env) {
 }
 
 void Monitor::on_consume(Rank dst, const Envelope& env) {
-  if (opt_.check_consume) {
-    sink_.note_check();
-    ConsumeState& cs = consumed_[{dst, env.src}];
-    if (env.seq < cs.upto || cs.extra.contains(env.seq)) {
-      sink_.report("consume", dst,
-                   util::format("channel {}->{}: seq {} consumed twice", env.src, dst,
-                                env.seq));
-    } else if (env.seq == cs.upto) {
-      ++cs.upto;
-      while (cs.extra.erase(cs.upto) > 0) ++cs.upto;
-    } else {
-      cs.extra.insert(env.seq);
-    }
+  sink_.note_check();
+  ConsumeState& cs = consumed_[{dst, env.src}];
+  if (env.seq < cs.upto || cs.extra.contains(env.seq)) {
+    sink_.report("consume", dst,
+                 util::format("channel {}->{}: seq {} consumed twice", env.src, dst,
+                              env.seq));
+  } else if (env.seq == cs.upto) {
+    ++cs.upto;
+    while (cs.extra.erase(cs.upto) > 0) ++cs.upto;
+  } else {
+    cs.extra.insert(env.seq);
   }
+
   if (opt_.check_quiescence) {
     sink_.note_check();
     if (rt_->comm().endpoint(dst).gate().frozen()) {

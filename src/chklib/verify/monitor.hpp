@@ -49,12 +49,10 @@ namespace chk::chklib::verify {
 
 class Monitor final : public InvariantObserver {
  public:
+  /// The fifo, epoch and consume checks always run; these select the rest.
   struct Options {
     Scheme scheme = Scheme::kNone;
     Policy policy = default_policy();
-    bool check_fifo = true;
-    bool check_epoch = true;
-    bool check_consume = true;
     /// Default: armed automatically for coordinated schemes.
     bool check_quiescence = false;
     /// Default: armed automatically for staggered schemes.

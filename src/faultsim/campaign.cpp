@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "obs/export.hpp"
 #include "util/format.hpp"
 
 namespace chk::faultsim {
@@ -32,53 +33,12 @@ RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index) {
   }
   experiment.keep_depth = config.keep_depth;
 
-  const harness::ExperimentResult result = harness::run_experiment(experiment);
-
   RunOutcome outcome;
   outcome.run = run_index;
-  outcome.completion_s = result.exec_time_s;
-  outcome.trace_hash = result.trace_hash;
-  outcome.failures = result.injections.injected;
-  outcome.mid_write_failures = result.injections.mid_write;
-  outcome.overlap_failures = result.injections.during_recovery;
-  outcome.writes_discarded = result.writes_discarded;
-  for (const harness::RecoveryReport& rep : result.recoveries) {
-    if (rep.interrupted) {
-      ++outcome.interrupted_recoveries;
-    } else {
-      ++outcome.recoveries;
-    }
-    outcome.recovery_time_s += rep.recovery_latency.to_seconds();
-    outcome.bytes_read += rep.bytes_read;
-    outcome.bytes_reread += rep.bytes_reread;
-    for (std::uint32_t depth : rep.domino_depth) {
-      outcome.max_domino_depth = std::max(outcome.max_domino_depth, depth);
-    }
-    outcome.rolled_to_origin = outcome.rolled_to_origin || rep.rolled_to_origin;
-  }
-  outcome.digest_ok = result.digest.has_value() &&
+  outcome.result = harness::run_experiment(experiment);
+  outcome.digest_ok = outcome.result.digest.has_value() &&
                       (!config.expected_digest.has_value() ||
-                       *result.digest == *config.expected_digest);
-  outcome.retransmits = result.retransmits;
-  outcome.dups_suppressed = result.dups_suppressed;
-  outcome.corrupt_detected = result.corrupt_detected;
-  outcome.link_drops = result.link_drops;
-  outcome.aborted_rounds = result.aborted_rounds;
-  outcome.io_write_errors = result.io_write_errors;
-  outcome.io_read_errors = result.io_read_errors;
-  outcome.bitrot_injected = result.bitrot_injected;
-  outcome.storage_retries = result.storage_retries;
-  outcome.storage_write_failures = result.storage_write_failures;
-  outcome.ckpt_write_failures = result.ckpt_write_failures;
-  outcome.corrupt_discarded = result.corrupt_discarded;
-  outcome.generations_skipped = result.generations_skipped;
-  outcome.reclaimed_bytes = result.reclaimed_bytes;
-  outcome.views_established = result.views_established;
-  outcome.evictions = result.evictions;
-  outcome.wrongful_evictions = result.wrongful_evictions;
-  outcome.rejoins = result.rejoins;
-  outcome.suspicions_cleared = result.suspicions_cleared;
-  outcome.detections = result.detections;
+                       *outcome.result.digest == *config.expected_digest);
   return outcome;
 }
 
@@ -99,14 +59,21 @@ CampaignSummary summarize(const std::vector<RunOutcome>& outcomes) {
   s.min_completion_s = std::numeric_limits<double>::infinity();
   s.all_verified = true;
   for (const RunOutcome& o : outcomes) {
-    s.mean_completion_s += o.completion_s;
-    s.min_completion_s = std::min(s.min_completion_s, o.completion_s);
-    s.max_completion_s = std::max(s.max_completion_s, o.completion_s);
-    s.mean_recovery_time_s += o.recovery_time_s;
-    s.total_failures += o.failures;
-    s.total_mid_write += o.mid_write_failures;
-    s.total_overlap += o.overlap_failures;
-    s.total_interrupted += o.interrupted_recoveries;
+    const harness::ExperimentResult& r = o.result;
+    s.mean_completion_s += r.exec_time_s;
+    s.min_completion_s = std::min(s.min_completion_s, r.exec_time_s);
+    s.max_completion_s = std::max(s.max_completion_s, r.exec_time_s);
+    // Per-run sum first, so the mean adds the same partial sums as the
+    // run's recovery/latency_total_s metric.
+    double recovery_time_s = 0;
+    for (const harness::RecoveryReport& rep : r.recoveries) {
+      recovery_time_s += rep.recovery_latency.to_seconds();
+      s.total_interrupted += rep.interrupted ? 1 : 0;
+    }
+    s.mean_recovery_time_s += recovery_time_s;
+    s.total_failures += r.injections.injected;
+    s.total_mid_write += r.injections.mid_write;
+    s.total_overlap += r.injections.during_recovery;
     s.all_verified = s.all_verified && o.digest_ok;
   }
   s.mean_completion_s /= s.runs;
@@ -118,40 +85,9 @@ obs::json::Value outcome_to_json(const RunOutcome& o) {
   using obs::json::Value;
   Value v = Value::object();
   v.set("run", Value::number(std::uint64_t{o.run}));
-  v.set("completion_s", Value::number(o.completion_s));
-  v.set("trace_hash", Value::string(util::format("{:016x}", o.trace_hash)));
-  v.set("failures", Value::number(std::uint64_t{o.failures}));
-  v.set("mid_write_failures", Value::number(std::uint64_t{o.mid_write_failures}));
-  v.set("overlap_failures", Value::number(std::uint64_t{o.overlap_failures}));
-  v.set("recoveries", Value::number(std::uint64_t{o.recoveries}));
-  v.set("interrupted_recoveries", Value::number(std::uint64_t{o.interrupted_recoveries}));
-  v.set("recovery_time_s", Value::number(o.recovery_time_s));
-  v.set("bytes_read", Value::number(o.bytes_read));
-  v.set("bytes_reread", Value::number(o.bytes_reread));
-  v.set("writes_discarded", Value::number(o.writes_discarded));
-  v.set("max_domino_depth", Value::number(std::uint64_t{o.max_domino_depth}));
-  v.set("rolled_to_origin", Value::boolean(o.rolled_to_origin));
+  v.set("trace_hash", Value::string(util::format("{:016x}", o.result.trace_hash)));
   v.set("digest_ok", Value::boolean(o.digest_ok));
-  v.set("retransmits", Value::number(o.retransmits));
-  v.set("dups_suppressed", Value::number(o.dups_suppressed));
-  v.set("corrupt_detected", Value::number(o.corrupt_detected));
-  v.set("link_drops", Value::number(o.link_drops));
-  v.set("aborted_rounds", Value::number(std::uint64_t{o.aborted_rounds}));
-  v.set("io_write_errors", Value::number(o.io_write_errors));
-  v.set("io_read_errors", Value::number(o.io_read_errors));
-  v.set("bitrot_injected", Value::number(o.bitrot_injected));
-  v.set("storage_retries", Value::number(o.storage_retries));
-  v.set("storage_write_failures", Value::number(o.storage_write_failures));
-  v.set("ckpt_write_failures", Value::number(o.ckpt_write_failures));
-  v.set("corrupt_discarded", Value::number(o.corrupt_discarded));
-  v.set("generations_skipped", Value::number(std::uint64_t{o.generations_skipped}));
-  v.set("reclaimed_bytes", Value::number(o.reclaimed_bytes));
-  v.set("views_established", Value::number(o.views_established));
-  v.set("evictions", Value::number(o.evictions));
-  v.set("wrongful_evictions", Value::number(o.wrongful_evictions));
-  v.set("rejoins", Value::number(o.rejoins));
-  v.set("suspicions_cleared", Value::number(o.suspicions_cleared));
-  v.set("detections", Value::number(o.detections));
+  v.set("metrics", obs::metrics_to_json(harness::run_metrics(o.result)));
   return v;
 }
 

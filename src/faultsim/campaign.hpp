@@ -54,46 +54,13 @@ struct CampaignConfig {
   std::optional<double> expected_digest;
 };
 
-/// Per-run outcome, condensed from the ExperimentResult + recovery reports.
+/// One campaign run: its index, whether it reproduced the expected digest,
+/// and the experiment's full result (harness::run_metrics names its
+/// counters).
 struct RunOutcome {
   std::uint32_t run = 0;
-  double completion_s = 0;
-  std::uint64_t trace_hash = 0;
-  std::uint32_t failures = 0;            ///< injected strikes
-  std::uint32_t mid_write_failures = 0;  ///< strikes with writes in flight
-  std::uint32_t overlap_failures = 0;    ///< strikes during a restore
-  std::uint32_t recoveries = 0;          ///< completed restores
-  std::uint32_t interrupted_recoveries = 0;
-  double recovery_time_s = 0;  ///< summed recovery latencies (incl. partial)
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_reread = 0;
-  std::uint64_t writes_discarded = 0;
-  std::uint32_t max_domino_depth = 0;
-  bool rolled_to_origin = false;  ///< any recovery fell back to the initial state
   bool digest_ok = false;
-  // Link-fault / transport activity (zero when the campaign has no link faults).
-  std::uint64_t retransmits = 0;
-  std::uint64_t dups_suppressed = 0;
-  std::uint64_t corrupt_detected = 0;
-  std::uint64_t link_drops = 0;
-  std::uint32_t aborted_rounds = 0;
-  // Stable-storage fault activity (zero when the campaign has no storage faults).
-  std::uint64_t io_write_errors = 0;
-  std::uint64_t io_read_errors = 0;
-  std::uint64_t bitrot_injected = 0;
-  std::uint64_t storage_retries = 0;
-  std::uint64_t storage_write_failures = 0;
-  std::uint64_t ckpt_write_failures = 0;
-  std::uint64_t corrupt_discarded = 0;
-  std::uint32_t generations_skipped = 0;  ///< recovery fallbacks to an older generation
-  std::uint64_t reclaimed_bytes = 0;
-  // Cluster-membership activity (zero when the campaign has no membership).
-  std::uint64_t views_established = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t wrongful_evictions = 0;
-  std::uint64_t rejoins = 0;
-  std::uint64_t suspicions_cleared = 0;
-  std::uint64_t detections = 0;
+  harness::ExperimentResult result;
 };
 
 struct CampaignSummary {
@@ -125,7 +92,8 @@ struct CampaignResult {
 
 [[nodiscard]] CampaignSummary summarize(const std::vector<RunOutcome>& outcomes);
 
-/// Deterministic JSON for one campaign (fixed key order, no wall-clock).
+/// Deterministic JSON for one campaign (fixed key order, no wall-clock):
+/// a run is {run, trace_hash, digest_ok, metrics}.
 [[nodiscard]] obs::json::Value outcome_to_json(const RunOutcome& outcome);
 [[nodiscard]] obs::json::Value summary_to_json(const CampaignSummary& summary);
 

@@ -14,19 +14,27 @@ namespace chk::harness {
 
 namespace {
 
-/// Publish the run's results and the overhead attribution into a typed
-/// registry: everything the JSON exports and the CI schema check consume.
-obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData& data) {
-  obs::Registry reg;
+/// Log-histogram exponents for membership detection latency: 2^20 ns
+/// (~1 ms) .. 2^34 ns (~17 s), wide enough for aggressive phi thresholds
+/// and the laxest deadman alike.
+constexpr int kDetectLatMinExp = 20;
+constexpr int kDetectLatMaxExp = 34;
+
+/// Publish every scalar of the run's result into `reg`.
+void publish_result(const ExperimentResult& result, obs::Registry& reg) {
   reg.counter("run/events").set(result.events);
-  reg.counter("run/trace_events").set(data.trace.events.size());
   reg.counter("comm/app_messages").set(result.app_messages);
   reg.counter("comm/app_bytes").set(result.app_bytes);
   reg.counter("comm/control_messages").set(result.control_messages);
   reg.counter("comm/control_bytes").set(result.control_bytes);
+  reg.counter("comm/checkpoint_bytes").set(result.checkpoint_net_bytes);
   reg.counter("ckpt/local_checkpoints").set(result.local_checkpoints);
   reg.counter("ckpt/committed_rounds").set(result.committed_rounds);
+  reg.counter("ckpt/gc_reclaimed").set(result.gc_reclaimed);
   reg.counter("ckpt/bytes_written").set(result.bytes_written);
+  reg.counter("storage/peak_bytes").set(result.peak_storage_bytes);
+  reg.counter("storage/final_bytes").set(result.final_storage_bytes);
+  reg.counter("storage/final_checkpoints").set(result.final_stored_checkpoints);
 
   reg.gauge("run/exec_time_s").set(result.exec_time_s);
   reg.gauge("overhead/app_blocked_s").set(result.app_blocked_s);
@@ -34,21 +42,13 @@ obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData
   reg.gauge("overhead/frozen_stall_s").set(result.frozen_stall_s);
   reg.gauge("storage/disk_busy_s").set(result.disk_busy_s);
   reg.gauge("storage/disk_wait_s").set(result.disk_wait_s);
+  reg.gauge("storage/host_link_busy_s").set(result.host_link_busy_s);
+  reg.gauge("comm/link_busy_s").set(result.link_busy_s);
 
-  const obs::RankBuckets& total = data.attribution.total;
-  reg.gauge("attrib/sync_wait_s").set(total.sync_wait_s);
-  reg.gauge("attrib/mem_copy_s").set(total.mem_copy_s);
-  reg.gauge("attrib/stable_write_s").set(total.stable_write_s);
-  reg.gauge("attrib/storage_contention_s").set(total.storage_contention_s);
-  reg.gauge("attrib/logging_s").set(total.logging_s);
-  reg.gauge("attrib/frozen_stall_s").set(total.frozen_stall_s);
-  reg.gauge("attrib/interference_s").set(total.interference_s);
-  reg.gauge("attrib/recovery_s").set(total.recovery_s);
-  reg.gauge("attrib/retransmit_wait_s").set(total.retransmit_wait_s);
-  reg.gauge("attrib/storage_retry_wait_s").set(total.storage_retry_wait_s);
-  reg.gauge("attrib/svc_queue_wait_s").set(total.svc_queue_wait_s);
-  reg.gauge("attrib/membership_wait_s").set(total.membership_wait_s);
-  reg.gauge("attrib/total_s").set(total.total_s());
+  // Invariant monitor (all zero unless config.verify).
+  reg.counter("verify/checks").set(result.invariant_checks);
+  reg.counter("verify/violations").set(result.invariant_violations);
+  reg.counter("verify/in_flight_at_end").set(result.messages_in_flight_at_end);
 
   // Transport / link-fault counters (all zero with faults off).
   reg.counter("comm/retransmits").set(result.retransmits);
@@ -94,15 +94,26 @@ obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData
   reg.counter("recovery/generations_skipped").set(result.generations_skipped);
   reg.gauge("storage/retry_wait_s").set(result.storage_retry_wait_s);
 
+  // Fault injection (all zero unless config.faults).
+  reg.counter("faults/injected").set(result.injections.injected);
+  reg.counter("faults/mid_write").set(result.injections.mid_write);
+  reg.counter("faults/during_recovery").set(result.injections.during_recovery);
+
   // Recovery outcome counters (all zero in failure-free runs).
   std::uint64_t interrupted = 0;
   std::uint64_t mid_write = 0;
+  bool rolled_to_origin = false;  // any recovery fell back to the initial state
+  std::uint64_t max_domino_depth = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_reread = 0;
   double latency_s = 0;
   for (const RecoveryReport& rep : result.recoveries) {
     interrupted += rep.interrupted ? 1 : 0;
     mid_write += rep.mid_write ? 1 : 0;
+    rolled_to_origin = rolled_to_origin || rep.rolled_to_origin;
+    for (const std::uint32_t depth : rep.domino_depth) {
+      max_domino_depth = std::max<std::uint64_t>(max_domino_depth, depth);
+    }
     bytes_read += rep.bytes_read;
     bytes_reread += rep.bytes_reread;
     latency_s += rep.recovery_latency.to_seconds();
@@ -110,10 +121,33 @@ obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData
   reg.counter("recovery/failures").set(result.recoveries.size());
   reg.counter("recovery/interrupted").set(interrupted);
   reg.counter("recovery/mid_write").set(mid_write);
+  reg.counter("recovery/rolled_to_origin").set(rolled_to_origin ? 1 : 0);
+  reg.counter("recovery/max_domino_depth").set(max_domino_depth);
   reg.counter("recovery/bytes_read").set(bytes_read);
   reg.counter("recovery/bytes_reread").set(bytes_reread);
   reg.counter("recovery/writes_discarded").set(result.writes_discarded);
   reg.gauge("recovery/latency_total_s").set(latency_s);
+}
+
+/// Publish what only an observed run has: the trace's event count and
+/// checkpoint windows and the per-rank overhead attribution.
+void publish_trace(const ObsData& data, obs::Registry& reg) {
+  reg.counter("run/trace_events").set(data.trace.events.size());
+
+  const obs::RankBuckets& total = data.attribution.total;
+  reg.gauge("attrib/sync_wait_s").set(total.sync_wait_s);
+  reg.gauge("attrib/mem_copy_s").set(total.mem_copy_s);
+  reg.gauge("attrib/stable_write_s").set(total.stable_write_s);
+  reg.gauge("attrib/storage_contention_s").set(total.storage_contention_s);
+  reg.gauge("attrib/logging_s").set(total.logging_s);
+  reg.gauge("attrib/frozen_stall_s").set(total.frozen_stall_s);
+  reg.gauge("attrib/interference_s").set(total.interference_s);
+  reg.gauge("attrib/recovery_s").set(total.recovery_s);
+  reg.gauge("attrib/retransmit_wait_s").set(total.retransmit_wait_s);
+  reg.gauge("attrib/storage_retry_wait_s").set(total.storage_retry_wait_s);
+  reg.gauge("attrib/svc_queue_wait_s").set(total.svc_queue_wait_s);
+  reg.gauge("attrib/membership_wait_s").set(total.membership_wait_s);
+  reg.gauge("attrib/total_s").set(total.total_s());
 
   auto& windows = reg.histogram("ckpt/window_s", {0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0});
   for (const obs::Event& e : data.trace.events) {
@@ -121,6 +155,14 @@ obs::MetricsSnapshot build_metrics(const ExperimentResult& result, const ObsData
       windows.observe(static_cast<double>(e.dur_ns) * 1e-9);
     }
   }
+}
+
+/// The run's metrics snapshot; `data` (observed runs only) adds the
+/// trace-derived metrics.
+obs::MetricsSnapshot snapshot(const ExperimentResult& result, const ObsData* data) {
+  obs::Registry reg;
+  publish_result(result, reg);
+  if (data != nullptr) publish_trace(*data, reg);
   return reg.snapshot();
 }
 
@@ -195,7 +237,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         runtime, chklib::IndependentProtocol::Config{.scheme = config.scheme,
                                                      .interval = config.interval,
                                                      .count = config.checkpoints,
-                                                     .jitter = config.jitter,
                                                      .gc = config.gc,
                                                      .gc_mode = config.gc_mode,
                                                      .recovery_mode = config.recovery_mode,
@@ -359,11 +400,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     ObsData data;
     data.trace = tracer.take();
     data.attribution = obs::attribute(data.trace, runtime.num_ranks());
-    data.metrics = build_metrics(result, data);
+    data.metrics = snapshot(result, &data);
     result.obs = std::move(data);
   }
   (void)run;
   return result;
+}
+
+obs::MetricsSnapshot run_metrics(const ExperimentResult& result) {
+  return snapshot(result, nullptr);
 }
 
 ExperimentResult run_normal(ExperimentConfig config) {

@@ -44,7 +44,6 @@ struct ExperimentConfig {
   des::Duration interval = des::Duration::secs(60);
   /// Number of checkpoints (coordinated rounds / per-node count); 0 = until done.
   std::uint32_t checkpoints = 3;
-  double jitter = 0.15;
   bool gc = false;
   LineMode gc_mode = LineMode::kStrict;
   LineMode recovery_mode = LineMode::kStrict;
@@ -118,13 +117,6 @@ struct ObsData {
   obs::MetricsSnapshot metrics;
   obs::AttributionReport attribution;
 };
-
-/// Log-histogram exponents for membership detection latency: 2^20 ns
-/// (~1 ms) .. 2^34 ns (~17 s), wide enough for aggressive phi thresholds
-/// and the laxest deadman alike. Shared by the benches so their JSON bins
-/// match the "membership/detection_latency_s" metric exactly.
-inline constexpr int kDetectLatMinExp = 20;
-inline constexpr int kDetectLatMaxExp = 34;
 
 struct ExperimentResult {
   std::string label;
@@ -223,6 +215,14 @@ struct ExperimentResult {
 
 /// Run one experiment (one simulated execution).
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Every scalar of `result` (plus its recovery and injection aggregates and
+/// the membership detection-latency histogram) under its metric name: the
+/// one place that maps result fields to metric names. Benches and the
+/// campaign serialize this snapshot; an observed run's ObsData::metrics is
+/// the same snapshot plus the trace-derived attrib/*, run/trace_events and
+/// ckpt/window_s.
+[[nodiscard]] obs::MetricsSnapshot run_metrics(const ExperimentResult& result);
 
 /// Convenience: run the same app/machine without checkpointing.
 [[nodiscard]] ExperimentResult run_normal(ExperimentConfig config);

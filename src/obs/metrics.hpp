@@ -1,9 +1,11 @@
 // Metrics registry: counters, gauges and fixed-bucket histograms.
 //
-// A Registry gives one experiment's metrics a typed, enumerable home (the
-// harness publishes its ExperimentResult fields and the per-rank overhead
-// attribution here when observation is on). Names are kept in a sorted map
-// so snapshots and their JSON serialization are deterministic.
+// A Registry gives one experiment's metrics a typed, enumerable home:
+// harness::run_metrics publishes every ExperimentResult counter here for
+// any run (the snapshot every bench and campaign JSON cell carries), and an
+// observed run's snapshot adds the per-rank overhead attribution and the
+// trace-derived metrics. Names are kept in a sorted map so snapshots and
+// their JSON serialization are deterministic.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "util/format.hpp"
+
 namespace chk::util {
 
 Cli::Cli(int argc, char** argv) {
@@ -42,7 +44,7 @@ const std::string* Cli::find(const std::string& key) const {
 
 namespace {
 
-[[noreturn]] void bad_value(const std::string& key, const char* expected,
+[[noreturn]] void bad_value(const std::string& key, const std::string& expected,
                             const std::string& text) {
   throw std::invalid_argument("--" + key + ": expected " + expected + ", got \"" + text +
                               "\"");
@@ -75,30 +77,20 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
   return value == nullptr ? fallback : *value;
 }
 
-std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
+std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) const {
   const std::string* value = find(key);
-  return value == nullptr ? fallback : parse_int(key, *value);
-}
-
-double Cli::get_double(const std::string& key, double fallback) const {
-  const std::string* value = find(key);
-  return value == nullptr ? fallback : parse_double(key, *value);
-}
-
-double Cli::get_prob(const std::string& key, double fallback) const {
-  const double v = get_double(key, fallback);
-  if (v < 0.0 || v > 1.0) {
-    throw std::invalid_argument("--" + key + ": probability must be in [0, 1], got " +
-                                get(key, ""));
-  }
+  if (value == nullptr) return fallback;
+  const std::int64_t v = parse_int(key, *value);
+  if (v < lo || v > hi) bad_value(key, util::format("an integer in [{}, {}]", lo, hi), *value);
   return v;
 }
 
-double Cli::get_nonneg_double(const std::string& key, double fallback) const {
-  const double v = get_double(key, fallback);
-  if (v < 0.0) {
-    throw std::invalid_argument("--" + key + ": value must be >= 0, got " + get(key, ""));
-  }
+double Cli::get_double(const std::string& key, double fallback, double lo, double hi) const {
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const double v = parse_double(key, *value);
+  if (v < lo || v > hi) bad_value(key, util::format("a number in [{}, {}]", lo, hi), *value);
   return v;
 }
 

@@ -1,10 +1,11 @@
 // Strict command-line flag parser used by the example and bench binaries.
 // Grammar: --name=value assigns, --no-name sets "false", bare --name sets
 // "true"; any other token, and every token after "--", is positional.
-// Getters parse the whole value and throw std::invalid_argument naming the
-// flag when it does not parse, and reject_unread() reports a flag no getter
-// read, so a typo or a malformed value stops the run instead of silently
-// running a different experiment. Binaries print the message and exit 2.
+// Getters parse the whole value, numeric ones within a range, and throw
+// std::invalid_argument naming the flag when it does not parse or lies out
+// of range, and reject_unread() reports a flag no getter read, so a typo
+// or a malformed value stops the run instead of silently running a
+// different experiment. Binaries print the message and exit 2.
 #pragma once
 
 #include <cstdint>
@@ -22,16 +23,14 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
-  /// The whole value must be a decimal integer.
-  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  /// The whole value must be a number (NaN rejected).
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// The whole value must be a decimal integer in [lo, hi].
+  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback,
+                                     std::int64_t lo, std::int64_t hi) const;
+  /// The whole value must be a number in [lo, hi] (NaN rejected).
+  [[nodiscard]] double get_double(const std::string& key, double fallback, double lo,
+                                  double hi) const;
   /// true/1/yes or false/0/no.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  /// A number in [0, 1].
-  [[nodiscard]] double get_prob(const std::string& key, double fallback) const;
-  /// A number >= 0.
-  [[nodiscard]] double get_nonneg_double(const std::string& key, double fallback) const;
   /// A non-empty comma-separated list whose every entry parses as T
   /// (std::string, std::int64_t or double; strings must be non-empty).
   /// `fallback` is parsed the same way when the flag is absent.

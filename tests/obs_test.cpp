@@ -4,6 +4,7 @@
 // round-trip, and the recovery report's logged_sends contract.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "apps/sor.hpp"
@@ -102,6 +103,56 @@ TEST(Metrics, ObservedRunPublishesConsistentSnapshot) {
   const auto& windows = snap.histograms.at("ckpt/window_s");
   EXPECT_GT(windows.total_count, 0u);
   EXPECT_NEAR(windows.sum, result.app_blocked_s, 1e-9);
+
+  // run_metrics of the same config's unobserved run is that snapshot minus
+  // the trace-derived names (plain, and with a crash and the monitor on so
+  // the recovery and verify counters are non-zero).
+  const double normal_s = run_experiment(small_sor()).exec_time_s;
+  auto crashed = small_sor(Scheme::kCoordNB);
+  crashed.verify = true;
+  crashed.failure =
+      FailureSpec{des::TimePoint::origin() + des::Duration::seconds(normal_s * 0.55), 2};
+  for (const ExperimentConfig& config : {small_sor(Scheme::kCoordNB), crashed}) {
+    auto observed_config = config;
+    observed_config.observe = true;
+    const auto observed = run_experiment(observed_config);
+    ASSERT_TRUE(observed.obs);
+    const obs::MetricsSnapshot& full = observed.obs->metrics;
+    const obs::MetricsSnapshot plain = run_metrics(run_experiment(config));
+    const auto trace_derived = [](const std::string& name) {
+      return name.starts_with("attrib/") || name == "run/trace_events" ||
+             name == "ckpt/window_s";
+    };
+    std::size_t compared = 0;
+    for (const auto& [name, value] : full.counters) {
+      if (trace_derived(name)) continue;
+      ASSERT_TRUE(plain.counters.contains(name)) << name;
+      EXPECT_EQ(plain.counters.at(name), value) << name;
+      ++compared;
+    }
+    for (const auto& [name, value] : full.gauges) {
+      if (trace_derived(name)) continue;
+      ASSERT_TRUE(plain.gauges.contains(name)) << name;
+      EXPECT_EQ(plain.gauges.at(name), value) << name;
+      ++compared;
+    }
+    for (const auto& [name, hist] : full.histograms) {
+      if (trace_derived(name)) continue;
+      ASSERT_TRUE(plain.histograms.contains(name)) << name;
+      const obs::HistogramSnapshot& other = plain.histograms.at(name);
+      EXPECT_EQ(other.edges, hist.edges) << name;
+      EXPECT_EQ(other.counts, hist.counts) << name;
+      EXPECT_EQ(other.total_count, hist.total_count) << name;
+      EXPECT_EQ(other.sum, hist.sum) << name;
+      ++compared;
+    }
+    EXPECT_EQ(compared, plain.counters.size() + plain.gauges.size() + plain.histograms.size());
+    if (config.failure.has_value()) {
+      EXPECT_EQ(plain.counters.at("recovery/failures"), 1u);
+      EXPECT_GT(plain.counters.at("verify/checks"), 0u);
+      EXPECT_EQ(plain.counters.at("verify/violations"), 0u);
+    }
+  }
 }
 
 // ---- attribution ------------------------------------------------------------

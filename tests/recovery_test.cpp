@@ -153,19 +153,22 @@ class CampaignSweep : public ::testing::TestWithParam<Scheme> {};
 TEST_P(CampaignSweep, SurvivesAMultiFailureCampaignRun) {
   auto config = small_campaign(GetParam());
   const faultsim::RunOutcome outcome = faultsim::run_one(config, 0);
+  const obs::MetricsSnapshot m = harness::run_metrics(outcome.result);
+  const auto& n = m.counters;
 
   EXPECT_TRUE(outcome.digest_ok) << to_string(GetParam());
-  EXPECT_GE(outcome.failures, 2u) << to_string(GetParam());
-  EXPECT_GE(outcome.mid_write_failures, 1u) << to_string(GetParam());
-  EXPECT_GE(outcome.overlap_failures, 1u) << to_string(GetParam());
-  EXPECT_GE(outcome.recoveries, 1u) << to_string(GetParam());
-  EXPECT_GT(outcome.completion_s, normal_run().exec_time_s) << to_string(GetParam());
+  EXPECT_GE(n.at("faults/injected"), 2u) << to_string(GetParam());
+  EXPECT_GE(n.at("faults/mid_write"), 1u) << to_string(GetParam());
+  EXPECT_GE(n.at("faults/during_recovery"), 1u) << to_string(GetParam());
+  // At least one restore completed (was not interrupted).
+  EXPECT_GT(n.at("recovery/failures"), n.at("recovery/interrupted")) << to_string(GetParam());
+  EXPECT_GT(m.gauges.at("run/exec_time_s"), normal_run().exec_time_s) << to_string(GetParam());
   // Counter consistency: every injected failure produced exactly one report
   // (completed or interrupted), and the chain re-read share never exceeds
   // the total read volume.
-  EXPECT_EQ(outcome.recoveries + outcome.interrupted_recoveries, outcome.failures)
+  EXPECT_EQ(n.at("recovery/failures"), n.at("faults/injected")) << to_string(GetParam());
+  EXPECT_LE(n.at("recovery/bytes_reread"), n.at("recovery/bytes_read"))
       << to_string(GetParam());
-  EXPECT_LE(outcome.bytes_reread, outcome.bytes_read) << to_string(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(FiveSchemes, CampaignSweep,
@@ -384,7 +387,7 @@ TEST(Campaign, DifferentStreamsProduceDifferentFailureSchedules) {
   ASSERT_EQ(result.outcomes.size(), 2u);
   // Different runs draw different arrival realizations, so the executed
   // schedules (and trace hashes) differ; both still verify.
-  EXPECT_NE(result.outcomes[0].trace_hash, result.outcomes[1].trace_hash);
+  EXPECT_NE(result.outcomes[0].result.trace_hash, result.outcomes[1].result.trace_hash);
   EXPECT_TRUE(result.summary.all_verified);
 }
 

@@ -570,14 +570,14 @@ class StorageFaultSweep : public ::testing::TestWithParam<Scheme> {};
 TEST_P(StorageFaultSweep, SurvivesCrashesOnFaultyStorage) {
   auto config = storm_campaign(GetParam());
   const faultsim::RunOutcome outcome = faultsim::run_one(config, 0);
+  const auto n = harness::run_metrics(outcome.result).counters;
   const std::string what(to_string(GetParam()));
   EXPECT_TRUE(outcome.digest_ok) << what;
-  EXPECT_GE(outcome.failures, 2u) << what;
-  EXPECT_GE(outcome.recoveries, 1u) << what;
-  EXPECT_GT(outcome.io_write_errors + outcome.io_read_errors, 0u) << what;
-  EXPECT_GT(outcome.storage_retries, 0u) << what;
-  EXPECT_EQ(outcome.recoveries + outcome.interrupted_recoveries, outcome.failures)
-      << what;
+  EXPECT_GE(n.at("faults/injected"), 2u) << what;
+  EXPECT_GT(n.at("recovery/failures"), n.at("recovery/interrupted")) << what;
+  EXPECT_GT(n.at("storage/io_write_errors") + n.at("storage/io_read_errors"), 0u) << what;
+  EXPECT_GT(n.at("storage/retries"), 0u) << what;
+  EXPECT_EQ(n.at("recovery/failures"), n.at("faults/injected")) << what;
 }
 
 INSTANTIATE_TEST_SUITE_P(FiveSchemes, StorageFaultSweep,
@@ -618,8 +618,8 @@ TEST(StorageFaults, LinkAndStorageDomainsComposeByteIdentically) {
   // Both domains actually fired.
   std::uint64_t drops = 0, io_errors = 0;
   for (const auto& outcome : first.outcomes) {
-    drops += outcome.link_drops;
-    io_errors += outcome.io_write_errors + outcome.io_read_errors;
+    drops += outcome.result.link_drops;
+    io_errors += outcome.result.io_write_errors + outcome.result.io_read_errors;
   }
   EXPECT_GT(drops, 0u);
   EXPECT_GT(io_errors, 0u);

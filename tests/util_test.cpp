@@ -161,8 +161,8 @@ TEST(Table, NumericFormatters) {
 TEST(Cli, ParsesForms) {
   const char* argv[] = {"prog", "--alpha=3", "--beta=4.5", "--flag", "pos", "--no-gamma"};
   Cli cli(6, const_cast<char**>(argv));
-  EXPECT_EQ(cli.get_int("alpha", 0), 3);
-  EXPECT_DOUBLE_EQ(cli.get_double("beta", 0), 4.5);
+  EXPECT_EQ(cli.get_int("alpha", 0, 0, 10), 3);
+  EXPECT_DOUBLE_EQ(cli.get_double("beta", 0, 0, 10), 4.5);
   EXPECT_TRUE(cli.get_bool("flag", false));
   EXPECT_FALSE(cli.get_bool("gamma", true));
   ASSERT_EQ(cli.positional().size(), 1u);
@@ -173,32 +173,29 @@ TEST(Cli, FallbacksWhenAbsent) {
   const char* argv[] = {"prog"};
   Cli cli(1, const_cast<char**>(argv));
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
-  EXPECT_EQ(cli.get_int("missing", 7), 7);
+  EXPECT_EQ(cli.get_int("missing", 7, 0, 10), 7);
   EXPECT_FALSE(cli.has("missing"));
 }
 
 TEST(Cli, StrictProbabilityAcceptsTheValidRange) {
   const char* argv[] = {"prog", "--p0=0", "--p1=1", "--mid=0.25"};
   Cli cli(4, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(cli.get_prob("p0", 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cli.get_prob("p1", 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(cli.get_prob("mid", 0.5), 0.25);
-  EXPECT_DOUBLE_EQ(cli.get_prob("missing", 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(cli.get_double("p0", 0.5, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("p1", 0.5, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("mid", 0.5, 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.get_double("missing", 0.5, 0.0, 1.0), 0.5);
 }
 
 TEST(Cli, StrictProbabilityRejectsOutOfRangeAndGarbage) {
   const char* argv[] = {"prog", "--loss=1.5", "--dup=-0.1", "--junk=0.5x",
                         "--empty=",  "--word=lots", "--nan=nan"};
   Cli cli(7, const_cast<char**>(argv));
-  EXPECT_THROW((void)cli.get_prob("loss", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_prob("dup", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_prob("junk", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_prob("empty", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_prob("word", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_prob("nan", 0), std::invalid_argument);
+  for (const std::string key : {"loss", "dup", "junk", "empty", "word", "nan"}) {
+    EXPECT_THROW((void)cli.get_double(key, 0, 0.0, 1.0), std::invalid_argument) << key;
+  }
   // The error names the offending flag so the user can fix the right one.
   try {
-    (void)cli.get_prob("loss", 0);
+    (void)cli.get_double("loss", 0, 0.0, 1.0);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find("--loss"), std::string::npos);
@@ -208,10 +205,10 @@ TEST(Cli, StrictProbabilityRejectsOutOfRangeAndGarbage) {
 TEST(Cli, StrictNonNegativeRejectsNegativesAndGarbage) {
   const char* argv[] = {"prog", "--mean=0.002", "--neg=-1", "--junk=abc"};
   Cli cli(4, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(cli.get_nonneg_double("mean", 1), 0.002);
-  EXPECT_DOUBLE_EQ(cli.get_nonneg_double("missing", 3.5), 3.5);
-  EXPECT_THROW((void)cli.get_nonneg_double("neg", 0), std::invalid_argument);
-  EXPECT_THROW((void)cli.get_nonneg_double("junk", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(cli.get_double("mean", 1, 0.0, 1e3), 0.002);
+  EXPECT_DOUBLE_EQ(cli.get_double("missing", 3.5, 0.0, 1e3), 3.5);
+  EXPECT_THROW((void)cli.get_double("neg", 0, 0.0, 1e3), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("junk", 0, 0.0, 1e3), std::invalid_argument);
 }
 
 /// The message of the std::invalid_argument `read` throws ("" if none).
@@ -229,15 +226,40 @@ TEST(Cli, StrictNumbersRejectTrailingJunkEmptyAndWordsNamingTheFlag) {
   const char* argv[] = {"prog", "--runs=2x", "--nodes=", "--frac=abc", "--ok=12"};
   Cli cli(5, const_cast<char**>(argv));
   for (const std::string key : {"runs", "nodes", "frac"}) {
-    EXPECT_NE(rejection([&] { (void)cli.get_int(key, 0); }).find("--" + key), std::string::npos)
+    EXPECT_NE(rejection([&] { (void)cli.get_int(key, 0, 0, 100); }).find("--" + key),
+              std::string::npos)
         << key;
-    EXPECT_NE(rejection([&] { (void)cli.get_double(key, 0); }).find("--" + key),
+    EXPECT_NE(rejection([&] { (void)cli.get_double(key, 0, 0, 100); }).find("--" + key),
               std::string::npos)
         << key;
   }
-  EXPECT_EQ(cli.get_int("ok", 0), 12);
-  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0), 12.0);
-  EXPECT_THROW((void)cli.get_int("frac", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("ok", 0, 0, 100), 12);
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0, 0, 100), 12.0);
+  EXPECT_THROW((void)cli.get_int("frac", 0, 0, 100), std::invalid_argument);
+}
+
+TEST(Cli, RangedIntegersAcceptTheBoundsAndRejectOutsideNamingTheFlag) {
+  const char* argv[] = {"prog", "--lo=1", "--hi=1024", "--nodes=-1", "--runs=0",
+                        "--big=1025"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("lo", 8, 1, 1024), 1);
+  EXPECT_EQ(cli.get_int("hi", 8, 1, 1024), 1024);
+  for (const std::string key : {"nodes", "runs", "big"}) {
+    const std::string message = rejection([&] { (void)cli.get_int(key, 8, 1, 1024); });
+    EXPECT_NE(message.find("--" + key), std::string::npos) << key;
+    EXPECT_NE(message.find("[1, 1024]"), std::string::npos) << message;
+  }
+}
+
+TEST(Cli, RangedDoublesRejectZeroAndNegativeBelowAPositiveFloor) {
+  const char* argv[] = {"prog", "--intervals=0", "--frac=-1", "--ok=0.001", "--huge=1e300"};
+  Cli cli(5, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 5.0, 1e-3, 1e3), 1e-3);
+  for (const std::string key : {"intervals", "frac", "huge"}) {
+    EXPECT_NE(rejection([&] { (void)cli.get_double(key, 5.0, 1e-3, 1e3); }).find("--" + key),
+              std::string::npos)
+        << key;
+  }
 }
 
 TEST(Cli, GetListParsesEveryEntryStrictly) {

@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
   ctx.files = &sources;
   std::vector<std::string> partition_files = opt.partition_lists;
   if (partition_files.empty())
-    partition_files = {".github/workflows/ci.yml", "tests/obs_test.cpp"};
+    partition_files = {"tools/check_bench_json.py", "tests/obs_test.cpp"};
   std::string desc;
   for (const std::string& p : partition_files) {
     std::string text;

@@ -32,8 +32,9 @@ struct Finding {
 
 struct Context {
   const std::vector<SourceFile>* files = nullptr;
-  /// Concatenated text of the partition-list files (ci.yml + obs test by
-  /// default) that every attribution bucket key must appear in.
+  /// Concatenated text of the partition-list files (the bench JSON checker
+  /// + obs test by default) that every attribution bucket key must appear
+  /// in.
   std::string partition_text;
   /// Human-readable description of where partition_text came from.
   std::string partition_desc;
