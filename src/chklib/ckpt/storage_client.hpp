@@ -73,10 +73,6 @@ class StorageClient {
   [[nodiscard]] std::uint64_t read_failures() const noexcept { return read_failures_; }
   /// Total simulated time spent in backoff sleeps.
   [[nodiscard]] des::Duration retry_wait() const noexcept { return retry_wait_; }
-  void reset_stats() noexcept {
-    retries_ = write_failures_ = read_failures_ = 0;
-    retry_wait_ = des::Duration::zero();
-  }
 
  private:
   /// Sleep out the backoff for retry `attempt` (1-based); returns false if

@@ -50,25 +50,6 @@ xplorer::IoStatus CheckpointStore::write_commit_blocking(des::Process& self,
   return status;
 }
 
-CheckpointImage CheckpointStore::load_image_blocking(des::Process& self, Rank reader,
-                                                     std::uint32_t index,
-                                                     std::uint64_t* blob_bytes) {
-  const std::int64_t t0 = self.sim().now().to_nanos();
-  std::vector<std::byte> blob;
-  const xplorer::IoStatus status =
-      client_.read_blocking(self, reader, image_key(reader, index), &blob);
-  if (blob_bytes != nullptr) *blob_bytes = blob.size();
-  if (tracer_ != nullptr) {
-    tracer_->span(obs::EventKind::kRecoveryRead, static_cast<std::uint16_t>(reader), t0,
-                  self.sim().now().to_nanos(), blob.size());
-  }
-  if (status != xplorer::IoStatus::kOk) {
-    throw util::SerializeError(
-        util::format("load_image: terminal read error on {}", image_key(reader, index)));
-  }
-  return CheckpointImage::deserialize(blob);
-}
-
 std::optional<CheckpointImage> CheckpointStore::try_load_image_blocking(
     des::Process& self, Rank reader, std::uint32_t index, std::uint64_t* blob_bytes) {
   const std::int64_t t0 = self.sim().now().to_nanos();
@@ -88,18 +69,6 @@ std::optional<CheckpointImage> CheckpointStore::try_load_image_blocking(
   } catch (const util::SerializeError&) {
     return std::nullopt;
   }
-}
-
-std::optional<ChannelLog> CheckpointStore::load_log_blocking(des::Process& self, Rank reader,
-                                                             std::uint32_t index) {
-  const std::string key = log_key(reader, index);
-  if (!storage_->exists(key)) return std::nullopt;
-  std::vector<std::byte> blob;
-  const xplorer::IoStatus status = client_.read_blocking(self, reader, key, &blob);
-  if (status != xplorer::IoStatus::kOk) {
-    throw util::SerializeError(util::format("load_log: terminal read error on {}", key));
-  }
-  return ChannelLog::deserialize(blob);
 }
 
 std::optional<ChannelLog> CheckpointStore::try_load_log_blocking(des::Process& self,
@@ -136,19 +105,6 @@ std::vector<std::uint32_t> CheckpointStore::saved_indices(Rank rank) const {
         static_cast<std::uint32_t>(std::stoul(key.substr(prefix.size()))));
   }
   return indices;  // map order => ascending
-}
-
-CheckpointImage CheckpointStore::peek_image(Rank rank, std::uint32_t index) const {
-  // Metadata-only access: no timed I/O. Recovery uses load_image_blocking
-  // for the actual state transfer.
-  const std::string key = image_key(rank, index);
-  if (!storage_->exists(key)) {
-    throw util::SerializeError(util::format("peek_image: no image {}", key));
-  }
-  // StableStorage does not expose raw bytes directly; reuse the keyed size
-  // check through read path? The store keeps it simple: the blob is fetched
-  // via the storage's internal map using a zero-time accessor.
-  return CheckpointImage::deserialize(storage_->peek(key));
 }
 
 std::optional<CheckpointImage> CheckpointStore::try_peek_image(Rank rank,

@@ -61,26 +61,18 @@ class CheckpointStore {
   xplorer::IoStatus write_commit_blocking(des::Process& self, Rank coordinator_node,
                                           std::uint32_t epoch);
 
-  /// Timed reads (recovery path). `blob_bytes`, when non-null, receives the
-  /// serialized size actually transferred from the disk — the number
-  /// recovery accounting charges as bytes read. Throws util::SerializeError
-  /// on terminal read failure or a corrupt blob; recovery paths that must
-  /// survive those use try_load_image_blocking.
-  [[nodiscard]] CheckpointImage load_image_blocking(des::Process& self, Rank reader,
-                                                    std::uint32_t index,
-                                                    std::uint64_t* blob_bytes = nullptr);
-  /// Like load_image_blocking but corruption- and error-tolerant: returns
-  /// nullopt when the image cannot be restored (terminal read error after
-  /// retries, or checksum mismatch from bit-rot). Bytes transferred are
-  /// still reported — failed reads did real work.
+  /// Timed image read (recovery path): nullopt when the image cannot be
+  /// restored (terminal read error after retries, or checksum mismatch from
+  /// bit-rot). `blob_bytes`, when non-null, receives the serialized size
+  /// actually transferred from the disk — the number recovery accounting
+  /// charges as bytes read, reported even for a failed read, which did
+  /// real work.
   [[nodiscard]] std::optional<CheckpointImage> try_load_image_blocking(
       des::Process& self, Rank reader, std::uint32_t index,
       std::uint64_t* blob_bytes = nullptr);
-  [[nodiscard]] std::optional<ChannelLog> load_log_blocking(des::Process& self, Rank reader,
-                                                            std::uint32_t index);
-  /// Error-tolerant log load: nullopt with *failed == false means no log
-  /// was stored (normal); *failed == true means a log exists but cannot be
-  /// restored — the generation is unusable for a consistent replay.
+  /// Timed, error-tolerant log load: nullopt with *failed == false means no
+  /// log was stored (normal); *failed == true means a log exists but cannot
+  /// be restored — the generation is unusable for a consistent replay.
   [[nodiscard]] std::optional<ChannelLog> try_load_log_blocking(des::Process& self,
                                                                 Rank reader,
                                                                 std::uint32_t index,
@@ -91,11 +83,8 @@ class CheckpointStore {
   [[nodiscard]] bool has_image(Rank rank, std::uint32_t index) const;
   [[nodiscard]] std::vector<std::uint32_t> saved_indices(Rank rank) const;
   /// Peek image metadata without timed I/O (recovery-line computation scans
-  /// dependency records; modelled as free directory metadata). Throws on a
-  /// corrupt blob — planning paths use try_peek_image.
-  [[nodiscard]] CheckpointImage peek_image(Rank rank, std::uint32_t index) const;
-  /// Checksum-tolerant peek: nullopt when the image is missing or fails
-  /// its CHK2 verification (bit-rot).
+  /// dependency records; modelled as free directory metadata): nullopt when
+  /// the image is missing or fails its CHK2 verification (bit-rot).
   [[nodiscard]] std::optional<CheckpointImage> try_peek_image(Rank rank,
                                                              std::uint32_t index) const;
   /// True when the image exists and its checksum verifies (free check —
@@ -110,7 +99,6 @@ class CheckpointStore {
 
   [[nodiscard]] xplorer::StableStorage& storage() noexcept { return *storage_; }
   [[nodiscard]] StorageClient& client() noexcept { return client_; }
-  void set_retry_policy(const RetryPolicy& policy) { client_.set_policy(policy); }
 
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;

@@ -119,14 +119,4 @@ void CommSystem::flush_all() {
   }
 }
 
-void CommSystem::reset_stats() noexcept {
-  app_messages_ = 0;
-  app_bytes_ = 0;
-  control_messages_ = 0;
-  control_bytes_ = 0;
-  dropped_stale_ = 0;
-  if (transport_ != nullptr) transport_->reset_stats();
-  if (faults_ != nullptr) faults_->reset_counters();
-}
-
 }  // namespace chk::chklib

@@ -141,7 +141,6 @@ class CommSystem {
   [[nodiscard]] std::uint64_t partition_drops() const noexcept {
     return faults_ != nullptr ? faults_->partition_drops() : 0;
   }
-  void reset_stats() noexcept;
 
  private:
   /// Exactly-once hand-up paths (also the raw network callbacks when the

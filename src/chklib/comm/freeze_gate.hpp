@@ -65,7 +65,6 @@ class FreezeGate {
   }
   /// Total time application processes spent parked at this gate.
   [[nodiscard]] des::Duration blocked_time() const noexcept { return blocked_time_; }
-  void reset_stats() noexcept { blocked_time_ = des::Duration::zero(); }
 
   void set_tracer(obs::Tracer* tracer, std::uint16_t rank) noexcept {
     tracer_ = tracer;

@@ -104,9 +104,6 @@ class LinkFaultModel {
   [[nodiscard]] std::uint64_t partition_drops() const noexcept {
     return partition_drops_;
   }
-  void reset_counters() noexcept {
-    drops_ = duplicates_ = corrupted_ = delayed_ = partition_drops_ = 0;
-  }
 
  private:
   LinkFaultConfig cfg_;

@@ -103,7 +103,6 @@ class Transport {
   void send_datagram(Rank src, Rank dst, const ControlMsg& msg);
 
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   enum class FrameKind : std::uint8_t { kApp, kControl, kAck, kDatagram };

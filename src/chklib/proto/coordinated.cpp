@@ -17,7 +17,7 @@ constexpr Rank kFixedCoordinator = 0;
 }  // namespace
 
 CoordinatedProtocol::CoordinatedProtocol(Runtime& runtime, Config config)
-    : Protocol(runtime), cfg_(config) {
+    : Protocol(runtime, config.scheme), cfg_(config) {
   if (!is_coordinated(cfg_.scheme)) {
     throw des::SimError("CoordinatedProtocol: scheme is not a coordinated variant");
   }
@@ -56,17 +56,9 @@ void CoordinatedProtocol::on_view_established() {
   // Coord_NBS: a write grant parked at a crashed holder would wedge the
   // FIFO arbiter forever — advance it. A *fenced* (live) holder keeps the
   // grant: its release is still coming.
-  if (grant_held_ && membership_ != nullptr && membership_->is_down(grant_holder_)) {
-    if (grant_queue_.empty()) {
-      grant_held_ = false;
-    } else {
-      const Rank next = grant_queue_.front();
-      grant_queue_.pop_front();
-      grant_holder_ = next;
-      rt_->comm().send_control(
-          coordinator(), next,
-          ControlMsg{ControlKind::kToken, coordinator(), grant_epoch_, 0});
-    }
+  if (const auto held = grants_.held();
+      held && membership_ != nullptr && membership_->is_down(held->holder)) {
+    if (const auto next = grants_.release(held->epoch)) send_grant(coordinator(), *next);
   }
   if (!round_in_progress_) return;
   // The round in flight was initiated under the previous view: its
@@ -161,15 +153,13 @@ void CoordinatedProtocol::on_round_timeout(std::uint32_t epoch) {
             rt_->sim().now().str(), acked_.size(), rt_->num_ranks());
   token_watchdog_.cancel();
   round_in_progress_ = false;
-  if (is_staggered(cfg_.scheme) && !is_buffered(cfg_.scheme) && grant_held_) {
+  if (const auto held = grants_.held()) {
     // A lost Coord_NBS write grant leaves its holder's application blocked
     // in the acquire forever; re-issue it. Grants are lost even over the
     // transport: under membership the down gate drops a grant still in
     // flight when its sender, the arbiter, crashes. If the original did
     // arrive, the holder's grant_outstanding check drops this copy.
-    rt_->comm().send_control(
-        coordinator(), grant_holder_,
-        ControlMsg{ControlKind::kToken, coordinator(), grant_epoch_, 0});
+    send_grant(coordinator(), *held);
   }
   begin_round(epoch + 1);
 }
@@ -271,7 +261,7 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       // Coord_NBS grants answer an explicit request (exact test);
       // Coord_NBMS ring tokens carry strictly increasing epochs at any
       // given rank (exact floor test).
-      if (is_staggered(cfg_.scheme) && !is_buffered(cfg_.scheme)) {
+      if (cfg_.scheme == Scheme::kCoordNBS) {
         if (!agent.grant_outstanding) break;
         agent.grant_outstanding = false;
       } else {
@@ -360,31 +350,13 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       handle_commit(r, msg.epoch);
       break;
     case ControlKind::kTokenRequest:
+    case ControlKind::kTokenRelease:
       // Coord_NBS: FIFO write-grant arbitration at the coordinator. A
       // fixed ring order would deadlock here — a rank blocked in its
       // (staggered) write stops sending, which can prevent the ring head
       // from ever reaching its safe point.
       if (r != coordinator()) break;
-      if (grant_held_) {
-        grant_queue_.push_back(msg.src);
-      } else {
-        grant_held_ = true;
-        grant_holder_ = msg.src;
-        grant_epoch_ = msg.epoch;
-        rt_->comm().send_control(r, msg.src, ControlMsg{ControlKind::kToken, r, msg.epoch, 0});
-      }
-      break;
-    case ControlKind::kTokenRelease:
-      if (r != coordinator()) break;
-      if (grant_queue_.empty()) {
-        grant_held_ = false;
-      } else {
-        const Rank next = grant_queue_.front();
-        grant_queue_.pop_front();
-        grant_holder_ = next;
-        grant_epoch_ = msg.epoch;
-        rt_->comm().send_control(r, next, ControlMsg{ControlKind::kToken, r, msg.epoch, 0});
-      }
+      if (const auto grant = grants_.handle(msg)) send_grant(r, *grant);
       break;
     default:
       // Membership kinds are routed to the membership sink by the comm
@@ -403,12 +375,10 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
   Agent& agent = *agents_[r];
   if (agent.epoch >= epoch) return;
   agent.epoch = epoch;  // from here on, sends are tagged `epoch`
-  ++stats_.local_checkpoints;
 
   Endpoint& endpoint = rt_->comm().endpoint(r);
   RankRuntime& rank = rt_->rank(r);
 
-  const des::TimePoint block_start = rt_->sim().now();
   CheckpointImage image;
   image.rank = r;
   image.index = epoch;
@@ -425,7 +395,6 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
       image.state = delta->serialize();
       image.delta_base = agent.last_ckpt_epoch;
       is_delta = true;
-      ++stats_.delta_checkpoints;
     }
   }
   if (!is_delta) {
@@ -434,9 +403,6 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
     image.delta_base = 0;
   }
   agent.last_ckpt_epoch = epoch;
-  stats_.image_log.push_back(ProtocolStats::ImageRecord{
-      epoch, static_cast<std::uint32_t>(r), image.state.size(),
-      image.captured_at_ns, is_delta});
   image.seq = endpoint.seq_snapshot();
   // Channel state, part 1: pre-cut messages that arrived but were not yet
   // consumed. Post-cut (epoch >= e) messages are excluded — their senders
@@ -455,91 +421,69 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
       rt_->comm().send_control(r, q, ControlMsg{ControlKind::kChannelMarker, r, epoch, 0});
     }
   }
+  save_image(carrier, r, std::move(image), is_delta);
+}
 
-  if (!is_buffered(cfg_.scheme)) {
-    // Direct write-through: the application carries the whole (contended)
-    // stable-storage write. The staggered ablation (Coord_NBS) serializes
-    // the *blocking* writes through a FIFO grant — which is why the paper
-    // found staggering useless without memory buffering: the stalls simply
-    // queue up instead of overlapping.
-    if (is_staggered(cfg_.scheme)) {
-      agent.grant_outstanding = true;
-      rt_->comm().send_control(r, coordinator(),
-                               ControlMsg{ControlKind::kTokenRequest, r, epoch, 0});
-      agent.token.acquire(carrier);
+std::uint32_t CoordinatedProtocol::acquire_write(Rank r, des::Process& writer,
+                                                 std::uint32_t epoch) {
+  Agent& agent = *agents_[r];
+  if (cfg_.scheme == Scheme::kCoordNBS) {
+    // Staggered write-through: a FIFO grant serializes the *blocking*
+    // writes — which is why the paper found staggering useless without
+    // memory buffering: the stalls simply queue up instead of overlapping.
+    agent.grant_outstanding = true;
+    rt_->comm().send_control(r, coordinator(),
+                             ControlMsg{ControlKind::kTokenRequest, r, epoch, 0});
+    agent.token.acquire(writer);
+  } else if (cfg_.scheme == Scheme::kCoordNBMS) {
+    agent.token.acquire(writer);
+    // The epoch of the token whose permit admits this writer. Usually the
+    // writer's own image index, but a straggler from a coalesced round may
+    // ride a newer token — the ring's identity belongs to the token, so
+    // that is the epoch this writer must forward.
+    if (!agent.ring_tokens.empty()) {
+      const std::uint32_t ring_epoch = agent.ring_tokens.front();
+      agent.ring_tokens.pop_front();
+      return ring_epoch;
     }
-    const xplorer::IoStatus wstatus =
-        rt_->store().write_image_blocking(carrier, r, image, WriteContext::kAppBlocking);
-    if (is_staggered(cfg_.scheme)) {
-      rt_->comm().send_control(r, coordinator(),
-                               ControlMsg{ControlKind::kTokenRelease, r, epoch, 0});
-    }
-    if (wstatus == xplorer::IoStatus::kOk) {
-      agent.durable = true;
-      try_finish(r, carrier, WriteContext::kAppBlocking);
-    } else {
-      // Terminal write failure: this rank never becomes durable, never
-      // acks, and the round watchdog aborts the round — the retry loop at
-      // the next epoch re-captures everything.
-      ++stats_.ckpt_write_failures;
-      CHK_DEBUG("coord", "rank {} image write for epoch {} failed terminally", r, epoch);
-    }
-    stats_.app_blocked += rt_->sim().now() - block_start;
-    if (auto* tracer = rt_->tracer()) {
-      tracer->span(obs::EventKind::kCkptWindow, static_cast<std::uint16_t>(r),
-                   block_start.to_nanos(), rt_->sim().now().to_nanos(), 0, epoch);
-    }
-    return;
   }
+  return epoch;
+}
 
-  // Main-memory checkpointing: block only for the local copy, then hand
-  // the image to a checkpointer thread that streams it out.
-  rt_->machine().node(r).mem_copy(carrier, image.state.size());
-  stats_.app_blocked += rt_->sim().now() - block_start;
-  if (auto* tracer = rt_->tracer()) {
-    tracer->span(obs::EventKind::kCkptWindow, static_cast<std::uint16_t>(r),
-                 block_start.to_nanos(), rt_->sim().now().to_nanos(), 0, epoch);
+void CoordinatedProtocol::release_write(Rank r, std::uint32_t tag) {
+  if (cfg_.scheme == Scheme::kCoordNBS) {
+    rt_->comm().send_control(r, coordinator(),
+                             ControlMsg{ControlKind::kTokenRelease, r, tag, 0});
+  } else if (cfg_.scheme == Scheme::kCoordNBMS) {
+    // The stagger ring keeps moving even past a failed write — the token
+    // arbitrates pipeline occupancy, not success.
+    if (r + 1 < rt_->num_ranks()) {
+      rt_->comm().send_control(r, r + 1, ControlMsg{ControlKind::kToken, r, tag, 0});
+    }
+    if (cfg_.token_timeout.to_nanos() > 0) {
+      rt_->comm().send_control(r, coordinator(),
+                               ControlMsg{ControlKind::kTokenBeacon, r, tag, 0});
+    }
   }
-  track(rt_->sim().spawn(
-      util::format("ckwr-r{}-e{}", r, epoch),
-      [this, r, image = std::move(image)](des::Process& self) mutable {
-        Agent& a = *agents_[r];
-        // The epoch of the token whose permit admits this writer. Usually
-        // the writer's own image index, but a straggler from a coalesced
-        // round may ride a newer token — the ring's identity belongs to
-        // the token, so that is the epoch this writer must forward.
-        std::uint32_t ring_epoch = image.index;
-        if (is_staggered(cfg_.scheme)) {
-          a.token.acquire(self);
-          if (!a.ring_tokens.empty()) {
-            ring_epoch = a.ring_tokens.front();
-            a.ring_tokens.pop_front();
-          }
-        }
-        xplorer::Node& node = rt_->machine().node(r);
-        node.begin_background_io();
-        const xplorer::IoStatus wstatus = rt_->store().write_image_blocking(self, r, image);
-        node.end_background_io();
-        // The stagger ring keeps moving even past a failed write — the
-        // token arbitrates pipeline occupancy, not success.
-        if (is_staggered(cfg_.scheme) && r + 1 < rt_->num_ranks()) {
-          rt_->comm().send_control(r, r + 1,
-                                   ControlMsg{ControlKind::kToken, r, ring_epoch, 0});
-        }
-        if (is_staggered(cfg_.scheme) && cfg_.token_timeout.to_nanos() > 0) {
-          rt_->comm().send_control(
-              r, coordinator(),
-              ControlMsg{ControlKind::kTokenBeacon, r, ring_epoch, 0});
-        }
-        if (wstatus == xplorer::IoStatus::kOk) {
-          a.durable = true;
-          try_finish(r, self);
-        } else {
-          ++stats_.ckpt_write_failures;
-          CHK_DEBUG("coord", "rank {} background image write for epoch {} failed terminally",
-                    r, image.index);
-        }
-      }));
+}
+
+void CoordinatedProtocol::image_written(Rank r, des::Process& writer, xplorer::IoStatus status,
+                                        WriteContext context, CheckpointImage&) {
+  // A terminally failed image leaves the rank never durable: it never acks,
+  // and the round watchdog aborts the round — the retry at the next epoch
+  // re-captures everything.
+  if (status != xplorer::IoStatus::kOk) return;
+  agents_[r]->durable = true;
+  try_finish(r, writer, context);
+}
+
+std::string CoordinatedProtocol::writer_name(Rank r, std::uint32_t epoch) const {
+  return util::format("ckwr-r{}-e{}", r, epoch);
+}
+
+void CoordinatedProtocol::send_grant(Rank from, const GrantArbiter::Grant& grant) {
+  rt_->comm().send_control(from, grant.holder,
+                           ControlMsg{ControlKind::kToken, from, grant.epoch, 0});
 }
 
 void CoordinatedProtocol::try_finish(Rank r, des::Process& proc, WriteContext log_ctx) {
@@ -653,10 +597,6 @@ RecoveryLine CoordinatedProtocol::recovery_line() const {
 
 void CoordinatedProtocol::prepare_recovery(const RecoveryLine& line) {
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    // Drop tentative (uncommitted) images above the line.
-    for (std::uint32_t index : rt_->store().saved_indices(r)) {
-      if (index > line.index[r]) rt_->store().erase(r, index);
-    }
     Agent& agent = *agents_[r];
     agent.epoch = line.index[r];
     agent.pending_epoch = line.index[r];
@@ -680,8 +620,7 @@ void CoordinatedProtocol::prepare_recovery(const RecoveryLine& line) {
   }
   acked_.clear();
   round_in_progress_ = false;
-  grant_queue_.clear();
-  grant_held_ = false;
+  grants_.reset();
   round_watchdog_.cancel();
   token_watchdog_.cancel();
   ring_done_ = true;

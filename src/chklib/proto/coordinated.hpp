@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "chklib/ckpt/image.hpp"
 #include "chklib/ckpt/incremental.hpp"
@@ -167,7 +168,20 @@ class CoordinatedProtocol final : public Protocol {
   void daemon_main(Rank r, des::Process& self);
   void handle_control(Rank r, des::Process& self, const ControlMsg& msg);
   void safe_point(Rank r, des::Process& self);
+  /// Capture, channel-log opening and markers; the save is save_image's.
   void do_local_checkpoint(des::Process& carrier, Rank r, std::uint32_t epoch);
+  /// Admission: none (Coord_NB, Coord_NBM), the coordinator's FIFO write
+  /// grant (Coord_NBS), or the stagger ring token (Coord_NBMS, whose tag is
+  /// the admitting token's epoch).
+  std::uint32_t acquire_write(Rank r, des::Process& writer, std::uint32_t epoch) override;
+  /// Return the grant, or pass the ring token on (plus its beacon).
+  void release_write(Rank r, std::uint32_t tag) override;
+  /// A durable image may complete the rank's part of the round.
+  void image_written(Rank r, des::Process& writer, xplorer::IoStatus status,
+                     WriteContext context, CheckpointImage& image) override;
+  [[nodiscard]] std::string writer_name(Rank r, std::uint32_t epoch) const override;
+  /// Deliver a write grant from the arbiter at `from`.
+  void send_grant(Rank from, const GrantArbiter::Grant& grant);
   /// `log_ctx` says who pays for the channel-log write if this call
   /// completes the checkpoint: kAppBlocking only when the application
   /// process carries it inside its blocking window.
@@ -206,11 +220,8 @@ class CoordinatedProtocol final : public Protocol {
   std::set<Rank> acked_;
   std::uint32_t round_epoch_ = 0;
   bool round_in_progress_ = false;
-  // Coord_NBS write-grant arbitration (held by the coordinator's daemon).
-  std::deque<Rank> grant_queue_;
-  bool grant_held_ = false;
-  Rank grant_holder_ = 0;           ///< valid while grant_held_
-  std::uint32_t grant_epoch_ = 0;   ///< epoch the held grant was issued for
+  /// Coord_NBS write grants (arbitrated by the coordinator's daemon).
+  GrantArbiter grants_;
   // Watchdog state (armed only when the corresponding timeout is > 0).
   des::EventHandle round_watchdog_;
   des::EventHandle token_watchdog_;

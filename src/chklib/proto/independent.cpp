@@ -38,7 +38,7 @@ std::vector<ProcessHistory> collect_histories(const CheckpointStore& store,
 }
 
 IndependentProtocol::IndependentProtocol(Runtime& runtime, Config config)
-    : Protocol(runtime), cfg_(config) {
+    : Protocol(runtime, config.scheme), cfg_(config) {
   if (!is_independent(cfg_.scheme)) {
     throw des::SimError("IndependentProtocol: scheme is not an independent variant");
   }
@@ -110,21 +110,11 @@ void IndependentProtocol::dispatcher_main(Rank r, des::Process& self) {
         agents_[r]->token.release();
         break;
       case ControlKind::kTokenRequest:
-        // Arbiter role: FIFO grant, one writer at a time.
-        if (grant_held_) {
-          grant_queue_.push_back(msg.src);
-        } else {
-          grant_held_ = true;
-          rt_->comm().send_control(r, msg.src, ControlMsg{ControlKind::kToken, r, 0, 0});
-        }
-        break;
       case ControlKind::kTokenRelease:
-        if (grant_queue_.empty()) {
-          grant_held_ = false;
-        } else {
-          const Rank next = grant_queue_.front();
-          grant_queue_.pop_front();
-          rt_->comm().send_control(r, next, ControlMsg{ControlKind::kToken, r, 0, 0});
+        // Arbiter role: FIFO grant, one writer at a time. Grants carry no
+        // epoch.
+        if (const auto grant = grants_.handle(msg)) {
+          rt_->comm().send_control(r, grant->holder, ControlMsg{ControlKind::kToken, r, 0, 0});
         }
         break;
       default:
@@ -150,82 +140,48 @@ void IndependentProtocol::on_deliver(des::Process&, Rank dst, const Envelope& en
 void IndependentProtocol::do_local_checkpoint(des::Process& carrier, Rank r) {
   Agent& agent = *agents_[r];
   const std::uint32_t index = agent.intervals + 1;
-
-  Endpoint& endpoint = rt_->comm().endpoint(r);
-  RankRuntime& rank = rt_->rank(r);
-
-  const des::TimePoint block_start = rt_->sim().now();
   agent.intervals = index;  // a new interval starts at the cut
-  ++stats_.local_checkpoints;
+
+  RankRuntime& rank = rt_->rank(r);
   CheckpointImage image;
   image.rank = r;
   image.index = index;
   image.captured_at_ns = rt_->sim().now().to_nanos();
   image.state = rank.ready ? rank.registry.capture() : std::vector<std::byte>{};
-  stats_.image_log.push_back(ProtocolStats::ImageRecord{
-      index, static_cast<std::uint32_t>(r), image.state.size(),
-      image.captured_at_ns, false});
-  image.seq = endpoint.seq_snapshot();
+  image.seq = rt_->comm().endpoint(r).seq_snapshot();
   image.sends = std::exchange(agent.sends, {});
   image.recvs = std::exchange(agent.recvs, {});
   if (cfg_.message_logging) image.sent_log = std::exchange(agent.sent_log, {});
-
-  if (!is_buffered(cfg_.scheme)) {
-    // The application carries its own (blocking) stable-storage write.
-    const xplorer::IoStatus status =
-        rt_->store().write_image_blocking(carrier, r, image, WriteContext::kAppBlocking);
-    stats_.app_blocked += rt_->sim().now() - block_start;
-    if (auto* tracer = rt_->tracer()) {
-      tracer->span(obs::EventKind::kCkptWindow, static_cast<std::uint16_t>(r),
-                   block_start.to_nanos(), rt_->sim().now().to_nanos(), 0, index);
-    }
-    if (status != xplorer::IoStatus::kOk) {
-      failed_checkpoint(r, std::move(image));
-      return;
-    }
-    on_durable(r);
-    return;
-  }
-
-  rt_->machine().node(r).mem_copy(carrier, image.state.size());
-  stats_.app_blocked += rt_->sim().now() - block_start;
-  if (auto* tracer = rt_->tracer()) {
-    tracer->span(obs::EventKind::kCkptWindow, static_cast<std::uint16_t>(r),
-                 block_start.to_nanos(), rt_->sim().now().to_nanos(), 0, index);
-  }
-  track(rt_->sim().spawn(
-      util::format("ickwr-r{}-v{}", r, index),
-      [this, r, image = std::move(image)](des::Process& self) mutable {
-        Agent& a = *agents_[r];
-        if (is_staggered(cfg_.scheme)) {
-          rt_->comm().send_control(r, kArbiter,
-                                   ControlMsg{ControlKind::kTokenRequest, r, image.index, 0});
-          a.token.acquire(self);
-        }
-        xplorer::Node& node = rt_->machine().node(r);
-        node.begin_background_io();
-        const xplorer::IoStatus status = rt_->store().write_image_blocking(self, r, image);
-        node.end_background_io();
-        if (is_staggered(cfg_.scheme)) {
-          rt_->comm().send_control(r, kArbiter,
-                                   ControlMsg{ControlKind::kTokenRelease, r, image.index, 0});
-        }
-        if (status != xplorer::IoStatus::kOk) {
-          failed_checkpoint(r, std::move(image));
-          return;
-        }
-        on_durable(r);
-      }));
+  save_image(carrier, r, std::move(image), /*delta=*/false);
 }
 
-void IndependentProtocol::failed_checkpoint(Rank r, CheckpointImage image) {
+std::uint32_t IndependentProtocol::acquire_write(Rank r, des::Process& writer,
+                                                 std::uint32_t index) {
+  if (is_staggered(cfg_.scheme)) {
+    rt_->comm().send_control(r, kArbiter, ControlMsg{ControlKind::kTokenRequest, r, index, 0});
+    agents_[r]->token.acquire(writer);
+  }
+  return index;
+}
+
+void IndependentProtocol::release_write(Rank r, std::uint32_t index) {
+  if (is_staggered(cfg_.scheme)) {
+    rt_->comm().send_control(r, kArbiter, ControlMsg{ControlKind::kTokenRelease, r, index, 0});
+  }
+}
+
+void IndependentProtocol::image_written(Rank r, des::Process&, xplorer::IoStatus status,
+                                        WriteContext, CheckpointImage& image) {
+  if (status == xplorer::IoStatus::kOk) {
+    if (cfg_.gc) run_gc();
+    return;
+  }
   // The interval is skipped: stable storage keeps the previous generation
   // as this rank's newest restorable cut. The failed image's dependency
   // records (and logged payloads) were exchanged out at the cut, so splice
   // them back at the *front* of the live accumulators — the next image
   // then carries both intervals' records in chronological order and later
   // cuts remain fully characterized for the line algorithms.
-  ++stats_.ckpt_write_failures;
   Agent& agent = *agents_[r];
   agent.sends.insert(agent.sends.begin(), image.sends.begin(), image.sends.end());
   agent.recvs.insert(agent.recvs.begin(), image.recvs.begin(), image.recvs.end());
@@ -236,8 +192,8 @@ void IndependentProtocol::failed_checkpoint(Rank r, CheckpointImage image) {
   }
 }
 
-void IndependentProtocol::on_durable(Rank) {
-  if (cfg_.gc) run_gc();
+std::string IndependentProtocol::writer_name(Rank r, std::uint32_t index) const {
+  return util::format("ickwr-r{}-v{}", r, index);
 }
 
 std::uint64_t IndependentProtocol::run_gc() {
@@ -310,11 +266,6 @@ RecoveryLine IndependentProtocol::recovery_line() const {
 
 void IndependentProtocol::prepare_recovery(const RecoveryLine& line) {
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    // Rolled-back checkpoints (and their records) are garbage: the
-    // re-execution will regenerate those intervals.
-    for (std::uint32_t index : rt_->store().saved_indices(r)) {
-      if (index > line.index[r]) rt_->store().erase(r, index);
-    }
     Agent& agent = *agents_[r];
     agent.intervals = line.index[r];
     agent.pending = false;
@@ -324,8 +275,7 @@ void IndependentProtocol::prepare_recovery(const RecoveryLine& line) {
     while (agent.token.try_acquire()) {}
     while (agent.captured.try_acquire()) {}
   }
-  grant_queue_.clear();
-  grant_held_ = false;
+  grants_.reset();
 }
 
 void IndependentProtocol::resume_after_recovery() {

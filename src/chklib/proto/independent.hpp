@@ -18,8 +18,8 @@
 //          themselves.
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <string>
 
 #include "chklib/ckpt/image.hpp"
 #include "chklib/proto/protocol.hpp"
@@ -102,18 +102,24 @@ class IndependentProtocol final : public Protocol {
   void timer_main(Rank r, des::Process& self);
   void dispatcher_main(Rank r, des::Process& self);
   void safe_point(Rank r, des::Process& self);
+  /// Capture the state and the interval's dependency records; the save is
+  /// save_image's.
   void do_local_checkpoint(des::Process& carrier, Rank r);
-  void on_durable(Rank r);
-  /// Terminal stable-storage failure: the interval is skipped (no image at
-  /// this index) and the failed image's dependency records migrate forward
-  /// into the next checkpoint so later cuts stay fully characterized.
-  void failed_checkpoint(Rank r, CheckpointImage image);
+  /// Admission: none, or the FIFO write grant (Indep_MS).
+  std::uint32_t acquire_write(Rank r, des::Process& writer, std::uint32_t index) override;
+  void release_write(Rank r, std::uint32_t index) override;
+  /// A durable image triggers GC (cfg.gc). On a terminal failure the
+  /// interval is skipped (no image at this index) and the failed image's
+  /// dependency records migrate forward into the next checkpoint so later
+  /// cuts stay fully characterized.
+  void image_written(Rank r, des::Process& writer, xplorer::IoStatus status,
+                     WriteContext context, CheckpointImage& image) override;
+  [[nodiscard]] std::string writer_name(Rank r, std::uint32_t index) const override;
 
   Config cfg_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  // Stagger arbiter state (lives logically at rank 0's dispatcher).
-  std::deque<Rank> grant_queue_;
-  bool grant_held_ = false;
+  /// Indep_MS write grants (arbitrated by rank 0's dispatcher).
+  GrantArbiter grants_;
 };
 
 }  // namespace chk::chklib

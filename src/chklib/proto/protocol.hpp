@@ -3,12 +3,24 @@
 // A protocol owns the per-node "checkpointer thread" daemons, interposes on
 // application messages (ProtocolHooks), drives checkpoint triggers, and
 // cooperates with the RecoveryManager after a failure.
+//
+// The save half of every local checkpoint is shared (save_image): the
+// scheme's two choices -- does the application block for its own
+// stable-storage write or only for a memory copy (is_buffered), and are the
+// writes staggered -- apply equally to both protocol classes. A protocol
+// supplies only its write admission (acquire_write / release_write) and
+// what a durable or failed image means to it (image_written).
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "chklib/ckpt/image.hpp"
 #include "chklib/comm/hooks.hpp"
+#include "chklib/proto/scheme.hpp"
 #include "chklib/runtime.hpp"
 #include "des/process.hpp"
 #include "des/simulator.hpp"
@@ -59,9 +71,38 @@ struct ProtocolStats {
   std::vector<ImageRecord> image_log;
 };
 
+/// FIFO write-grant arbiter (Coord_NBS, Indep_MS): one rank at a time holds
+/// the grant to write to stable storage, and later requests queue in
+/// arrival order. A plain value: the protocol that owns it delivers the
+/// grants it hands out.
+class GrantArbiter {
+ public:
+  struct Grant {
+    Rank holder = 0;
+    /// Epoch of the request or release that handed the grant on.
+    std::uint32_t epoch = 0;
+  };
+
+  /// A kTokenRequest or kTokenRelease reached the arbiter. Returns the
+  /// grant to deliver, if the message handed one out.
+  [[nodiscard]] std::optional<Grant> handle(const ControlMsg& msg);
+  /// The holder is done (or gone): the oldest queued requester, if any,
+  /// gets the grant under `epoch`.
+  [[nodiscard]] std::optional<Grant> release(std::uint32_t epoch);
+  [[nodiscard]] const std::optional<Grant>& held() const noexcept { return held_; }
+  void reset() noexcept {
+    queue_.clear();
+    held_.reset();
+  }
+
+ private:
+  std::deque<Rank> queue_;
+  std::optional<Grant> held_;
+};
+
 class Protocol : public ProtocolHooks {
  public:
-  explicit Protocol(Runtime& runtime) : rt_(&runtime) {}
+  Protocol(Runtime& runtime, Scheme scheme) : rt_(&runtime), scheme_(scheme) {}
   ~Protocol() override = default;
 
   /// Install hooks and spawn daemons / trigger timers. Call once, before
@@ -71,8 +112,9 @@ class Protocol : public ProtocolHooks {
   /// Compute the recovery line from stable-storage metadata (free).
   [[nodiscard]] virtual RecoveryLine recovery_line() const = 0;
 
-  /// Recovery step 1 (all processes already dead, channels flushed):
-  /// erase rolled-back (post-line) checkpoints and reset protocol state.
+  /// Recovery step 1 (all processes already dead, channels flushed, the
+  /// rolled-back post-line checkpoints already erased): reset protocol
+  /// state to the line.
   virtual void prepare_recovery(const RecoveryLine& line) = 0;
 
   /// Recovery step 2 (state restored): respawn daemons, rearm triggers.
@@ -86,6 +128,30 @@ class Protocol : public ProtocolHooks {
   [[nodiscard]] const ProtocolStats& stats() const noexcept { return stats_; }
 
  protected:
+  /// The save half of rank r's local checkpoint, run by `carrier` (the
+  /// application, or a daemon once the application finished) right after
+  /// the capture. Records the image, then realizes the scheme's window:
+  /// write-through blocks the carrier for the whole admitted write and its
+  /// aftermath; buffered schemes block it for a memory copy and hand the
+  /// image to a tracked background writer. The window is closed once, into
+  /// app_blocked and a kCkptWindow span.
+  void save_image(des::Process& carrier, Rank r, CheckpointImage image, bool delta);
+
+  /// Write admission, run by the process about to write rank r's image
+  /// `index`: block `writer` until the scheme lets the write start. Returns
+  /// the tag release_write receives.
+  virtual std::uint32_t acquire_write(Rank r, des::Process& writer, std::uint32_t index) = 0;
+  /// The write admitted under `tag` finished, durable or not.
+  virtual void release_write(Rank r, std::uint32_t tag) = 0;
+  /// What the finished write means to the protocol. Runs in `writer` after
+  /// release_write; `context` says who pays for any further write (the
+  /// application inside its window, or the background writer). A terminal
+  /// failure is already counted in ckpt_write_failures.
+  virtual void image_written(Rank r, des::Process& writer, xplorer::IoStatus status,
+                             WriteContext context, CheckpointImage& image) = 0;
+  /// Name of the background writer process for rank r's image `index`.
+  [[nodiscard]] virtual std::string writer_name(Rank r, std::uint32_t index) const = 0;
+
   /// Track a protocol-owned process so halt() can kill it.
   des::Process& track(des::Process& proc) {
     procs_.push_back(&proc);
@@ -97,6 +163,14 @@ class Protocol : public ProtocolHooks {
   ProtocolStats stats_;
   std::vector<des::Process*> procs_;
   std::vector<des::EventHandle> timers_;
+
+ private:
+  Scheme scheme_;
+
+  /// One admitted image write: acquire, write (bracketed as background I/O
+  /// when `context` is kBackground), release, count a terminal failure,
+  /// then image_written.
+  void write_image(des::Process& writer, Rank r, CheckpointImage& image, WriteContext context);
 };
 
 }  // namespace chk::chklib

@@ -100,7 +100,7 @@ void RecoveryManager::on_failure(Rank failed) {
   report.mid_write = rt_->store().storage().inflight_writes() > 0;
 
   // Latest saved index per rank, for the domino-depth metric (before
-  // prepare_recovery erases post-line images).
+  // planning erases post-line images).
   std::vector<std::uint32_t> newest(rt_->num_ranks(), 0);
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
     const auto saved = rt_->store().saved_indices(r);
@@ -140,6 +140,13 @@ void RecoveryManager::plan_and_spawn() {
     report.domino_depth[r] = domino_depth(active_->newest[r], report.line.index[r]);
   }
   report.rollback_distance.assign(rt_->num_ranks(), des::Duration());
+  // Checkpoints above the line are garbage: tentative (uncommitted) images,
+  // or rolled-back intervals the re-execution regenerates.
+  for (Rank r = 0; r < rt_->num_ranks(); ++r) {
+    for (std::uint32_t index : rt_->store().saved_indices(r)) {
+      if (index > report.line.index[r]) rt_->store().erase(r, index);
+    }
+  }
   protocol_->prepare_recovery(report.line);
   if (active_->attempt == 0) {
     for (RecoveryObserver* obs : observers_) obs->on_recovery_begin(report.failed_rank);

@@ -233,13 +233,10 @@ class Simulator {
 
   // -- queue introspection (all deterministic) -------------------------------
 
-  /// Entries currently in the queue, cancelled ones included.
-  [[nodiscard]] std::size_t queue_size() const noexcept { return heap_.size(); }
-  /// High-water mark of queue_size() over the simulator's lifetime. With
-  /// compaction this stays O(live events), not O(cancellation history).
+  /// High-water mark of the queue's entry count (cancelled ones included)
+  /// over the simulator's lifetime. With compaction this stays O(live
+  /// events), not O(cancellation history).
   [[nodiscard]] std::size_t queue_peak() const noexcept { return queue_peak_; }
-  /// Cancelled entries awaiting reclamation (pop or compaction).
-  [[nodiscard]] std::uint64_t dead_events() const noexcept { return dead_in_heap_; }
   /// Scheduled events that have neither run nor been cancelled.
   [[nodiscard]] std::size_t live_events() const noexcept {
     return heap_.size() - static_cast<std::size_t>(dead_in_heap_);

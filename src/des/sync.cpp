@@ -10,10 +10,6 @@ SimSemaphore::~SimSemaphore() {
   for (Process* waiter : wait_queue_) waiter->detach_cancel();
 }
 
-SimBarrier::~SimBarrier() {
-  for (Process* waiter : waiting_) waiter->detach_cancel();
-}
-
 void SimSemaphore::acquire(Process& self) {
   if (count_ > 0) {
     --count_;
@@ -43,37 +39,6 @@ void SimSemaphore::release() {
     return;
   }
   ++count_;
-}
-
-void SimBarrier::arrive_and_wait(Process& self) {
-  waiting_.push_back(&self);
-  if (waiting_.size() == parties_) {
-    ++generation_;
-    auto releasing = std::move(waiting_);
-    waiting_.clear();
-    for (Process* proc : releasing) {
-      if (proc != &self) sim_->wake(*proc);
-    }
-    return;  // last arrival passes straight through
-  }
-  self.suspend([this, &self] { std::erase(waiting_, &self); });
-}
-
-Duration SimResource::use(Process& self, Duration service_time) {
-  const TimePoint requested = sim_->now();
-  gate_.acquire(self);
-  const Duration waited = sim_->now() - requested;
-  queued_ += waited;
-  // Hold the resource for the service time; if we are killed mid-service
-  // the RAII release below still frees the resource so others proceed.
-  struct Release {
-    SimSemaphore* gate;
-    ~Release() { gate->release(); }
-  } releaser{&gate_};
-  self.delay(service_time);
-  busy_ += service_time;
-  ++completed_;
-  return waited;
 }
 
 }  // namespace chk::des

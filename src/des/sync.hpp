@@ -8,9 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <optional>
-#include <string>
 #include <utility>
 
 #include "des/process.hpp"
@@ -77,17 +74,8 @@ class SimMailbox {
     return message;
   }
 
-  /// Non-blocking receive.
-  std::optional<T> try_recv() {
-    if (items_.empty()) return std::nullopt;
-    T message = std::move(items_.front());
-    items_.pop_front();
-    return message;
-  }
-
   [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] std::size_t waiting_receivers() const noexcept { return receivers_.size(); }
 
   /// Drop all queued messages (used when flushing channels on rollback).
   void clear() noexcept { items_.clear(); }
@@ -98,55 +86,6 @@ class SimMailbox {
   Simulator* sim_;
   std::deque<T> items_;
   std::deque<Process*> receivers_;
-};
-
-/// Reusable N-party barrier.
-class SimBarrier {
- public:
-  SimBarrier(Simulator& sim, std::size_t parties) : sim_(&sim), parties_(parties) {}
-  SimBarrier(const SimBarrier&) = delete;
-  SimBarrier& operator=(const SimBarrier&) = delete;
-  ~SimBarrier();
-
-  /// Block until all parties have arrived; the last arrival releases all.
-  void arrive_and_wait(Process& self);
-
-  [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
-  [[nodiscard]] std::size_t arrived() const noexcept { return waiting_.size(); }
-
- private:
-  Simulator* sim_;
-  std::size_t parties_;
-  std::uint64_t generation_ = 0;
-  std::deque<Process*> waiting_;
-};
-
-/// A FIFO-served exclusive resource with a modelled service time — the
-/// building block for links and the disk. A process `uses` the resource
-/// for a caller-computed Duration; requests queue in arrival order.
-class SimResource {
- public:
-  explicit SimResource(Simulator& sim, std::string name)
-      : sim_(&sim), name_(std::move(name)), gate_(sim, 1) {}
-
-  /// Acquire exclusively, hold for `service_time` of simulated time, then
-  /// release. Returns the time spent queueing (not serving).
-  Duration use(Process& self, Duration service_time);
-
-  /// Total simulated time the resource spent serving (busy time).
-  [[nodiscard]] Duration busy_time() const noexcept { return busy_; }
-  [[nodiscard]] Duration queue_time() const noexcept { return queued_; }
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept { return gate_.waiters(); }
-
- private:
-  Simulator* sim_;
-  std::string name_;
-  SimSemaphore gate_;
-  Duration busy_;
-  Duration queued_;
-  std::uint64_t completed_ = 0;
 };
 
 }  // namespace chk::des

@@ -200,9 +200,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         *config.storage_faults,
         runtime.fork_rng(0x510Fu).fork(config.storage_faults->stream));
   }
-  if (config.storage_retry.has_value()) {
-    runtime.store().set_retry_policy(*config.storage_retry);
-  }
   // Retention: one generation normally; two when the storage can rot or
   // fail a write, so verified recovery has a generation to fall back to.
   std::uint32_t keep_depth = config.keep_depth;

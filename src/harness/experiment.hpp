@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "chklib/ckpt/storage_client.hpp"
 #include "chklib/comm/link_fault.hpp"
 #include "chklib/membership/service.hpp"
 #include "chklib/proto/protocol.hpp"
@@ -79,10 +78,6 @@ struct ExperimentConfig {
   /// durable images. Unset (or all-inactive) = perfect storage,
   /// bit-identical to pre-fault-model builds.
   std::optional<xplorer::StorageFaultConfig> storage_faults;
-  /// Retry policy of the storage client (attempts, backoff, deadline).
-  /// Unset = the client's defaults. Only consulted when storage faults can
-  /// actually fail an operation.
-  std::optional<chklib::RetryPolicy> storage_retry;
   /// Checkpoint retention depth (generations kept per rank after GC /
   /// commit pruning). Zero = auto: 1 normally, raised to 2 when storage
   /// faults are enabled so verified recovery has a generation to fall

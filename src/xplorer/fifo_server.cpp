@@ -45,12 +45,4 @@ void FifoServer::start_next() {
   });
 }
 
-void FifoServer::reset_stats() noexcept {
-  busy_time_ = des::Duration::zero();
-  wait_time_ = des::Duration::zero();
-  jobs_completed_ = 0;
-  bytes_served_ = 0;
-  max_queue_ = 0;
-}
-
 }  // namespace chk::xplorer

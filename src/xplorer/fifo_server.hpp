@@ -43,7 +43,6 @@ class FifoServer {
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return jobs_completed_; }
   [[nodiscard]] std::uint64_t bytes_served() const noexcept { return bytes_served_; }
   [[nodiscard]] std::size_t max_queue_length() const noexcept { return max_queue_; }
-  void reset_stats() noexcept;
 
  private:
   struct Job {

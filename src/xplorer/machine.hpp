@@ -34,12 +34,6 @@ class Machine {
   [[nodiscard]] Network& network() noexcept { return network_; }
   [[nodiscard]] StableStorage& storage() noexcept { return storage_; }
 
-  void reset_stats() noexcept {
-    for (auto& node : nodes_) node->reset_stats();
-    network_.reset_stats();
-    storage_.reset_stats();
-  }
-
   void set_tracer(obs::Tracer* tracer) noexcept {
     for (auto& node : nodes_) node->set_tracer(tracer);
   }

@@ -89,10 +89,4 @@ des::Duration Network::total_link_busy() const noexcept {
   return total;
 }
 
-void Network::reset_stats() noexcept {
-  for (auto& link : links_) link->reset_stats();
-  for (auto& b : bytes_sent_) b = 0;
-  for (auto& t : transfers_) t = 0;
-}
-
 }  // namespace chk::xplorer

@@ -55,7 +55,6 @@ class Network {
   }
   /// Sum of busy time over all links.
   [[nodiscard]] des::Duration total_link_busy() const noexcept;
-  void reset_stats() noexcept;
 
  private:
   struct Pending {

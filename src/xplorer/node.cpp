@@ -46,11 +46,4 @@ des::Duration Node::mem_copy_time(std::size_t bytes) const noexcept {
   return des::Duration::seconds(static_cast<double>(bytes) / config_.mem_copy_bw);
 }
 
-void Node::reset_stats() noexcept {
-  compute_time_ = des::Duration::zero();
-  interference_time_ = des::Duration::zero();
-  copy_time_ = des::Duration::zero();
-  message_time_ = des::Duration::zero();
-}
-
 }  // namespace chk::xplorer

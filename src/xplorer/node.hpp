@@ -40,7 +40,8 @@ class Node {
   [[nodiscard]] des::Duration message_overhead_time(std::size_t bytes) const noexcept;
   [[nodiscard]] des::Duration mem_copy_time(std::size_t bytes) const noexcept;
 
-  /// Background-I/O interference window management (BufferedWriter).
+  /// Background-I/O interference window: open while a buffered scheme's
+  /// checkpointer thread streams an image to stable storage.
   void begin_background_io() noexcept { ++background_io_; }
   void end_background_io() noexcept { --background_io_; }
   [[nodiscard]] bool background_io_active() const noexcept { return background_io_ > 0; }
@@ -50,7 +51,6 @@ class Node {
   [[nodiscard]] des::Duration interference_time() const noexcept { return interference_time_; }
   [[nodiscard]] des::Duration copy_time() const noexcept { return copy_time_; }
   [[nodiscard]] des::Duration message_time() const noexcept { return message_time_; }
-  void reset_stats() noexcept;
 
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 

@@ -176,15 +176,4 @@ void StableStorage::store_now(const std::string& key, std::vector<std::byte> dat
   peak_bytes_ = std::max(peak_bytes_, total_bytes_);
 }
 
-void StableStorage::reset_stats() noexcept {
-  host_link_.reset_stats();
-  disk_.reset_stats();
-  bytes_written_ = 0;
-  writes_completed_ = 0;
-  writes_failed_ = 0;
-  bytes_reclaimed_ = 0;
-  peak_bytes_ = total_bytes_;
-  if (faults_ != nullptr) faults_->reset_counters();
-}
-
 }  // namespace chk::xplorer

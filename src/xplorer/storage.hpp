@@ -130,7 +130,6 @@ class StableStorage {
 
   [[nodiscard]] FifoServer& disk() noexcept { return disk_; }
   [[nodiscard]] FifoServer& host_link() noexcept { return host_link_; }
-  void reset_stats() noexcept;
 
  private:
   void store_now(const std::string& key, std::vector<std::byte> data);

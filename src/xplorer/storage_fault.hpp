@@ -85,9 +85,6 @@ class StorageFaultModel {
   [[nodiscard]] std::uint64_t read_errors() const noexcept { return read_errors_; }
   [[nodiscard]] std::uint64_t bitrot_flagged() const noexcept { return bitrot_flagged_; }
   [[nodiscard]] std::uint64_t degraded_ops() const noexcept { return degraded_ops_; }
-  void reset_counters() noexcept {
-    write_errors_ = read_errors_ = bitrot_flagged_ = degraded_ops_ = 0;
-  }
 
  private:
   void advance_window();

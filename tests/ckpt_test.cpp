@@ -153,8 +153,9 @@ TEST(Store, WriteLoadRoundTrip) {
     image.state = std::vector<std::byte>(500, std::byte{7});
     f.store.write_image_blocking(self, 2, image);
     EXPECT_TRUE(f.store.has_image(2, 1));
-    const auto loaded = f.store.load_image_blocking(self, 2, 1);
-    EXPECT_EQ(loaded.state, image.state);
+    const auto loaded = f.store.try_load_image_blocking(self, 2, 1);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->state, image.state);
   });
   EXPECT_EQ(f.sim.run().reason, des::StopReason::kIdle);
 }
@@ -211,7 +212,9 @@ TEST(Store, MissingLogIsNullopt) {
     image.rank = 0;
     image.index = 1;
     f.store.write_image_blocking(self, 0, image);
-    EXPECT_FALSE(f.store.load_log_blocking(self, 0, 1).has_value());
+    bool failed = true;
+    EXPECT_FALSE(f.store.try_load_log_blocking(self, 0, 1, &failed).has_value());
+    EXPECT_FALSE(failed);  // no log stored, as opposed to an unreadable one
   });
   f.sim.run();
 }
@@ -225,10 +228,11 @@ TEST(Store, PeekReadsWithoutSimTime) {
     image.sends = {{3, 8, 0}};
     f.store.write_image_blocking(self, 0, image);
     const auto t0 = self.now();
-    const auto peeked = f.store.peek_image(0, 1);
+    const auto peeked = f.store.try_peek_image(0, 1);
     EXPECT_EQ(self.now(), t0);  // no simulated time consumed
-    ASSERT_EQ(peeked.sends.size(), 1u);
-    EXPECT_EQ(peeked.sends[0].dst, 3u);
+    ASSERT_TRUE(peeked.has_value());
+    ASSERT_EQ(peeked->sends.size(), 1u);
+    EXPECT_EQ(peeked->sends[0].dst, 3u);
   });
   f.sim.run();
 }

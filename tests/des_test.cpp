@@ -324,19 +324,6 @@ TEST(Mailbox, DeliversInOrder) {
   EXPECT_EQ(received, (std::vector<int>{10, 20, 30}));
 }
 
-TEST(Mailbox, TryRecvNonBlocking) {
-  Simulator sim;
-  SimMailbox<int> box(sim);
-  sim.spawn("p", [&](Process&) {
-    EXPECT_FALSE(box.try_recv().has_value());
-    box.send(5);
-    auto v = box.try_recv();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 5);
-  });
-  sim.run();
-}
-
 TEST(Mailbox, ClearDropsQueued) {
   Simulator sim;
   SimMailbox<int> box(sim);
@@ -360,76 +347,6 @@ TEST(Mailbox, KilledReceiverLeavesMessageForOthers) {
   sim.schedule_after(Duration::millis(3), [&] { box.send(7); });
   sim.run();
   EXPECT_EQ(got, 7);
-}
-
-TEST(Barrier, ReleasesAllTogether) {
-  Simulator sim;
-  SimBarrier barrier(sim, 3);
-  std::vector<double> release_times;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(std::string("p") + std::to_string(i), [&, i](Process& self) {
-      self.delay(Duration::millis(10 * (i + 1)));
-      barrier.arrive_and_wait(self);
-      release_times.push_back(self.now().to_seconds());
-    });
-  }
-  sim.run();
-  ASSERT_EQ(release_times.size(), 3u);
-  for (double t : release_times) EXPECT_DOUBLE_EQ(t, 0.030);
-}
-
-TEST(Barrier, Reusable) {
-  Simulator sim;
-  SimBarrier barrier(sim, 2);
-  int rounds_done = 0;
-  for (int p = 0; p < 2; ++p) {
-    sim.spawn(std::string("p") + std::to_string(p), [&, p](Process& self) {
-      for (int round = 0; round < 5; ++round) {
-        self.delay(Duration::millis(p == 0 ? 3 : 7));
-        barrier.arrive_and_wait(self);
-      }
-      ++rounds_done;
-    });
-  }
-  const auto result = sim.run();
-  EXPECT_EQ(result.reason, StopReason::kIdle);
-  EXPECT_EQ(rounds_done, 2);
-  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 0.035);
-}
-
-TEST(Resource, SerializesUsers) {
-  Simulator sim;
-  SimResource res(sim, "disk");
-  std::vector<double> done_times;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(std::string("u") + std::to_string(i), [&](Process& self) {
-      res.use(self, Duration::secs(1));
-      done_times.push_back(self.now().to_seconds());
-    });
-  }
-  sim.run();
-  ASSERT_EQ(done_times.size(), 3u);
-  EXPECT_DOUBLE_EQ(done_times[0], 1.0);
-  EXPECT_DOUBLE_EQ(done_times[1], 2.0);
-  EXPECT_DOUBLE_EQ(done_times[2], 3.0);
-  EXPECT_DOUBLE_EQ(res.busy_time().to_seconds(), 3.0);
-  EXPECT_DOUBLE_EQ(res.queue_time().to_seconds(), 3.0);  // 0 + 1 + 2
-}
-
-TEST(Resource, KilledHolderReleases) {
-  Simulator sim;
-  SimResource res(sim, "r");
-  bool second_done = false;
-  auto& holder = sim.spawn("holder", [&](Process& self) { res.use(self, Duration::secs(100)); });
-  sim.spawn_at(TimePoint::origin() + Duration::millis(1), "second", [&](Process& self) {
-    res.use(self, Duration::secs(1));
-    second_done = true;
-  });
-  sim.schedule_after(Duration::secs(2), [&] { sim.kill(holder); });
-  const auto result = sim.run();
-  EXPECT_EQ(result.reason, StopReason::kIdle);
-  EXPECT_TRUE(second_done);
-  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 3.0);
 }
 
 TEST(Completion, AwaitBlocksUntilCallback) {

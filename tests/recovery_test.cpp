@@ -54,9 +54,11 @@ struct StoreSnapshot final : public chklib::RecoveryObserver {
     images.assign(rt->num_ranks(), {});
     for (chklib::Rank r = 0; r < rt->num_ranks(); ++r) {
       for (std::uint32_t index : rt->store().saved_indices(r)) {
+        const auto image = rt->store().try_peek_image(r, index);
+        ASSERT_TRUE(image.has_value());
         images[r][index] = {
             rt->machine().storage().size(chklib::CheckpointStore::image_key(r, index)),
-            rt->store().peek_image(r, index).delta_base};
+            image->delta_base};
       }
     }
   }

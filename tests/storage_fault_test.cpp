@@ -3,9 +3,9 @@
 // client, verified multi-generation recovery, checkpoint retention GC, and
 // the fault domain's composition with crashes and lossy links.
 //
-//   * determinism guard: a present-but-inactive storage fault config, an
-//     explicit retry policy and keep_depth=1 leave trace hashes and
-//     completion times bit-identical to the pinned baselines;
+//   * determinism guard: a present-but-inactive storage fault config and
+//     keep_depth=1 leave trace hashes and completion times bit-identical to
+//     the pinned baselines;
 //   * fault-model validation + determinism: out-of-range parameters are
 //     rejected; equal seeds yield equal verdict streams; a zero-probability
 //     fault takes no RNG draw;
@@ -41,6 +41,7 @@
 #include "harness/experiment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/tracer.hpp"
+#include "pinned_runs.hpp"
 #include "util/rng.hpp"
 #include "xplorer/machine.hpp"
 #include "xplorer/storage_fault.hpp"
@@ -85,48 +86,22 @@ StorageFaultConfig default_weather() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism guard: inactive storage faults + explicit retry policy +
-// keep_depth=1 => bit-identical to the pinned pre-fault-domain baselines.
+// Determinism guard: inactive storage faults + keep_depth=1 =>
+// bit-identical to the pinned pre-fault-domain baselines.
 // ---------------------------------------------------------------------------
 
-struct PinnedRow {
-  const char* label;
-  Scheme scheme;
-  std::uint64_t trace_hash;
-  double exec_time_s;
-};
-
-// Same values transport_test.cpp pins (seed 2026, 8 nodes, 3 checkpoints,
-// 3 s interval). Any drift here means the storage fault domain, the retry
-// client or the retained-set GC perturbs fault-free executions.
-const PinnedRow kPinned[] = {
-    {"SOR-384", Scheme::kNone, 0x48cbdcb214e83a01ull, 16.569530568000001},
-    {"SOR-384", Scheme::kCoordNB, 0xd93ccedafd07f2bfull, 19.73585765},
-    {"SOR-384", Scheme::kCoordNBM, 0xff1f9d266946e0e1ull, 18.087658350000002},
-    {"SOR-384", Scheme::kCoordNBMS, 0x61f27678c952f6d0ull, 17.197612419000002},
-    {"SOR-384", Scheme::kIndep, 0xc1ebb057981c7b23ull, 20.372140246000001},
-    {"SOR-384", Scheme::kIndepM, 0x4f07c72445cb8dbfull, 17.642822625000001},
-    {"NQUEENS-14", Scheme::kCoordNBMS, 0x545b6cd50cd8a4edull, 50.346957506000003},
-};
-
+// The shared pinned table (pinned_runs.hpp). Any drift here means the
+// storage fault domain, the retry client or the retained-set GC perturbs
+// fault-free executions.
 TEST(StorageDeterminismGuard, InactiveFaultsMatchPinnedBaselines) {
-  for (const PinnedRow& row : kPinned) {
-    harness::ExperimentConfig config;
-    config.label = row.label;
-    config.app = harness::find_row(row.label).app;
-    config.scheme = row.scheme;
-    config.machine.num_nodes = 8;
-    config.seed = 2026;
-    config.checkpoints = 3;
-    config.interval = des::Duration::secs(3);
+  for (const pinned::Row& row : pinned::kRows) {
+    harness::ExperimentConfig config = pinned::config_for(row);
     // Present but inactive: all probabilities zero, degradation off. The
     // model is not even installed; the client runs its single-attempt path.
     config.storage_faults = StorageFaultConfig{};
-    config.storage_retry = chklib::RetryPolicy{};
     config.keep_depth = 1;
     const auto result = harness::run_experiment(config);
-    const std::string what =
-        std::string(row.label) + " + " + std::string(to_string(row.scheme));
+    const std::string what = pinned::describe(row);
     EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
     EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
     EXPECT_EQ(result.io_write_errors, 0u) << what;
@@ -402,16 +377,13 @@ TEST(StorageClient, MissingKeyReadIsOkAndEmpty) {
 // ---------------------------------------------------------------------------
 
 TEST(StorageFaults, IndependentSkipsIntervalOnTerminalWriteFailure) {
-  // A short retry budget against a high error rate forces terminal write
-  // failures; the independent scheme skips those intervals, keeps the
-  // previous generation and still computes the right answer.
+  // An error rate high enough to exhaust the default retry budget forces
+  // terminal write failures; the independent scheme skips those intervals,
+  // keeps the previous generation and still computes the right answer.
   auto config = small_sor(Scheme::kIndep);
   StorageFaultConfig faults;
-  faults.write_error = 0.45;
+  faults.write_error = 0.6;
   config.storage_faults = faults;
-  chklib::RetryPolicy policy;
-  policy.max_attempts = 2;
-  config.storage_retry = policy;
   const auto result = harness::run_experiment(config);
   EXPECT_GE(result.ckpt_write_failures, 1u);
   EXPECT_GE(result.storage_retries, 1u);

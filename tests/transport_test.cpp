@@ -37,6 +37,7 @@
 #include "harness/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "obs/tracer.hpp"
+#include "pinned_runs.hpp"
 #include "util/rng.hpp"
 
 namespace chk {
@@ -56,39 +57,12 @@ using des::Duration;
 // Determinism guard: faults off => bit-identical to the pre-transport repo.
 // ---------------------------------------------------------------------------
 
-struct PinnedRow {
-  const char* label;
-  Scheme scheme;
-  std::uint64_t trace_hash;
-  double exec_time_s;
-};
-
-// Captured on the tree immediately before the transport layer landed
-// (seed 2026, 8 nodes, 3 checkpoints, 3 s interval). Any drift here means
-// the fault model or transport perturbs fault-free executions.
-const PinnedRow kPinned[] = {
-    {"SOR-384", Scheme::kNone, 0x48cbdcb214e83a01ull, 16.569530568000001},
-    {"SOR-384", Scheme::kCoordNB, 0xd93ccedafd07f2bfull, 19.73585765},
-    {"SOR-384", Scheme::kCoordNBM, 0xff1f9d266946e0e1ull, 18.087658350000002},
-    {"SOR-384", Scheme::kCoordNBMS, 0x61f27678c952f6d0ull, 17.197612419000002},
-    {"SOR-384", Scheme::kIndep, 0xc1ebb057981c7b23ull, 20.372140246000001},
-    {"SOR-384", Scheme::kIndepM, 0x4f07c72445cb8dbfull, 17.642822625000001},
-    {"NQUEENS-14", Scheme::kCoordNBMS, 0x545b6cd50cd8a4edull, 50.346957506000003},
-};
-
+// The shared pinned table (pinned_runs.hpp). Any drift here means the fault
+// model or transport perturbs fault-free executions.
 TEST(DeterminismGuard, FaultFreeTracesMatchPreTransportBaselines) {
-  for (const PinnedRow& row : kPinned) {
-    harness::ExperimentConfig config;
-    config.label = row.label;
-    config.app = harness::find_row(row.label).app;
-    config.scheme = row.scheme;
-    config.machine.num_nodes = 8;
-    config.seed = 2026;
-    config.checkpoints = 3;
-    config.interval = Duration::secs(3);
-    const auto result = harness::run_experiment(config);
-    const std::string what =
-        std::string(row.label) + " + " + std::string(to_string(row.scheme));
+  for (const pinned::Row& row : pinned::kRows) {
+    const auto result = harness::run_experiment(pinned::config_for(row));
+    const std::string what = pinned::describe(row);
     EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
     EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
     EXPECT_EQ(result.retransmits, 0u) << what;
