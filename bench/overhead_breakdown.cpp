@@ -3,8 +3,8 @@
 //
 // Runs the SOR benchmark under every checkpointing scheme with the obs
 // tracer attached and prints the per-scheme attribution table (sync wait,
-// memory copy, stable write, storage contention, logging, frozen stalls,
-// CPU interference). The paper's central finding shows up directly: the
+// memory copy, stable write, storage contention, logging, CPU
+// interference). The paper's central finding shows up directly: the
 // stable-storage write dominates and the synchronization share is small.
 //
 //   ./overhead_breakdown [--n=256] [--iters=60] [--nodes=8] [--checkpoints=3]
@@ -90,8 +90,8 @@ int main(int argc, char** argv) try {
   // The difference is critical-path idle not chargeable to any one rank
   // (e.g. waiting on a neighbour that is checkpointing).
   util::Table table({"scheme", "overhead (s)", "rank-s", "sync wait", "mem copy",
-                     "stable write", "contention", "logging", "frozen", "interference",
-                     "attributed", "unattributed"});
+                     "stable write", "contention", "logging", "interference", "attributed",
+                     "unattributed"});
   const double ranks = static_cast<double>(base.machine.num_nodes);
   for (const auto& result : results) {
     const obs::RankBuckets& total = result.obs->attribution.total;
@@ -103,7 +103,6 @@ int main(int argc, char** argv) try {
                    util::Table::fixed(total.stable_write_s, 3),
                    util::Table::fixed(total.storage_contention_s, 3),
                    util::Table::fixed(total.logging_s, 3),
-                   util::Table::fixed(total.frozen_stall_s, 3),
                    util::Table::fixed(total.interference_s, 3),
                    util::Table::fixed(total.bucket_sum_s(), 3),
                    util::Table::fixed(overhead * ranks - total.bucket_sum_s(), 3)});

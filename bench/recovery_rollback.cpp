@@ -60,10 +60,7 @@ ExperimentConfig case_config(ExperimentConfig config, const Case& c, double frac
   config.scheme = c.scheme;
   config.checkpoints = 0;  // keep checkpointing until done
   config.interval = des::Duration::seconds(normal.exec_time_s / 5.0);
-  if (c.logging) {
-    config.message_logging = true;
-    config.recovery_mode = chklib::LineMode::kOrphanFree;
-  }
+  config.message_logging = c.logging;
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * frac), 3};
   return config;

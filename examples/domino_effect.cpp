@@ -31,7 +31,6 @@ harness::ExperimentResult run_case(const char* label, chklib::AppFn app, double 
   config.scheme = harness::Scheme::kIndep;
   config.checkpoints = 3;
   config.interval = des::Duration::seconds(normal.exec_time_s / 4.0);
-  config.recovery_mode = chklib::LineMode::kStrict;
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * fail_frac), 2};
   return harness::run_experiment(config);

@@ -75,7 +75,6 @@ int main(int argc, char** argv) try {
     table.add_row({"  storage contention",
                    util::Table::seconds(attributed.storage_contention_s)});
     table.add_row({"  logging", util::Table::seconds(attributed.logging_s)});
-    table.add_row({"  frozen stalls", util::Table::seconds(attributed.frozen_stall_s)});
     table.add_row({"  CPU interference", util::Table::seconds(attributed.interference_s)});
   }
   table.add_row({"result digest", util::Table::fixed(result.digest.value_or(0.0), 0)});

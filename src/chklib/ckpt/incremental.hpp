@@ -9,8 +9,8 @@
 // the delta chain on top of the last full image.
 //
 // Pays off exactly where the paper's workloads suggest: ISING's quenched
-// coupling arrays never change after initialization, GAUSS rows freeze once
-// the pivot passes them — while SOR dirties its whole grid every sweep and
+// coupling arrays never change after initialization, GAUSS rows stop
+// changing once the pivot passes them — while SOR dirties its whole grid every sweep and
 // gains nothing (the ablation bench shows both).
 #pragma once
 

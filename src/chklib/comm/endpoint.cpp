@@ -4,15 +4,13 @@
 #include <utility>
 
 #include "chklib/comm/comm_system.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 
 Endpoint::Endpoint(CommSystem& system, Rank rank, xplorer::Node& node, des::Simulator& sim)
-    : system_(&system), rank_(rank), node_(&node), sim_(&sim), gate_(sim), control_(sim) {}
+    : system_(&system), rank_(rank), node_(&node), sim_(&sim) {}
 
 void Endpoint::send(des::Process& self, Rank dst, int tag, std::vector<std::byte> payload) {
-  gate_.enter(self);
   if (tracer_) {
     tracer_->instant(obs::EventKind::kMsgSend, static_cast<std::uint16_t>(rank_),
                      sim_->now().to_nanos(), payload.size(), static_cast<std::uint32_t>(dst));
@@ -68,21 +66,18 @@ Envelope Endpoint::consume_match(des::Process& self, int src, int tag,
 }
 
 Envelope Endpoint::recv(des::Process& self, int src, int tag) {
-  gate_.enter(self);
   std::int64_t wait_start_ns = -1;  // first suspension instant, if any
   for (;;) {
     if (peek_match(src, tag) != nullptr) {
       return consume_match(self, src, tag, wait_start_ns);
     }
     if (wait_start_ns < 0) wait_start_ns = sim_->now().to_nanos();
-    recv_waiters_.push_back(&self);
-    self.suspend([this, &self] { std::erase(recv_waiters_, &self); });
+    recv_waiters_.park(self);
   }
 }
 
 std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint deadline,
                                              int src, int tag) {
-  gate_.enter(self);
   std::int64_t wait_start_ns = -1;
   for (;;) {
     if (peek_match(src, tag) != nullptr) {
@@ -96,17 +91,11 @@ std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint 
       return std::nullopt;
     }
     if (wait_start_ns < 0) wait_start_ns = sim_->now().to_nanos();
-    recv_waiters_.push_back(&self);
-    // Waiter-list membership <=> parked in the suspend below (deliver,
-    // reinject and the kill-cancel callback all erase before waking), so
-    // the timer may wake the process exactly when the erase succeeds. If
-    // this process is killed first, the fired timer's erase finds nothing;
-    // a same-address successor in the list is parked in a wake-tolerant
-    // recv loop, so a spurious wake at worst re-checks and re-parks.
-    des::EventHandle timer = sim_->schedule_at(deadline, [this, &self] {
-      if (std::erase(recv_waiters_, &self) > 0) sim_->wake(self);
-    });
-    self.suspend([this, &self] { std::erase(recv_waiters_, &self); });
+    // The deadline wakes this process only if it is still parked here: a
+    // kill unhooks it first, and the fired timer's wake then finds nothing.
+    des::EventHandle timer =
+        sim_->schedule_at(deadline, [this, &self] { recv_waiters_.wake(self); });
+    recv_waiters_.park(self);
     timer.cancel();
   }
 }
@@ -129,9 +118,7 @@ void Endpoint::deliver(Envelope env) {
   }
   if (auto* hooks = system_->hooks()) hooks->on_arrival(rank_, env);
   pending_.push_back(std::move(env));
-  auto waiters = std::move(recv_waiters_);
-  recv_waiters_.clear();
-  for (des::Process* waiter : waiters) sim_->wake(*waiter);
+  recv_waiters_.wake_all();
 }
 
 std::vector<Envelope> Endpoint::pending_snapshot() const {
@@ -149,9 +136,7 @@ void Endpoint::reinject(std::vector<Envelope> envelopes) {
   // Restored channel-log messages precede anything the re-execution sends.
   pending_.insert(pending_.begin(), std::make_move_iterator(envelopes.begin()),
                   std::make_move_iterator(envelopes.end()));
-  auto waiters = std::move(recv_waiters_);
-  recv_waiters_.clear();
-  for (des::Process* waiter : waiters) sim_->wake(*waiter);
+  recv_waiters_.wake_all();
 }
 
 void Endpoint::reset_seq() noexcept {

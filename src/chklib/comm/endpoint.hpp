@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "chklib/comm/envelope.hpp"
-#include "chklib/comm/freeze_gate.hpp"
 #include "chklib/comm/hooks.hpp"
 #include "des/process.hpp"
 #include "des/sync.hpp"
@@ -56,12 +55,8 @@ class Endpoint {
   Endpoint(CommSystem& system, Rank rank, xplorer::Node& node, des::Simulator& sim);
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
-  ~Endpoint() {
-    for (des::Process* proc : recv_waiters_) proc->detach_cancel();
-  }
 
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
-  [[nodiscard]] FreezeGate& gate() noexcept { return gate_; }
   [[nodiscard]] xplorer::Node& node() noexcept { return *node_; }
 
   // ---- application API (call from the rank's application process) --------
@@ -117,10 +112,7 @@ class Endpoint {
   [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept { return duplicates_dropped_; }
   [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
 
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    gate_.set_tracer(tracer, static_cast<std::uint16_t>(rank_));
-  }
+  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   // Reserved (negative) tags used by the collectives; applications must
   // use non-negative tags.
@@ -148,9 +140,8 @@ class Endpoint {
   xplorer::Node* node_;
   des::Simulator* sim_;
   obs::Tracer* tracer_ = nullptr;
-  FreezeGate gate_;
   std::deque<Envelope> pending_;
-  std::deque<des::Process*> recv_waiters_;
+  des::WaitQueue recv_waiters_;
   des::SimMailbox<ControlMsg> control_;
   std::map<Rank, std::uint64_t> send_seq_;
   std::map<Rank, std::uint64_t> consumed_upto_;

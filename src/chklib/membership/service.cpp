@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/tracer.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib::membership {
 
@@ -341,8 +340,6 @@ void MembershipService::propose(Rank proposer, std::uint64_t new_members) {
   const std::uint64_t base = std::max(view_, proposed_view_);
   const std::uint64_t next = (base / num_ranks_ + 1) * num_ranks_ + proposer;
   ++stats_.proposals;
-  CHK_INFO("membership", "rank {} proposes view {} members {:#x}", proposer, next,
-           new_members);
   for (Rank q = 0; q < num_ranks_; ++q) {
     if (q == proposer) continue;
     rt_->comm().send_control(proposer, q,
@@ -401,7 +398,6 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
         ++stats_.wrongful_evictions;
         fenced_.insert(r);
         begin_exclusion(r);
-        CHK_INFO("membership", "rank {} fenced by view {} (wrongful eviction)", r, view);
         if (on_fence_) on_fence_(r, true);
       }
     } else if ((added >> r) & 1u) {
@@ -411,7 +407,6 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
         // Decorrelate the rejoined rank's beacon from its pre-eviction
         // schedule; observers' accrual windows for it were reset above.
         rephase_beacon(r);
-        CHK_INFO("membership", "rank {} rejoins in view {}", r, view);
         if (on_fence_) on_fence_(r, false);
       }
     }
@@ -421,8 +416,6 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
     // The whole-application restart is the strongest establishment this
     // view can get, so count it here (its acks die with the incarnation).
     ++stats_.views_established;
-    CHK_INFO("membership", "view {} evicts crashed rank {}; starting recovery", view,
-             dead);
     recovery_->recover_now(dead);
   }
 }
@@ -432,7 +425,6 @@ void MembershipService::establish() {
   proposed_view_ = 0;
   proposed_members_ = 0;
   view_acks_.clear();
-  CHK_INFO("membership", "view {} established (coordinator {})", view_, coordinator());
   if (on_view_established_) on_view_established_(view_);
 }
 
@@ -472,14 +464,12 @@ bool MembershipService::crash(Rank r) {
     tracer->instant(obs::EventKind::kFailure, static_cast<std::uint16_t>(r),
                     rt_->sim().now().to_nanos(), 0, 1);
   }
-  CHK_INFO("membership", "rank {} crashed silently; cluster must detect it", r);
   // Deadman fallback: if the eviction quorum never assembles (e.g. the
   // detector is configured far too lax for the workload's lifetime), force
   // the rollback rather than hang the application forever.
   rt_->sim().schedule_after(deadman_delay(r), [this, r] {
     if (down_.contains(r) && !recovery_->recovering()) {
       ++stats_.forced_recoveries;
-      CHK_INFO("membership", "deadman: rank {} still undetected; forcing recovery", r);
       recovery_->recover_now(r);
     }
   });

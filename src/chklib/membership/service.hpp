@@ -153,7 +153,6 @@ class MembershipService final : public RecoveryObserver {
   }
   /// Ground truth (simulator-side) — the cluster itself only sees views.
   [[nodiscard]] bool is_down(Rank r) const noexcept { return down_.contains(r); }
-  [[nodiscard]] bool is_fenced(Rank r) const noexcept { return fenced_.contains(r); }
 
   /// Invoked in kernel context when a proposed view gathered its ack
   /// majority — the protocol aborts an in-flight round and re-initiates it

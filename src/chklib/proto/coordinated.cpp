@@ -5,7 +5,6 @@
 
 #include "chklib/membership/service.hpp"
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 
@@ -23,7 +22,7 @@ CoordinatedProtocol::CoordinatedProtocol(Runtime& runtime, Config config)
   }
   agents_.reserve(rt_->num_ranks());
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    agents_.push_back(std::make_unique<Agent>(rt_->sim()));
+    agents_.push_back(std::make_unique<Agent>());
   }
 }
 
@@ -66,8 +65,6 @@ void CoordinatedProtocol::on_view_established() {
   // Abort it and let the new view's coordinator re-initiate at the next
   // epoch — this is how the schemes survive coordinator death mid-round.
   note_round_abort(round_epoch_);
-  CHK_DEBUG("coord", "round {} aborted by view change at {}", round_epoch_,
-            rt_->sim().now().str());
   round_watchdog_.cancel();
   token_watchdog_.cancel();
   round_in_progress_ = false;
@@ -113,7 +110,6 @@ void CoordinatedProtocol::begin_round(std::uint32_t epoch) {
   round_epoch_ = epoch;
   round_view_ = current_view();
   acked_.clear();
-  CHK_DEBUG("coord", "round {} begins at {}", epoch, rt_->sim().now().str());
   if (auto* tracer = rt_->tracer()) {
     tracer->instant(obs::EventKind::kRoundBegin, static_cast<std::uint16_t>(coordinator()),
                     rt_->sim().now().to_nanos(), 0, epoch);
@@ -149,8 +145,6 @@ void CoordinatedProtocol::begin_round(std::uint32_t epoch) {
 void CoordinatedProtocol::on_round_timeout(std::uint32_t epoch) {
   if (!round_in_progress_ || round_epoch_ != epoch) return;
   note_round_abort(epoch);
-  CHK_DEBUG("coord", "round {} aborted at {} ({} / {} acks)", epoch,
-            rt_->sim().now().str(), acked_.size(), rt_->num_ranks());
   token_watchdog_.cancel();
   round_in_progress_ = false;
   if (const auto held = grants_.held()) {
@@ -191,8 +185,6 @@ void CoordinatedProtocol::on_token_timeout(std::uint32_t epoch) {
     // a rank that does receive the original drops the duplicate.
     ++stats_.tokens_regenerated;
     if (auto* iobs = rt_->store().observer()) iobs->on_token_regenerated(epoch);
-    CHK_DEBUG("coord", "stagger token regenerated toward rank {} (epoch {})",
-              token_pos_, epoch);
     if (auto* tracer = rt_->tracer()) {
       tracer->instant(obs::EventKind::kTokenRegen,
                       static_cast<std::uint16_t>(coordinator()),
@@ -324,14 +316,11 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
           // round watchdog takes.
           ++stats_.commit_write_failures;
           note_round_abort(round_epoch_);
-          CHK_DEBUG("coord", "commit write for epoch {} failed terminally at {}; "
-                    "re-initiating", round_epoch_, rt_->sim().now().str());
           round_in_progress_ = false;
           begin_round(round_epoch_ + 1);
           break;
         }
         ++stats_.committed_rounds;
-        CHK_DEBUG("coord", "epoch {} committed at {}", round_epoch_, rt_->sim().now().str());
         if (auto* tracer = rt_->tracer()) {
           tracer->instant(obs::EventKind::kCommit, static_cast<std::uint16_t>(coordinator()),
                           rt_->sim().now().to_nanos(), 0, round_epoch_);
@@ -508,7 +497,6 @@ void CoordinatedProtocol::try_finish(Rank r, des::Process& proc, WriteContext lo
       ++stats_.ckpt_write_failures;
       agent.finishing = false;
       agent.logging = true;
-      CHK_DEBUG("coord", "rank {} log write for epoch {} failed terminally", r, agent.epoch);
       return;
     }
   }
@@ -535,10 +523,7 @@ void CoordinatedProtocol::handle_commit(Rank r, std::uint32_t epoch) {
   // newest image must not retire the older generation recovery would fall
   // back to. (The image may legitimately be a delta; verification checks
   // the blob checksum, not the chain.)
-  if (!rt_->store().verify_image(r, epoch)) {
-    CHK_DEBUG("coord", "rank {} epoch {} image fails verification; GC skipped", r, epoch);
-    return;
-  }
+  if (!rt_->store().verify_image(r, epoch)) return;
   const std::size_t keep = std::max<std::uint32_t>(1, cfg_.keep_depth);
   const std::size_t have = agent.commit_history.size();
   // Retain the newest `keep` committed generations with their delta

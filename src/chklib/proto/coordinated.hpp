@@ -104,7 +104,6 @@ class CoordinatedProtocol final : public Protocol {
   [[nodiscard]] std::uint32_t committed_epoch() const noexcept {
     return rt_->store().committed_epoch();
   }
-  [[nodiscard]] bool round_in_progress() const noexcept { return round_in_progress_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// Attach the cluster-membership service (call before start()): the
@@ -120,7 +119,6 @@ class CoordinatedProtocol final : public Protocol {
 
  private:
   struct Agent {
-    explicit Agent(des::Simulator& sim) : token(sim, 0) {}
     std::uint32_t epoch = 0;          ///< last locally captured epoch
     std::uint32_t pending_epoch = 0;  ///< requested epoch (capture at next safe point)
     bool logging = false;             ///< channel log open for `epoch`

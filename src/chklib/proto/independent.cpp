@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 
@@ -44,7 +43,7 @@ IndependentProtocol::IndependentProtocol(Runtime& runtime, Config config)
   }
   agents_.reserve(rt_->num_ranks());
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    agents_.push_back(std::make_unique<Agent>(rt_->sim()));
+    agents_.push_back(std::make_unique<Agent>());
   }
 }
 
@@ -261,7 +260,7 @@ RecoveryLine IndependentProtocol::recovery_line() const {
     return line;
   }
   const auto histories = collect_histories(rt_->store(), rt_->num_ranks());
-  return compute_recovery_line(histories, cfg_.recovery_mode).line;
+  return compute_recovery_line(histories, LineMode::kStrict).line;
 }
 
 void IndependentProtocol::prepare_recovery(const RecoveryLine& line) {

@@ -45,13 +45,13 @@ class IndependentProtocol final : public Protocol {
     /// Timer jitter as a fraction of the interval (desynchronizes nodes).
     double jitter = 0.15;
     bool gc = false;
+    /// Line for GC without message logging; recovery always uses the
+    /// strict line (log-free recovery must not cross any message).
     LineMode gc_mode = LineMode::kStrict;
-    LineMode recovery_mode = LineMode::kStrict;
     /// Pessimistic sender-based message logging (the paper's §1 remedy):
     /// checkpoint images additionally carry the payloads of the interval's
-    /// sends, so recovery can replay lost messages and the orphan-free
-    /// line becomes executable — no domino effect, at the price of larger
-    /// checkpoints. Set recovery_mode/gc_mode to kOrphanFree with this.
+    /// sends, so recovery can replay lost messages and restore each rank's
+    /// newest image — no domino effect, at the price of larger checkpoints.
     bool message_logging = false;
     /// Retention depth: GC never prunes a rank below its newest
     /// `keep_depth` verified generations (>= 1), even when the recovery
@@ -87,7 +87,6 @@ class IndependentProtocol final : public Protocol {
 
  private:
   struct Agent {
-    explicit Agent(des::Simulator& sim) : token(sim, 0), captured(sim, 0) {}
     std::uint32_t intervals = 0;  ///< checkpoints taken (current interval index)
     bool pending = false;         ///< timer fired; capture at next safe point
     std::vector<SendRecord> sends;  ///< current-interval records (volatile)

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 
@@ -75,10 +74,7 @@ void Protocol::write_image(des::Process& writer, Rank r, CheckpointImage& image,
   const xplorer::IoStatus status = rt_->store().write_image_blocking(writer, r, image, context);
   if (background) node.end_background_io();
   release_write(r, tag);
-  if (status != xplorer::IoStatus::kOk) {
-    ++stats_.ckpt_write_failures;
-    CHK_DEBUG("proto", "rank {} image {} write failed terminally", r, image.index);
-  }
+  if (status != xplorer::IoStatus::kOk) ++stats_.ckpt_write_failures;
   image_written(r, writer, status, context, image);
 }
 

@@ -1,9 +1,10 @@
 // The checkpointing schemes compared by the paper (plus two ablation /
 // extension variants marked *).
 //
-//   Coord_B    * blocking coordinated: application frozen until global commit
 //   Coord_NB     non-blocking protocol, application blocked during its own
 //                stable-storage write
+//   Coord_NBS  * Coord_NB + checkpoint staggering without memory buffering
+//                (ablation: does staggering pay off on its own?)
 //   Coord_NBM    non-blocking + main-memory checkpointing (blocked only for
 //                the memory copy; checkpointer thread writes in background)
 //   Coord_NBMS   Coord_NBM + checkpoint staggering (token-based ring orders

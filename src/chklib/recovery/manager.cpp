@@ -7,7 +7,6 @@
 #include "chklib/ckpt/incremental.hpp"
 
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 
@@ -77,14 +76,11 @@ void RecoveryManager::abort_active_recovery() {
   report.interrupted = true;
   report.recovery_latency = rt_->sim().now() - report.failed_at;
   report.logged_sends.clear();  // replay scratch; contract: empty when published
-  CHK_INFO("recovery", "restore of rank {} failure interrupted after {}",
-           report.failed_rank, report.recovery_latency.str());
   reports_.push_back(report);
 }
 
 void RecoveryManager::on_failure(Rank failed) {
   des::Simulator& sim = rt_->sim();
-  CHK_INFO("recovery", "node {} failed at {}", failed, sim.now().str());
   if (auto* tracer = rt_->tracer()) {
     tracer->instant(obs::EventKind::kFailure, static_cast<std::uint16_t>(failed),
                     sim.now().to_nanos());
@@ -267,8 +263,6 @@ void RecoveryManager::replan_after_bad_generation(std::shared_ptr<RecoveryReport
     // Stale trigger: a sibling loader already re-planned this attempt, or a
     // new failure superseded the whole recovery.
     if (!active_ || active_->report != report || active_->attempt != attempt) return;
-    CHK_INFO("recovery", "rank {} generation {} unreadable; discarding and re-planning",
-             r, bad.front());
     for (des::Process* loader : active_->loaders) {
       if (!loader->finished()) rt_->sim().kill(*loader);
     }
@@ -327,8 +321,6 @@ void RecoveryManager::finish_recovery(const std::shared_ptr<RecoveryReport>& sha
                     rt_->sim().now().to_nanos());
   }
   for (RecoveryObserver* obs : observers_) obs->on_recovery_end(reports_.back());
-  CHK_INFO("recovery", "restart complete at {} (latency {})", rt_->sim().now().str(),
-           shared_report->recovery_latency.str());
 }
 
 }  // namespace chk::chklib

@@ -1,7 +1,6 @@
 #include "chklib/runtime.hpp"
 
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib {
 

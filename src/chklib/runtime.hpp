@@ -199,10 +199,7 @@ class AppContext {
   }
 
   // ---- modelled work -------------------------------------------------------
-  void compute(double flops) {
-    endpoint_->gate().enter(*self_);
-    node_->compute(*self_, flops);
-  }
+  void compute(double flops) { node_->compute(*self_, flops); }
 
   // ---- communication (forwarders to the endpoint) ---------------------------
   void send(Rank dst, int tag, std::vector<std::byte> payload) {

@@ -1,10 +1,10 @@
 #include "chklib/verify/invariants.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "util/format.hpp"
-#include "util/logging.hpp"
 
 namespace chk::chklib::verify {
 
@@ -14,8 +14,13 @@ void InvariantSink::report(std::string_view checker, Rank rank, std::string mess
   violation.rank = rank;
   violation.message = std::move(message);
   violation.when = sim_->now();
-  CHK_ERROR("verify", "invariant violated [{}] rank {} at {}: {}", violation.checker,
-            violation.rank, violation.when.str(), violation.message);
+  // One stdio call per line: reports from parallel_map workers never
+  // interleave.
+  std::fputs(util::format("[ERROR] verify: invariant violated [{}] rank {} at {}: {}\n",
+                          violation.checker, violation.rank, violation.when.str(),
+                          violation.message)
+                 .c_str(),
+             stderr);
   violations_.push_back(std::move(violation));
 
   switch (policy_) {
@@ -26,9 +31,10 @@ void InvariantSink::report(std::string_view checker, Rank rank, std::string mess
     case Policy::kThrowDeferred: {
       if (throw_scheduled_) return;
       throw_scheduled_ = true;
-      // Throwing here would be swallowed if we are inside a simulated
-      // process (Process::thread_main catches everything); a zero-delay
-      // kernel event always unwinds out of Simulator::run instead.
+      // Throwing here, inside a simulated process, would unwind the
+      // process body and fail the run only as a SimError naming it; a
+      // zero-delay kernel event raises the violation itself out of
+      // Simulator::run instead.
       const Violation& first = violations_.back();
       sim_->schedule_now([first] {
         throw InvariantViolation(util::format("invariant violated [{}] rank {}: {}",

@@ -1,14 +1,15 @@
 // Invariant-violation reporting for the protocol checkers.
 //
 // Checkers funnel every failed invariant through an InvariantSink, which
-// produces a structured diagnostic (util/logging) and then acts per policy:
+// prints one diagnostic line to stderr and then acts per policy:
 //
 //   kThrowDeferred  schedule an immediate kernel event that throws
 //                   InvariantViolation, so the error unwinds out of
 //                   Simulator::run() on the driving thread regardless of
 //                   whether the violation was detected in kernel or
 //                   process context (throwing from a simulated process
-//                   would be swallowed at the process boundary);
+//                   would unwind its body first and reach run() only as a
+//                   SimError naming the process);
 //   kAbort          log and std::abort() — the hard-stop mode used when
 //                   CHK_INVARIANTS builds run real experiments;
 //   kRecord         collect only (used by tests that assert on the

@@ -113,15 +113,6 @@ void Monitor::on_consume(Rank dst, const Envelope& env) {
   } else {
     cs.extra.insert(env.seq);
   }
-
-  if (opt_.check_quiescence) {
-    sink_.note_check();
-    if (rt_->comm().endpoint(dst).gate().frozen()) {
-      sink_.report("quiescence", dst,
-                   util::format("rank {} consumed seq {} from {} through a frozen gate",
-                                dst, env.seq, env.src));
-    }
-  }
 }
 
 void Monitor::on_control_delivered(Rank dst, const ControlMsg& msg) {

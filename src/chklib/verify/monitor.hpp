@@ -13,9 +13,8 @@
 //               decreases at a sender (within an incarnation);
 //   quiescence  coordinated rounds: once rank q received p's channel
 //               marker for epoch e, no pre-e application message from p
-//               may arrive at q, and nothing is consumed through a frozen
-//               gate — a global checkpoint never swallows or reorders
-//               application traffic;
+//               may arrive at q — a global checkpoint never swallows or
+//               reorders application traffic;
 //   consume     no message is consumed twice (mirrors the restored
 //               ChannelSeqState across rollbacks);
 //   stagger     staggered schemes: at most one rank is writing a

@@ -3,10 +3,11 @@
 // A Process runs a user-supplied body on a dedicated std::jthread, but the
 // kernel guarantees that at most one simulated thread executes at any wall
 // instant: the process and the kernel hand a baton back and forth through
-// two binary semaphores. Blocking primitives (delay, semaphores, mailboxes)
-// park the thread on its own semaphore; a waker schedules a kernel event
-// that releases it. Killing a process throws ProcessKilled at its current
-// suspension point so that stack unwinding runs RAII cleanups.
+// two binary semaphores. A blocked process is parked on its own semaphore,
+// either by its own delay() or by a WaitQueue (des/sync.hpp); nothing else
+// can park or wake it. Killing a process throws ProcessKilled at its current
+// suspension point so that stack unwinding runs RAII cleanups; any other
+// exception escaping the body fails the run (Simulator::run rethrows it).
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,6 @@ class Process {
   [[nodiscard]] TimePoint now() const noexcept { return sim_->now(); }
 
   [[nodiscard]] bool finished() const noexcept { return state_ == State::kFinished; }
-  [[nodiscard]] bool kill_requested() const noexcept { return killed_; }
-  /// Set when the body terminated by an uncaught exception other than
-  /// ProcessKilled; holds the exception's what().
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
   // ---- Blocking primitives; callable only from this process's own body ----
 
@@ -45,21 +42,9 @@ class Process {
   /// Yield to other work scheduled at the current instant.
   void yield();
 
-  /// Park until resumed. `cancel` must undo the external wake source (e.g.
-  /// remove this process from a wait list); the kernel invokes it if the
-  /// process is killed while parked, so that no stale waker fires later.
-  /// Throws ProcessKilled after a kill.
-  void suspend(InlineFn cancel);
-
-  /// Drop the pending suspend-cancel callback. Blocking primitives call
-  /// this from their destructors for every process still on their wait
-  /// list: if the primitive dies before the parked process is killed
-  /// (owner destroyed before the simulator shuts down), the callback
-  /// would otherwise touch the primitive's freed wait list.
-  void detach_cancel() noexcept { cancel_.reset(); }
-
  private:
   friend class Simulator;
+  friend class WaitQueue;
 
   enum class State : std::uint8_t {
     kCreated,   ///< spawn event scheduled, body not yet entered
@@ -74,12 +59,24 @@ class Process {
   void thread_main(ProcessFn body) noexcept;
   void check_in_body() const;
 
+  /// Park until resumed. `cancel` must undo the external wake source (e.g.
+  /// remove this process from a wait queue); the kernel invokes it if the
+  /// process is killed while parked, so that no stale waker fires later.
+  /// Throws ProcessKilled after a kill.
+  void suspend(InlineFn cancel);
+
+  /// Drop the pending suspend-cancel callback. A WaitQueue calls this from
+  /// its destructor for every process still parked on it: if the queue
+  /// dies before the parked process is killed (owner destroyed before the
+  /// simulator shuts down), the callback would otherwise touch the queue's
+  /// freed storage.
+  void detach_cancel() noexcept { cancel_.reset(); }
+
   Simulator* sim_;
   std::uint64_t id_;
   std::string name_;
   State state_ = State::kCreated;
   bool killed_ = false;
-  std::string error_;
   InlineFn cancel_;                       // valid while kBlocked
   std::binary_semaphore run_baton_{0};    // kernel -> process
   std::jthread thread_;                   // last member: starts running in ctor

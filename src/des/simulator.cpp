@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "des/process.hpp"
-#include "util/logging.hpp"
 
 namespace chk::des {
 
@@ -235,6 +234,7 @@ void Simulator::switch_to(Process& process) {
   process.run_baton_.release();
   kernel_baton_.acquire();
   current_ = nullptr;
+  if (!process_failure_.empty()) throw SimError(std::exchange(process_failure_, {}));
 }
 
 void Simulator::on_process_exit(Process& process) noexcept {
@@ -309,8 +309,6 @@ RunResult Simulator::run(TimePoint until, std::uint64_t max_events) {
     fn();
   }
   result.end_time = now_;
-  CHK_DEBUG("des", "run finished: {} at {} after {} events", to_string(result.reason),
-            now_.str(), result.events_executed);
   return result;
 }
 
@@ -334,11 +332,9 @@ void Process::thread_main(ProcessFn body) noexcept {
     } catch (const ProcessKilled&) {
       // normal teardown path
     } catch (const std::exception& e) {
-      error_ = e.what();
-      CHK_ERROR("des", "process '{}' died with exception: {}", name_, error_);
+      sim_->process_failure_ = util::format("process '{}' died: {}", name_, e.what());
     } catch (...) {
-      error_ = "unknown exception";
-      CHK_ERROR("des", "process '{}' died with unknown exception", name_);
+      sim_->process_failure_ = util::format("process '{}' died: unknown exception", name_);
     }
   }
   sim_->on_process_exit(*this);

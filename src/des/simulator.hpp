@@ -61,7 +61,8 @@ using ProcessFn = std::function<void(Process&)>;
 struct ProcessKilled {};
 
 /// Raised on structural misuse of the kernel (e.g. blocking call from the
-/// kernel context). Always a programming error, never a simulation outcome.
+/// kernel context) and when a process body dies by an exception. Always a
+/// programming error, never a simulation outcome.
 class SimError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -265,7 +266,9 @@ class Simulator {
   void kill(Process& process);
 
   /// Run until the queue drains, `until` is reached, `max_events` have run,
-  /// or stop() is called. May be called repeatedly to continue.
+  /// or stop() is called. May be called repeatedly to continue. A process
+  /// body that exits by an exception other than ProcessKilled fails the
+  /// run: it is rethrown here as a SimError naming the process.
   RunResult run(TimePoint until = TimePoint::max(),
                 std::uint64_t max_events = std::uint64_t{1} << 62);
 
@@ -282,12 +285,6 @@ class Simulator {
 
   /// The process currently executing, or nullptr in kernel context.
   [[nodiscard]] Process* current() const noexcept { return current_; }
-
-  /// Wake a blocked process (schedules its resumption at the current
-  /// instant). For use by synchronization-primitive implementations after
-  /// removing the process from their wait list; the process must be parked
-  /// in Process::suspend. Throws SimError otherwise.
-  void wake(Process& process) { resume(process); }
 
   /// Number of spawned processes that have not finished.
   [[nodiscard]] std::size_t live_processes() const noexcept;
@@ -307,6 +304,7 @@ class Simulator {
  private:
   friend class EventHandle;
   friend class Process;
+  friend class WaitQueue;
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// Sentinel seq for pool records not holding a scheduled event (free, or
@@ -342,8 +340,12 @@ class Simulator {
   // Schedules a context switch into `process` at the current instant.
   // Precondition: the process is blocked or not yet started.
   void resume(Process& process);
+  // WaitQueue's wake: the process must be parked in Process::suspend and
+  // already removed from the queue. Throws SimError otherwise.
+  void wake(Process& process) { resume(process); }
   // Transfers execution to the process thread and waits for it to yield
-  // back. Called only from kernel context.
+  // back; throws the process's failure, if it died. Called only from
+  // kernel context.
   void switch_to(Process& process);
   // Called on the process thread as its final act before exiting.
   void on_process_exit(Process& process) noexcept;
@@ -369,6 +371,8 @@ class Simulator {
   bool compacting_ = false;
   Process* current_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
+  /// Set by a process whose body died by an exception; switch_to throws it.
+  std::string process_failure_;
 
   std::vector<EventRec> pool_;
   std::vector<HeapEntry> heap_;

@@ -2,12 +2,31 @@
 
 namespace chk::des {
 
-// A primitive can die while processes are still parked on it (its owner
-// may be destroyed before the simulator shuts down and kills them). The
-// parked processes' cancel callbacks reference our wait list, so detach
-// them: the eventual kill then skips the (dangling) unhook.
-SimSemaphore::~SimSemaphore() {
-  for (Process* waiter : wait_queue_) waiter->detach_cancel();
+WaitQueue::~WaitQueue() {
+  for (Process* p : parked_) p->detach_cancel();
+}
+
+void WaitQueue::park(Process& self) {
+  parked_.push_back(&self);
+  self.suspend([this, &self] { std::erase(parked_, &self); });
+}
+
+bool WaitQueue::wake_one() {
+  if (parked_.empty()) return false;
+  Process* p = parked_.front();
+  parked_.pop_front();
+  p->sim().wake(*p);
+  return true;
+}
+
+void WaitQueue::wake_all() {
+  while (wake_one()) {}
+}
+
+bool WaitQueue::wake(Process& p) {
+  if (std::erase(parked_, &p) == 0) return false;
+  p.sim().wake(p);
+  return true;
 }
 
 void SimSemaphore::acquire(Process& self) {
@@ -15,12 +34,10 @@ void SimSemaphore::acquire(Process& self) {
     --count_;
     return;
   }
-  wait_queue_.push_back(&self);
   // A releaser that wakes us has already consumed the unit on our behalf
-  // (it does not increment count_), so no re-check loop is needed; but a
-  // kill while queued must remove us so the unit is not lost on a later
-  // release.
-  self.suspend([this, &self] { std::erase(wait_queue_, &self); });
+  // (it does not increment count_), so no re-check loop is needed; a kill
+  // while parked removes us, so the unit is not lost on a later release.
+  waiters_.park(self);
 }
 
 bool SimSemaphore::try_acquire() noexcept {
@@ -32,12 +49,7 @@ bool SimSemaphore::try_acquire() noexcept {
 }
 
 void SimSemaphore::release() {
-  if (!wait_queue_.empty()) {
-    Process* waiter = wait_queue_.front();
-    wait_queue_.pop_front();
-    sim_->wake(*waiter);  // unit transfers directly to the waiter
-    return;
-  }
+  if (waiters_.wake_one()) return;  // the unit transfers directly to the waiter
   ++count_;
 }
 

@@ -87,7 +87,6 @@ class TimePoint {
   [[nodiscard]] constexpr double to_seconds() const noexcept {
     return static_cast<double>(ns_) * 1e-9;
   }
-  [[nodiscard]] constexpr Duration since_origin() const noexcept { return Duration::nanos(ns_); }
 
   constexpr auto operator<=>(const TimePoint&) const noexcept = default;
 

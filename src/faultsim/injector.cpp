@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hpp"
 
 namespace chk::faultsim {
 
@@ -146,8 +145,6 @@ void FaultInjector::strike(chklib::Rank victim, Require require) {
     ++stats_.during_recovery;
     overlap_done_ = true;
   }
-  CHK_INFO("faultsim", "strike #{} on rank {} (mid_write={} during_recovery={})",
-           stats_.injected, victim, mid_write, during_recovery);
   recovery_->fail_now(victim);
 }
 

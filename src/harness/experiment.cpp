@@ -39,7 +39,6 @@ void publish_result(const ExperimentResult& result, obs::Registry& reg) {
   reg.gauge("run/exec_time_s").set(result.exec_time_s);
   reg.gauge("overhead/app_blocked_s").set(result.app_blocked_s);
   reg.gauge("overhead/interference_s").set(result.interference_s);
-  reg.gauge("overhead/frozen_stall_s").set(result.frozen_stall_s);
   reg.gauge("storage/disk_busy_s").set(result.disk_busy_s);
   reg.gauge("storage/disk_wait_s").set(result.disk_wait_s);
   reg.gauge("storage/host_link_busy_s").set(result.host_link_busy_s);
@@ -140,7 +139,6 @@ void publish_trace(const ObsData& data, obs::Registry& reg) {
   reg.gauge("attrib/stable_write_s").set(total.stable_write_s);
   reg.gauge("attrib/storage_contention_s").set(total.storage_contention_s);
   reg.gauge("attrib/logging_s").set(total.logging_s);
-  reg.gauge("attrib/frozen_stall_s").set(total.frozen_stall_s);
   reg.gauge("attrib/interference_s").set(total.interference_s);
   reg.gauge("attrib/recovery_s").set(total.recovery_s);
   reg.gauge("attrib/retransmit_wait_s").set(total.retransmit_wait_s);
@@ -236,7 +234,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                                      .count = config.checkpoints,
                                                      .gc = config.gc,
                                                      .gc_mode = config.gc_mode,
-                                                     .recovery_mode = config.recovery_mode,
                                                      .message_logging =
                                                          config.message_logging,
                                                      .keep_depth = keep_depth});
@@ -314,7 +311,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   auto& machine = runtime.machine();
   for (Rank r = 0; r < runtime.num_ranks(); ++r) {
     result.interference_s += machine.node(r).interference_time().to_seconds();
-    result.frozen_stall_s += runtime.comm().endpoint(r).gate().blocked_time().to_seconds();
   }
   if (protocol) result.app_blocked_s = protocol->stats().app_blocked.to_seconds();
   result.disk_busy_s = machine.storage().disk().busy_time().to_seconds();

@@ -45,8 +45,8 @@ struct ExperimentConfig {
   std::uint32_t checkpoints = 3;
   bool gc = false;
   LineMode gc_mode = LineMode::kStrict;
-  LineMode recovery_mode = LineMode::kStrict;
-  /// Independent + pessimistic sender logging (use with kOrphanFree modes).
+  /// Independent + pessimistic sender logging: recovery restores each
+  /// rank's newest verified image, and GC ignores gc_mode.
   bool message_logging = false;
   xplorer::MachineConfig machine = xplorer::MachineConfig::parsytec_xplorer();
   std::uint64_t seed = 2026;
@@ -128,9 +128,9 @@ struct ExperimentResult {
   std::uint64_t messages_in_flight_at_end = 0;
 
   // overhead breakdown
-  double app_blocked_s = 0;     ///< time application processes spent frozen/parked
+  double app_blocked_s = 0;     ///< time applications spent in checkpoint windows
   double interference_s = 0;    ///< CPU stolen by background checkpoint writes
-  double frozen_stall_s = 0;    ///< time parked at freeze gates (blocking ablations)
+  double frozen_stall_s = 0;    ///< always zero; perfbench reads it (ROADMAP item 6)
   double disk_busy_s = 0;
   double disk_wait_s = 0;       ///< queueing delay at the disk (contention)
   double host_link_busy_s = 0;

@@ -13,7 +13,6 @@ struct NsBuckets {
   std::int64_t stable_write = 0;
   std::int64_t contention = 0;
   std::int64_t logging = 0;
-  std::int64_t frozen = 0;
   std::int64_t interference = 0;
   std::int64_t recovery = 0;
   std::int64_t retransmit_wait = 0;
@@ -50,9 +49,6 @@ AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
         break;
       case EventKind::kLogWrite:
         if (e.arg == 1) b.logging += e.dur_ns;
-        break;
-      case EventKind::kFrozenStall:
-        b.frozen += e.dur_ns;
         break;
       case EventKind::kRecoveryRead:
         b.recovery += e.dur_ns;
@@ -91,7 +87,6 @@ AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
     out.stable_write_s = to_s(b.stable_write);
     out.storage_contention_s = to_s(b.contention);
     out.logging_s = to_s(b.logging);
-    out.frozen_stall_s = to_s(b.frozen);
     out.interference_s = to_s(b.interference);
     out.recovery_s = to_s(b.recovery);
     out.retransmit_wait_s = to_s(b.retransmit_wait);
@@ -105,7 +100,6 @@ AttributionReport attribute(const Trace& trace, std::size_t num_ranks) {
     report.total.stable_write_s += out.stable_write_s;
     report.total.storage_contention_s += out.storage_contention_s;
     report.total.logging_s += out.logging_s;
-    report.total.frozen_stall_s += out.frozen_stall_s;
     report.total.interference_s += out.interference_s;
     report.total.recovery_s += out.recovery_s;
     report.total.retransmit_wait_s += out.retransmit_wait_s;

@@ -3,13 +3,13 @@
 // Folds a trace into the paper-style overhead breakdown: where did each
 // rank's checkpoint-induced lost time go? The buckets partition the
 // *measurable per-rank overhead* — the checkpoint blocking windows (which
-// the protocols account as app_blocked), the freeze-gate stalls and the
-// CPU interference of background writes:
+// the protocols account as app_blocked) and the CPU interference of
+// background writes:
 //
 //   blocked window  =  sync_wait + mem_copy + stable_write
 //                      + storage_contention + logging
 //                      + storage_retry_wait                  (exact, in ns)
-//   per-rank total  =  blocked windows + frozen_stall + interference
+//   per-rank total  =  blocked windows + interference
 //                      + recovery + retransmit_wait
 //
 // stable_write is the write's uncontended service time (mesh pipeline +
@@ -35,6 +35,8 @@ struct RankBuckets {
   double stable_write_s = 0;
   double storage_contention_s = 0;
   double logging_s = 0;
+  /// Always zero: no attribution source remains. Kept only because
+  /// perfbench reads it (ROADMAP item 6).
   double frozen_stall_s = 0;
   double interference_s = 0;
   /// Time this rank spent reading state back from stable storage during
@@ -50,16 +52,16 @@ struct RankBuckets {
   double storage_retry_wait_s = 0;
   /// Request-side queue wait in the svc workload: scheduled (open-loop)
   /// arrival to service start, charged to the serving rank (zero for batch
-  /// apps). Request time, not rank CPU time — it may overlap frozen_stall
-  /// or recovery wall-clock on the same rank — so it sits outside the
-  /// blocked windows and is added symmetrically to both sums below.
+  /// apps). Request time, not rank CPU time — it may overlap a checkpoint
+  /// window or recovery wall-clock on the same rank — so it sits outside
+  /// the blocked windows and is added symmetrically to both sums below.
   double svc_queue_wait_s = 0;
   /// Time this rank spent excluded from the membership view: crashed and
   /// awaiting detection/recovery, or live but wrongly evicted (fenced)
   /// until rejoin (zero with the detector off). Wall-clock exclusion, not
-  /// rank CPU time — it may overlap recovery or frozen_stall on the same
-  /// rank — so like svc_queue_wait it sits outside the blocked windows and
-  /// is added symmetrically to both sums below.
+  /// rank CPU time — it may overlap recovery on the same rank — so like
+  /// svc_queue_wait it sits outside the blocked windows and is added
+  /// symmetrically to both sums below.
   double membership_wait_s = 0;
   /// Sum of this rank's checkpoint blocking windows (== the protocol's
   /// app_blocked share; the first five buckets partition it exactly).
@@ -67,13 +69,12 @@ struct RankBuckets {
 
   [[nodiscard]] double bucket_sum_s() const noexcept {
     return sync_wait_s + mem_copy_s + stable_write_s + storage_contention_s +
-           logging_s + frozen_stall_s + interference_s + recovery_s +
-           retransmit_wait_s + storage_retry_wait_s + svc_queue_wait_s +
-           membership_wait_s;
+           logging_s + interference_s + recovery_s + retransmit_wait_s +
+           storage_retry_wait_s + svc_queue_wait_s + membership_wait_s;
   }
   [[nodiscard]] double total_s() const noexcept {
-    return blocked_total_s + frozen_stall_s + interference_s + recovery_s +
-           retransmit_wait_s + svc_queue_wait_s + membership_wait_s;
+    return blocked_total_s + interference_s + recovery_s + retransmit_wait_s +
+           svc_queue_wait_s + membership_wait_s;
   }
 };
 

@@ -25,7 +25,6 @@ enum class EventKind : std::uint16_t {
   kLogWrite,         ///< channel/message-log write; aux = pure ns
   kCommitWrite,      ///< coordinator's global commit record write
   kRecoveryRead,     ///< stable-storage read during recovery
-  kFrozenStall,      ///< application parked at the freeze gate
   kInterference,     ///< compute slowed by background I/O; aux = extra ns
   kRecvWait,         ///< receive blocked waiting for a matching message
   kRetransmitWait,   ///< transport reorder gap: waiting on a retransmit
@@ -60,7 +59,6 @@ enum class EventKind : std::uint16_t {
     case EventKind::kLogWrite: return "log_write";
     case EventKind::kCommitWrite: return "commit_write";
     case EventKind::kRecoveryRead: return "recovery_read";
-    case EventKind::kFrozenStall: return "frozen_stall";
     case EventKind::kInterference: return "interference";
     case EventKind::kRecvWait: return "recv_wait";
     case EventKind::kRetransmitWait: return "retransmit_wait";

@@ -120,7 +120,6 @@ json::Value buckets_to_json(const RankBuckets& b) {
   v.set("stable_write_s", json::Value::number(b.stable_write_s));
   v.set("storage_contention_s", json::Value::number(b.storage_contention_s));
   v.set("logging_s", json::Value::number(b.logging_s));
-  v.set("frozen_stall_s", json::Value::number(b.frozen_stall_s));
   v.set("interference_s", json::Value::number(b.interference_s));
   v.set("recovery_s", json::Value::number(b.recovery_s));
   v.set("retransmit_wait_s", json::Value::number(b.retransmit_wait_s));

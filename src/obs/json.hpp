@@ -32,8 +32,6 @@ class Value {
   static Value object();
 
   [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const noexcept { return type_ == Type::kObject; }
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;

@@ -330,8 +330,8 @@ AppFn make_svc(SvcParams params) {
     };
 
     // Open-loop injection: one client arrival, stamped with its *scheduled*
-    // instant — if the rank was frozen or busy, the backlog drains late and
-    // the delay lands in the latency measurement, exactly as a live
+    // instant — if the rank was checkpointing or busy, the backlog drains
+    // late and the delay lands in the latency measurement, exactly as a live
     // population would experience it.
     auto issue_one = [&]() {
       const std::int64_t sched_ns = st.sc.next_arrival_ns;

@@ -13,9 +13,9 @@
 // the put/delete mix) and recovered through the normal stable-storage door.
 //
 // The measurement is per-request end-to-end latency against the *scheduled*
-// arrival time: a request that lands while its owner rank is frozen,
-// draining a checkpoint, or replaying after a rollback waits, and that wait
-// is the scheme's cost. Latencies land in a power-of-two log histogram kept
+// arrival time: a request that lands while its owner rank is blocked in a
+// checkpoint window or replaying after a rollback waits, and that wait is
+// the scheme's cost. Latencies land in a power-of-two log histogram kept
 // in registered state (deterministic across replay), and the wait from
 // scheduled arrival to service start is emitted as kSvcQueueWait spans for
 // the attribution buckets.

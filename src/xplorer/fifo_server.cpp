@@ -1,6 +1,5 @@
 #include "xplorer/fifo_server.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace chk::xplorer {
@@ -19,7 +18,6 @@ des::Duration FifoServer::service_time(std::size_t bytes) const noexcept {
 
 void FifoServer::submit(std::size_t bytes, std::function<void()> on_done) {
   queue_.push_back(Job{bytes, std::move(on_done), sim_->now()});
-  max_queue_ = std::max(max_queue_, queue_.size());
   if (!busy_) start_next();
 }
 

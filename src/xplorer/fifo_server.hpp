@@ -35,14 +35,12 @@ class FifoServer {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] bool idle() const noexcept { return !busy_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept { return queue_.size(); }
 
   // -- accumulated statistics ------------------------------------------------
   [[nodiscard]] des::Duration busy_time() const noexcept { return busy_time_; }
   [[nodiscard]] des::Duration wait_time() const noexcept { return wait_time_; }
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return jobs_completed_; }
   [[nodiscard]] std::uint64_t bytes_served() const noexcept { return bytes_served_; }
-  [[nodiscard]] std::size_t max_queue_length() const noexcept { return max_queue_; }
 
  private:
   struct Job {
@@ -64,7 +62,6 @@ class FifoServer {
   des::Duration wait_time_;
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t bytes_served_ = 0;
-  std::size_t max_queue_ = 0;
 };
 
 }  // namespace chk::xplorer

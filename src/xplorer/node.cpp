@@ -22,7 +22,6 @@ void Node::compute(des::Process& self, double flops) {
 
 void Node::mem_copy(des::Process& self, std::size_t bytes) {
   const auto cost = mem_copy_time(bytes);
-  copy_time_ += cost;
   if (tracer_) {
     const auto t0 = sim_->now().to_nanos();
     tracer_->span(obs::EventKind::kMemCopy, static_cast<std::uint16_t>(id_), t0,
@@ -32,9 +31,7 @@ void Node::mem_copy(des::Process& self, std::size_t bytes) {
 }
 
 void Node::message_overhead(des::Process& self, std::size_t bytes) {
-  const auto cost = message_overhead_time(bytes);
-  message_time_ += cost;
-  self.delay(cost);
+  self.delay(message_overhead_time(bytes));
 }
 
 des::Duration Node::message_overhead_time(std::size_t bytes) const noexcept {

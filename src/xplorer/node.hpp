@@ -3,8 +3,8 @@
 // Converts application work (flops), memory copies, and message staging
 // into simulated time, and models the CPU interference caused by a
 // checkpointer thread streaming a background write to stable storage
-// (main-memory checkpointing variants). Time spent in each category is
-// accounted for the harness's overhead breakdown.
+// (main-memory checkpointing variants). Compute time and the interference
+// share of it are accounted for the harness's overhead breakdown.
 #pragma once
 
 #include <cstddef>
@@ -44,13 +44,10 @@ class Node {
   /// checkpointer thread streams an image to stable storage.
   void begin_background_io() noexcept { ++background_io_; }
   void end_background_io() noexcept { --background_io_; }
-  [[nodiscard]] bool background_io_active() const noexcept { return background_io_ > 0; }
 
   // -- accounting ------------------------------------------------------------
   [[nodiscard]] des::Duration compute_time() const noexcept { return compute_time_; }
   [[nodiscard]] des::Duration interference_time() const noexcept { return interference_time_; }
-  [[nodiscard]] des::Duration copy_time() const noexcept { return copy_time_; }
-  [[nodiscard]] des::Duration message_time() const noexcept { return message_time_; }
 
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
@@ -62,8 +59,6 @@ class Node {
   int background_io_ = 0;
   des::Duration compute_time_;
   des::Duration interference_time_;
-  des::Duration copy_time_;
-  des::Duration message_time_;
 };
 
 }  // namespace chk::xplorer

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "des/sync.hpp"
+
 namespace chk::xplorer {
 
 StableStorage::StableStorage(des::Simulator& sim, Network& network,
@@ -86,7 +88,7 @@ std::size_t StableStorage::discard_inflight_writes() noexcept {
 
 IoStatus StableStorage::write_blocking(des::Process& self, NodeId from, std::string key,
                                        std::vector<std::byte> data) {
-  des::Completion done(*sim_);
+  des::Completion done;
   auto status = std::make_shared<IoStatus>(IoStatus::kOk);
   write(from, std::move(key), std::move(data),
         [status, cb = done.callback()](IoStatus s) {
@@ -133,7 +135,7 @@ void StableStorage::read(NodeId to, const std::string& key,
 std::vector<std::byte> StableStorage::read_blocking(des::Process& self, NodeId to,
                                                     const std::string& key,
                                                     IoStatus* status) {
-  des::Completion done(*sim_);
+  des::Completion done;
   auto result = std::make_shared<std::pair<std::vector<std::byte>, IoStatus>>();
   read(to, key, [result, cb = done.callback()](std::vector<std::byte> data, IoStatus s) {
     result->first = std::move(data);

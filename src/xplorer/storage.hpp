@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "des/async.hpp"
 #include "des/process.hpp"
 #include "des/simulator.hpp"
 #include "util/rng.hpp"

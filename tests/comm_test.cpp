@@ -1,5 +1,5 @@
 // Tests for the CHK-LIB communication layer: FIFO point-to-point,
-// matching, collectives, freeze gate, control plane, incarnation drops.
+// matching, collectives, control plane, incarnation drops.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -202,33 +202,6 @@ TEST(Comm, CollectivesWorkOnSingleRank) {
   });
   f.sim.run();
   EXPECT_TRUE(done);
-}
-
-TEST(FreezeGateTest, BlocksOperationsWhileFrozen) {
-  Fixture f;
-  auto& gate = f.comm.endpoint(1).gate();
-  double sent_at = -1;
-  f.sim.spawn("tx", [&](Process& self) {
-    self.delay(Duration::secs(1));
-    f.comm.endpoint(1).send(self, 0, 0, {});  // rank 1's gate applies
-    sent_at = self.now().to_seconds();
-  });
-  f.sim.schedule_now([&] { gate.freeze(); });
-  f.sim.schedule_after(Duration::secs(5), [&] { gate.unfreeze(); });
-  f.sim.run();
-  EXPECT_GE(sent_at, 5.0);
-  EXPECT_GE(gate.blocked_time().to_seconds(), 3.9);
-}
-
-TEST(FreezeGateTest, NestedFreezeNeedsMatchingUnfreeze) {
-  Fixture f;
-  auto& gate = f.comm.endpoint(0).gate();
-  gate.freeze();
-  gate.freeze();
-  gate.unfreeze();
-  EXPECT_TRUE(gate.frozen());
-  gate.unfreeze();
-  EXPECT_FALSE(gate.frozen());
 }
 
 TEST(Comm, ControlPlaneDelivers) {

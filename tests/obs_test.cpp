@@ -164,7 +164,7 @@ TEST(Attribution, BucketsSumToMeasuredOverheadForEveryScheme) {
     const obs::AttributionReport& report = result.obs->attribution;
     ASSERT_EQ(report.ranks.size(), 8u) << to_string(scheme);
 
-    double blocked = 0, frozen = 0, interference = 0;
+    double blocked = 0, interference = 0;
     for (const obs::RankBuckets& rank : report.ranks) {
       // The six window buckets partition each rank's blocking windows
       // (storage_retry_wait is zero here: no storage faults installed).
@@ -183,7 +183,6 @@ TEST(Attribution, BucketsSumToMeasuredOverheadForEveryScheme) {
       EXPECT_NEAR(rank.bucket_sum_s(), rank.total_s(), 1e-9) << to_string(scheme);
       EXPECT_GE(rank.sync_wait_s, 0.0) << to_string(scheme);
       blocked += rank.blocked_total_s;
-      frozen += rank.frozen_stall_s;
       interference += rank.interference_s;
     }
     // The totals row is the element-wise sum, and the trace-derived numbers
@@ -191,13 +190,9 @@ TEST(Attribution, BucketsSumToMeasuredOverheadForEveryScheme) {
     EXPECT_NEAR(report.total.blocked_total_s, blocked, 1e-9);
     EXPECT_NEAR(report.total.blocked_total_s, result.app_blocked_s, 1e-9)
         << to_string(scheme);
-    EXPECT_NEAR(report.total.frozen_stall_s, result.frozen_stall_s, 1e-9)
-        << to_string(scheme);
     EXPECT_NEAR(report.total.interference_s, result.interference_s, 1e-9)
         << to_string(scheme);
-    EXPECT_NEAR(report.total.total_s(),
-                result.app_blocked_s + result.frozen_stall_s + result.interference_s,
-                1e-9)
+    EXPECT_NEAR(report.total.total_s(), result.app_blocked_s + result.interference_s, 1e-9)
         << to_string(scheme);
   }
 }
@@ -269,10 +264,7 @@ TEST(Recovery, FinishedReportsHaveEmptyLoggedSends) {
   for (bool logging : {false, true}) {
     auto config = small_sor(logging ? Scheme::kIndepM : Scheme::kCoordNB);
     config.checkpoints = 0;
-    if (logging) {
-      config.message_logging = true;
-      config.recovery_mode = chklib::LineMode::kOrphanFree;
-    }
+    config.message_logging = logging;
     config.failure = FailureSpec{
         des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * 0.55), 6};
     const auto result = run_experiment(config);

@@ -20,7 +20,7 @@ enum class Variant {
   kPlain,
   kIncremental,     ///< coordinated incremental checkpointing
   kGc,              ///< independent garbage collection
-  kMessageLogging,  ///< sender-based logging, orphan-free GC and recovery lines
+  kMessageLogging,  ///< sender-based logging: recovery restores the newest images
   kCrash,           ///< rank kCrashRank fails at kCrashAt
 };
 
@@ -77,8 +77,6 @@ inline harness::ExperimentConfig config_for(const Row& row) {
     case Variant::kGc: config.gc = true; break;
     case Variant::kMessageLogging:
       config.message_logging = true;
-      config.gc_mode = chklib::LineMode::kOrphanFree;
-      config.recovery_mode = chklib::LineMode::kOrphanFree;
       break;
     case Variant::kCrash:
       config.failure = harness::FailureSpec{des::TimePoint::origin() + kCrashAt, kCrashRank};

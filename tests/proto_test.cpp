@@ -372,7 +372,6 @@ TEST(Independent, MessageLoggingDefeatsTheDomino) {
   IndependentProtocol proto(*w.rt, {.scheme = Scheme::kIndep,
                                     .interval = Duration::secs(6),
                                     .count = 0,
-                                    .recovery_mode = LineMode::kOrphanFree,
                                     .message_logging = true});
   RecoveryManager recovery(*w.rt, proto);
   proto.start();

@@ -1,12 +1,14 @@
 // svc workload tests: open-loop determinism, LWW digest invariance across
-// all five schemes, latency accounting under frozen windows and recovery,
+// all five schemes, latency accounting under checkpoint windows and recovery,
 // the dynamic checkpoint regions that carry the shard, and the bounded
 // receive primitive the event loop is built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "chklib/ckpt/registry.hpp"
@@ -112,41 +114,38 @@ TEST(Svc, CheckpointImageTracksShardGrowth) {
   EXPECT_GT(sizes.size(), 1u) << "every capture had identical bytes";
 }
 
-TEST(Svc, FrozenWindowLandsInLatencyTail) {
-  // Freeze every rank's application gate for a window mid-run (no
-  // checkpointing scheme — the window is the isolated variable). Requests
-  // scheduled during the freeze are served late; the open-loop measurement
-  // must charge that wait to the tail and to the svc_queue_wait bucket.
-  svc::SvcParams params = small_params();
-  params.sink = std::make_shared<svc::SvcMetrics>();
-  const double reference = svc::svc_reference_digest(params, kNodes, kSeed);
+TEST(Svc, CheckpointWindowLandsInLatencyTail) {
+  // A Coord_NB rank is blocked for its whole stable-storage write.
+  // Requests scheduled during such a window are served late; the open-loop
+  // measurement must charge that wait to the tail and to the
+  // svc_queue_wait bucket.
+  auto observed_run = [](Scheme scheme) {
+    svc::SvcParams params = small_params();
+    params.sink = std::make_shared<svc::SvcMetrics>();
+    ExperimentConfig config = svc_config(params, scheme);
+    config.observe = true;
+    return std::pair{harness::run_experiment(config), params.sink};
+  };
+  const auto [normal, normal_sink] = observed_run(Scheme::kNone);
+  const auto [coord, coord_sink] = observed_run(Scheme::kCoordNB);
 
-  des::Simulator sim;
-  xplorer::MachineConfig machine = xplorer::MachineConfig::parsytec_xplorer();
-  machine.num_nodes = kNodes;
-  chklib::Runtime runtime(sim, machine, kSeed);
-  obs::Tracer tracer;
-  runtime.set_tracer(&tracer);
-  runtime.set_app("svc", svc::make_svc(params));
-  const auto freeze_at = des::TimePoint::origin() + des::Duration::seconds(0.5);
-  const auto thaw_at = des::TimePoint::origin() + des::Duration::seconds(0.8);
-  (void)sim.schedule_at(freeze_at, [&runtime] {
-    for (std::size_t r = 0; r < kNodes; ++r) runtime.comm().endpoint(r).gate().freeze();
-  });
-  (void)sim.schedule_at(thaw_at, [&runtime] {
-    for (std::size_t r = 0; r < kNodes; ++r) runtime.comm().endpoint(r).gate().unfreeze();
-  });
-  runtime.start_apps();
-  runtime.run_to_completion();
-
-  ASSERT_TRUE(runtime.result_digest().has_value());
-  EXPECT_EQ(*runtime.result_digest(), reference);
-  EXPECT_EQ(params.sink->completed, params.sink->issued);
-  // A request scheduled right as the freeze began waited ~the whole window.
-  EXPECT_GE(params.sink->latency_max_ns, std::uint64_t{200'000'000});
-  const obs::AttributionReport attrib = obs::attribute(tracer.take(), kNodes);
-  EXPECT_GT(attrib.total.svc_queue_wait_s, 0.2);
-  EXPECT_GT(attrib.total.frozen_stall_s, 0.0);
+  ASSERT_TRUE(coord.digest.has_value());
+  EXPECT_EQ(*coord.digest, svc::svc_reference_digest(small_params(), kNodes, kSeed));
+  EXPECT_EQ(coord_sink->completed, coord_sink->issued);
+  std::int64_t longest_window_ns = 0;
+  for (const obs::Event& e : coord.obs->trace.events) {
+    if (e.kind == obs::EventKind::kCkptWindow) {
+      longest_window_ns = std::max(longest_window_ns, e.dur_ns);
+    }
+  }
+  ASSERT_GT(longest_window_ns, 0);
+  const auto longest = static_cast<std::uint64_t>(longest_window_ns);
+  // A request scheduled as the longest window opened waited all of it;
+  // without checkpoints no request waits anywhere near that long.
+  EXPECT_GE(coord_sink->latency_max_ns, longest);
+  EXPECT_LT(normal_sink->latency_max_ns, longest);
+  EXPECT_GT(coord.obs->attribution.total.svc_queue_wait_s,
+            normal.obs->attribution.total.svc_queue_wait_s);
 }
 
 TEST(Svc, RecoveryDowntimeLandsInLatencyTail) {

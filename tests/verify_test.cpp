@@ -2,9 +2,10 @@
 //
 //   * clean runs: every checkpointing scheme runs a reduced app catalog
 //     under the invariant monitor with zero violations;
-//   * positive controls: a deliberately broken protocol (a message leaked
-//     across the coordinated freeze gate), reordered channel deliveries and
-//     unserialized stable-storage writes are each caught by their checker;
+//   * positive controls: a deliberately broken protocol (a pre-epoch
+//     message leaked past the coordinated channel marker), reordered
+//     channel deliveries and unserialized stable-storage writes are each
+//     caught by their checker;
 //   * checkpoint image integrity: serialized images/logs are checksummed
 //     and corruption or truncation is rejected on load;
 //   * DES determinism: identical configs produce identical event-trace
@@ -305,7 +306,6 @@ TEST(MonitorRecovery, LoggedIndependentFailureRunIsClean) {
   const auto normal = harness::run_normal(monitored_sor(Scheme::kNone));
   auto config = monitored_sor(Scheme::kIndepM);
   config.message_logging = true;
-  config.recovery_mode = LineMode::kOrphanFree;
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + Duration::seconds(normal.exec_time_s * 0.55), 6};
   const auto result = harness::run_experiment(config);

@@ -18,9 +18,8 @@ PAPER_SCHEMES = {"Coord_NB", "Indep", "Coord_NBM", "Indep_M", "Coord_NBMS"}
 # bucket-partition-registration rule checks that each bucket emitted by
 # buckets_to_json is listed here).
 BUCKETS = ("sync_wait_s", "mem_copy_s", "stable_write_s", "storage_contention_s",
-           "logging_s", "frozen_stall_s", "interference_s", "recovery_s",
-           "retransmit_wait_s", "storage_retry_wait_s", "svc_queue_wait_s",
-           "membership_wait_s")
+           "logging_s", "interference_s", "recovery_s", "retransmit_wait_s",
+           "storage_retry_wait_s", "svc_queue_wait_s", "membership_wait_s")
 
 
 def counter(cell, name):
