@@ -1,9 +1,16 @@
 #include "des/simulator.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cstdlib>
+#include <exception>
+#include <system_error>
 #include <utility>
 
+#include "des/fiber.hpp"
 #include "des/process.hpp"
 
 namespace chk::des {
@@ -25,9 +32,9 @@ Simulator::~Simulator() { shutdown(); }
 
 void Simulator::shutdown() noexcept {
   assert(current_ == nullptr && "shutdown must run in kernel context");
-  // Tear down any processes that are still alive: wake each with the kill
-  // flag set so its stack unwinds (running destructors) and its thread
-  // exits. The baton protocol keeps this serialized.
+  // Tear down any processes that are still alive: switch into each with the
+  // kill flag set so its stack unwinds (running destructors) and its fiber
+  // ends.
   for (auto& proc : processes_) {
     if (proc->state_ == Process::State::kFinished) continue;
     proc->killed_ = true;
@@ -40,19 +47,14 @@ void Simulator::shutdown() noexcept {
       cancel();
     }
     proc->cancel_.reset();
-    // Guard against double-release: the cancel callback above ran arbitrary
-    // wait-list code. If anything in that unwind finished this process (it
-    // must not, but the failure mode — releasing the baton of a thread
-    // that already exited, then blocking forever on kernel_baton_ — is a
-    // hang, not a diagnosable crash), skip the handoff.
+    // The cancel callback above ran arbitrary wait-list code. If anything in
+    // it finished this process (it must not), its fiber has ended and
+    // switching into it again would resume a dead stack: skip it.
     if (proc->state_ == Process::State::kFinished) continue;
-    proc->run_baton_.release();
-    kernel_baton_.acquire();  // wait for the thread to unwind & yield back
+    enter(*proc);
     assert(proc->state_ == Process::State::kFinished &&
            "process failed to unwind during shutdown");
   }
-  // jthread members join in Process destructors (or immediately here for
-  // explicit shutdown: a finished thread joins without blocking).
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +222,7 @@ void Simulator::resume(Process& process) {
   process.state_ = Process::State::kReady;
   // The state re-check mirrors the spawn event: shutdown() can finish the
   // process between scheduling and firing, and run()-after-shutdown must
-  // not hand the baton to a thread that already exited.
+  // not switch into a fiber that has already ended.
   schedule_now([this, &process] {
     if (process.state_ == Process::State::kReady) switch_to(process);
   });
@@ -231,10 +233,18 @@ void Simulator::switch_to(Process& process) {
   assert(process.state_ == Process::State::kReady);
   current_ = &process;
   process.state_ = Process::State::kRunning;
-  process.run_baton_.release();
-  kernel_baton_.acquire();
+  enter(process);
   current_ = nullptr;
   if (!process_failure_.empty()) throw SimError(std::exchange(process_failure_, {}));
+}
+
+void Simulator::enter(Process& process) noexcept {
+  void* fake_stack = nullptr;
+  fiber::start_switch(&fake_stack, process.stack_.get() + Process::kGuardBytes,
+                      Process::kStackBytes);
+  fiber::switch_context(&kernel_sp_, process.sp_);
+  fiber::finish_switch(fake_stack, nullptr, nullptr);
+  if (process.state_ == Process::State::kFinished) process.stack_.reset();
 }
 
 void Simulator::on_process_exit(Process& process) noexcept {
@@ -317,28 +327,48 @@ RunResult Simulator::run(TimePoint until, std::uint64_t max_events) {
 // ---------------------------------------------------------------------------
 
 Process::Process(Simulator& sim, std::uint64_t id, std::string name, ProcessFn body)
-    : sim_(&sim),
-      id_(id),
-      name_(std::move(name)),
-      thread_([this, fn = std::move(body)]() mutable { thread_main(std::move(fn)); }) {}
+    : sim_(&sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
+  void* mapping = ::mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (mapping == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(), "des: mapping a process stack");
+  }
+  stack_.reset(static_cast<std::byte*>(mapping));
+  if (::mprotect(mapping, kGuardBytes, PROT_NONE) != 0) {
+    throw std::system_error(errno, std::generic_category(), "des: protecting a stack guard");
+  }
+  sp_ = fiber::prepare(stack_.get() + kGuardBytes + kStackBytes, &Process::fiber_main, this);
+}
 
 Process::~Process() = default;
 
-void Process::thread_main(ProcessFn body) noexcept {
-  run_baton_.acquire();  // wait for the first dispatch
-  if (!killed_) {
+void Process::Unmap::operator()(std::byte* mapping) const noexcept {
+  fiber::forget_stack(mapping + kGuardBytes, kStackBytes);
+  ::munmap(mapping, kGuardBytes + kStackBytes);
+}
+
+void Process::fiber_main(void* self_ptr) noexcept {
+  Process& self = *static_cast<Process*>(self_ptr);
+  Simulator& sim = *self.sim_;
+  fiber::finish_switch(nullptr, &sim.kernel_stack_bottom_, &sim.kernel_stack_size_);
+  if (!self.killed_) {
     try {
-      body(*this);
+      self.body_(self);
     } catch (const ProcessKilled&) {
       // normal teardown path
     } catch (const std::exception& e) {
-      sim_->process_failure_ = util::format("process '{}' died: {}", name_, e.what());
+      sim.process_failure_ = util::format("process '{}' died: {}", self.name_, e.what());
     } catch (...) {
-      sim_->process_failure_ = util::format("process '{}' died: unknown exception", name_);
+      sim.process_failure_ = util::format("process '{}' died: unknown exception", self.name_);
     }
   }
-  sim_->on_process_exit(*this);
-  sim_->kernel_baton_.release();  // final yield; thread ends here
+  self.body_ = nullptr;  // its captures die here, while the kernel waits
+  sim.on_process_exit(self);
+  // The last switch frees this fiber's fake stack, so it saves the stack
+  // pointer into the Process, never into a local.
+  fiber::start_switch(nullptr, sim.kernel_stack_bottom_, sim.kernel_stack_size_);
+  fiber::switch_context(&self.sp_, sim.kernel_sp_);
+  std::abort();  // the kernel never switches into a finished process
 }
 
 void Process::check_in_body() const {
@@ -350,10 +380,15 @@ void Process::check_in_body() const {
 
 void Process::suspend(InlineFn cancel) {
   check_in_body();
+  if (std::current_exception()) {
+    throw SimError(util::format("process '{}' parked inside a catch handler", name_));
+  }
   cancel_ = std::move(cancel);
   state_ = State::kBlocked;
-  sim_->kernel_baton_.release();
-  run_baton_.acquire();
+  void* fake_stack = nullptr;
+  fiber::start_switch(&fake_stack, sim_->kernel_stack_bottom_, sim_->kernel_stack_size_);
+  fiber::switch_context(&sp_, sim_->kernel_sp_);
+  fiber::finish_switch(fake_stack, &sim_->kernel_stack_bottom_, &sim_->kernel_stack_size_);
   cancel_.reset();
   state_ = State::kRunning;
   if (killed_) throw ProcessKilled{};

@@ -2,10 +2,12 @@
 //
 // The Simulator owns a totally ordered event queue keyed by (time, sequence
 // number) — equal-time events run in schedule order, so runs with the same
-// seed are bit-identical. Simulated processes (see process.hpp) are backed
-// by real threads, but the kernel hands execution to exactly one thread at
-// a time through binary semaphores; there is therefore never concurrent
-// access to simulator state and the simulation is deterministic.
+// seed are bit-identical. Simulated processes (see process.hpp) are
+// stackful fibers on the thread that calls run(): the kernel switches into
+// one process at a time and that process switches back when it parks, so
+// simulator state is never accessed concurrently and the simulation is
+// deterministic. The Simulator holds its own kernel context and no fiber
+// state is global, so independent simulations may run on different threads.
 //
 // Event storage is built for raw events/sec (the kernel is the hot path of
 // every 256+-rank sweep):
@@ -39,7 +41,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <semaphore>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -272,11 +273,12 @@ class Simulator {
   RunResult run(TimePoint until = TimePoint::max(),
                 std::uint64_t max_events = std::uint64_t{1} << 62);
 
-  /// Kill every live process and join its thread (stacks unwind through
-  /// their RAII cleanups NOW, while the objects they reference are still
-  /// alive). Call before destroying any object a process might touch; the
-  /// destructor runs this as a backstop. Idempotent, and must only be
-  /// called from kernel context (never from inside a process body).
+  /// Kill every live process and switch into it until its fiber ends
+  /// (stacks unwind through their RAII cleanups NOW, while the objects they
+  /// reference are still alive). Call before destroying any object a
+  /// process might touch; the destructor runs this as a backstop.
+  /// Idempotent, and must only be called from kernel context (never from
+  /// inside a process body).
   void shutdown() noexcept;
 
   /// Request run() to return after the current event completes. Callable
@@ -343,11 +345,13 @@ class Simulator {
   // WaitQueue's wake: the process must be parked in Process::suspend and
   // already removed from the queue. Throws SimError otherwise.
   void wake(Process& process) { resume(process); }
-  // Transfers execution to the process thread and waits for it to yield
-  // back; throws the process's failure, if it died. Called only from
-  // kernel context.
+  // Runs the process until it parks or finishes; throws the process's
+  // failure, if it died. Called only from kernel context.
   void switch_to(Process& process);
-  // Called on the process thread as its final act before exiting.
+  // Switches from the kernel context into the process's fiber and returns
+  // when it switches back; frees its stack once it has finished.
+  void enter(Process& process) noexcept;
+  // Called on the process's fiber as its final act before the last switch.
   void on_process_exit(Process& process) noexcept;
 
   // -- event pool + heap -----------------------------------------------------
@@ -382,7 +386,11 @@ class Simulator {
   std::size_t queue_peak_ = 0;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::binary_semaphore kernel_baton_{0};  // process -> kernel
+  // The kernel context while a process runs: its saved stack pointer, and
+  // its stack bounds for the ASan fiber hooks (learned on each switch in).
+  void* kernel_sp_ = nullptr;
+  const void* kernel_stack_bottom_ = nullptr;
+  std::size_t kernel_stack_size_ = 0;
 };
 
 inline bool EventHandle::pending() const noexcept {

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cfenv>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "des/simulator.hpp"
 #include "des/sync.hpp"
 #include "des/time.hpp"
+#include "util/parallel.hpp"
 
 namespace chk::des {
 namespace {
@@ -245,6 +251,120 @@ TEST(Process, DestructorTearsDownBlockedProcesses) {
     // sim destroyed with the process still blocked
   }
   EXPECT_TRUE(cleaned_up);
+}
+
+// ---------------------------------------------------------------------------
+// Fibers: every process runs on its own guarded stack on the simulator's
+// thread, with its own floating-point control state.
+// ---------------------------------------------------------------------------
+
+TEST(Process, ParkingInsideACatchHandlerFailsTheRun) {
+  Simulator sim;
+  bool resumed = false;
+  sim.spawn("handler", [&](Process& self) {
+    try {
+      throw std::runtime_error("in flight");
+    } catch (const std::runtime_error&) {
+      self.delay(Duration::millis(1));
+      resumed = true;
+    }
+  });
+  std::string what;
+  try {
+    sim.run();
+  } catch (const SimError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("'handler'"), std::string::npos) << what;
+  EXPECT_NE(what.find("catch handler"), std::string::npos) << what;
+  EXPECT_FALSE(resumed);
+}
+
+/// Recurses `depth` calls deep. Each frame hands its array to the callee,
+/// so the compiler cannot turn the recursion into a loop.
+[[gnu::noinline]] std::size_t recurse(const volatile char* caller, std::size_t depth) {
+  volatile char frame[512];
+  frame[0] = *caller;
+  return depth == 0 ? 0 : recurse(frame, depth - 1) + 1;
+}
+
+TEST(ProcessDeathTest, StackOverflowFaultsInTheGuardRegion) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.spawn("deep", [](Process&) {
+          const volatile char seed = 1;
+          recurse(&seed, std::numeric_limits<std::size_t>::max());
+        });
+        sim.run();
+      },
+      "");
+}
+
+TEST(Process, FloatingPointControlStateIsPerProcess) {
+  // fegetround() reads the x87 control word; the division rounds by MXCSR.
+  const auto third_bits = [] {
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return std::bit_cast<std::uint64_t>(one / three);
+  };
+  constexpr std::uint64_t kNearestThird = std::bit_cast<std::uint64_t>(1.0 / 3.0);
+  Simulator sim;
+  int upward_mode = -1;
+  int default_mode = -1;
+  std::uint64_t upward_third = 0;
+  std::uint64_t default_third = 0;
+  sim.spawn("upward", [&](Process& self) {
+    std::fesetround(FE_UPWARD);
+    self.delay(Duration::millis(2));
+    upward_mode = std::fegetround();
+    upward_third = third_bits();
+  });
+  sim.spawn("default", [&](Process& self) {
+    self.delay(Duration::millis(1));  // runs while "upward" is parked
+    default_mode = std::fegetround();
+    default_third = third_bits();
+  });
+  sim.run();
+  EXPECT_EQ(default_mode, FE_TONEAREST);
+  EXPECT_EQ(default_third, kNearestThird);
+  EXPECT_EQ(upward_mode, FE_UPWARD);
+  EXPECT_EQ(upward_third, kNearestThird + 1);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the kernel's own mode
+}
+
+/// A mailbox ping-pong whose delays depend on `seed`; returns its trace hash.
+std::uint64_t ping_pong_hash(std::int64_t seed) {
+  constexpr std::int64_t kRounds = 2000;
+  Simulator sim;
+  SimMailbox<std::int64_t> ping;
+  SimMailbox<std::int64_t> pong;
+  sim.spawn("ping", [&](Process& self) {
+    for (std::int64_t i = 0; i < kRounds; ++i) {
+      self.delay(Duration::nanos(1 + (i * seed) % 7));
+      ping.send(i);
+      pong.recv(self);
+    }
+  });
+  sim.spawn("pong", [&](Process& self) {
+    for (std::int64_t i = 0; i < kRounds; ++i) {
+      const std::int64_t v = ping.recv(self);
+      self.delay(Duration::nanos(1 + (v + seed) % 5));
+      pong.send(v);
+    }
+  });
+  sim.run();
+  return sim.trace_hash();
+}
+
+TEST(Process, ParallelSimulationsKeepTheirSerialTraceHashes) {
+  constexpr std::array<std::int64_t, 2> kSeeds{3, 5};
+  const std::array<std::uint64_t, 2> serial{ping_pong_hash(kSeeds[0]), ping_pong_hash(kSeeds[1])};
+  ASSERT_NE(serial[0], serial[1]);
+  const auto parallel =
+      util::parallel_map(kSeeds.size(), [&](std::size_t i) { return ping_pong_hash(kSeeds[i]); });
+  EXPECT_EQ(parallel[0], serial[0]);
+  EXPECT_EQ(parallel[1], serial[1]);
 }
 
 TEST(Semaphore, BlocksUntilRelease) {
@@ -602,7 +722,7 @@ TEST(Simulator, CompactionPreservesScheduleAndTraceHash) {
 }
 
 // ---------------------------------------------------------------------------
-// Shutdown double-release guard.
+// Shutdown and the checks that never switch into a finished process.
 // ---------------------------------------------------------------------------
 
 TEST(Simulator, ShutdownTwiceIsIdempotent) {
@@ -621,7 +741,7 @@ TEST(Simulator, ShutdownAfterNaturalFinishIsNoop) {
   sim.spawn("quick", [](Process& self) { self.delay(Duration::millis(1)); });
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0u);
-  sim.shutdown();  // thread already exited; must not release its baton
+  sim.shutdown();  // fiber already ended; must not switch into it
   EXPECT_EQ(sim.live_processes(), 0u);
 }
 
@@ -638,8 +758,8 @@ TEST(Simulator, ShutdownWithReadyProcessThenRunAgain) {
   sim.run(TimePoint::max(), 2);
   sim.shutdown();
   EXPECT_TRUE(waiter.finished());
-  // The stale resume event must be inert — running again must neither hand
-  // the baton to the dead thread (hang) nor crash.
+  // The stale resume event must be inert — running again must not switch
+  // into the ended fiber.
   const auto result = sim.run();
   EXPECT_EQ(result.reason, StopReason::kIdle);
 }
