@@ -73,9 +73,10 @@ void CommSystem::transmit(des::Process& self, Envelope env) {
   const Rank src = env.src;
   const Rank dst = env.dst;
   const std::size_t wire_bytes = env.payload.size() + kHeaderWireBytes;
-  auto carried = std::make_shared<Envelope>(std::move(env));
   machine_->network().transfer(src, dst, wire_bytes, xplorer::Traffic::kApplication,
-                               [this, carried] { deliver_app(std::move(*carried)); });
+                               [this, env = std::move(env)]() mutable {
+                                 deliver_app(std::move(env));
+                               });
 }
 
 void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {

@@ -1,6 +1,7 @@
 #include "xplorer/network.hpp"
 
-#include "util/format.hpp"
+#include <algorithm>
+#include <utility>
 
 namespace chk::xplorer {
 
@@ -10,15 +11,13 @@ Network::Network(des::Simulator& sim, const MachineConfig& config)
       topology_(Topology::build(config.topology, config.num_nodes)) {
   links_.reserve(topology_.num_links());
   for (std::size_t i = 0; i < topology_.num_links(); ++i) {
-    const auto& edge = topology_.edge(i);
-    links_.push_back(std::make_unique<FifoServer>(
-        sim, util::format("link{}->{}", edge.from, edge.to), config_.link.bandwidth,
-        config_.link.latency));
+    links_.push_back(
+        std::make_unique<FifoServer>(sim, config_.link.bandwidth, config_.link.latency));
   }
 }
 
 void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffic,
-                       std::function<void()> on_delivered) {
+                       des::InlineFn on_delivered) {
   bytes_sent_[static_cast<std::size_t>(traffic)] += bytes;
   ++transfers_[static_cast<std::size_t>(traffic)];
   if (src == dst) {
@@ -29,29 +28,49 @@ void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffi
     sim_->schedule_after(local + des::Duration::micros(5), std::move(on_delivered));
     return;
   }
-  const auto route = topology_.route(src, dst);
   const std::size_t packet = config_.packet_bytes;
   const std::size_t packets = bytes == 0 ? 1 : (bytes + packet - 1) / packet;
-  auto pending = std::make_shared<Pending>(Pending{packets, std::move(on_delivered)});
+  const std::uint32_t id = acquire();
+  InFlight& record = in_flight_[id];
+  topology_.route(src, dst, record.route);
+  record.packets_remaining = packets;
+  record.on_delivered = std::move(on_delivered);
   std::size_t remaining = bytes;
   for (std::size_t p = 0; p < packets; ++p) {
     const std::size_t chunk = (bytes == 0) ? 0 : std::min(packet, remaining);
     remaining -= chunk;
-    forward(route, 0, chunk, pending);
+    forward(id, 0, chunk);
   }
 }
 
-void Network::forward(std::span<const std::size_t> route, std::size_t hop, std::size_t bytes,
-                      const std::shared_ptr<Pending>& pending) {
-  if (hop == route.size()) {
-    if (--pending->packets_remaining == 0 && pending->on_delivered) {
-      pending->on_delivered();
-    }
+std::uint32_t Network::acquire() {
+  if (free_head_ == kNoRecord) {
+    in_flight_.emplace_back();
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t id = free_head_;
+  free_head_ = in_flight_[id].next_free;
+  return id;
+}
+
+void Network::release(std::uint32_t id) noexcept {
+  in_flight_[id].next_free = free_head_;
+  free_head_ = id;
+}
+
+void Network::forward(std::uint32_t id, std::uint32_t hop, std::size_t bytes) {
+  InFlight& record = in_flight_[id];
+  if (hop < record.route.size()) {
+    links_[record.route[hop]]->submit(bytes,
+                                      [this, id, hop, bytes] { forward(id, hop + 1, bytes); });
     return;
   }
-  links_[route[hop]]->submit(bytes, [this, route, hop, bytes, pending] {
-    forward(route, hop + 1, bytes, pending);
-  });
+  if (--record.packets_remaining > 0) return;
+  // The callback may start a transfer that takes this very record, so
+  // release it first and touch it no more.
+  des::InlineFn done = std::move(record.on_delivered);
+  release(id);
+  if (done) done();
 }
 
 des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
@@ -60,7 +79,8 @@ des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
     return des::Duration::seconds(static_cast<double>(bytes) / config_.node.mem_copy_bw) +
            des::Duration::micros(5);
   }
-  const auto route = topology_.route(src, dst);
+  std::vector<LinkId> route;
+  topology_.route(src, dst, route);
   const std::size_t packet = config_.packet_bytes;
   const std::size_t packets = bytes == 0 ? 1 : (bytes + packet - 1) / packet;
   // Store-and-forward pipeline with empty queues:

@@ -6,10 +6,25 @@
 // mechanism behind the paper's results. Per-channel FIFO delivery order is
 // guaranteed (packets of earlier transfers between the same pair enter
 // every shared queue first).
+//
+// Hot path (most events of a large run are packet hops): each in-flight
+// transfer is a pooled record (index plus free list) that owns its route
+// buffer (written by Topology::route), its packet count and its delivery
+// callback. A hop's callback captures only (this, record, hop, bytes), so
+// it stays inside des::InlineFn's inline buffer; once the pool and the
+// route buffers have grown to the peak load, a hop through an idle link
+// allocates nothing. A record is released before its delivery callback
+// runs, so the callback may start a transfer that reuses it.
+//
+// The trace hash pins the schedule: every packet is submitted to its first
+// link when the transfer starts, each hop is submitted when the previous
+// one completes, and the delivery callback runs at the last packet's
+// arrival. A change here must keep every schedule_* call in that order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -34,7 +49,7 @@ class Network {
   /// when the last packet arrives. src == dst delivers after a small local
   /// loopback latency, consuming no link.
   void transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffic,
-                std::function<void()> on_delivered);
+                des::InlineFn on_delivered);
 
   /// Duration the same transfer would take on an otherwise idle machine:
   /// packets pipelined store-and-forward over the route with empty queues.
@@ -42,10 +57,6 @@ class Network {
   /// uses it to split observed write times into service vs contention.
   [[nodiscard]] des::Duration min_transfer_time(NodeId src, NodeId dst,
                                                 std::size_t bytes) const noexcept;
-
-  [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
-  [[nodiscard]] FifoServer& link(std::size_t index) noexcept { return *links_[index]; }
-  [[nodiscard]] std::size_t num_links() const noexcept { return links_.size(); }
 
   [[nodiscard]] std::uint64_t bytes_sent(Traffic traffic) const noexcept {
     return bytes_sent_[static_cast<std::size_t>(traffic)];
@@ -57,18 +68,32 @@ class Network {
   [[nodiscard]] des::Duration total_link_busy() const noexcept;
 
  private:
-  struct Pending {
-    std::size_t packets_remaining;
-    std::function<void()> on_delivered;
+  /// One in-flight transfer. Records are recycled; `route` keeps its
+  /// capacity across uses.
+  struct InFlight {
+    std::vector<LinkId> route;
+    std::size_t packets_remaining = 0;
+    des::InlineFn on_delivered;
+    std::uint32_t next_free = 0;
   };
 
-  void forward(std::span<const std::size_t> route, std::size_t hop, std::size_t bytes,
-               const std::shared_ptr<Pending>& pending);
+  static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+
+  [[nodiscard]] std::uint32_t acquire();
+  void release(std::uint32_t id) noexcept;
+  /// One packet of transfer `id` has crossed `hop` links.
+  void forward(std::uint32_t id, std::uint32_t hop, std::size_t bytes);
 
   des::Simulator* sim_;
   MachineConfig config_;
   Topology topology_;
   std::vector<std::unique_ptr<FifoServer>> links_;
+  // A deque grows in small blocks and never moves a record. A 256-rank
+  // all-to-all keeps ~65 k transfers in flight; a vector pool would double
+  // into multi-MB buffers, and glibc's dynamic mmap threshold then keeps
+  // each freed one in the heap, raising peak RSS run after run.
+  std::deque<InFlight> in_flight_;
+  std::uint32_t free_head_ = kNoRecord;
   std::uint64_t bytes_sent_[kTrafficClasses] = {};
   std::uint64_t transfers_[kTrafficClasses] = {};
 };

@@ -11,8 +11,8 @@ StableStorage::StableStorage(des::Simulator& sim, Network& network,
     : sim_(&sim),
       network_(&network),
       host_node_(config.host_node),
-      host_link_(sim, "host-link", config.host_link.bandwidth, config.host_link.latency),
-      disk_(sim, "disk", config.disk.bandwidth, config.disk.latency) {}
+      host_link_(sim, config.host_link.bandwidth, config.host_link.latency),
+      disk_(sim, config.disk.bandwidth, config.disk.latency) {}
 
 void StableStorage::set_faults(const StorageFaultConfig& config, util::Rng rng) {
   faults_ = std::make_unique<StorageFaultModel>(config, rng);
@@ -42,9 +42,7 @@ void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> d
   // pipeline events still drain but the payload is dropped on the floor,
   // or the fault model ruled a transient I/O error, in which case the
   // fully-timed attempt reports kIoError and stores nothing.
-  auto state = std::make_shared<std::pair<std::string, std::vector<std::byte>>>(
-      std::move(key), std::move(data));
-  auto finish = [this, generation, state, verdict,
+  auto finish = [this, generation, key = std::move(key), data = std::move(data), verdict,
                  on_done = std::move(on_done)]() mutable {
     if (generation != write_generation_) return;  // discarded by a crash
     --inflight_writes_;
@@ -53,12 +51,12 @@ void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> d
       if (on_done) on_done(IoStatus::kIoError);
       return;
     }
-    const std::size_t stored = state->second.size();
-    store_now(state->first, std::move(state->second));
+    const std::size_t stored = data.size();
+    store_now(key, std::move(data));
     if (verdict.bitrot && stored > 0) {
       // Silent corruption between write and read: the durable image gets
       // one byte flipped, detectable only by the blob's own checksum.
-      auto& blob = files_[state->first];
+      auto& blob = files_[key];
       blob[verdict.rot_offset % blob.size()] ^= std::byte{verdict.rot_mask};
     }
     ++writes_completed_;
@@ -108,19 +106,19 @@ void StableStorage::read(NodeId to, const std::string& key,
   if (faults_ != nullptr) verdict = faults_->judge_read();
   const des::Duration penalty = degrade_penalty(bytes);
   if (verdict.io_error) data.clear();
-  auto payload = std::make_shared<std::vector<std::byte>>(std::move(data));
   const IoStatus status = verdict.io_error ? IoStatus::kIoError : IoStatus::kOk;
   // The failed read is timed like the successful one would have been: the
   // disk did the work before the error surfaced.
-  disk_.submit(bytes, [this, to, bytes, payload, status, penalty,
+  disk_.submit(bytes, [this, to, bytes, payload = std::move(data), status, penalty,
                        on_read = std::move(on_read)]() mutable {
-    auto deliver = [this, to, bytes, payload, status,
+    auto deliver = [this, to, bytes, payload = std::move(payload), status,
                     on_read = std::move(on_read)]() mutable {
-      host_link_.submit(bytes, [this, to, bytes, payload, status,
+      host_link_.submit(bytes, [this, to, bytes, payload = std::move(payload), status,
                                 on_read = std::move(on_read)]() mutable {
         network_->transfer(host_node_, to, bytes, Traffic::kCheckpoint,
-                           [payload, status, on_read = std::move(on_read)] {
-          if (on_read) on_read(std::move(*payload), status);
+                           [payload = std::move(payload), status,
+                            on_read = std::move(on_read)]() mutable {
+          if (on_read) on_read(std::move(payload), status);
         });
       });
     };

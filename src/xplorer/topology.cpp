@@ -1,11 +1,11 @@
 #include "xplorer/topology.hpp"
 
 #include <algorithm>
-#include <deque>
-#include "util/format.hpp"
 #include <limits>
-#include <map>
 #include <stdexcept>
+#include <utility>
+
+#include "util/format.hpp"
 
 namespace chk::xplorer {
 
@@ -67,7 +67,7 @@ std::vector<Topology::Edge> build_edges(TopologyKind kind, std::size_t n) {
 
 Topology::Topology(std::size_t num_nodes, std::vector<Edge> edges)
     : num_nodes_(num_nodes), edges_(std::move(edges)) {
-  compute_routes();
+  compute_trees();
 }
 
 Topology Topology::build(TopologyKind kind, std::size_t num_nodes) {
@@ -82,50 +82,56 @@ Topology Topology::build(TopologyKind kind, std::size_t num_nodes) {
   return Topology{num_nodes, build_edges(kind, num_nodes)};
 }
 
-void Topology::compute_routes() {
-  routes_.assign(num_nodes_ * num_nodes_, {});
+void Topology::compute_trees() {
+  constexpr auto kNoLink = std::numeric_limits<LinkId>::max();
+  if (edges_.size() >= kNoLink) throw std::length_error("topology: too many links");
+  const std::size_t n = num_nodes_;
   // adjacency: for each node, outgoing (neighbour, link) sorted by neighbour
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> adjacency(num_nodes_);
+  std::vector<std::vector<std::pair<NodeId, LinkId>>> adjacency(n);
   for (std::size_t link = 0; link < edges_.size(); ++link) {
-    adjacency[edges_[link].from].emplace_back(edges_[link].to, link);
+    adjacency[edges_[link].from].emplace_back(edges_[link].to, static_cast<LinkId>(link));
   }
   for (auto& out : adjacency) std::sort(out.begin(), out.end());
 
-  for (NodeId src = 0; src < num_nodes_; ++src) {
+  parent_.assign(n * n, kNoLink);
+  std::vector<NodeId> frontier(n);  // BFS queue: every node enters once
+  std::vector<NodeId> reached_from(n, n);  // last source whose BFS reached v
+  for (NodeId src = 0; src < n; ++src) {
     // BFS from src with deterministic neighbour order.
-    constexpr auto kUnset = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> parent_link(num_nodes_, kUnset);
-    std::vector<bool> seen(num_nodes_, false);
-    seen[src] = true;
-    std::deque<NodeId> frontier{src};
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop_front();
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    frontier[tail++] = src;
+    reached_from[src] = src;
+    while (head < tail) {
+      const NodeId u = frontier[head++];
       for (const auto& [v, link] : adjacency[u]) {
-        if (!seen[v]) {
-          seen[v] = true;
-          parent_link[v] = link;
-          frontier.push_back(v);
+        if (reached_from[v] != src) {
+          reached_from[v] = src;
+          parent_[src * n + v] = link;
+          frontier[tail++] = v;
         }
       }
     }
-    for (NodeId dst = 0; dst < num_nodes_; ++dst) {
-      if (dst == src) continue;
-      if (!seen[dst]) {
+    if (tail == n) continue;
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (reached_from[dst] != src) {
         throw std::runtime_error(
             util::format("topology: node {} unreachable from {}", dst, src));
       }
-      std::vector<std::size_t>& route = routes_[src * num_nodes_ + dst];
-      for (NodeId v = dst; v != src; v = edges_[parent_link[v]].from) {
-        route.push_back(parent_link[v]);
-      }
-      std::reverse(route.begin(), route.end());
     }
   }
 }
 
-std::span<const std::size_t> Topology::route(NodeId src, NodeId dst) const {
-  return routes_[src * num_nodes_ + dst];
+void Topology::route(NodeId src, NodeId dst, std::vector<LinkId>& out) const {
+  out.clear();
+  for (NodeId v = dst; v != src; v = edges_[out.back()].from) out.push_back(parent(src, v));
+  std::reverse(out.begin(), out.end());
+}
+
+std::size_t Topology::distance(NodeId src, NodeId dst) const noexcept {
+  std::size_t hops = 0;
+  for (NodeId v = dst; v != src; v = edges_[parent(src, v)].from) ++hops;
+  return hops;
 }
 
 }  // namespace chk::xplorer

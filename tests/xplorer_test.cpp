@@ -2,7 +2,13 @@
 // network contention, node CPU model, stable storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <deque>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "des/process.hpp"
@@ -22,14 +28,14 @@ using des::TimePoint;
 
 TEST(FifoServer, ServiceTimeIsLatencyPlusTransfer) {
   Simulator sim;
-  FifoServer server(sim, "s", /*bytes_per_sec=*/1'000'000, Duration::millis(10));
+  FifoServer server(sim, /*bytes_per_sec=*/1'000'000, Duration::millis(10));
   EXPECT_DOUBLE_EQ(server.service_time(500'000).to_seconds(), 0.51);
   EXPECT_DOUBLE_EQ(server.service_time(0).to_seconds(), 0.01);
 }
 
 TEST(FifoServer, JobsServeFifoAndAccumulateStats) {
   Simulator sim;
-  FifoServer server(sim, "s", 1'000'000, Duration::zero());
+  FifoServer server(sim, 1'000'000, Duration::zero());
   std::vector<double> completions;
   server.submit(1'000'000, [&] { completions.push_back(sim.now().to_seconds()); });
   server.submit(500'000, [&] { completions.push_back(sim.now().to_seconds()); });
@@ -48,7 +54,7 @@ TEST(FifoServer, JobsServeFifoAndAccumulateStats) {
 
 TEST(FifoServer, CompletionMaySubmitMore) {
   Simulator sim;
-  FifoServer server(sim, "s", 1'000'000, Duration::zero());
+  FifoServer server(sim, 1'000'000, Duration::zero());
   int chained = 0;
   server.submit(1000, [&] {
     ++chained;
@@ -56,6 +62,93 @@ TEST(FifoServer, CompletionMaySubmitMore) {
   });
   sim.run();
   EXPECT_EQ(chained, 2);
+}
+
+TEST(FifoServer, CallbackCapturesAreReleasedAfterTheJob) {
+  // One capture that fits InlineFn's inline buffer, one that is boxed.
+  Simulator sim;
+  FifoServer server(sim, 1'000'000, Duration::millis(1));
+  auto token = std::make_shared<int>(0);
+  std::array<std::byte, 2 * des::InlineFn::kInlineBytes> ballast{};
+  server.submit(100, [token] { ++*token; });
+  server.submit(100, [token, ballast] { *token += 1 + static_cast<int>(ballast[0]); });
+  sim.run();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// The routes as built before parent links: BFS from src over neighbours
+// in ascending id, parent links walked back from dst.
+std::vector<std::vector<LinkId>> reference_routes(const Topology& topo) {
+  const std::size_t n = topo.num_nodes();
+  std::vector<std::vector<std::pair<NodeId, LinkId>>> adjacency(n);
+  for (std::size_t link = 0; link < topo.num_links(); ++link) {
+    adjacency[topo.edge(link).from].emplace_back(topo.edge(link).to,
+                                                 static_cast<LinkId>(link));
+  }
+  for (auto& out : adjacency) std::sort(out.begin(), out.end());
+  std::vector<std::vector<LinkId>> routes(n * n);
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<LinkId> parent_link(n);
+    std::vector<bool> seen(n, false);
+    seen[src] = true;
+    std::deque<NodeId> frontier{src};
+    while (!frontier.empty()) {
+      const NodeId u = frontier.front();
+      frontier.pop_front();
+      for (const auto& [v, link] : adjacency[u]) {
+        if (!seen[v]) {
+          seen[v] = true;
+          parent_link[v] = link;
+          frontier.push_back(v);
+        }
+      }
+    }
+    for (NodeId dst = 0; dst < n; ++dst) {
+      std::vector<LinkId>& route = routes[src * n + dst];
+      for (NodeId v = dst; v != src; v = topo.edge(parent_link[v]).from) {
+        route.push_back(parent_link[v]);
+      }
+      std::reverse(route.begin(), route.end());
+    }
+  }
+  return routes;
+}
+
+TEST(Topology, RoutesMatchTheReferenceOnEveryKind) {
+  constexpr std::array<std::size_t, 8> kSizes{1, 2, 3, 5, 8, 9, 16, 64};
+  for (const auto kind : {TopologyKind::kMesh2D, TopologyKind::kRing, TopologyKind::kStar,
+                          TopologyKind::kCrossbar}) {
+    for (const std::size_t n : kSizes) {
+      SCOPED_TRACE(util::format("{} with {} nodes", to_string(kind), n));
+      const auto topo = Topology::build(kind, n);
+      const auto reference = reference_routes(topo);
+      std::vector<LinkId> route{7, 7, 7};  // stale contents must be replaced
+      for (NodeId src = 0; src < n; ++src) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+          topo.route(src, dst, route);
+          ASSERT_EQ(route, reference[src * n + dst]) << src << " -> " << dst;
+          ASSERT_EQ(route.size(), topo.distance(src, dst));
+          NodeId at = src;
+          for (const LinkId link : route) {
+            ASSERT_EQ(topo.edge(link).from, at);
+            at = topo.edge(link).to;
+          }
+          ASSERT_EQ(at, dst);
+        }
+      }
+    }
+  }
+}
+
+TEST(Topology, TwoThousandNodeMeshBuilds) {
+  const auto topo = Topology::build(TopologyKind::kMesh2D, 2048);
+  EXPECT_EQ(topo.distance(0, 2047), 1024u);  // 1023 columns and one row
+  std::vector<LinkId> route;
+  topo.route(2047, 0, route);
+  EXPECT_EQ(route.size(), 1024u);
+  EXPECT_EQ(topo.edge(route.front()).from, 2047u);
+  EXPECT_EQ(topo.edge(route.back()).to, 0u);
 }
 
 TEST(Topology, Mesh2x4Routes) {
@@ -67,7 +160,8 @@ TEST(Topology, Mesh2x4Routes) {
   EXPECT_EQ(topo.distance(0, 7), 4u);
   EXPECT_EQ(topo.distance(4, 0), 1u);
   // route continuity: consecutive edges share endpoints
-  const auto route = topo.route(0, 7);
+  std::vector<LinkId> route;
+  topo.route(0, 7, route);
   NodeId at = 0;
   for (std::size_t link : route) {
     EXPECT_EQ(topo.edge(link).from, at);
@@ -200,6 +294,57 @@ TEST(Network, ZeroByteTransferStillDelivers) {
   net.transfer(0, 5, 0, Traffic::kControl, [&] { delivered = true; });
   sim.run();
   EXPECT_TRUE(delivered);
+}
+
+TEST(Network, DeliveryCapturesAreReleasedAfterDelivery) {
+  // One capture that fits InlineFn's inline buffer, one that is boxed.
+  Simulator sim;
+  Network net(sim, test_config());
+  auto token = std::make_shared<int>(0);
+  std::array<std::byte, 2 * des::InlineFn::kInlineBytes> ballast{};
+  net.transfer(0, 7, 10'000, Traffic::kApplication, [token] { ++*token; });
+  net.transfer(7, 0, 10'000, Traffic::kCheckpoint,
+               [token, ballast] { *token += 1 + static_cast<int>(ballast[0]); });
+  sim.run();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Network, DeliveryMayStartATransferThatReusesItsRecord) {
+  // With one transfer in flight the pool holds one record; it is free again
+  // when the callback runs, so the nested transfer takes it over while the
+  // first callback (and its captures) is still running.
+  Simulator sim;
+  Network net(sim, test_config());
+  int first = 0;
+  int second = 0;
+  std::vector<std::size_t> witness{1, 2, 3, 4, 5};
+  net.transfer(1, 6, 9'000, Traffic::kApplication, [&, witness] {
+    ++first;
+    net.transfer(6, 1, 9'000, Traffic::kApplication, [&] { ++second; });
+    EXPECT_EQ(witness, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
+  });
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(net.transfers(Traffic::kApplication), 2u);
+}
+
+TEST(Network, ManyPacketTransferDeliversOnce) {
+  Simulator sim;
+  MachineConfig config = test_config();
+  config.packet_bytes = 1000;
+  Network net(sim, config);
+  int delivered = 0;
+  double at = -1;
+  net.transfer(0, 7, 10'000, Traffic::kCheckpoint, [&] {
+    ++delivered;
+    at = sim.now().to_seconds();
+  });
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+  // The callback fires at the last packet's arrival, after the pipeline.
+  EXPECT_NEAR(at, net.min_transfer_time(0, 7, 10'000).to_seconds(), 1e-12);
 }
 
 TEST(Node, ComputeAdvancesByFlopRate) {
