@@ -42,6 +42,7 @@
 
 #include "bench_common.hpp"
 #include "obs/export.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 namespace {

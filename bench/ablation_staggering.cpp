@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "util/format.hpp"
 
 namespace chk::bench {
 namespace {

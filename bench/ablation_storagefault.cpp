@@ -27,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "obs/export.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 int main(int argc, char** argv) try {

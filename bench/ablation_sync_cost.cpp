@@ -11,6 +11,7 @@
 
 #include "apps/sor.hpp"
 #include "bench_common.hpp"
+#include "util/format.hpp"
 
 namespace chk::bench {
 namespace {

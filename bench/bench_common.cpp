@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 namespace chk::bench {

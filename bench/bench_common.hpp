@@ -17,7 +17,6 @@
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
 #include "util/cli.hpp"
-#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace chk::bench {

@@ -52,6 +52,7 @@
 #include "bench_common.hpp"
 #include "faultsim/campaign.hpp"
 #include "obs/export.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 namespace {

@@ -24,6 +24,7 @@
 #include "apps/sor.hpp"
 #include "bench_common.hpp"
 #include "obs/export.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 namespace {

@@ -40,6 +40,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "svc/kvstore.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 
 namespace {

@@ -61,7 +61,6 @@ Envelope Endpoint::consume_match(des::Process& self, int src, int tag,
   note_consumed(env->src, env->seq);
   if (auto* observer = system_->observer()) observer->on_consume(rank_, *env);
   if (auto* hooks = system_->hooks()) hooks->on_deliver(self, rank_, *env);
-  ++messages_received_;
   return std::move(*env);
 }
 

@@ -108,7 +108,6 @@ class Endpoint {
   /// True if the (restored) consumption state already covers this message.
   [[nodiscard]] bool already_consumed(Rank src, std::uint64_t seq) const;
 
-  [[nodiscard]] std::uint64_t messages_received() const noexcept { return messages_received_; }
   [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept { return duplicates_dropped_; }
   [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
 
@@ -146,7 +145,6 @@ class Endpoint {
   std::map<Rank, std::uint64_t> send_seq_;
   std::map<Rank, std::uint64_t> consumed_upto_;
   std::map<Rank, std::set<std::uint64_t>> consumed_extra_;
-  std::uint64_t messages_received_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
 };
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/format.hpp"
-
 namespace chk::chklib {
 
 std::optional<GrantArbiter::Grant> GrantArbiter::handle(const ControlMsg& msg) {

@@ -12,6 +12,7 @@
 
 #include "des/fiber.hpp"
 #include "des/process.hpp"
+#include "util/format.hpp"
 
 namespace chk::des {
 

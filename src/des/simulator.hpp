@@ -37,7 +37,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include "util/format.hpp"
 #include <functional>
 #include <memory>
 #include <new>

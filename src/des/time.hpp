@@ -8,9 +8,10 @@
 #include <cmath>
 #include <compare>
 #include <cstdint>
-#include "util/format.hpp"
 #include <limits>
 #include <string>
+
+#include "util/format.hpp"
 
 namespace chk::des {
 
@@ -59,8 +60,6 @@ class Duration {
   [[nodiscard]] constexpr double operator/(Duration rhs) const noexcept {
     return static_cast<double>(ns_) / static_cast<double>(rhs.ns_);
   }
-
-  [[nodiscard]] std::string str() const { return util::format("{:.6f}s", to_seconds()); }
 
  private:
   constexpr explicit Duration(std::int64_t ns) noexcept : ns_(ns) {}

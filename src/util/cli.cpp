@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -50,12 +51,19 @@ namespace {
                               "\"");
 }
 
-/// Full-string numeric parses; "" / "0.5x" / "nan" / "2x" all fail.
+/// strtod and strtoll skip leading whitespace; a full-string parse must not.
+bool leading_space(const std::string& text) {
+  return !text.empty() && std::isspace(static_cast<unsigned char>(text.front())) != 0;
+}
+
+/// Full-string numeric parses; "" / " 1" / "0.5x" / "nan" / "2x" all fail.
 double parse_double(const std::string& key, const std::string& text) {
   const char* begin = text.c_str();
   char* end = nullptr;
   const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || v != v) bad_value(key, "a number", text);
+  if (end == begin || *end != '\0' || v != v || leading_space(text)) {
+    bad_value(key, "a number", text);
+  }
   return v;
 }
 
@@ -64,7 +72,9 @@ std::int64_t parse_int(const std::string& key, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno == ERANGE) bad_value(key, "an integer", text);
+  if (end == begin || *end != '\0' || errno == ERANGE || leading_space(text)) {
+    bad_value(key, "an integer", text);
+  }
   return v;
 }
 

@@ -75,12 +75,6 @@ class Rng {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    return lo + static_cast<std::int64_t>(
-                    uniform_u64(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Exponential with the given mean (> 0). Used for jittered timers.

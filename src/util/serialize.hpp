@@ -69,15 +69,6 @@ class ByteReader {
     return value;
   }
 
-  std::vector<std::byte> get_bytes() {
-    const auto n = get<std::uint64_t>();
-    require(n);
-    std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-
   /// Zero-copy view of a length-prefixed blob (valid while source lives).
   std::span<const std::byte> get_bytes_view() {
     const auto n = get<std::uint64_t>();

@@ -34,7 +34,7 @@ TEST(Serialize, TruncatedInputThrows) {
   util::ByteWriter writer;
   writer.put<std::uint64_t>(1000);  // a length prefix promising 1000 bytes
   util::ByteReader reader(writer.bytes());
-  EXPECT_THROW((void)reader.get_bytes(), util::SerializeError);
+  EXPECT_THROW((void)reader.get_bytes_view(), util::SerializeError);
 }
 
 TEST(Registry, CaptureRestoreRoundTrip) {

@@ -16,6 +16,7 @@
 #include "chklib/recovery/manager.hpp"
 #include "faultsim/campaign.hpp"
 #include "harness/experiment.hpp"
+#include "util/format.hpp"
 #include "xplorer/machine.hpp"
 
 namespace chk {

@@ -1,5 +1,5 @@
-// Unit tests for chk::util — RNG determinism/quality, stats, tables, CLI,
-// and the parallel job runner.
+// Unit tests for chk::util — RNG determinism/quality, the formatter, tables,
+// CLI, and the parallel job runner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +10,14 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace chk::util {
@@ -61,18 +62,6 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
-TEST(Rng, UniformIntCoversRangeInclusively) {
-  Rng rng(5);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(3, 8);
-    ASSERT_GE(v, 3);
-    ASSERT_LE(v, 8);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 6u);
-}
-
 TEST(Rng, UniformU64Unbiased) {
   Rng rng(17);
   std::vector<int> counts(7, 0);
@@ -85,50 +74,61 @@ TEST(Rng, UniformU64Unbiased) {
 
 TEST(Rng, ExponentialHasRequestedMean) {
   Rng rng(23);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.exponential(4.0));
-  EXPECT_NEAR(stats.mean(), 4.0, 0.15);
-  EXPECT_GE(stats.min(), 0.0);
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats stats;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
-  EXPECT_NEAR(stats.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats whole, part1, part2;
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0, 10);
-    whole.add(x);
-    (i < 200 ? part1 : part2).add(x);
+  constexpr int kDraws = 20000;
+  double sum = 0.0;
+  double min = 1.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double x = rng.exponential(4.0);
+    sum += x;
+    min = std::min(min, x);
   }
-  part1.merge(part2);
-  EXPECT_EQ(part1.count(), whole.count());
-  EXPECT_NEAR(part1.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(part1.variance(), whole.variance(), 1e-9);
+  EXPECT_NEAR(sum / kDraws, 4.0, 0.15);
+  EXPECT_GE(min, 0.0);
 }
 
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_TRUE(std::isnan(stats.min()));
+// Each expected string is what {fmt} 12.1, which util::format replaced,
+// printed for the same call.
+TEST(Format, ShortestDoubleIsFixedForExponentsFromMinus4To15) {
+  EXPECT_EQ(format("{}", 0.0), "0");
+  EXPECT_EQ(format("{}", -0.0), "-0");
+  EXPECT_EQ(format("{}", 0.1), "0.1");
+  EXPECT_EQ(format("{}", 1e-4), "0.0001");
+  EXPECT_EQ(format("{}", 1e-5), "1e-05");
+  EXPECT_EQ(format("{}", 1e15), "1000000000000000");
+  EXPECT_EQ(format("{}", 1e16), "1e+16");
+  EXPECT_EQ(format("{}", 123456789012345680.0), "1.2345678901234568e+17");
+  EXPECT_EQ(format("{}", 1e300), "1e+300");
 }
 
-TEST(SampleSet, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
+TEST(Format, FixedPrecisionRoundsHalfwayCasesToEven) {
+  EXPECT_EQ(format("{:.2f}", 0.125), "0.12");
+  EXPECT_EQ(format("{:.0f}", 2.5), "2");
+  EXPECT_EQ(format("{:.{}f}", 0.125, 2), "0.12");
+  EXPECT_EQ(format("{:.{}f}", 2.5, 0), "2");
+  EXPECT_EQ(format("{:.{}f} %", 2.5, 3), "2.500 %");
+}
+
+TEST(Format, GeneralKeepsSixSignificantDigits) {
+  EXPECT_EQ(format("{:g}", 1e-9), "1e-09");
+  EXPECT_EQ(format("{:g}", 1234567.0), "1.23457e+06");
+}
+
+TEST(Format, IntegersInHexAndZeroPadded) {
+  EXPECT_EQ(format("{:016x}", std::uint64_t{0x1234abcd}), "000000001234abcd");
+  EXPECT_EQ(format("{:016x}", std::uint64_t{0xfedcba9876543210}), "fedcba9876543210");
+  EXPECT_EQ(format("{:#x}", std::uint64_t{0x1234abcd}), "0x1234abcd");
+  EXPECT_EQ(format("{:#x}", std::uint64_t{0}), "0x0");
+  EXPECT_EQ(format("{:08}", std::uint64_t{42}), "00000042");
+  EXPECT_EQ(format("{:08}", -42), "-0000042");
+  EXPECT_EQ(format("{}", std::int64_t{-9223372036854775807 - 1}), "-9223372036854775808");
+}
+
+TEST(Format, StringLikesPrintAsTheyAre) {
+  const std::string str = "str";
+  const std::string_view view = "view";
+  const char* ptr = "ptr";
+  EXPECT_EQ(format("{}/{}/{}/{}", str, view, ptr, "lit"), "str/view/ptr/lit");
+  EXPECT_EQ(format("no fields"), "no fields");
 }
 
 TEST(Table, RendersAlignedGrid) {
@@ -223,9 +223,9 @@ std::string rejection(Read read) {
 }
 
 TEST(Cli, StrictNumbersRejectTrailingJunkEmptyAndWordsNamingTheFlag) {
-  const char* argv[] = {"prog", "--runs=2x", "--nodes=", "--frac=abc", "--ok=12"};
-  Cli cli(5, const_cast<char**>(argv));
-  for (const std::string key : {"runs", "nodes", "frac"}) {
+  const char* argv[] = {"prog", "--runs=2x", "--nodes=", "--frac=abc", "--pad= 12", "--ok=12"};
+  Cli cli(6, const_cast<char**>(argv));
+  for (const std::string key : {"runs", "nodes", "frac", "pad"}) {
     EXPECT_NE(rejection([&] { (void)cli.get_int(key, 0, 0, 100); }).find("--" + key),
               std::string::npos)
         << key;
@@ -256,17 +256,17 @@ TEST(Cli, RangedDoublesRejectZeroAndNegativeBelowAPositiveFloor) {
   Cli cli(5, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(cli.get_double("ok", 5.0, 1e-3, 1e3), 1e-3);
   for (const std::string key : {"intervals", "frac", "huge"}) {
-    EXPECT_NE(rejection([&] { (void)cli.get_double(key, 5.0, 1e-3, 1e3); }).find("--" + key),
-              std::string::npos)
-        << key;
+    const std::string message = rejection([&] { (void)cli.get_double(key, 5.0, 1e-3, 1e3); });
+    EXPECT_NE(message.find("--" + key), std::string::npos) << key;
+    EXPECT_NE(message.find("expected a number in [0.001, 1000]"), std::string::npos) << message;
   }
 }
 
 TEST(Cli, GetListParsesEveryEntryStrictly) {
   const char* argv[] = {"prog", "--fracs=0.35,0.7,1.4", "--ranks=8,64",
                         "--apps=SOR-384,NQUEENS-14", "--bad=0.4,abc", "--hole=1,,2",
-                        "--none="};
-  Cli cli(7, const_cast<char**>(argv));
+                        "--none=", "--spaced=1, 2"};
+  Cli cli(8, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_list<double>("fracs", ""), (std::vector<double>{0.35, 0.7, 1.4}));
   EXPECT_EQ(cli.get_list<std::int64_t>("ranks", ""), (std::vector<std::int64_t>{8, 64}));
   EXPECT_EQ(cli.get_list<std::string>("apps", ""),
@@ -278,6 +278,8 @@ TEST(Cli, GetListParsesEveryEntryStrictly) {
   EXPECT_THROW((void)cli.get_list<std::int64_t>("fracs", ""), std::invalid_argument);
   EXPECT_THROW((void)cli.get_list<double>("hole", ""), std::invalid_argument);
   EXPECT_THROW((void)cli.get_list<std::string>("hole", ""), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_list<double>("spaced", ""), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_list<std::int64_t>("spaced", ""), std::invalid_argument);
   EXPECT_NE(rejection([&] { (void)cli.get_list<double>("none", ""); }).find("--none"),
             std::string::npos);
   EXPECT_THROW((void)cli.get_list<std::string>("none", ""), std::invalid_argument);

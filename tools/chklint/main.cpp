@@ -30,8 +30,7 @@ namespace {
 
 /// Directories never scanned: generated trees and the known-bad lint
 /// fixtures (which exist to *fail* these rules).
-const std::set<std::string> kSkipDirs = {"build", "third_party", ".git",
-                                         "CMakeFiles", "chklint_fixtures"};
+const std::set<std::string> kSkipDirs = {"build", ".git", "CMakeFiles", "chklint_fixtures"};
 const std::set<std::string> kExtensions = {".cpp", ".hpp", ".h", ".cc", ".cxx", ".hh"};
 
 struct Options {
