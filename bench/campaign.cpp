@@ -167,18 +167,19 @@ int main(int argc, char** argv) try {
     config.base.seed = seed;
     config.base.checkpoints = checkpoints;
     config.base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
-    config.mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac);
+    config.base.faults = faultsim::FaultPlan{
+        .mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac),
+        .max_failures = max_failures,
+        // The sweep always spans every scheme; independent schemes have no
+        // coordinator to aim at, so they keep the uniform victim draw.
+        .target_coordinator = target_coordinator && chklib::is_coordinated(cell.scheme)};
+    if (link_faults.enabled()) config.base.link_faults = link_faults;
+    if (storage_faults.enabled()) config.base.storage_faults = storage_faults;
+    config.base.membership = membership;
+    config.base.keep_depth = keep_depth;
     config.runs = runs;
     config.campaign_seed = campaign_seed;
-    config.max_failures_per_run = max_failures;
     config.expected_digest = normal.digest;
-    if (link_faults.enabled()) config.link_faults = link_faults;
-    if (storage_faults.enabled()) config.storage_faults = storage_faults;
-    config.membership = membership;
-    // The sweep always spans every scheme; independent schemes have no
-    // coordinator to aim at, so they keep the uniform victim draw.
-    config.target_coordinator = target_coordinator && chklib::is_coordinated(cell.scheme);
-    config.keep_depth = keep_depth;
     return faultsim::run_campaign(config);
   });
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = std::move(campaigns[i]);

@@ -9,10 +9,11 @@
 // (every cumulative ack cancels and re-arms the sender's RTO timer — the
 // exact churn pattern that used to bloat the heap with dead events), plus
 // an optional synthetic watchdog-style timer-churn load, with tracing on
-// or off. The measured wall-clock events/sec goes to stdout; the JSON
-// artifact holds only simulation-deterministic fields (event counts,
-// trace hashes, queue high-water marks, compaction counts), so repeats
-// with the same seed are byte-identical and CI can `cmp` them PR-over-PR.
+// or off. The measured wall-clock events/sec goes to stdout (not under
+// --quick, whose cells are too small to time); the JSON artifact holds
+// only simulation-deterministic fields (event counts, trace hashes, queue
+// high-water marks, compaction counts), so repeats with the same seed are
+// byte-identical and CI can `cmp` them PR-over-PR.
 //
 //   ./kernel_throughput [--ranks=8,64,256] [--churn=0,8] [--iters=300]
 //                       [--payload=32] [--seed=2026]
@@ -91,7 +92,6 @@ CellResult run_cell(const CellConfig& cc) {
   mc.num_nodes = cc.ranks;
   xplorer::Network net(sim, mc);
   chklib::Transport transport(sim, net);
-  if (cc.tracing) transport.set_tracer(&tracer);
 
   CellResult out;
   transport.set_deliver_app([&out](chklib::Envelope) { ++out.delivered; });
@@ -229,19 +229,34 @@ int main(int argc, char** argv) try {
     }
   }
 
-  util::Table table({"ranks", "churn", "events", "ev/s (plain)", "ev/s (traced)",
-                     "queue peak", "compactions", "rto arm/cancel"});
+  // A --quick cell runs a few thousand events in about a millisecond, far
+  // too short to time: its rate swings several-fold between runs of one
+  // binary, so the quick table leaves the rate columns out.
+  std::vector<std::string> header{"ranks", "churn", "events"};
+  if (!quick) header.insert(header.end(), {"ev/s (plain)", "ev/s (traced)"});
+  header.insert(header.end(), {"queue peak", "compactions", "rto arm/cancel"});
+  util::Table table(std::move(header));
   for (const Row& row : rows) {
-    table.add_row({std::to_string(row.config.ranks), std::to_string(row.config.churn),
-                   std::to_string(row.untraced.events),
-                   util::format("{:.0f}", row.untraced.events_per_sec()),
-                   util::format("{:.0f}", row.traced.events_per_sec()),
-                   std::to_string(row.untraced.queue_peak),
-                   std::to_string(row.untraced.compactions),
-                   util::format("{}/{}", row.untraced.timers_armed,
-                                row.untraced.timers_cancelled)});
+    std::vector<std::string> cells{std::to_string(row.config.ranks),
+                                   std::to_string(row.config.churn),
+                                   std::to_string(row.untraced.events)};
+    if (!quick) {
+      cells.push_back(util::format("{:.0f}", row.untraced.events_per_sec()));
+      cells.push_back(util::format("{:.0f}", row.traced.events_per_sec()));
+    }
+    cells.push_back(std::to_string(row.untraced.queue_peak));
+    cells.push_back(std::to_string(row.untraced.compactions));
+    cells.push_back(util::format("{}/{}", row.untraced.timers_armed,
+                                 row.untraced.timers_cancelled));
+    table.add_row(std::move(cells));
   }
-  std::fputs(table.render("kernel_throughput (events/sec measured on this machine's wall clock)").c_str(), stdout);
+  std::fputs(table
+                 .render(quick ? "kernel_throughput --quick (no events/sec: these cells are "
+                                 "too small to time)"
+                               : "kernel_throughput (events/sec measured on this machine's "
+                                 "wall clock)")
+                 .c_str(),
+             stdout);
 
   // Deterministic artifact: simulation-schedule facts only (no wall clock).
   obs::json::Value doc = obs::json::Value::object();

@@ -15,7 +15,8 @@
 // --trace-out writes the selected scheme's run as Chrome/Perfetto trace
 // JSON (load with ui.perfetto.dev); --metrics-out writes its metrics
 // snapshot + attribution; --json-out (default BENCH_overhead_breakdown.json)
-// collects every scheme's breakdown machine-readably.
+// collects every scheme's breakdown machine-readably. Exits 1, after
+// writing every file, if any scheme's digest differs from its NORMAL run.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -151,7 +152,9 @@ int main(int argc, char** argv) try {
     obs::write_text_file(json_out, doc.dump() + "\n");
     std::printf("Wrote %s\n", json_out.c_str());
   }
-  return 0;
+  bool ok = true;
+  for (const auto& result : results) ok = bench::digest_ok(normal, result) && ok;
+  return ok ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return util::usage_error(argv[0], err);
 }

@@ -15,12 +15,12 @@ constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max() / 4;
 
 }  // namespace
 
-std::int32_t asp_edge_weight(std::size_t i, std::size_t j, std::int32_t max_weight) {
+std::int32_t asp_edge_weight(std::size_t i, std::size_t j) {
   if (i == j) return 0;
   // ~25% density of direct edges; everything stays reachable through hubs.
   const std::uint64_t key = static_cast<std::uint64_t>(i) * 1315423911u + j;
   if (hash_int(key, 0, 3) != 0) return kInf;
-  return static_cast<std::int32_t>(hash_int(key ^ 0xabcdef, 1, max_weight));
+  return static_cast<std::int32_t>(hash_int(key ^ 0xabcdef, 1, kAspMaxWeight));
 }
 
 AppFn make_asp(AspParams params) {
@@ -36,7 +36,7 @@ AppFn make_asp(AspParams params) {
       st.dist.resize(rows * n);
       for (std::size_t i = 0; i < rows; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-          st.dist[i * n + j] = asp_edge_weight(block.begin + i, j, params.max_weight);
+          st.dist[i * n + j] = asp_edge_weight(block.begin + i, j);
         }
       }
     }
@@ -84,7 +84,7 @@ double asp_reference_digest(const AspParams& params) {
   std::vector<std::int32_t> dist(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      dist[i * n + j] = asp_edge_weight(i, j, params.max_weight);
+      dist[i * n + j] = asp_edge_weight(i, j);
     }
   }
   for (std::size_t k = 0; k < n; ++k) {

@@ -11,11 +11,12 @@ namespace chk::apps {
 
 struct AspParams {
   std::size_t n = 256;
-  std::int32_t max_weight = 100;
 };
 
 /// Work per matrix cell per iteration (add + compare + select).
 inline constexpr double kAspFlopsPerCell = 2.0;
+/// Heaviest generated edge.
+inline constexpr std::int32_t kAspMaxWeight = 100;
 
 [[nodiscard]] AppFn make_asp(AspParams params);
 
@@ -23,7 +24,6 @@ inline constexpr double kAspFlopsPerCell = 2.0;
 [[nodiscard]] double asp_reference_digest(const AspParams& params);
 
 /// The deterministic edge weight generator shared by both versions.
-[[nodiscard]] std::int32_t asp_edge_weight(std::size_t i, std::size_t j,
-                                           std::int32_t max_weight);
+[[nodiscard]] std::int32_t asp_edge_weight(std::size_t i, std::size_t j);
 
 }  // namespace chk::apps

@@ -29,10 +29,10 @@ void init_block(NbodyState& st, std::size_t begin, std::size_t count) {
 
 /// Accumulate forces exerted by `other` (x, y, m triplets) on the block.
 void accumulate(const NbodyState& st, const std::vector<double>& other, bool self_block,
-                double softening, std::vector<double>& fx, std::vector<double>& fy) {
+                std::vector<double>& fx, std::vector<double>& fy) {
   const std::size_t mine = st.px.size();
   const std::size_t theirs = other.size() / 3;
-  const double eps2 = softening * softening;
+  const double eps2 = kNbodySoftening * kNbodySoftening;
   for (std::size_t i = 0; i < mine; ++i) {
     double ax = 0.0, ay = 0.0;
     for (std::size_t j = 0; j < theirs; ++j) {
@@ -100,7 +100,7 @@ AppFn make_nbody(NbodyParams params) {
       for (std::size_t shift = 0; shift < nprocs; ++shift) {
         ctx.compute(static_cast<double>(st.px.size()) *
                     static_cast<double>(buffer.size() / 3) * kNbodyFlopsPerPair);
-        accumulate(st, buffer, shift == 0, params.softening, fx, fy);
+        accumulate(st, buffer, shift == 0, fx, fy);
         if (shift + 1 < nprocs) {
           ctx.send_span<double>(right, kTagRing, std::span<const double>(buffer));
           buffer = ctx.recv_vector<double>(static_cast<int>(left), kTagRing);
@@ -108,10 +108,10 @@ AppFn make_nbody(NbodyParams params) {
       }
       ctx.compute(static_cast<double>(st.px.size()) * kNbodyFlopsPerBody);
       for (std::size_t i = 0; i < st.px.size(); ++i) {
-        st.vx[i] += params.dt * fx[i] / st.mass[i];
-        st.vy[i] += params.dt * fy[i] / st.mass[i];
-        st.px[i] += params.dt * st.vx[i];
-        st.py[i] += params.dt * st.vy[i];
+        st.vx[i] += kNbodyDt * fx[i] / st.mass[i];
+        st.vy[i] += kNbodyDt * fy[i] / st.mass[i];
+        st.px[i] += kNbodyDt * st.vx[i];
+        st.py[i] += kNbodyDt * st.vy[i];
       }
     }
 
@@ -135,17 +135,17 @@ double nbody_reference_digest(const NbodyParams& params, std::size_t nprocs) {
       forces_y[r].assign(blocks[r].px.size(), 0.0);
       for (std::size_t shift = 0; shift < nprocs; ++shift) {
         const std::size_t src = (r + nprocs - shift) % nprocs;
-        accumulate(blocks[r], pack_block(blocks[src]), shift == 0, params.softening,
-                   forces_x[r], forces_y[r]);
+        accumulate(blocks[r], pack_block(blocks[src]), shift == 0, forces_x[r],
+                   forces_y[r]);
       }
     }
     for (std::size_t r = 0; r < nprocs; ++r) {
       NbodyState& st = blocks[r];
       for (std::size_t i = 0; i < st.px.size(); ++i) {
-        st.vx[i] += params.dt * forces_x[r][i] / st.mass[i];
-        st.vy[i] += params.dt * forces_y[r][i] / st.mass[i];
-        st.px[i] += params.dt * st.vx[i];
-        st.py[i] += params.dt * st.vy[i];
+        st.vx[i] += kNbodyDt * forces_x[r][i] / st.mass[i];
+        st.vy[i] += kNbodyDt * forces_y[r][i] / st.mass[i];
+        st.px[i] += kNbodyDt * st.vx[i];
+        st.py[i] += kNbodyDt * st.vy[i];
       }
     }
   }

@@ -12,9 +12,12 @@ namespace chk::apps {
 struct NbodyParams {
   std::size_t bodies = 2048;
   std::uint32_t steps = 10;
-  double dt = 1e-3;
-  double softening = 1e-2;
 };
+
+/// Integration timestep.
+inline constexpr double kNbodyDt = 1e-3;
+/// Plummer softening length.
+inline constexpr double kNbodySoftening = 1e-2;
 
 /// Work per interacting pair (distance, inverse-law, accumulate).
 inline constexpr double kNbodyFlopsPerPair = 22.0;

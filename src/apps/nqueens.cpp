@@ -75,7 +75,7 @@ AppFn make_nqueens(NQueensParams params) {
       ctx.checkpoint_here();
       std::uint64_t nodes = 0;
       const std::uint64_t solutions = run_job(params.n, jobs[mine[st.cursor]], nodes);
-      ctx.compute(static_cast<double>(nodes) * params.flops_per_node);
+      ctx.compute(static_cast<double>(nodes) * kNQueensFlopsPerNode);
       st.count += solutions;
     }
 

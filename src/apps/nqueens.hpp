@@ -12,8 +12,10 @@ namespace chk::apps {
 
 struct NQueensParams {
   std::uint32_t n = 12;
-  double flops_per_node = 10.0;  ///< modelled cost per explored search node
 };
+
+/// Modelled cost per explored search node.
+inline constexpr double kNQueensFlopsPerNode = 10.0;
 
 [[nodiscard]] AppFn make_nqueens(NQueensParams params);
 

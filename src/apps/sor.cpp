@@ -32,7 +32,7 @@ AppFn make_sor(SorParams params) {
       st.grid.assign((rows + 2) * n, 0.0);
       if (ctx.rank() == 0) {
         // top boundary row (the halo of the first rank is the fixed edge)
-        for (std::size_t j = 0; j < n; ++j) st.grid[j] = params.top_boundary;
+        for (std::size_t j = 0; j < n; ++j) st.grid[j] = kSorTopBoundary;
       }
     }
     ctx.register_value("iter", st.iter);
@@ -66,7 +66,7 @@ AppFn make_sor(SorParams params) {
       }
 
       ctx.compute(static_cast<double>(rows * (n - 2)) * kSorFlopsPerPoint);
-      const double w = params.omega;
+      const double w = kSorOmega;
       for (std::size_t i = 1; i <= rows; ++i) {
         for (std::size_t j = 1; j + 1 < n; ++j) {
           const double around =
@@ -92,9 +92,9 @@ double sor_reference_digest(const SorParams& params) {
   const std::size_t n = params.n;
   std::vector<double> grid((n + 2) * n, 0.0);
   auto cell = [&](std::size_t i, std::size_t j) -> double& { return grid[i * n + j]; };
-  for (std::size_t j = 0; j < n; ++j) cell(0, j) = params.top_boundary;
+  for (std::size_t j = 0; j < n; ++j) cell(0, j) = kSorTopBoundary;
   std::vector<double> next(n * n);
-  const double w = params.omega;
+  const double w = kSorOmega;
   for (std::uint32_t iter = 0; iter < params.iterations; ++iter) {
     for (std::size_t i = 1; i <= n; ++i) {
       for (std::size_t j = 1; j + 1 < n; ++j) {

@@ -12,12 +12,14 @@ namespace chk::apps {
 struct SorParams {
   std::size_t n = 512;          ///< grid dimension
   std::uint32_t iterations = 100;
-  double omega = 0.8;           ///< relaxation weight
-  double top_boundary = 100.0;  ///< fixed temperature on the top edge
 };
 
 /// Work per interior point per iteration (adds + multiplies).
 inline constexpr double kSorFlopsPerPoint = 6.0;
+/// Relaxation weight.
+inline constexpr double kSorOmega = 0.8;
+/// Fixed temperature on the top edge.
+inline constexpr double kSorTopBoundary = 100.0;
 
 [[nodiscard]] AppFn make_sor(SorParams params);
 

@@ -39,7 +39,7 @@ struct Map {
     min_edge = std::numeric_limits<std::int32_t>::max();
     for (std::size_t a = 0; a < m; ++a) {
       for (std::size_t b = 0; b < m; ++b) {
-        d[a * m + b] = tsp_distance(a, b, params.max_distance);
+        d[a * m + b] = tsp_distance(a, b);
         if (a != b) min_edge = std::min(min_edge, d[a * m + b]);
       }
     }
@@ -92,10 +92,10 @@ std::uint32_t total_jobs(std::size_t m) {
 
 }  // namespace
 
-std::int32_t tsp_distance(std::size_t a, std::size_t b, std::int32_t max_distance) {
+std::int32_t tsp_distance(std::size_t a, std::size_t b) {
   if (a == b) return 0;
   const std::size_t lo = std::min(a, b), hi = std::max(a, b);
-  return static_cast<std::int32_t>(hash_int(lo * 8191 + hi, 1, max_distance));
+  return static_cast<std::int32_t>(hash_int(lo * 8191 + hi, 1, kTspMaxDistance));
 }
 
 AppFn make_tsp(TspParams params) {
@@ -113,7 +113,7 @@ AppFn make_tsp(TspParams params) {
         ctx.checkpoint_here();
         std::int64_t best = st.best;
         const std::uint64_t nodes = run_job(map, st.jobs_done, best);
-        ctx.compute(static_cast<double>(nodes) * params.flops_per_node);
+        ctx.compute(static_cast<double>(nodes) * kTspFlopsPerNode);
         st.best = best;
       }
       ctx.report_result(static_cast<double>(st.best));
@@ -165,7 +165,7 @@ AppFn make_tsp(TspParams params) {
       if (reply.job < 0) break;
       std::int64_t best = std::min(st.best, reply.bound);
       const std::uint64_t nodes = run_job(map, static_cast<std::uint32_t>(reply.job), best);
-      ctx.compute(static_cast<double>(nodes) * params.flops_per_node);
+      ctx.compute(static_cast<double>(nodes) * kTspFlopsPerNode);
       st.best = best;
       ++st.jobs_done;
     }

@@ -13,17 +13,20 @@ namespace chk::apps {
 struct TspParams {
   std::size_t cities = 14;   ///< the paper used a dense 16-city map; 14 keeps
                              ///< the explored tree tractable for repeated runs
-  std::int32_t max_distance = 100;
-  double flops_per_node = 40.0;  ///< modelled cost per explored search node
 };
+
+/// Longest edge of the generated map.
+inline constexpr std::int32_t kTspMaxDistance = 100;
+/// Modelled cost per explored search node.
+inline constexpr double kTspFlopsPerNode = 40.0;
 
 [[nodiscard]] AppFn make_tsp(TspParams params);
 
 /// Sequential branch-and-bound optimum (schedule independent).
 [[nodiscard]] double tsp_reference_digest(const TspParams& params);
 
-/// Deterministic symmetric distance between two cities.
-[[nodiscard]] std::int32_t tsp_distance(std::size_t a, std::size_t b,
-                                        std::int32_t max_distance);
+/// Deterministic symmetric distance in [1, kTspMaxDistance] between two
+/// distinct cities.
+[[nodiscard]] std::int32_t tsp_distance(std::size_t a, std::size_t b);
 
 }  // namespace chk::apps

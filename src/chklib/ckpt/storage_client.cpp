@@ -1,44 +1,37 @@
 #include "chklib/ckpt/storage_client.hpp"
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "obs/tracer.hpp"
+
 namespace chk::chklib {
 
-void RetryPolicy::validate() const {
-  if (max_attempts == 0) {
-    throw std::invalid_argument("storage retry: max_attempts must be >= 1");
-  }
-  if (!(multiplier >= 1.0)) {
-    throw std::invalid_argument("storage retry: backoff multiplier must be >= 1, got " +
-                                std::to_string(multiplier));
-  }
-  if (initial_backoff < des::Duration::zero() || deadline < des::Duration::zero()) {
-    throw std::invalid_argument("storage retry: backoff and deadline must be non-negative");
-  }
-}
+namespace {
 
-void StorageClient::set_policy(const RetryPolicy& policy) {
-  policy.validate();
-  policy_ = policy;
-}
+/// Total tries per operation, the first attempt included.
+constexpr std::uint32_t kMaxAttempts = 4;
+/// The backoff before retry k is kInitialBackoff * kBackoffMultiplier^(k-1).
+constexpr des::Duration kInitialBackoff = des::Duration::millis(50);
+constexpr double kBackoffMultiplier = 2.0;
+/// Give up once this much time has passed since the operation started,
+/// even with attempts left.
+constexpr des::Duration kDeadline = des::Duration::secs(30);
+
+}  // namespace
 
 bool StorageClient::backoff(des::Process& self, Rank rank, std::uint32_t attempt,
                             des::TimePoint started, bool app_blocking) {
-  des::Duration wait = policy_.initial_backoff;
-  for (std::uint32_t i = 1; i < attempt; ++i) wait = wait.scaled(policy_.multiplier);
+  des::Duration wait = kInitialBackoff;
+  for (std::uint32_t i = 1; i < attempt; ++i) wait = wait.scaled(kBackoffMultiplier);
   const des::TimePoint now = self.sim().now();
-  if (policy_.deadline != des::Duration::max() &&
-      (now - started) + wait > policy_.deadline) {
-    return false;
-  }
+  if ((now - started) + wait > kDeadline) return false;
   const std::int64_t t0 = now.to_nanos();
   self.delay(wait);
   retry_wait_ = retry_wait_ + wait;
-  if (tracer_ != nullptr) {
-    tracer_->span(obs::EventKind::kStorageRetryWait, static_cast<std::uint16_t>(rank), t0,
-                  self.sim().now().to_nanos(), 0, app_blocking ? 1u : 0u);
+  if (obs::Tracer* tracer = self.sim().tracer()) {
+    tracer->span(obs::EventKind::kStorageRetryWait, static_cast<std::uint16_t>(rank), t0,
+                 self.sim().now().to_nanos(), 0, app_blocking ? 1u : 0u);
   }
   return true;
 }
@@ -56,14 +49,13 @@ xplorer::IoStatus StorageClient::write_blocking(des::Process& self, Rank rank,
     // still has it.
     const xplorer::IoStatus status =
         storage_->write_blocking(self, rank, key, blob);
-    if (tracer_ != nullptr) {
+    if (obs::Tracer* tracer = self.sim().tracer()) {
       const auto pure = storage_->pure_write_time(rank, bytes);
-      tracer_->span(kind, static_cast<std::uint16_t>(rank), t0,
-                    self.sim().now().to_nanos(),
-                    static_cast<std::uint64_t>(pure.to_nanos()), arg);
+      tracer->span(kind, static_cast<std::uint16_t>(rank), t0, self.sim().now().to_nanos(),
+                   static_cast<std::uint64_t>(pure.to_nanos()), arg);
     }
     if (status == xplorer::IoStatus::kOk) return status;
-    if (attempt >= policy_.max_attempts || !backoff(self, rank, attempt, started, app_blocking)) {
+    if (attempt >= kMaxAttempts || !backoff(self, rank, attempt, started, app_blocking)) {
       ++write_failures_;
       return xplorer::IoStatus::kIoError;
     }
@@ -82,7 +74,7 @@ xplorer::IoStatus StorageClient::read_blocking(des::Process& self, Rank rank,
       if (out != nullptr) *out = std::move(blob);
       return status;
     }
-    if (attempt >= policy_.max_attempts ||
+    if (attempt >= kMaxAttempts ||
         !backoff(self, rank, attempt, started, /*app_blocking=*/false)) {
       ++read_failures_;
       if (out != nullptr) out->clear();

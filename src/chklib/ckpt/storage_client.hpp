@@ -4,10 +4,11 @@
 // model) are the storage tier's own fault domain; this client is the one
 // door every protocol and the recovery manager go through, so the retry
 // policy lives in exactly one place. A failed attempt is retried after an
-// exponentially growing backoff until the attempt budget or the deadline
-// runs out, at which point the terminal error is surfaced to the caller —
-// the protocols decide what a permanently lost write means (abort the
-// round, skip the interval), the client never hides one.
+// exponentially growing backoff (50 ms, doubling) until the budget of 4
+// attempts or the 30 s deadline runs out, at which point the terminal
+// error is surfaced to the caller — the protocols decide what a
+// permanently lost write means (abort the round, skip the interval), the
+// client never hides one.
 //
 // Each attempt emits its own traced span (the caller's event kind, aux =
 // uncontended write time) and each backoff sleep emits a
@@ -23,35 +24,16 @@
 #include "chklib/comm/envelope.hpp"
 #include "des/process.hpp"
 #include "des/time.hpp"
-#include "obs/tracer.hpp"
+#include "obs/event.hpp"
 #include "xplorer/storage.hpp"
 
 namespace chk::chklib {
-
-struct RetryPolicy {
-  /// Total tries per operation (first attempt included). Must be >= 1.
-  std::uint32_t max_attempts = 4;
-  /// Backoff before retry k is initial * multiplier^(k-1).
-  des::Duration initial_backoff = des::Duration::millis(50);
-  double multiplier = 2.0;
-  /// Give up once this much time has elapsed since the operation started,
-  /// even with attempts left. Duration::max() = no deadline.
-  des::Duration deadline = des::Duration::secs(30);
-
-  /// Throws std::invalid_argument on a zero attempt budget, a multiplier
-  /// below 1 or negative durations.
-  void validate() const;
-};
 
 class StorageClient {
  public:
   explicit StorageClient(xplorer::StableStorage& storage) : storage_(&storage) {}
   StorageClient(const StorageClient&) = delete;
   StorageClient& operator=(const StorageClient&) = delete;
-
-  void set_policy(const RetryPolicy& policy);
-  [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Blocking write with bounded retries. Emits one `kind` span per
   /// attempt (arg = `arg`); backoff sleeps emit kStorageRetryWait spans
@@ -81,8 +63,6 @@ class StorageClient {
                des::TimePoint started, bool app_blocking);
 
   xplorer::StableStorage* storage_;
-  RetryPolicy policy_;
-  obs::Tracer* tracer_ = nullptr;
   std::uint64_t retries_ = 0;
   std::uint64_t write_failures_ = 0;
   std::uint64_t read_failures_ = 0;

@@ -1,5 +1,6 @@
 #include "chklib/ckpt/store.hpp"
 
+#include "obs/tracer.hpp"
 #include "util/format.hpp"
 
 namespace chk::chklib {
@@ -15,16 +16,10 @@ std::string CheckpointStore::log_key(Rank rank, std::uint32_t index) {
 xplorer::IoStatus CheckpointStore::write_image_blocking(des::Process& self, Rank rank,
                                                         const CheckpointImage& image,
                                                         WriteContext context) {
-  // The observer brackets the whole operation, retries included: the
-  // stagger invariant is about the rank occupying the write pipeline,
-  // which it does for every attempt.
-  if (observer_ != nullptr) observer_->on_image_write_begin(rank, image.index);
-  const xplorer::IoStatus status = client_.write_blocking(
-      self, rank, image_key(rank, image.index), image.serialize(),
-      obs::EventKind::kStableWrite, static_cast<std::uint32_t>(context),
-      context == WriteContext::kAppBlocking);
-  if (observer_ != nullptr) observer_->on_image_write_end(rank, image.index);
-  return status;
+  return client_.write_blocking(self, rank, image_key(rank, image.index), image.serialize(),
+                               obs::EventKind::kStableWrite,
+                               static_cast<std::uint32_t>(context),
+                               context == WriteContext::kAppBlocking);
 }
 
 xplorer::IoStatus CheckpointStore::write_log_blocking(des::Process& self, Rank rank,
@@ -59,9 +54,9 @@ std::optional<CheckpointImage> CheckpointStore::try_load_image_blocking(
   // The read is charged whether or not it restores anything: a failed or
   // corrupt read still moved (up to) blob.size() bytes through the disk.
   if (blob_bytes != nullptr) *blob_bytes = blob.size();
-  if (tracer_ != nullptr) {
-    tracer_->span(obs::EventKind::kRecoveryRead, static_cast<std::uint16_t>(reader), t0,
-                  self.sim().now().to_nanos(), blob.size());
+  if (obs::Tracer* tracer = self.sim().tracer()) {
+    tracer->span(obs::EventKind::kRecoveryRead, static_cast<std::uint16_t>(reader), t0,
+                 self.sim().now().to_nanos(), blob.size());
   }
   if (status != xplorer::IoStatus::kOk) return std::nullopt;
   try {

@@ -20,9 +20,7 @@
 
 #include "chklib/ckpt/image.hpp"
 #include "chklib/ckpt/storage_client.hpp"
-#include "chklib/comm/observer.hpp"
 #include "des/process.hpp"
-#include "obs/tracer.hpp"
 #include "xplorer/storage.hpp"
 
 namespace chk::chklib {
@@ -42,10 +40,6 @@ class CheckpointStore {
 
   [[nodiscard]] static std::string image_key(Rank rank, std::uint32_t index);
   [[nodiscard]] static std::string log_key(Rank rank, std::uint32_t index);
-
-  /// Passive observer of image writes (stagger mutual-exclusion checking).
-  void set_observer(InvariantObserver* observer) noexcept { observer_ = observer; }
-  [[nodiscard]] InvariantObserver* observer() const noexcept { return observer_; }
 
   /// Blocking write with bounded retries; kIoError is terminal.
   xplorer::IoStatus write_image_blocking(des::Process& self, Rank rank,
@@ -100,16 +94,9 @@ class CheckpointStore {
   [[nodiscard]] xplorer::StableStorage& storage() noexcept { return *storage_; }
   [[nodiscard]] StorageClient& client() noexcept { return client_; }
 
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    client_.set_tracer(tracer);
-  }
-
  private:
   xplorer::StableStorage* storage_;
   StorageClient client_;
-  InvariantObserver* observer_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   std::uint32_t committed_epoch_ = 0;  ///< epoch 0 = initial state, implicit
 };
 

@@ -3,6 +3,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/tracer.hpp"
+
 namespace chk::chklib {
 
 CommSystem::CommSystem(xplorer::Machine& machine) : machine_(&machine) {
@@ -22,7 +24,6 @@ void CommSystem::set_link_faults(const LinkFaultConfig& config, util::Rng rng) {
 void CommSystem::enable_transport() {
   transport_ = std::make_unique<Transport>(machine_->sim(), machine_->network());
   transport_->set_fault_model(faults_.get());
-  transport_->set_tracer(tracer_);
   transport_->set_deliver_app([this](Envelope env) { deliver_app(std::move(env)); });
   transport_->set_deliver_control(
       [this](Rank dst, const ControlMsg& msg) { deliver_control(dst, msg); });
@@ -82,9 +83,9 @@ void CommSystem::transmit(des::Process& self, Envelope env) {
 void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {
   if (rank_down(src)) return;  // zombie background writer / stale timer
   msg.incarnation = incarnation_;
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::EventKind::kControlSend, static_cast<std::uint16_t>(src),
-                     machine_->sim().now().to_nanos(), 0, static_cast<std::uint32_t>(dst));
+  if (obs::Tracer* tracer = machine_->sim().tracer()) {
+    tracer->instant(obs::EventKind::kControlSend, static_cast<std::uint16_t>(src),
+                    machine_->sim().now().to_nanos(), 0, static_cast<std::uint32_t>(dst));
   }
   ++control_messages_;
   control_bytes_ += kControlWireBytes;
@@ -99,9 +100,9 @@ void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {
 void CommSystem::send_control_datagram(Rank src, Rank dst, ControlMsg msg) {
   if (rank_down(src)) return;  // zombie background writer / stale timer
   msg.incarnation = incarnation_;
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::EventKind::kControlSend, static_cast<std::uint16_t>(src),
-                     machine_->sim().now().to_nanos(), 0, static_cast<std::uint32_t>(dst));
+  if (obs::Tracer* tracer = machine_->sim().tracer()) {
+    tracer->instant(obs::EventKind::kControlSend, static_cast<std::uint16_t>(src),
+                    machine_->sim().now().to_nanos(), 0, static_cast<std::uint32_t>(dst));
   }
   ++control_messages_;
   control_bytes_ += kControlWireBytes;

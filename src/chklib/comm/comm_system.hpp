@@ -102,13 +102,6 @@ class CommSystem {
   /// Drop all queued messages at every endpoint.
   void flush_all();
 
-  /// Attach an event tracer to the control plane and all endpoints.
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    for (auto& ep : endpoints_) ep->set_tracer(tracer);
-    if (transport_ != nullptr) transport_->set_tracer(tracer);
-  }
-
   // -- statistics -------------------------------------------------------------
   [[nodiscard]] std::uint64_t app_messages() const noexcept { return app_messages_; }
   [[nodiscard]] std::uint64_t app_bytes() const noexcept { return app_bytes_; }
@@ -152,7 +145,6 @@ class CommSystem {
   xplorer::Machine* machine_;
   ProtocolHooks* hooks_ = nullptr;
   InvariantObserver* observer_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<LinkFaultModel> faults_;
   std::unique_ptr<Transport> transport_;

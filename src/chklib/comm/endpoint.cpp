@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "chklib/comm/comm_system.hpp"
+#include "obs/tracer.hpp"
 
 namespace chk::chklib {
 
@@ -11,9 +12,9 @@ Endpoint::Endpoint(CommSystem& system, Rank rank, xplorer::Node& node, des::Simu
     : system_(&system), rank_(rank), node_(&node), sim_(&sim) {}
 
 void Endpoint::send(des::Process& self, Rank dst, int tag, std::vector<std::byte> payload) {
-  if (tracer_) {
-    tracer_->instant(obs::EventKind::kMsgSend, static_cast<std::uint16_t>(rank_),
-                     sim_->now().to_nanos(), payload.size(), static_cast<std::uint32_t>(dst));
+  if (obs::Tracer* tracer = sim_->tracer()) {
+    tracer->instant(obs::EventKind::kMsgSend, static_cast<std::uint16_t>(rank_),
+                    sim_->now().to_nanos(), payload.size(), static_cast<std::uint32_t>(dst));
   }
   Envelope env;
   env.src = rank_;
@@ -45,9 +46,10 @@ const Envelope* Endpoint::peek_match(int src, int tag) const {
 Envelope Endpoint::consume_match(des::Process& self, int src, int tag,
                                  std::int64_t wait_start_ns) {
   // Precondition: peek_match(src, tag) != nullptr.
-  if (tracer_ && wait_start_ns >= 0) {
-    tracer_->span(obs::EventKind::kRecvWait, static_cast<std::uint16_t>(rank_),
-                  wait_start_ns, sim_->now().to_nanos());
+  obs::Tracer* tracer = sim_->tracer();
+  if (tracer != nullptr && wait_start_ns >= 0) {
+    tracer->span(obs::EventKind::kRecvWait, static_cast<std::uint16_t>(rank_), wait_start_ns,
+                 sim_->now().to_nanos());
   }
   // Charge the receive-side CPU cost while the message is still in the
   // pending queue: a checkpoint captured during this window must see
@@ -83,9 +85,10 @@ std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint 
       return consume_match(self, src, tag, wait_start_ns);
     }
     if (sim_->now() >= deadline) {
-      if (tracer_ && wait_start_ns >= 0) {
-        tracer_->span(obs::EventKind::kRecvWait, static_cast<std::uint16_t>(rank_),
-                      wait_start_ns, sim_->now().to_nanos());
+      obs::Tracer* tracer = sim_->tracer();
+      if (tracer != nullptr && wait_start_ns >= 0) {
+        tracer->span(obs::EventKind::kRecvWait, static_cast<std::uint16_t>(rank_),
+                     wait_start_ns, sim_->now().to_nanos());
       }
       return std::nullopt;
     }

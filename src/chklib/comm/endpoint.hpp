@@ -111,8 +111,6 @@ class Endpoint {
   [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept { return duplicates_dropped_; }
   [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
 
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   // Reserved (negative) tags used by the collectives; applications must
   // use non-negative tags.
   static constexpr int kTagBarrierUp = -2;
@@ -138,7 +136,6 @@ class Endpoint {
   Rank rank_;
   xplorer::Node* node_;
   des::Simulator* sim_;
-  obs::Tracer* tracer_ = nullptr;
   std::deque<Envelope> pending_;
   des::WaitQueue recv_waiters_;
   des::SimMailbox<ControlMsg> control_;

@@ -2,12 +2,12 @@
 //
 // Unlike ProtocolHooks (which the checkpointing protocols implement to
 // *participate* in message handling), an InvariantObserver only watches:
-// the comm system, endpoints and checkpoint store report every externally
-// visible transition through it. The verify/ subsystem installs a Monitor
-// here to check protocol invariants (FIFO channels, coordinated quiescence,
-// stagger mutual exclusion) without perturbing the simulation — observer
-// callbacks run at already-existing event boundaries and consume no
-// simulated time.
+// the comm system, endpoints and protocols report every externally visible
+// transition through it. It is attached in one place, the CommSystem. The
+// verify/ subsystem installs a Monitor there to check protocol invariants
+// (FIFO channels, coordinated quiescence, stagger mutual exclusion) without
+// perturbing the simulation — observer callbacks run at already-existing
+// event boundaries and consume no simulated time.
 //
 // All methods have empty default bodies so observers implement only what
 // they need and new callbacks never break existing observers.

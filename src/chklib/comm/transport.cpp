@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/tracer.hpp"
+
 namespace chk::chklib {
 
 namespace {
@@ -204,10 +206,10 @@ void Transport::process_frame(Frame frame) {
     if (rx.stall_open && rx.reorder.empty()) {
       rx.stall_open = false;
       const std::int64_t now = sim_->now().to_nanos();
-      if (tracer_ != nullptr && now > rx.stall_start_ns) {
-        tracer_->span(obs::EventKind::kRetransmitWait,
-                      static_cast<std::uint16_t>(link.second), rx.stall_start_ns,
-                      now, 0, static_cast<std::uint32_t>(link.first));
+      obs::Tracer* tracer = sim_->tracer();
+      if (tracer != nullptr && now > rx.stall_start_ns) {
+        tracer->span(obs::EventKind::kRetransmitWait, static_cast<std::uint16_t>(link.second),
+                     rx.stall_start_ns, now, 0, static_cast<std::uint32_t>(link.first));
       }
     }
   } else {
@@ -266,11 +268,9 @@ void Transport::on_rto(const LinkKey& link) {
   if (tx.unacked.empty()) return;
   for (const auto& [seq, frame] : tx.unacked) {
     ++stats_.retransmits;
-    if (tracer_ != nullptr) {
-      tracer_->instant(obs::EventKind::kRetransmit,
-                       static_cast<std::uint16_t>(link.first),
-                       sim_->now().to_nanos(), seq,
-                       static_cast<std::uint32_t>(link.second));
+    if (obs::Tracer* tracer = sim_->tracer()) {
+      tracer->instant(obs::EventKind::kRetransmit, static_cast<std::uint16_t>(link.first),
+                      sim_->now().to_nanos(), seq, static_cast<std::uint32_t>(link.second));
     }
     transmit_frame(frame);
   }

@@ -45,7 +45,6 @@
 #include "chklib/comm/envelope.hpp"
 #include "chklib/comm/link_fault.hpp"
 #include "des/simulator.hpp"
-#include "obs/tracer.hpp"
 #include "xplorer/network.hpp"
 
 namespace chk::chklib {
@@ -91,7 +90,6 @@ class Transport {
   void set_control_drop_filter(ControlDropFilter filter) {
     drop_filter_ = std::move(filter);
   }
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Submit one application envelope for reliable in-order delivery.
   void send_app(Envelope env);
@@ -157,7 +155,6 @@ class Transport {
   des::Simulator* sim_;
   xplorer::Network* network_;
   LinkFaultModel* faults_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   DeliverApp deliver_app_;
   DeliverControl deliver_control_;
   ControlDropFilter drop_filter_;

@@ -117,7 +117,7 @@ void MembershipService::finalize() {
   for (Rank r = 0; r < num_ranks_; ++r) {
     if (!episode_open_[r]) continue;
     episode_open_[r] = false;
-    if (obs::Tracer* tracer = rt_->tracer()) {
+    if (obs::Tracer* tracer = rt_->sim().tracer()) {
       tracer->span(obs::EventKind::kMembershipWait, static_cast<std::uint16_t>(r),
                    excluded_since_[r].to_nanos(), now_ns, 0,
                    down_.contains(r) ? 1u : 2u);
@@ -151,7 +151,7 @@ void MembershipService::end_exclusion(Rank r) {
   if (!episode_open_[r]) return;
   if (down_.contains(r) || fenced_.contains(r)) return;  // still excluded
   episode_open_[r] = false;
-  if (obs::Tracer* tracer = rt_->tracer()) {
+  if (obs::Tracer* tracer = rt_->sim().tracer()) {
     tracer->span(obs::EventKind::kMembershipWait, static_cast<std::uint16_t>(r),
                  excluded_since_[r].to_nanos(), rt_->sim().now().to_nanos());
   }
@@ -460,7 +460,7 @@ bool MembershipService::crash(Rank r) {
   // episode; it just changes character.
   fenced_.erase(r);
   rt_->kill_app(r);
-  if (obs::Tracer* tracer = rt_->tracer()) {
+  if (obs::Tracer* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kFailure, static_cast<std::uint16_t>(r),
                     rt_->sim().now().to_nanos(), 0, 1);
   }

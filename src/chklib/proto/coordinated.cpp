@@ -110,7 +110,7 @@ void CoordinatedProtocol::begin_round(std::uint32_t epoch) {
   round_epoch_ = epoch;
   round_view_ = current_view();
   acked_.clear();
-  if (auto* tracer = rt_->tracer()) {
+  if (auto* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kRoundBegin, static_cast<std::uint16_t>(coordinator()),
                     rt_->sim().now().to_nanos(), 0, epoch);
   }
@@ -161,8 +161,8 @@ void CoordinatedProtocol::on_round_timeout(std::uint32_t epoch) {
 void CoordinatedProtocol::note_round_abort(std::uint32_t epoch) {
   ++stats_.aborted_rounds;
   ring_abort_floor_ = std::max(ring_abort_floor_, epoch);
-  if (auto* iobs = rt_->store().observer()) iobs->on_round_abort(epoch);
-  if (auto* tracer = rt_->tracer()) {
+  if (auto* iobs = rt_->comm().observer()) iobs->on_round_abort(epoch);
+  if (auto* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kRoundAbort,
                     static_cast<std::uint16_t>(coordinator()),
                     rt_->sim().now().to_nanos(), 0, epoch);
@@ -184,8 +184,8 @@ void CoordinatedProtocol::on_token_timeout(std::uint32_t epoch) {
     // with a crashed sender. Re-issue it toward the next expected holder;
     // a rank that does receive the original drops the duplicate.
     ++stats_.tokens_regenerated;
-    if (auto* iobs = rt_->store().observer()) iobs->on_token_regenerated(epoch);
-    if (auto* tracer = rt_->tracer()) {
+    if (auto* iobs = rt_->comm().observer()) iobs->on_token_regenerated(epoch);
+    if (auto* tracer = rt_->sim().tracer()) {
       tracer->instant(obs::EventKind::kTokenRegen,
                       static_cast<std::uint16_t>(coordinator()),
                       rt_->sim().now().to_nanos(), 0,
@@ -267,7 +267,7 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
         agent.last_token_epoch = msg.epoch;
         agent.ring_tokens.push_back(msg.epoch);
       }
-      if (auto* tracer = rt_->tracer()) {
+      if (auto* tracer = rt_->sim().tracer()) {
         tracer->instant(obs::EventKind::kTokenPass, static_cast<std::uint16_t>(r),
                         rt_->sim().now().to_nanos(), 0, msg.epoch);
       }
@@ -321,7 +321,7 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
           break;
         }
         ++stats_.committed_rounds;
-        if (auto* tracer = rt_->tracer()) {
+        if (auto* tracer = rt_->sim().tracer()) {
           tracer->instant(obs::EventKind::kCommit, static_cast<std::uint16_t>(coordinator()),
                           rt_->sim().now().to_nanos(), 0, round_epoch_);
         }

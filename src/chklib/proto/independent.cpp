@@ -102,7 +102,7 @@ void IndependentProtocol::dispatcher_main(Rank r, des::Process& self) {
     const ControlMsg msg = rt_->comm().endpoint(r).recv_control(self);
     switch (msg.kind) {
       case ControlKind::kToken:
-        if (auto* tracer = rt_->tracer()) {
+        if (auto* tracer = rt_->sim().tracer()) {
           tracer->instant(obs::EventKind::kTokenPass, static_cast<std::uint16_t>(r),
                           rt_->sim().now().to_nanos(), 0, msg.epoch);
         }

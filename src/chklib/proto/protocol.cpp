@@ -51,7 +51,7 @@ void Protocol::save_image(des::Process& carrier, Rank r, CheckpointImage image, 
     write_image(carrier, r, image, WriteContext::kAppBlocking);
   }
   stats_.app_blocked += rt_->sim().now() - block_start;
-  if (auto* tracer = rt_->tracer()) {
+  if (auto* tracer = rt_->sim().tracer()) {
     tracer->span(obs::EventKind::kCkptWindow, static_cast<std::uint16_t>(r),
                  block_start.to_nanos(), rt_->sim().now().to_nanos(), 0, index);
   }
@@ -69,7 +69,12 @@ void Protocol::write_image(des::Process& writer, Rank r, CheckpointImage& image,
   const bool background = context == WriteContext::kBackground;
   xplorer::Node& node = rt_->machine().node(r);
   if (background) node.begin_background_io();
+  // The observer brackets the whole write, retries included: the stagger
+  // invariant is about the rank occupying the write pipeline, which it
+  // does for every attempt.
+  if (auto* iobs = rt_->comm().observer()) iobs->on_image_write_begin(r, image.index);
   const xplorer::IoStatus status = rt_->store().write_image_blocking(writer, r, image, context);
+  if (auto* iobs = rt_->comm().observer()) iobs->on_image_write_end(r, image.index);
   if (background) node.end_background_io();
   release_write(r, tag);
   if (status != xplorer::IoStatus::kOk) ++stats_.ckpt_write_failures;

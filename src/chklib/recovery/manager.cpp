@@ -81,7 +81,7 @@ void RecoveryManager::abort_active_recovery() {
 
 void RecoveryManager::on_failure(Rank failed) {
   des::Simulator& sim = rt_->sim();
-  if (auto* tracer = rt_->tracer()) {
+  if (auto* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kFailure, static_cast<std::uint16_t>(failed),
                     sim.now().to_nanos());
   }
@@ -315,7 +315,7 @@ void RecoveryManager::finish_recovery(const std::shared_ptr<RecoveryReport>& sha
   protocol_->resume_after_recovery();
   rt_->restart_apps();
   reports_.push_back(*shared_report);
-  if (auto* tracer = rt_->tracer()) {
+  if (auto* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kRecoveryDone,
                     static_cast<std::uint16_t>(shared_report->failed_rank),
                     rt_->sim().now().to_nanos());

@@ -79,18 +79,6 @@ class Runtime {
   /// Deterministic child RNG for a subsystem.
   [[nodiscard]] util::Rng fork_rng(std::uint64_t tag) const { return util::Rng(seed_).fork(tag); }
 
-  /// Attach an event tracer to every instrumented seam (kernel, nodes,
-  /// comm fabric, checkpoint store); nullptr detaches. Pure observation —
-  /// the simulated schedule is unchanged.
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    sim_->set_tracer(tracer);
-    machine_.set_tracer(tracer);
-    comm_.set_tracer(tracer);
-    store_.set_tracer(tracer);
-  }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
-
   /// Install the application (same body on every rank, SPMD style).
   void set_app(std::string name, AppFn body);
 
@@ -123,7 +111,6 @@ class Runtime {
   xplorer::Machine machine_;
   CommSystem comm_;
   CheckpointStore store_;
-  obs::Tracer* tracer_ = nullptr;
   std::uint64_t seed_;
   std::string app_name_ = "app";
   AppFn app_body_;

@@ -9,7 +9,6 @@ namespace chk::chklib::verify {
 
 Monitor::Options Monitor::options_for(Scheme scheme, Policy policy) {
   Options options;
-  options.scheme = scheme;
   options.policy = policy;
   options.check_quiescence = is_coordinated(scheme);
   options.check_stagger = is_staggered(scheme);
@@ -23,14 +22,12 @@ Monitor::~Monitor() { uninstall(); }
 
 void Monitor::install() {
   rt_->comm().set_observer(this);
-  rt_->store().set_observer(this);
   installed_ = true;
 }
 
 void Monitor::uninstall() {
   if (!installed_) return;
   if (rt_->comm().observer() == this) rt_->comm().set_observer(nullptr);
-  if (rt_->store().observer() == this) rt_->store().set_observer(nullptr);
   installed_ = false;
 }
 

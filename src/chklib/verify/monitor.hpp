@@ -1,9 +1,9 @@
 // Runtime protocol-invariant monitor.
 //
-// A Monitor is an InvariantObserver installed on a Runtime's CommSystem and
-// CheckpointStore. It re-derives, independently of the endpoint/protocol
-// bookkeeping it is checking, what a correct CHK-LIB execution must look
-// like, and reports any divergence through an InvariantSink:
+// A Monitor is an InvariantObserver installed on a Runtime's CommSystem. It
+// re-derives, independently of the endpoint/protocol bookkeeping it is
+// checking, what a correct CHK-LIB execution must look like, and reports
+// any divergence through an InvariantSink:
 //
 //   fifo        per-(src,dst) channel delivery is FIFO, loss-free and
 //               duplication-free within an incarnation: transmissions are
@@ -50,7 +50,6 @@ class Monitor final : public InvariantObserver {
  public:
   /// The fifo, epoch and consume checks always run; these select the rest.
   struct Options {
-    Scheme scheme = Scheme::kNone;
     Policy policy = default_policy();
     /// Default: armed automatically for coordinated schemes.
     bool check_quiescence = false;
@@ -68,8 +67,8 @@ class Monitor final : public InvariantObserver {
   Monitor(Runtime& runtime, Options options);
   ~Monitor() override;
 
-  /// Hook into the runtime's comm system and checkpoint store. The monitor
-  /// unhooks itself on destruction.
+  /// Hook into the runtime's comm system. The monitor unhooks itself on
+  /// destruction.
   void install();
   void uninstall();
 

@@ -295,10 +295,12 @@ class Simulator {
     return processes_;
   }
 
-  /// Attach (or detach, with nullptr) an event tracer. Emission is
-  /// observation only: it never schedules events or advances time, so the
-  /// simulated schedule — and trace_hash() — is identical with or without
-  /// a tracer attached.
+  /// Attach (or detach, with nullptr) an event tracer. This is the one
+  /// place a tracer is attached: every instrumented seam (kernel, nodes,
+  /// comm fabric, checkpoint store, protocols) asks its simulator for it.
+  /// Emission is observation only: it never schedules events or advances
+  /// time, so the simulated schedule — and trace_hash() — is identical
+  /// with or without a tracer attached.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/export.hpp"
 #include "util/format.hpp"
@@ -9,29 +10,18 @@
 namespace chk::faultsim {
 
 RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index) {
+  if (!config.base.faults.has_value()) {
+    throw std::invalid_argument("campaign: base.faults must hold the failure process");
+  }
+  const std::uint64_t stream = config.campaign_seed + run_index;
   harness::ExperimentConfig experiment = config.base;
   experiment.failure.reset();
-  FaultPlan plan;
-  plan.mtbf = config.mtbf;
-  plan.max_failures = config.max_failures_per_run;
-  plan.stream = config.campaign_seed + run_index;
-  plan.ensure_midwrite = true;
-  plan.ensure_during_recovery = true;
-  plan.target_coordinator = config.target_coordinator;
-  experiment.faults = plan;
-  if (config.membership.has_value()) {
-    experiment.membership = config.membership;
-    experiment.membership->stream = config.campaign_seed + run_index;
-  }
-  if (config.link_faults.has_value()) {
-    experiment.link_faults = config.link_faults;
-    experiment.link_faults->stream = config.campaign_seed + run_index;
-  }
-  if (config.storage_faults.has_value()) {
-    experiment.storage_faults = config.storage_faults;
-    experiment.storage_faults->stream = config.campaign_seed + run_index;
-  }
-  experiment.keep_depth = config.keep_depth;
+  experiment.faults->stream = stream;
+  experiment.faults->ensure_midwrite = true;
+  experiment.faults->ensure_during_recovery = true;
+  if (experiment.membership.has_value()) experiment.membership->stream = stream;
+  if (experiment.link_faults.has_value()) experiment.link_faults->stream = stream;
+  if (experiment.storage_faults.has_value()) experiment.storage_faults->stream = stream;
 
   RunOutcome outcome;
   outcome.run = run_index;

@@ -2,9 +2,10 @@
 // configuration under a stochastic failure process.
 //
 // A campaign fixes the experiment (app, scheme, interval, machine, base
-// seed) and varies only the failure schedule: run i forks the injector's
-// RNG stream by i, so the campaign is fully reproducible (same seeds ⇒
-// byte-identical JSON) while the runs sample independent failure arrival
+// seed, fault plan and fault domains) and varies only the fault
+// schedules: run i forks the injector's RNG stream and every fault
+// domain's stream by i, so the campaign is fully reproducible (same seeds
+// ⇒ byte-identical JSON) while the runs sample independent failure arrival
 // realizations. The headline statistic is the expected completion time
 // under failures — the "which scheme actually wins when failures happen"
 // counterpart to the paper's failure-free overhead tables.
@@ -20,35 +21,18 @@
 namespace chk::faultsim {
 
 struct CampaignConfig {
-  /// The experiment every run executes; its `failure`/`faults` fields are
-  /// overwritten by the campaign.
+  /// The experiment every run executes. `base.faults` is required: its
+  /// mtbf, max_failures and target_coordinator shape every run's failure
+  /// process. Run i sets its stream to campaign_seed + i and arms both
+  /// targeted strikes; it also forks the stream of each fault domain
+  /// present on `base` (link_faults, storage_faults, membership) by
+  /// campaign_seed + i, so realizations vary per run but reproduce
+  /// exactly. `base.failure` is cleared.
   harness::ExperimentConfig base;
-  des::Duration mtbf = des::Duration::secs(60);
   std::uint32_t runs = 5;
-  /// Selects the failure-schedule stream family; run i uses stream
+  /// Selects the fault-schedule stream family; run i uses stream
   /// campaign_seed + i on top of the experiment seed.
   std::uint64_t campaign_seed = 1;
-  std::uint32_t max_failures_per_run = 6;
-  /// Unreliable links during the campaign runs (composes with the failure
-  /// process), carried by the reliable transport. Run i forks the
-  /// link-fault stream by campaign_seed + i so loss realizations vary per
-  /// run but reproduce exactly.
-  std::optional<chklib::LinkFaultConfig> link_faults;
-  /// Unreliable stable storage during the campaign runs (composes with the
-  /// failure process and the link faults — every fault domain draws from
-  /// its own forked stream). Run i forks the storage-fault stream by
-  /// campaign_seed + i, mirroring the link-fault discipline.
-  std::optional<xplorer::StorageFaultConfig> storage_faults;
-  /// Cluster-membership service during the campaign runs: failures route
-  /// through heartbeat detection + coordinator election instead of the
-  /// oracle. Run i forks the membership stream by campaign_seed + i so
-  /// heartbeat phases vary per run but reproduce exactly.
-  std::optional<chklib::membership::MembershipConfig> membership;
-  /// With membership on: aim every injected strike at the current (elected)
-  /// coordinator instead of a uniform victim.
-  bool target_coordinator = false;
-  /// Checkpoint retention depth forwarded to the experiment (0 = auto).
-  std::uint32_t keep_depth = 0;
   /// Failure-free result digest to verify each run against (any failure
   /// schedule must still compute the same answer).
   std::optional<double> expected_digest;
@@ -83,7 +67,8 @@ struct CampaignResult {
 
 /// Execute run `run_index` of the campaign (one full simulated experiment).
 /// Every run arms both targeted strikes, mid-write and during-recovery, on
-/// top of the Poisson arrivals.
+/// top of the Poisson arrivals. Throws std::invalid_argument when
+/// `config.base.faults` is unset.
 [[nodiscard]] RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index);
 
 /// Execute all runs sequentially and summarize. Drivers that parallelize

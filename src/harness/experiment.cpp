@@ -170,7 +170,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   obs::Tracer tracer;  // outlives the runtime (teardown may still emit)
   des::Simulator sim;
   chklib::Runtime runtime(sim, config.machine, config.seed);
-  if (config.observe) runtime.set_tracer(&tracer);
+  if (config.observe) sim.set_tracer(&tracer);
   runtime.set_app(config.label, config.app);
 
   // Unreliable links, which install the reliable transport with them.

@@ -33,6 +33,14 @@ constexpr std::uint8_t kOpDelete = 2;
 
 constexpr std::uint32_t kTombstone = 1;
 
+constexpr double kZipfS = 0.9;      ///< keyspace skew exponent (0 = uniform)
+constexpr double kGetFrac = 0.70;   ///< op mix: gets
+constexpr double kPutFrac = 0.25;   ///< puts; the remainder are deletes
+constexpr std::uint32_t kMinValueBytes = 64;
+constexpr std::uint32_t kMaxValueBytes = 512;
+constexpr double kServiceFlops = 40.0;  ///< owner-side CPU per request
+constexpr double kFlopsPerByte = 0.05;  ///< plus this per value byte moved
+
 /// One stored key. `off` points into the shard's value heap; tombstones
 /// keep their key and LWW version so later lower-versioned mutations stay
 /// suppressed regardless of arrival order.
@@ -115,17 +123,18 @@ std::uint64_t make_ver(std::int64_t sched_ns, std::size_t rank, std::uint64_t se
          ((static_cast<std::uint64_t>(rank) & 0x3F) << 14) | (seq & 0x3FFF);
 }
 
-std::uint32_t prefill_len(const SvcParams& p, std::uint64_t key) noexcept {
-  const std::uint64_t span = p.max_value_bytes - p.min_value_bytes + 1;
-  return p.min_value_bytes + static_cast<std::uint32_t>(hash64(key ^ 0xF1F0ull) % span);
+std::uint32_t prefill_len(std::uint64_t key) noexcept {
+  const std::uint64_t span = kMaxValueBytes - kMinValueBytes + 1;
+  return kMinValueBytes + static_cast<std::uint32_t>(hash64(key ^ 0xF1F0ull) % span);
 }
 
-/// Zipf(s) cumulative distribution over [0, keys); draw by binary search.
-std::vector<double> build_zipf_cdf(std::uint64_t keys, double s) {
+/// Zipf(kZipfS) cumulative distribution over [0, keys); draw by binary
+/// search.
+std::vector<double> build_zipf_cdf(std::uint64_t keys) {
   std::vector<double> cdf(keys);
   double total = 0;
   for (std::uint64_t i = 0; i < keys; ++i) {
-    total += std::pow(static_cast<double>(i + 1), -s);
+    total += std::pow(static_cast<double>(i + 1), -kZipfS);
     cdf[i] = total;
   }
   for (double& c : cdf) c /= total;
@@ -153,16 +162,16 @@ struct Drawn {
 
 /// Fixed draw order — key, op, len — for every request regardless of the
 /// op actually chosen, so the stream is schedule-independent.
-Drawn draw_request(util::Rng& rng, const std::vector<double>& cdf, const SvcParams& p) {
+Drawn draw_request(util::Rng& rng, const std::vector<double>& cdf) {
   Drawn d;
   d.key = draw_key(rng, cdf);
   const double op_u = rng.uniform();
   const double len_u = rng.uniform();
-  d.op = op_u < p.get_frac          ? kOpGet
-         : op_u < p.get_frac + p.put_frac ? kOpPut
-                                          : kOpDelete;
-  const std::uint64_t span = p.max_value_bytes - p.min_value_bytes + 1;
-  d.len = p.min_value_bytes +
+  d.op = op_u < kGetFrac              ? kOpGet
+         : op_u < kGetFrac + kPutFrac ? kOpPut
+                                      : kOpDelete;
+  const std::uint64_t span = kMaxValueBytes - kMinValueBytes + 1;
+  d.len = kMinValueBytes +
           static_cast<std::uint32_t>(static_cast<std::uint64_t>(
               len_u * static_cast<double>(span)));
   return d;
@@ -265,7 +274,7 @@ AppFn make_svc(SvcParams params) {
       st.fin_expect.assign(nprocs, -1);
       for (std::uint64_t key = 0; key < params.prefill; ++key) {
         if (svc_owner(key, nprocs) != rank) continue;
-        const std::uint32_t len = prefill_len(params, key);
+        const std::uint32_t len = prefill_len(key);
         st.entries.push_back(Entry{key, 0, st.heap.size(), len, 0});
         append_value(st.heap, key, 0, len);
         st.sc.heap_live += len;
@@ -281,7 +290,7 @@ AppFn make_svc(SvcParams params) {
     ctx.ready();
 
     // Schedule-independent lookup table; rebuilt identically each start.
-    const std::vector<double> cdf = build_zipf_cdf(params.keys, params.zipf_s);
+    const std::vector<double> cdf = build_zipf_cdf(params.keys);
 
     // Owner-side service: CPU work, LWW apply, response. Returns with the
     // simulation clock at this request's completion instant.
@@ -290,7 +299,7 @@ AppFn make_svc(SvcParams params) {
       const std::int64_t wait_ns = start_ns - req.sched_ns;
       st.sc.queue_wait_sum_ns += static_cast<std::uint64_t>(wait_ns > 0 ? wait_ns : 0);
       if (wait_ns > 0) {
-        if (auto* tracer = ctx.runtime().tracer()) {
+        if (auto* tracer = ctx.runtime().sim().tracer()) {
           tracer->span(obs::EventKind::kSvcQueueWait, static_cast<std::uint16_t>(rank),
                        req.sched_ns, start_ns, 0,
                        static_cast<std::uint32_t>(req.client));
@@ -310,7 +319,7 @@ AppFn make_svc(SvcParams params) {
       } else {
         moved = req.op == kOpPut ? req.len : 0;
       }
-      ctx.compute(params.service_flops + params.flops_per_byte * moved);
+      ctx.compute(kServiceFlops + kFlopsPerByte * moved);
       if (req.op != kOpGet) apply_mutation(st, req);
       maybe_compact(st);
       if (req.client == rank) {
@@ -335,7 +344,7 @@ AppFn make_svc(SvcParams params) {
     // population would experience it.
     auto issue_one = [&]() {
       const std::int64_t sched_ns = st.sc.next_arrival_ns;
-      const Drawn d = draw_request(st.sc.rng, cdf, params);
+      const Drawn d = draw_request(st.sc.rng, cdf);
       const std::uint64_t seq = st.sc.next_seq++;
       st.sc.next_arrival_ns += draw_gap_ns(st.sc.rng, params.arrival_hz);
       ReqHeader req;
@@ -469,14 +478,14 @@ AppFn make_svc(SvcParams params) {
 
 double svc_reference_digest(const SvcParams& params, std::size_t nprocs,
                             std::uint64_t seed) {
-  const std::vector<double> cdf = build_zipf_cdf(params.keys, params.zipf_s);
+  const std::vector<double> cdf = build_zipf_cdf(params.keys);
   const auto horizon_ns =
       static_cast<std::int64_t>(std::llround(params.horizon_s * 1e9));
 
   // Global LWW state, seeded with every rank's prefill.
   SvcState scratch;  // reuse apply_mutation via a scratch state
   for (std::uint64_t key = 0; key < params.prefill; ++key) {
-    const std::uint32_t len = prefill_len(params, key);
+    const std::uint32_t len = prefill_len(key);
     scratch.entries.push_back(Entry{key, 0, scratch.heap.size(), len, 0});
     append_value(scratch.heap, key, 0, len);
     scratch.sc.heap_live += len;
@@ -492,7 +501,7 @@ double svc_reference_digest(const SvcParams& params, std::size_t nprocs,
     std::uint64_t seq = 0, puts = 0, deletes = 0;
     while (next_arrival_ns < horizon_ns) {
       const std::int64_t sched_ns = next_arrival_ns;
-      const Drawn d = draw_request(rng, cdf, params);
+      const Drawn d = draw_request(rng, cdf);
       next_arrival_ns += draw_gap_ns(rng, params.arrival_hz);
       if (d.op != kOpGet) {
         ReqHeader req;

@@ -76,15 +76,8 @@ struct SvcMetrics {
 struct SvcParams {
   std::uint64_t keys = 4096;   ///< keyspace size (hash-partitioned)
   std::uint64_t prefill = 512; ///< keys [0, prefill) pre-populated at init
-  double zipf_s = 0.9;         ///< keyspace skew exponent (0 = uniform)
   double arrival_hz = 400.0;   ///< per-rank open-loop arrival rate
   double horizon_s = 4.0;      ///< arrivals are scheduled in [0, horizon)
-  double get_frac = 0.70;      ///< op mix: gets
-  double put_frac = 0.25;      ///< puts; the remainder are deletes
-  std::uint32_t min_value_bytes = 64;
-  std::uint32_t max_value_bytes = 512;
-  double service_flops = 40.0;   ///< owner-side CPU per request
-  double flops_per_byte = 0.05;  ///< plus this per value byte moved
   /// When set, rank 0 stores the merged SvcMetrics here at drain.
   std::shared_ptr<SvcMetrics> sink;
 };

@@ -10,22 +10,12 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "des/time.hpp"
 
 namespace chk::xplorer {
 
 using NodeId = std::size_t;
-
-enum class TopologyKind {
-  kMesh2D,    ///< 2 x (n/2) mesh, XY routing (the Xplorer arrangement)
-  kRing,      ///< bidirectional ring
-  kStar,      ///< all nodes directly attached to the host node
-  kCrossbar,  ///< dedicated link per ordered pair (no network contention)
-};
-
-std::string to_string(TopologyKind kind);
 
 struct NodeConfig {
   /// Sustained floating-point rate used to convert application work into
@@ -34,10 +24,6 @@ struct NodeConfig {
   /// Main-memory copy bandwidth (bytes/s) — the cost of main-memory
   /// checkpointing's blocking copy. T805 internal/external RAM mix.
   double mem_copy_bw = 20.0e6;
-  /// Fixed per-message software send/receive overhead.
-  des::Duration msg_sw_overhead = des::Duration::micros(40);
-  /// Per-byte CPU cost of staging a message (DMA setup amortized).
-  double msg_cpu_byte_rate = 40.0e6;  // bytes/s
   /// Fraction of the CPU stolen from the application while the node's
   /// checkpointer thread is streaming a background write to stable storage
   /// (packetization + DMA servicing).
@@ -60,9 +46,7 @@ struct DiskConfig {
 };
 
 struct MachineConfig {
-  std::size_t num_nodes = 8;
-  TopologyKind topology = TopologyKind::kMesh2D;
-  NodeId host_node = 0;  ///< node carrying the host interface
+  std::size_t num_nodes = 8;  ///< arranged as the mesh in topology.hpp
   std::size_t packet_bytes = 4096;
   NodeConfig node;
   LinkConfig link;

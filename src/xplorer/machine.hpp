@@ -34,10 +34,6 @@ class Machine {
   [[nodiscard]] Network& network() noexcept { return network_; }
   [[nodiscard]] StableStorage& storage() noexcept { return storage_; }
 
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    for (auto& node : nodes_) node->set_tracer(tracer);
-  }
-
  private:
   des::Simulator* sim_;
   MachineConfig config_;

@@ -8,7 +8,7 @@ namespace chk::xplorer {
 Network::Network(des::Simulator& sim, const MachineConfig& config)
     : sim_(&sim),
       config_(config),
-      topology_(Topology::build(config.topology, config.num_nodes)) {
+      topology_(Topology::build(config.num_nodes)) {
   links_.reserve(topology_.num_links());
   for (std::size_t i = 0; i < topology_.num_links(); ++i) {
     links_.push_back(

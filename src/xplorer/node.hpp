@@ -12,7 +12,6 @@
 
 #include "des/process.hpp"
 #include "des/simulator.hpp"
-#include "obs/tracer.hpp"
 #include "xplorer/config.hpp"
 
 namespace chk::xplorer {
@@ -49,13 +48,10 @@ class Node {
   [[nodiscard]] des::Duration compute_time() const noexcept { return compute_time_; }
   [[nodiscard]] des::Duration interference_time() const noexcept { return interference_time_; }
 
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
  private:
   des::Simulator* sim_;
   NodeId id_;
   NodeConfig config_;
-  obs::Tracer* tracer_ = nullptr;
   int background_io_ = 0;
   des::Duration compute_time_;
   des::Duration interference_time_;

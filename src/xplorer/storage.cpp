@@ -10,7 +10,6 @@ StableStorage::StableStorage(des::Simulator& sim, Network& network,
                              const MachineConfig& config)
     : sim_(&sim),
       network_(&network),
-      host_node_(config.host_node),
       host_link_(sim, config.host_link.bandwidth, config.host_link.latency),
       disk_(sim, config.disk.bandwidth, config.disk.latency) {}
 
@@ -62,7 +61,7 @@ void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> d
     ++writes_completed_;
     if (on_done) on_done(IoStatus::kOk);
   };
-  network_->transfer(from, host_node_, bytes, Traffic::kCheckpoint,
+  network_->transfer(from, kHostNode, bytes, Traffic::kCheckpoint,
                      [this, bytes, penalty, finish = std::move(finish)]() mutable {
     host_link_.submit(bytes, [this, bytes, penalty, finish = std::move(finish)]() mutable {
       disk_.submit(bytes, [this, penalty, finish = std::move(finish)]() mutable {
@@ -115,7 +114,7 @@ void StableStorage::read(NodeId to, const std::string& key,
                     on_read = std::move(on_read)]() mutable {
       host_link_.submit(bytes, [this, to, bytes, payload = std::move(payload), status,
                                 on_read = std::move(on_read)]() mutable {
-        network_->transfer(host_node_, to, bytes, Traffic::kCheckpoint,
+        network_->transfer(kHostNode, to, bytes, Traffic::kCheckpoint,
                            [payload = std::move(payload), status,
                             on_read = std::move(on_read)]() mutable {
           if (on_read) on_read(std::move(payload), status);

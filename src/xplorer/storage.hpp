@@ -123,7 +123,7 @@ class StableStorage {
   /// The gap between this and an observed write duration is queueing —
   /// storage contention.
   [[nodiscard]] des::Duration pure_write_time(NodeId from, std::size_t bytes) const noexcept {
-    return network_->min_transfer_time(from, host_node_, bytes) +
+    return network_->min_transfer_time(from, kHostNode, bytes) +
            host_link_.service_time(bytes) + disk_.service_time(bytes);
   }
 
@@ -131,6 +131,9 @@ class StableStorage {
   [[nodiscard]] FifoServer& host_link() noexcept { return host_link_; }
 
  private:
+  /// The node carrying the host interface.
+  static constexpr NodeId kHostNode = 0;
+
   void store_now(const std::string& key, std::vector<std::byte> data);
   /// Extra disk time this operation owes to an open degraded window
   /// (zero when healthy or no model installed).
@@ -138,7 +141,6 @@ class StableStorage {
 
   des::Simulator* sim_;
   Network* network_;
-  NodeId host_node_;
   FifoServer host_link_;
   FifoServer disk_;
   std::map<std::string, std::vector<std::byte>> files_;

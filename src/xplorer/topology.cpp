@@ -5,19 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/format.hpp"
-
 namespace chk::xplorer {
-
-std::string to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kMesh2D: return "mesh2d";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kStar: return "star";
-    case TopologyKind::kCrossbar: return "crossbar";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -26,38 +14,17 @@ void add_bidi(std::vector<Topology::Edge>& edges, NodeId a, NodeId b) {
   edges.push_back({b, a});
 }
 
-std::vector<Topology::Edge> build_edges(TopologyKind kind, std::size_t n) {
+/// rows x cols grid with rows = 2 when n is even and >= 4 (the Xplorer's
+/// 2x4 arrangement), otherwise a single row (pipeline).
+std::vector<Topology::Edge> mesh_edges(std::size_t n) {
   std::vector<Topology::Edge> edges;
-  switch (kind) {
-    case TopologyKind::kMesh2D: {
-      // rows x cols grid with rows = 2 when n is even and >= 4 (the
-      // Xplorer's 2x4 arrangement), otherwise a single row (pipeline).
-      const std::size_t rows = (n >= 4 && n % 2 == 0) ? 2 : 1;
-      const std::size_t cols = n / rows;
-      auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          if (c + 1 < cols) add_bidi(edges, id(r, c), id(r, c + 1));
-          if (r + 1 < rows) add_bidi(edges, id(r, c), id(r + 1, c));
-        }
-      }
-      break;
-    }
-    case TopologyKind::kRing: {
-      for (std::size_t i = 0; i < n; ++i) add_bidi(edges, i, (i + 1) % n);
-      break;
-    }
-    case TopologyKind::kStar: {
-      for (std::size_t i = 1; i < n; ++i) add_bidi(edges, 0, i);
-      break;
-    }
-    case TopologyKind::kCrossbar: {
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i != j) edges.push_back({i, j});
-        }
-      }
-      break;
+  const std::size_t rows = (n >= 4 && n % 2 == 0) ? 2 : 1;
+  const std::size_t cols = n / rows;
+  auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) add_bidi(edges, id(r, c), id(r, c + 1));
+      if (r + 1 < rows) add_bidi(edges, id(r, c), id(r + 1, c));
     }
   }
   return edges;
@@ -70,16 +37,9 @@ Topology::Topology(std::size_t num_nodes, std::vector<Edge> edges)
   compute_trees();
 }
 
-Topology Topology::build(TopologyKind kind, std::size_t num_nodes) {
+Topology Topology::build(std::size_t num_nodes) {
   if (num_nodes == 0) throw std::invalid_argument("topology: need at least one node");
-  if (num_nodes == 1) return Topology{1, {}};
-  if (kind == TopologyKind::kRing && num_nodes == 2) {
-    // A 2-ring would create parallel duplicate links; collapse to one pair.
-    std::vector<Edge> edges;
-    add_bidi(edges, 0, 1);
-    return Topology{2, std::move(edges)};
-  }
-  return Topology{num_nodes, build_edges(kind, num_nodes)};
+  return Topology{num_nodes, mesh_edges(num_nodes)};
 }
 
 void Topology::compute_trees() {
@@ -93,6 +53,7 @@ void Topology::compute_trees() {
   }
   for (auto& out : adjacency) std::sort(out.begin(), out.end());
 
+  // The mesh is connected, so every BFS reaches all n nodes.
   parent_.assign(n * n, kNoLink);
   std::vector<NodeId> frontier(n);  // BFS queue: every node enters once
   std::vector<NodeId> reached_from(n, n);  // last source whose BFS reached v
@@ -110,13 +71,6 @@ void Topology::compute_trees() {
           parent_[src * n + v] = link;
           frontier[tail++] = v;
         }
-      }
-    }
-    if (tail == n) continue;
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (reached_from[dst] != src) {
-        throw std::runtime_error(
-            util::format("topology: node {} unreachable from {}", dst, src));
       }
     }
   }

@@ -1,9 +1,11 @@
 // Interconnect topology and static routing.
 //
-// Links are directed (a transputer link is a pair of opposite simplex
-// channels, each with its own bandwidth). Routes are shortest paths with
-// deterministic tie-breaking (lowest-numbered neighbour first), which for
-// the 2xN mesh coincides with XY routing.
+// The nodes form the Xplorer's mesh: 2 x (n/2) when n is even and at least
+// 4 (the 2x4 arrangement at 8 nodes), otherwise a single row. Links are
+// directed (a transputer link is a pair of opposite simplex channels, each
+// with its own bandwidth). Routes are shortest paths with deterministic
+// tie-breaking (lowest-numbered neighbour first), which on this mesh
+// coincides with XY routing.
 //
 // Route storage is one BFS tree per source: for every (src, node) pair the
 // link that enters node on src's tree, one uint32 each, N^2 entries in one
@@ -33,7 +35,7 @@ class Topology {
     NodeId to;
   };
 
-  static Topology build(TopologyKind kind, std::size_t num_nodes);
+  static Topology build(std::size_t num_nodes);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
   [[nodiscard]] std::size_t num_links() const noexcept { return edges_.size(); }

@@ -6,13 +6,26 @@
 // FIFO-grant schemes, incremental deltas, independent GC, sender-based
 // message logging, and one mid-run crash each for the grant schemes. The
 // crash instants recover to the fault-free digest.
+//
+// kAppRows add one small run of every other application and of the KV
+// service, each under its own scheme. They also pin the event count and
+// the result digest: an app's sequential reference reads the same
+// constants as the app, so a changed constant passes the reference check
+// and only a pinned digest catches it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "apps/asp.hpp"
+#include "apps/gauss.hpp"
+#include "apps/ising.hpp"
+#include "apps/nbody.hpp"
+#include "apps/nqueens.hpp"
+#include "apps/tsp.hpp"
 #include "harness/catalog.hpp"
 #include "harness/experiment.hpp"
+#include "svc/kvstore.hpp"
 
 namespace chk::pinned {
 
@@ -83,6 +96,64 @@ inline harness::ExperimentConfig config_for(const Row& row) {
       break;
   }
   return config;
+}
+
+/// A small run of one application: a few milliseconds of host time, 0.3-2.6 s
+/// simulated, with the interval short enough that every rank checkpoints
+/// three times.
+struct AppRow {
+  const char* label;
+  chklib::AppFn (*app)();
+  harness::Scheme scheme;
+  des::Duration interval;
+  std::uint64_t trace_hash;
+  std::uint64_t events;
+  double exec_time_s;
+  double digest;
+};
+
+// Captured on the tree immediately before the app, svc and machine
+// parameters nothing varied became constants.
+inline const AppRow kAppRows[] = {
+    {"ASP-128", [] { return apps::make_asp({.n = 128}); }, Scheme::kCoordNB,
+     des::Duration::millis(150), 0x736207efe4ab4526ull, 8880, 1.3611468310000001, 324917},
+    {"GAUSS-128", [] { return apps::make_gauss({.n = 128}); }, Scheme::kIndep,
+     des::Duration::millis(120), 0xdfeaa643e0a880ebull, 14916, 1.607847596, 548941413},
+    {"NBODY-256", [] { return apps::make_nbody({.bodies = 256, .steps = 4}); },
+     Scheme::kCoordNBM, des::Duration::millis(120), 0xbcb167e5686b2128ull, 3028,
+     1.093164625, 389872467},
+    {"TSP-10", [] { return apps::make_tsp({.cities = 10}); }, Scheme::kIndepM,
+     des::Duration::millis(100), 0x3f71cf887a765797ull, 8742, 0.47587910500000002, 196},
+    {"NQUEENS-11", [] { return apps::make_nqueens({.n = 11}); }, Scheme::kIndepMS,
+     des::Duration::millis(60), 0x1c3987ffb45dc33dull, 726, 0.30768297300000003, 2680},
+    {"ISING-128", [] { return apps::make_ising({.n = 128, .sweeps = 20}); },
+     Scheme::kCoordNBS, des::Duration::millis(250), 0x472fb68114348c7cull, 3754,
+     2.5743545839999999, -316},
+    {"SVC",
+     [] {
+       svc::SvcParams params;
+       params.arrival_hz = 50.0;
+       params.horizon_s = 2.0;
+       return svc::make_svc(params);
+     },
+     Scheme::kCoordNBMS, des::Duration::millis(300), 0x419614a2c53b5050ull, 14246,
+     1.9934752140000001, 294574752},
+};
+
+inline harness::ExperimentConfig config_for(const AppRow& row) {
+  harness::ExperimentConfig config;
+  config.label = row.label;
+  config.app = row.app();
+  config.scheme = row.scheme;
+  config.machine.num_nodes = 8;
+  config.seed = 2026;
+  config.checkpoints = 3;
+  config.interval = row.interval;
+  return config;
+}
+
+inline std::string describe(const AppRow& row) {
+  return std::string(row.label) + " + " + std::string(to_string(row.scheme));
 }
 
 inline std::string describe(const Row& row) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,9 +73,9 @@ struct StoreSnapshot final : public chklib::RecoveryObserver {
 faultsim::CampaignConfig small_campaign(Scheme scheme) {
   faultsim::CampaignConfig config;
   config.base = small_sor(scheme);
-  config.mtbf = des::Duration::seconds(normal_run().exec_time_s * 0.35);
+  config.base.faults = faultsim::FaultPlan{
+      .mtbf = des::Duration::seconds(normal_run().exec_time_s * 0.35), .max_failures = 5};
   config.runs = 1;
-  config.max_failures_per_run = 5;
   config.expected_digest = normal_run().digest;
   return config;
 }
@@ -381,6 +382,24 @@ TEST(Campaign, SameSeedsProduceByteIdenticalJson) {
     EXPECT_EQ(a, b) << to_string(scheme);
     EXPECT_NE(a.find("\"digest_ok\":true"), std::string::npos) << to_string(scheme);
   }
+}
+
+TEST(Campaign, RejectsABaseWithoutAFaultPlan) {
+  auto config = small_campaign(Scheme::kCoordNB);
+  config.base.faults.reset();
+  EXPECT_THROW((void)faultsim::run_one(config, 0), std::invalid_argument);
+}
+
+TEST(Campaign, RunsKeepTheBaseRetentionDepth) {
+  // Every setting but the fault streams reaches the runs as the base has it.
+  auto config = small_campaign(Scheme::kCoordNB);
+  config.base.keep_depth = 3;
+  const faultsim::RunOutcome deep = faultsim::run_one(config, 0);
+  config.base.keep_depth = 1;
+  const faultsim::RunOutcome shallow = faultsim::run_one(config, 0);
+  EXPECT_TRUE(deep.digest_ok);
+  EXPECT_TRUE(shallow.digest_ok);
+  EXPECT_GT(deep.result.peak_storage_bytes, shallow.result.peak_storage_bytes);
 }
 
 TEST(Campaign, DifferentStreamsProduceDifferentFailureSchedules) {

@@ -13,8 +13,8 @@
 //     intact, bit-rot flips exactly one byte of the durable image, a failed
 //     read delivers no data but is fully timed;
 //   * StorageClient: transient errors are retried with backoff until
-//     success; exhausted budgets surface a terminal error; retry waits are
-//     measured;
+//     success; an exhausted budget or the deadline surfaces a terminal
+//     error; retry waits are measured;
 //   * protocols: independent schemes skip an interval on a terminal write
 //     failure and still verify; coordinated recovery falls back past rotted
 //     generations (generations_skipped) and still verifies; retention GC
@@ -108,6 +108,21 @@ TEST(StorageDeterminismGuard, InactiveFaultsMatchPinnedBaselines) {
     EXPECT_EQ(result.storage_retries, 0u) << what;
     EXPECT_EQ(result.ckpt_write_failures, 0u) << what;
     EXPECT_EQ(result.generations_skipped, 0u) << what;
+  }
+}
+
+TEST(StorageDeterminismGuard, InactiveFaultsMatchPinnedAppRows) {
+  for (const pinned::AppRow& row : pinned::kAppRows) {
+    harness::ExperimentConfig config = pinned::config_for(row);
+    config.storage_faults = StorageFaultConfig{};
+    config.keep_depth = 1;
+    const auto result = harness::run_experiment(config);
+    const std::string what = pinned::describe(row);
+    EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
+    EXPECT_EQ(result.events, row.events) << what;
+    EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
+    EXPECT_EQ(result.digest, row.digest) << what;
+    EXPECT_EQ(result.storage_retries, 0u) << what;
   }
 }
 
@@ -289,34 +304,17 @@ TEST(StorageFaults, FailedReadDeliversNoDataButKeepsTheKey) {
 
 // ---------------------------------------------------------------------------
 // StorageClient: bounded retries with backoff, terminal failure, timing.
+// The budget is 4 attempts (3 retries) with a 30 s deadline.
 // ---------------------------------------------------------------------------
-
-TEST(RetryPolicy, RejectsDegenerateParameters) {
-  chklib::RetryPolicy policy;
-  policy.max_attempts = 0;
-  EXPECT_THROW(policy.validate(), std::invalid_argument);
-  policy = {};
-  policy.multiplier = 0.5;
-  EXPECT_THROW(policy.validate(), std::invalid_argument);
-  policy = {};
-  policy.initial_backoff = des::Duration::millis(-1);
-  EXPECT_THROW(policy.validate(), std::invalid_argument);
-  policy = {};
-  EXPECT_NO_THROW(policy.validate());
-}
 
 TEST(StorageClient, RetriesTransientErrorsUntilSuccess) {
   des::Simulator sim;
   xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
   auto& storage = machine.storage();
   StorageFaultConfig faults;
-  faults.write_error = 0.9;
-  storage.set_faults(faults, util::Rng(21));
+  faults.write_error = 0.5;
+  storage.set_faults(faults, util::Rng(9));
   chklib::StorageClient client(storage);
-  chklib::RetryPolicy policy;
-  policy.max_attempts = 64;
-  policy.deadline = des::Duration::max();
-  client.set_policy(policy);
   const auto blob = patterned_blob(4096);
 
   IoStatus status = IoStatus::kIoError;
@@ -327,7 +325,8 @@ TEST(StorageClient, RetriesTransientErrorsUntilSuccess) {
   sim.run();
   EXPECT_EQ(status, IoStatus::kOk);
   EXPECT_TRUE(storage.exists("k"));
-  EXPECT_GE(client.retries(), 1u);
+  // This stream fails the first two attempts; the third succeeds.
+  EXPECT_EQ(client.retries(), 2u);
   EXPECT_EQ(client.write_failures(), 0u);
   // Every retry slept a backoff; the waits are measured.
   EXPECT_GT(client.retry_wait(), des::Duration::zero());
@@ -341,9 +340,6 @@ TEST(StorageClient, ExhaustedBudgetSurfacesTerminalError) {
   faults.write_error = 0.999;
   storage.set_faults(faults, util::Rng(23));
   chklib::StorageClient client(storage);
-  chklib::RetryPolicy policy;
-  policy.max_attempts = 3;
-  client.set_policy(policy);
 
   IoStatus status = IoStatus::kOk;
   sim.spawn("p", [&](des::Process& self) {
@@ -354,7 +350,32 @@ TEST(StorageClient, ExhaustedBudgetSurfacesTerminalError) {
   EXPECT_EQ(status, IoStatus::kIoError);
   EXPECT_FALSE(storage.exists("k"));
   EXPECT_EQ(client.write_failures(), 1u);
-  EXPECT_EQ(client.retries(), 2u);  // attempts 2 and 3 of the budget
+  EXPECT_EQ(client.retries(), 3u);  // attempts 2 to 4 of the budget
+}
+
+TEST(StorageClient, DeadlineEndsRetriesBeforeTheBudget) {
+  // One attempt at a 12 MB image takes about 16.7 s (host link, then
+  // disk), so the second attempt ends past the 30 s deadline while the
+  // budget still holds two attempts: the client gives up then.
+  des::Simulator sim;
+  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  auto& storage = machine.storage();
+  StorageFaultConfig faults;
+  faults.write_error = 0.999;
+  storage.set_faults(faults, util::Rng(23));
+  chklib::StorageClient client(storage);
+
+  IoStatus status = IoStatus::kOk;
+  sim.spawn("p", [&](des::Process& self) {
+    status = client.write_blocking(self, 0, "k", patterned_blob(12'000'000),
+                                   obs::EventKind::kStableWrite, 0, true);
+  });
+  sim.run();
+  EXPECT_EQ(status, IoStatus::kIoError);
+  EXPECT_FALSE(storage.exists("k"));
+  EXPECT_EQ(client.write_failures(), 1u);
+  EXPECT_EQ(client.retries(), 1u);  // the budget alone would allow 3
+  EXPECT_GT(sim.now() - des::TimePoint::origin(), des::Duration::secs(30));
 }
 
 TEST(StorageClient, MissingKeyReadIsOkAndEmpty) {
@@ -530,9 +551,9 @@ faultsim::CampaignConfig storm_campaign(Scheme scheme) {
   faultsim::CampaignConfig config;
   config.base = small_sor(scheme);
   config.base.storage_faults = default_weather();
-  config.mtbf = des::Duration::seconds(normal_run().exec_time_s * 0.35);
+  config.base.faults = faultsim::FaultPlan{
+      .mtbf = des::Duration::seconds(normal_run().exec_time_s * 0.35), .max_failures = 5};
   config.runs = 1;
-  config.max_failures_per_run = 5;
   config.expected_digest = normal_run().digest;
   return config;
 }
@@ -572,7 +593,7 @@ TEST(StorageFaults, LinkAndStorageDomainsComposeByteIdentically) {
   link.drop = 0.1;
   link.duplicate = 0.05;
   link.corrupt = 0.02;
-  config.link_faults = link;
+  config.base.link_faults = link;
   config.runs = 2;
   const auto dump = [](const faultsim::CampaignResult& result) {
     obs::json::Value doc = obs::json::Value::array();

@@ -71,6 +71,19 @@ TEST(DeterminismGuard, FaultFreeTracesMatchPreTransportBaselines) {
   }
 }
 
+TEST(DeterminismGuard, FaultFreeAppRowsMatchPinnedBaselines) {
+  for (const pinned::AppRow& row : pinned::kAppRows) {
+    const auto result = harness::run_experiment(pinned::config_for(row));
+    const std::string what = pinned::describe(row);
+    EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
+    EXPECT_EQ(result.events, row.events) << what;
+    EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
+    EXPECT_EQ(result.digest, row.digest) << what;
+    EXPECT_EQ(result.local_checkpoints, 24u) << what;
+    EXPECT_EQ(result.retransmits, 0u) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-model validation.
 // ---------------------------------------------------------------------------
@@ -335,7 +348,7 @@ TEST(Watchdog, TokenRegenerationRecoversALostRingToken) {
   World w;
   w.rt->set_app("ring", make_ring_app(200, 1e5));
   w.rt->comm().enable_transport();
-  w.rt->set_tracer(&tracer);
+  w.rt->sim().set_tracer(&tracer);
   chklib::CoordinatedProtocol proto(*w.rt, {.scheme = Scheme::kCoordNBMS,
                                             .interval = Duration::secs(8),
                                             .rounds = 2,

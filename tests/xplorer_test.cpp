@@ -117,32 +117,29 @@ std::vector<std::vector<LinkId>> reference_routes(const Topology& topo) {
 
 TEST(Topology, RoutesMatchTheReferenceOnEveryKind) {
   constexpr std::array<std::size_t, 8> kSizes{1, 2, 3, 5, 8, 9, 16, 64};
-  for (const auto kind : {TopologyKind::kMesh2D, TopologyKind::kRing, TopologyKind::kStar,
-                          TopologyKind::kCrossbar}) {
-    for (const std::size_t n : kSizes) {
-      SCOPED_TRACE(util::format("{} with {} nodes", to_string(kind), n));
-      const auto topo = Topology::build(kind, n);
-      const auto reference = reference_routes(topo);
-      std::vector<LinkId> route{7, 7, 7};  // stale contents must be replaced
-      for (NodeId src = 0; src < n; ++src) {
-        for (NodeId dst = 0; dst < n; ++dst) {
-          topo.route(src, dst, route);
-          ASSERT_EQ(route, reference[src * n + dst]) << src << " -> " << dst;
-          ASSERT_EQ(route.size(), topo.distance(src, dst));
-          NodeId at = src;
-          for (const LinkId link : route) {
-            ASSERT_EQ(topo.edge(link).from, at);
-            at = topo.edge(link).to;
-          }
-          ASSERT_EQ(at, dst);
+  for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(util::format("mesh with {} nodes", n));
+    const auto topo = Topology::build(n);
+    const auto reference = reference_routes(topo);
+    std::vector<LinkId> route{7, 7, 7};  // stale contents must be replaced
+    for (NodeId src = 0; src < n; ++src) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        topo.route(src, dst, route);
+        ASSERT_EQ(route, reference[src * n + dst]) << src << " -> " << dst;
+        ASSERT_EQ(route.size(), topo.distance(src, dst));
+        NodeId at = src;
+        for (const LinkId link : route) {
+          ASSERT_EQ(topo.edge(link).from, at);
+          at = topo.edge(link).to;
         }
+        ASSERT_EQ(at, dst);
       }
     }
   }
 }
 
 TEST(Topology, TwoThousandNodeMeshBuilds) {
-  const auto topo = Topology::build(TopologyKind::kMesh2D, 2048);
+  const auto topo = Topology::build(2048);
   EXPECT_EQ(topo.distance(0, 2047), 1024u);  // 1023 columns and one row
   std::vector<LinkId> route;
   topo.route(2047, 0, route);
@@ -152,7 +149,7 @@ TEST(Topology, TwoThousandNodeMeshBuilds) {
 }
 
 TEST(Topology, Mesh2x4Routes) {
-  const auto topo = Topology::build(TopologyKind::kMesh2D, 8);
+  const auto topo = Topology::build(8);
   // 2x4 mesh: nodes 0..3 top row, 4..7 bottom row.
   EXPECT_EQ(topo.distance(0, 0), 0u);
   EXPECT_EQ(topo.distance(0, 1), 1u);
@@ -170,41 +167,10 @@ TEST(Topology, Mesh2x4Routes) {
   EXPECT_EQ(at, 7u);
 }
 
-TEST(Topology, RingRoutesShortestWay) {
-  const auto topo = Topology::build(TopologyKind::kRing, 8);
-  EXPECT_EQ(topo.distance(0, 1), 1u);
-  EXPECT_EQ(topo.distance(0, 7), 1u);  // wraps
-  EXPECT_EQ(topo.distance(0, 4), 4u);
-  EXPECT_EQ(topo.distance(2, 6), 4u);
-}
-
-TEST(Topology, StarRoutesThroughHub) {
-  const auto topo = Topology::build(TopologyKind::kStar, 5);
-  EXPECT_EQ(topo.distance(1, 2), 2u);
-  EXPECT_EQ(topo.distance(0, 3), 1u);
-}
-
-TEST(Topology, CrossbarIsDirect) {
-  const auto topo = Topology::build(TopologyKind::kCrossbar, 6);
-  for (NodeId i = 0; i < 6; ++i) {
-    for (NodeId j = 0; j < 6; ++j) {
-      if (i != j) {
-        EXPECT_EQ(topo.distance(i, j), 1u);
-      }
-    }
-  }
-}
-
 TEST(Topology, SingleNodeHasNoLinks) {
-  const auto topo = Topology::build(TopologyKind::kMesh2D, 1);
+  const auto topo = Topology::build(1);
   EXPECT_EQ(topo.num_links(), 0u);
   EXPECT_EQ(topo.distance(0, 0), 0u);
-}
-
-TEST(Topology, TwoNodeRingCollapses) {
-  const auto topo = Topology::build(TopologyKind::kRing, 2);
-  EXPECT_EQ(topo.num_links(), 2u);
-  EXPECT_EQ(topo.distance(0, 1), 1u);
 }
 
 MachineConfig test_config(std::size_t nodes = 8) {
