@@ -9,11 +9,13 @@
 // (every cumulative ack cancels and re-arms the sender's RTO timer — the
 // exact churn pattern that used to bloat the heap with dead events), plus
 // an optional synthetic watchdog-style timer-churn load, with tracing on
-// or off. The measured wall-clock events/sec goes to stdout (not under
-// --quick, whose cells are too small to time); the JSON artifact holds
-// only simulation-deterministic fields (event counts, trace hashes, queue
-// high-water marks, compaction counts), so repeats with the same seed are
-// byte-identical and CI can `cmp` them PR-over-PR.
+// or off. The measured wall-clock events/sec goes to stdout: each cell runs
+// five times, and the table prints the median rate with its min-max. Under
+// --quick each cell runs once and no rate is printed (its cells are too
+// small to time). The JSON artifact holds only simulation-deterministic
+// fields (event counts, trace hashes, queue high-water marks, compaction
+// counts), so repeats with the same seed are byte-identical and CI can
+// `cmp` them across commits.
 //
 //   ./kernel_throughput [--ranks=8,64,256] [--churn=0,8] [--iters=300]
 //                       [--payload=32] [--seed=2026]
@@ -21,9 +23,11 @@
 //
 // Invariants checked in-driver (the run fails otherwise):
 //   * tracing on/off never changes trace_hash or the executed-event count;
+//   * a timed repeat of a cell reproduces its schedule exactly;
 //   * every sent envelope is delivered exactly once;
 //   * the queue's live size stays O(armed timers): the dead fraction is
 //     bounded by the kernel's compaction threshold, not by traffic volume.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -72,7 +76,26 @@ struct CellResult {
   [[nodiscard]] double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
   }
+  /// Every field but the wall clock matches: the same schedule ran.
+  [[nodiscard]] bool same_schedule(const CellResult& o) const {
+    return events == o.events && trace_hash == o.trace_hash && end_time_ns == o.end_time_ns &&
+           delivered == o.delivered && queue_peak == o.queue_peak &&
+           compactions == o.compactions && timers_armed == o.timers_armed &&
+           timers_cancelled == o.timers_cancelled;
+  }
 };
+
+/// Runs of each cell outside --quick. One run of a 256-rank cell swings by
+/// a third between runs of one binary; the median of five is steadier, and
+/// the printed min-max shows what is left of the spread.
+constexpr int kTimedRuns = 5;
+
+/// "median (min-max)" of the rates, rounded to whole events per second.
+std::string rate_spread(std::vector<double> rates) {
+  std::sort(rates.begin(), rates.end());
+  return util::format("{:.0f} ({:.0f}-{:.0f})", rates[rates.size() / 2], rates.front(),
+                      rates.back());
+}
 
 /// Deterministic per-(rank, iteration) think-time in [1, 5] us: enough
 /// spread that sends interleave rather than batch, pure arithmetic so the
@@ -180,23 +203,39 @@ int main(int argc, char** argv) try {
 
   struct Row {
     CellConfig config;
-    CellResult traced;
+    CellResult traced;    ///< the first run of each kind
     CellResult untraced;
+    std::vector<double> traced_rates;  ///< events/sec of every run
+    std::vector<double> untraced_rates;
   };
+  bool all_ok = true;
   std::vector<Row> rows;
   for (const std::size_t r : ranks) {
     for (const std::size_t c : churns) {
       Row row;
       row.config = CellConfig{.ranks = r, .churn = c, .tracing = false,
                               .iters = iters, .payload = payload, .seed = seed};
-      row.untraced = run_cell(row.config);
-      row.config.tracing = true;
-      row.traced = run_cell(row.config);
+      CellConfig traced_config = row.config;
+      traced_config.tracing = true;
+      for (int run = 0; run < (quick ? 1 : kTimedRuns); ++run) {
+        const CellResult untraced = run_cell(row.config);
+        const CellResult traced = run_cell(traced_config);
+        if (run == 0) {
+          row.untraced = untraced;
+          row.traced = traced;
+        } else if (!untraced.same_schedule(row.untraced) || !traced.same_schedule(row.traced)) {
+          std::fprintf(stderr,
+                       "kernel_throughput: a repeat changed the schedule at ranks=%zu churn=%zu\n",
+                       r, c);
+          all_ok = false;
+        }
+        row.untraced_rates.push_back(untraced.events_per_sec());
+        row.traced_rates.push_back(traced.events_per_sec());
+      }
       rows.push_back(std::move(row));
     }
   }
 
-  bool all_ok = true;
   for (const Row& row : rows) {
     // Tracing is observation only: identical schedule, identical hash.
     if (row.traced.trace_hash != row.untraced.trace_hash ||
@@ -241,8 +280,8 @@ int main(int argc, char** argv) try {
                                    std::to_string(row.config.churn),
                                    std::to_string(row.untraced.events)};
     if (!quick) {
-      cells.push_back(util::format("{:.0f}", row.untraced.events_per_sec()));
-      cells.push_back(util::format("{:.0f}", row.traced.events_per_sec()));
+      cells.push_back(rate_spread(row.untraced_rates));
+      cells.push_back(rate_spread(row.traced_rates));
     }
     cells.push_back(std::to_string(row.untraced.queue_peak));
     cells.push_back(std::to_string(row.untraced.compactions));
@@ -251,10 +290,11 @@ int main(int argc, char** argv) try {
     table.add_row(std::move(cells));
   }
   std::fputs(table
-                 .render(quick ? "kernel_throughput --quick (no events/sec: these cells are "
-                                 "too small to time)"
-                               : "kernel_throughput (events/sec measured on this machine's "
-                                 "wall clock)")
+                 .render(quick ? std::string("kernel_throughput --quick (no events/sec: these "
+                                             "cells are too small to time)")
+                               : util::format("kernel_throughput (events/sec on this machine's "
+                                              "wall clock: median (min-max) of {} runs)",
+                                              kTimedRuns))
                  .c_str(),
              stdout);
 

@@ -1,6 +1,6 @@
 #include "apps/asp.hpp"
 
-#include <limits>
+#include "apps/lanes.hpp"
 
 namespace chk::apps {
 
@@ -11,15 +11,31 @@ struct AspState {
   std::vector<std::int32_t> dist;  ///< own rows x n
 };
 
-constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max() / 4;
-
 }  // namespace
+
+void asp_relax(std::span<std::int32_t> row, std::span<const std::int32_t> row_k, std::size_t k) {
+  const std::int32_t via = row[k];
+  if (via >= kAspUnreachable) return;
+  const std::size_t n = row.size();
+  const i32x4 vias = {via, via, via, via};
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const i32x4 candidate = vias + load<i32x4>(&row_k[j]);
+    const i32x4 current = load<i32x4>(&row[j]);
+    const i32x4 shorter = candidate < current;  // all ones where the path via k wins
+    store(&row[j], (candidate & shorter) | (current & ~shorter));
+  }
+  for (; j < n; ++j) {
+    const std::int32_t candidate = via + row_k[j];
+    if (candidate < row[j]) row[j] = candidate;
+  }
+}
 
 std::int32_t asp_edge_weight(std::size_t i, std::size_t j) {
   if (i == j) return 0;
   // ~25% density of direct edges; everything stays reachable through hubs.
   const std::uint64_t key = static_cast<std::uint64_t>(i) * 1315423911u + j;
-  if (hash_int(key, 0, 3) != 0) return kInf;
+  if (hash_int(key, 0, 3) != 0) return kAspUnreachable;
   return static_cast<std::int32_t>(hash_int(key ^ 0xabcdef, 1, kAspMaxWeight));
 }
 
@@ -58,12 +74,7 @@ AppFn make_asp(AspParams params) {
 
       ctx.compute(static_cast<double>(rows * n) * kAspFlopsPerCell);
       for (std::size_t i = 0; i < rows; ++i) {
-        const std::int32_t via = st.dist[i * n + st.k];
-        if (via >= kInf) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::int32_t candidate = via + row_k[j];
-          if (candidate < st.dist[i * n + j]) st.dist[i * n + j] = candidate;
-        }
+        asp_relax(std::span(st.dist).subspan(i * n, n), row_k, st.k);
       }
     }
 
@@ -71,7 +82,7 @@ AppFn make_asp(AspParams params) {
     for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         const std::int32_t d = st.dist[i * n + j];
-        partial += d >= kInf ? 0.0 : static_cast<double>(d);
+        partial += d >= kAspUnreachable ? 0.0 : static_cast<double>(d);
       }
     }
     const double digest = ctx.allreduce_sum(partial);
@@ -88,17 +99,13 @@ double asp_reference_digest(const AspParams& params) {
     }
   }
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t via = dist[i * n + k];
-      if (via >= kInf) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::int32_t candidate = via + dist[k * n + j];
-        if (candidate < dist[i * n + j]) dist[i * n + j] = candidate;
-      }
-    }
+    // A copy of row k, as the app receives it: the kernel's rows never alias.
+    const auto source = std::span(dist).subspan(k * n, n);
+    const std::vector<std::int32_t> row_k(source.begin(), source.end());
+    for (std::size_t i = 0; i < n; ++i) asp_relax(std::span(dist).subspan(i * n, n), row_k, k);
   }
   double digest = 0.0;
-  for (std::int32_t d : dist) digest += d >= kInf ? 0.0 : static_cast<double>(d);
+  for (std::int32_t d : dist) digest += d >= kAspUnreachable ? 0.0 : static_cast<double>(d);
   return digest;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "apps/lanes.hpp"
+
 namespace chk::apps {
 
 namespace {
@@ -25,6 +27,26 @@ double rhs_entry(std::size_t n, std::size_t i) { return hash_unit(0xb0b0 + i * n
 double quantize(double v) { return static_cast<double>(std::llround(v * 1048576.0)); }
 
 }  // namespace
+
+void gauss_eliminate(std::span<double> row, std::span<const double> pivot, std::size_t k) {
+  const std::size_t width = row.size();
+  const double factor = row[k] / pivot[k];
+  row[k] = 0.0;
+  const f64x2 factors = {factor, factor};
+  std::size_t j = k + 1;
+  for (; j + 2 <= width; j += 2) {
+    store(&row[j], load<f64x2>(&row[j]) - factors * load<f64x2>(&pivot[j]));
+  }
+  if (j < width) row[j] -= factor * pivot[j];
+}
+
+double gauss_back_substitute(std::span<const double> row, std::span<const double> x,
+                             std::size_t k) {
+  const std::size_t n = x.size();
+  double acc = row[n];
+  for (std::size_t j = k + 1; j < n; ++j) acc -= row[j] * x[j];
+  return acc / row[k];
+}
 
 AppFn make_gauss(GaussParams params) {
   return [params](AppContext& ctx) {
@@ -81,10 +103,7 @@ AppFn make_gauss(GaussParams params) {
         for (std::size_t local = 0; local < my_rows; ++local) {
           const std::size_t i = ctx.rank() + local * nprocs;
           if (i <= st.k) continue;
-          double* row = &st.rows[local * width];
-          const double factor = row[st.k] / pivot[st.k];
-          row[st.k] = 0.0;
-          for (std::size_t j = st.k + 1; j < width; ++j) row[j] -= factor * pivot[j];
+          gauss_eliminate(std::span(st.rows).subspan(local * width, width), pivot, st.k);
         }
       }
       st.phase = 1;
@@ -97,11 +116,9 @@ AppFn make_gauss(GaussParams params) {
       const Rank owner = owner_of(k);
       std::vector<std::byte> xk_bytes;
       if (owner == ctx.rank()) {
-        const double* row = &st.rows[local_of(k) * width];
         ctx.compute(static_cast<double>(n - k) * 2.0);
-        double acc = row[n];
-        for (std::size_t j = k + 1; j < n; ++j) acc -= row[j] * st.x[j];
-        xk_bytes = chklib::to_bytes<double>(acc / row[k]);
+        const auto row = std::span<const double>(st.rows).subspan(local_of(k) * width, width);
+        xk_bytes = chklib::to_bytes<double>(gauss_back_substitute(row, st.x, k));
       }
       st.x[k] = chklib::from_bytes<double>(ctx.broadcast(owner, std::move(xk_bytes)));
     }
@@ -123,19 +140,14 @@ double gauss_reference_digest(const GaussParams& params) {
     for (std::size_t j = 0; j < n; ++j) a[i * width + j] = matrix_entry(n, i, j);
     a[i * width + n] = rhs_entry(n, i);
   }
+  auto row = [&](std::size_t i) { return std::span(a).subspan(i * width, width); };
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double factor = a[i * width + k] / a[k * width + k];
-      a[i * width + k] = 0.0;
-      for (std::size_t j = k + 1; j < width; ++j) a[i * width + j] -= factor * a[k * width + j];
-    }
+    for (std::size_t i = k + 1; i < n; ++i) gauss_eliminate(row(i), row(k), k);
   }
   std::vector<double> x(n, 0.0);
   for (std::size_t kb = 0; kb < n; ++kb) {
     const std::size_t k = n - 1 - kb;
-    double acc = a[k * width + n];
-    for (std::size_t j = k + 1; j < n; ++j) acc -= a[k * width + j] * x[j];
-    x[k] = acc / a[k * width + k];
+    x[k] = gauss_back_substitute(row(k), x, k);
   }
   double digest = 0.0;
   for (double v : x) digest += static_cast<double>(std::llround(v * 1000.0 * 1048576.0));

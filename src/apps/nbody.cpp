@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "apps/lanes.hpp"
+
 namespace chk::apps {
 
 namespace {
@@ -27,29 +29,6 @@ void init_block(NbodyState& st, std::size_t begin, std::size_t count) {
   }
 }
 
-/// Accumulate forces exerted by `other` (x, y, m triplets) on the block.
-void accumulate(const NbodyState& st, const std::vector<double>& other, bool self_block,
-                std::vector<double>& fx, std::vector<double>& fy) {
-  const std::size_t mine = st.px.size();
-  const std::size_t theirs = other.size() / 3;
-  const double eps2 = kNbodySoftening * kNbodySoftening;
-  for (std::size_t i = 0; i < mine; ++i) {
-    double ax = 0.0, ay = 0.0;
-    for (std::size_t j = 0; j < theirs; ++j) {
-      if (self_block && i == j) continue;
-      const double dx = other[3 * j] - st.px[i];
-      const double dy = other[3 * j + 1] - st.py[i];
-      const double r2 = dx * dx + dy * dy + eps2;
-      const double inv = 1.0 / (r2 * std::sqrt(r2));
-      const double s = other[3 * j + 2] * inv;
-      ax += s * dx;
-      ay += s * dy;
-    }
-    fx[i] += ax;
-    fy[i] += ay;
-  }
-}
-
 std::vector<double> pack_block(const NbodyState& st) {
   std::vector<double> out(3 * st.px.size());
   for (std::size_t i = 0; i < st.px.size(); ++i) {
@@ -71,6 +50,48 @@ double digest_block(const NbodyState& st) {
 }
 
 }  // namespace
+
+void nbody_accumulate(std::span<const double> px, std::span<const double> py,
+                      std::span<const double> other, bool self_block, std::span<double> fx,
+                      std::span<double> fy) {
+  const std::size_t mine = px.size();
+  const std::size_t theirs = other.size() / 3;
+  const double eps2 = kNbodySoftening * kNbodySoftening;
+  // Two bodies i per vector; an odd last body fills both lanes, and lane 1
+  // is dropped. Each lane sums over j in ascending order.
+  for (std::size_t i0 = 0; i0 < mine; i0 += 2) {
+    const std::size_t i1 = i0 + 1 < mine ? i0 + 1 : i0;
+    const f64x2 x = {px[i0], px[i1]};
+    const f64x2 y = {py[i0], py[i1]};
+    f64x2 ax = {0.0, 0.0};
+    f64x2 ay = {0.0, 0.0};
+    for (std::size_t j = 0; j < theirs; ++j) {
+      const f64x2 dx = other[3 * j] - x;
+      const f64x2 dy = other[3 * j + 1] - y;
+      const f64x2 r2 = dx * dx + dy * dy + eps2;
+      const f64x2 root = {std::sqrt(r2[0]), std::sqrt(r2[1])};
+      const f64x2 inv = 1.0 / (r2 * root);
+      const f64x2 s = other[3 * j + 2] * inv;
+      f64x2 tx = s * dx;
+      f64x2 ty = s * dy;
+      if (self_block) {
+        // A body exerts no force on itself. Its lane adds +0.0 instead,
+        // which is exact: the sum starts at +0.0 and, rounding to
+        // nearest, never becomes -0.0.
+        if (j == i0) tx[0] = ty[0] = 0.0;
+        if (j == i1) tx[1] = ty[1] = 0.0;
+      }
+      ax += tx;
+      ay += ty;
+    }
+    fx[i0] += ax[0];
+    fy[i0] += ay[0];
+    if (i1 != i0) {
+      fx[i1] += ax[1];
+      fy[i1] += ay[1];
+    }
+  }
+}
 
 AppFn make_nbody(NbodyParams params) {
   return [params](AppContext& ctx) {
@@ -100,7 +121,7 @@ AppFn make_nbody(NbodyParams params) {
       for (std::size_t shift = 0; shift < nprocs; ++shift) {
         ctx.compute(static_cast<double>(st.px.size()) *
                     static_cast<double>(buffer.size() / 3) * kNbodyFlopsPerPair);
-        accumulate(st, buffer, shift == 0, fx, fy);
+        nbody_accumulate(st.px, st.py, buffer, shift == 0, fx, fy);
         if (shift + 1 < nprocs) {
           ctx.send_span<double>(right, kTagRing, std::span<const double>(buffer));
           buffer = ctx.recv_vector<double>(static_cast<int>(left), kTagRing);
@@ -135,8 +156,8 @@ double nbody_reference_digest(const NbodyParams& params, std::size_t nprocs) {
       forces_y[r].assign(blocks[r].px.size(), 0.0);
       for (std::size_t shift = 0; shift < nprocs; ++shift) {
         const std::size_t src = (r + nprocs - shift) % nprocs;
-        accumulate(blocks[r], pack_block(blocks[src]), shift == 0, forces_x[r],
-                   forces_y[r]);
+        nbody_accumulate(blocks[r].px, blocks[r].py, pack_block(blocks[src]), shift == 0,
+                         forces_x[r], forces_y[r]);
       }
     }
     for (std::size_t r = 0; r < nprocs; ++r) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "apps/common.hpp"
 
@@ -25,6 +26,14 @@ inline constexpr double kNbodyFlopsPerPair = 22.0;
 inline constexpr double kNbodyFlopsPerBody = 12.0;
 
 [[nodiscard]] AppFn make_nbody(NbodyParams params);
+
+/// Adds to fx[i] and fy[i] the force that the bodies of `other` (x, y,
+/// mass triplets) exert on body i at (px[i], py[i]), summed over `other`
+/// in order. In the self block (`other` packs this block) a body exerts no
+/// force on itself. The app and its sequential reference both call it.
+void nbody_accumulate(std::span<const double> px, std::span<const double> py,
+                      std::span<const double> other, bool self_block, std::span<double> fx,
+                      std::span<double> fy);
 
 /// Sequential reference with the same block-ordered force accumulation as
 /// the P-rank parallel run (bit-exact for matching nprocs).

@@ -1,6 +1,9 @@
 #include "apps/sor.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "apps/lanes.hpp"
 
 namespace chk::apps {
 
@@ -17,7 +20,38 @@ struct SorState {
   std::vector<double> grid;  ///< (rows + 2) x n, halo rows at 0 and rows+1
 };
 
+/// One relaxed point from its old value and its four old neighbours.
+template <typename T>
+T relax(T c, T up, T down, T left, T right) {
+  return (1.0 - kSorOmega) * c + kSorOmega * 0.25 * (up + down + left + right);
+}
+
+/// Relaxes columns 1..n-2 of `mid` into `out`, two columns per vector.
+void relax_row(const double* up, const double* mid, const double* down, double* out,
+               std::size_t n) {
+  std::size_t j = 1;
+  for (; j + 2 < n; j += 2) {
+    store(out + j, relax(load<f64x2>(mid + j), load<f64x2>(up + j), load<f64x2>(down + j),
+                         load<f64x2>(mid + j - 1), load<f64x2>(mid + j + 1)));
+  }
+  if (j + 1 < n) out[j] = relax(mid[j], up[j], down[j], mid[j - 1], mid[j + 1]);
+}
+
 }  // namespace
+
+void sor_sweep(std::span<double> grid, std::size_t rows, std::size_t n) {
+  if (rows == 0 || n < 3) return;
+  // Row i is relaxed into one half of the buffer while row i - 1 waits in
+  // the other: row i still reads the old row i - 1, so that row is written
+  // back only after row i is done.
+  std::vector<double> buffer(2 * n);
+  double* const cells = grid.data();
+  for (std::size_t i = 1; i <= rows; ++i) {
+    relax_row(cells + (i - 1) * n, cells + i * n, cells + (i + 1) * n, &buffer[(i % 2) * n], n);
+    if (i > 1) std::copy_n(&buffer[((i - 1) % 2) * n + 1], n - 2, cells + (i - 1) * n + 1);
+  }
+  std::copy_n(&buffer[(rows % 2) * n + 1], n - 2, cells + rows * n + 1);
+}
 
 AppFn make_sor(SorParams params) {
   return [params](AppContext& ctx) {
@@ -40,7 +74,6 @@ AppFn make_sor(SorParams params) {
     ctx.ready();
 
     auto cell = [&](std::size_t i, std::size_t j) -> double& { return st.grid[i * n + j]; };
-    std::vector<double> next(rows * n);  // scratch; never read across iterations
 
     const Rank up = ctx.rank() > 0 ? ctx.rank() - 1 : 0;
     const Rank down = ctx.rank() + 1 < nprocs ? ctx.rank() + 1 : 0;
@@ -66,17 +99,7 @@ AppFn make_sor(SorParams params) {
       }
 
       ctx.compute(static_cast<double>(rows * (n - 2)) * kSorFlopsPerPoint);
-      const double w = kSorOmega;
-      for (std::size_t i = 1; i <= rows; ++i) {
-        for (std::size_t j = 1; j + 1 < n; ++j) {
-          const double around =
-              cell(i - 1, j) + cell(i + 1, j) + cell(i, j - 1) + cell(i, j + 1);
-          next[(i - 1) * n + j] = (1.0 - w) * cell(i, j) + w * 0.25 * around;
-        }
-      }
-      for (std::size_t i = 1; i <= rows; ++i) {
-        for (std::size_t j = 1; j + 1 < n; ++j) cell(i, j) = next[(i - 1) * n + j];
-      }
+      sor_sweep(st.grid, rows, n);
     }
 
     double partial = 0.0;
@@ -91,26 +114,10 @@ AppFn make_sor(SorParams params) {
 double sor_reference_digest(const SorParams& params) {
   const std::size_t n = params.n;
   std::vector<double> grid((n + 2) * n, 0.0);
-  auto cell = [&](std::size_t i, std::size_t j) -> double& { return grid[i * n + j]; };
-  for (std::size_t j = 0; j < n; ++j) cell(0, j) = kSorTopBoundary;
-  std::vector<double> next(n * n);
-  const double w = kSorOmega;
-  for (std::uint32_t iter = 0; iter < params.iterations; ++iter) {
-    for (std::size_t i = 1; i <= n; ++i) {
-      for (std::size_t j = 1; j + 1 < n; ++j) {
-        const double around =
-            cell(i - 1, j) + cell(i + 1, j) + cell(i, j - 1) + cell(i, j + 1);
-        next[(i - 1) * n + j] = (1.0 - w) * cell(i, j) + w * 0.25 * around;
-      }
-    }
-    for (std::size_t i = 1; i <= n; ++i) {
-      for (std::size_t j = 1; j + 1 < n; ++j) cell(i, j) = next[(i - 1) * n + j];
-    }
-  }
+  std::fill_n(grid.begin(), n, kSorTopBoundary);
+  for (std::uint32_t iter = 0; iter < params.iterations; ++iter) sor_sweep(grid, n, n);
   double digest = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) digest += quantize(cell(i, j));
-  }
+  for (std::size_t i = n; i < (n + 1) * n; ++i) digest += quantize(grid[i]);
   return digest;
 }
 

@@ -3,6 +3,7 @@
 // exchange between vertical neighbours each iteration.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -22,6 +23,11 @@ inline constexpr double kSorOmega = 0.8;
 inline constexpr double kSorTopBoundary = 100.0;
 
 [[nodiscard]] AppFn make_sor(SorParams params);
+
+/// One sweep over `grid`, (rows + 2) x n doubles whose rows 0 and rows + 1
+/// are halos: columns 1..n-2 of rows 1..rows are relaxed from the values
+/// before the sweep. The app and its sequential reference both call it.
+void sor_sweep(std::span<double> grid, std::size_t rows, std::size_t n);
 
 /// Sequential reference: same arithmetic, same result bit-for-bit.
 [[nodiscard]] double sor_reference_digest(const SorParams& params);

@@ -1,27 +1,21 @@
 #include "chklib/ckpt/image.hpp"
 
+#include "util/hash.hpp"
+
 namespace chk::chklib {
 
 namespace {
-// Version 2 blobs carry a 64-bit FNV-1a checksum of the body right after
-// the magic; deserialize verifies it so a corrupted image fails loudly at
-// restore time instead of resurrecting silently wrong state.
-constexpr std::uint32_t kImageMagic = 0x43484b32;  // "CHK2"
-constexpr std::uint32_t kLogMagic = 0x43484c32;    // "CHL2"
-
-std::uint64_t fnv1a64(std::span<const std::byte> bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::byte b : bytes) {
-    hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+// Version 3 blobs carry a 64-bit checksum of the body (util::hash_bytes)
+// right after the magic; deserialize verifies it so a corrupted image fails
+// loudly at restore time instead of resurrecting silently wrong state.
+// Blobs of an older version are rejected by their magic.
+constexpr std::uint32_t kImageMagic = 0x43484b33;  // "CHK3"
+constexpr std::uint32_t kLogMagic = 0x43484c33;    // "CHL3"
 
 std::vector<std::byte> seal(std::uint32_t magic, util::ByteWriter body) {
   util::ByteWriter writer;
   writer.put(magic);
-  writer.put(fnv1a64(body.bytes()));
+  writer.put(util::hash_bytes(body.bytes()));
   writer.put_bytes(body.bytes());
   return writer.take();
 }
@@ -34,7 +28,7 @@ std::span<const std::byte> unseal(std::uint32_t magic, util::ByteReader& reader,
   }
   const auto checksum = reader.get<std::uint64_t>();
   const auto body = reader.get_bytes_view();
-  if (fnv1a64(body) != checksum) {
+  if (util::hash_bytes(body) != checksum) {
     throw util::SerializeError(std::string(what) + ": checksum mismatch (corrupt image)");
   }
   return body;

@@ -2,23 +2,13 @@
 
 #include <cstring>
 
-#include "util/rng.hpp"
+#include "util/hash.hpp"
 
 namespace chk::chklib {
 
 namespace {
 
 constexpr std::uint32_t kDeltaMagic = 0x44454c31;  // "DEL1"
-
-std::uint64_t hash_chunk(std::span<const std::byte> chunk) {
-  // FNV-1a 64-bit, then a splitmix finalizer for avalanche.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::byte b : chunk) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return util::splitmix64(h);
-}
 
 }  // namespace
 
@@ -68,7 +58,7 @@ void IncrementalTracker::rebase(std::span<const std::byte> full_blob) {
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::size_t begin = c * chunk_size_;
     const std::size_t len = std::min<std::size_t>(chunk_size_, size_ - begin);
-    hashes_[c] = hash_chunk(full_blob.subspan(begin, len));
+    hashes_[c] = util::hash_bytes(full_blob.subspan(begin, len));
   }
 }
 
@@ -83,7 +73,7 @@ std::optional<StateDelta> IncrementalTracker::capture_delta(
     const std::size_t begin = c * chunk_size_;
     const std::size_t len = std::min<std::size_t>(chunk_size_, size_ - begin);
     const auto chunk = full_blob.subspan(begin, len);
-    const std::uint64_t h = hash_chunk(chunk);
+    const std::uint64_t h = util::hash_bytes(chunk);
     if (h != hashes_[c]) {
       hashes_[c] = h;
       delta.chunks.push_back(static_cast<std::uint32_t>(c));

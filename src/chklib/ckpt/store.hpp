@@ -78,7 +78,7 @@ class CheckpointStore {
   [[nodiscard]] std::vector<std::uint32_t> saved_indices(Rank rank) const;
   /// Peek image metadata without timed I/O (recovery-line computation scans
   /// dependency records; modelled as free directory metadata): nullopt when
-  /// the image is missing or fails its CHK2 verification (bit-rot).
+  /// the image is missing or fails its CHK3 verification (bit-rot).
   [[nodiscard]] std::optional<CheckpointImage> try_peek_image(Rank rank,
                                                              std::uint32_t index) const;
   /// True when the image exists and its checksum verifies (free check —

@@ -387,7 +387,8 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
     }
   }
   if (!is_delta) {
-    agent.tracker.rebase(full_blob);
+    // Only capture_delta reads the chunk hashes.
+    if (cfg_.incremental) agent.tracker.rebase(full_blob);
     image.state = std::move(full_blob);
     image.delta_base = 0;
   }

@@ -5,7 +5,7 @@
 // bits at rest. This model supplies those failure modes for StableStorage:
 // per-operation transient write/read errors, timed degraded-throughput
 // windows, and silent single-byte corruption of a durable image injected
-// between write and read (the CHK2/CHL2 checksums make it detectable at
+// between write and read (the CHK3/CHL3 checksums make it detectable at
 // load time). Every decision is a draw from a dedicated seed-stable RNG
 // stream with a fixed draw order (same discipline as LinkFaultModel in
 // src/chklib/comm/link_fault.*), and the degraded-window schedule comes

@@ -1,11 +1,12 @@
 // The pinned determinism baselines shared by transport_test and
 // storage_fault_test: SOR-384 (and one NQUEENS-14 row) on 8 nodes, seed
 // 2026, 3 checkpoints at a 3 s interval. Each row pins the kernel's
-// trace_hash and the completion time. The plain rows cover every paper
-// scheme; the variant rows cover the rest of the save path: the two
-// FIFO-grant schemes, incremental deltas, independent GC, sender-based
-// message logging, and one mid-run crash each for the grant schemes. The
-// crash instants recover to the fault-free digest.
+// trace_hash and the completion time, and kSor384Digest pins the SOR-384
+// result. The plain rows cover every paper scheme; the variant rows cover
+// the rest of the save path: the two FIFO-grant schemes, incremental
+// deltas, independent GC, sender-based message logging, and one mid-run
+// crash each for the grant schemes. The crash instants recover to the
+// fault-free digest.
 //
 // kAppRows add one small run of every other application and of the KV
 // service, each under its own scheme. They also pin the event count and
@@ -73,6 +74,12 @@ inline const Row kRows[] = {
     {"SOR-384", Scheme::kCoordNBS, 0x59b350dce582a808ull, 28.412157325000003, Variant::kCrash},
     {"SOR-384", Scheme::kIndepMS, 0xf77e73ded27f571bull, 27.089245107, Variant::kCrash},
 };
+
+/// SOR-384's NORMAL digest, which every SOR-384 row reaches: the app and
+/// its sequential reference share one sweep kernel, so only a pinned value
+/// catches a change to that kernel. Captured on the tree immediately before
+/// the kernel was rewritten on vector lanes.
+inline constexpr double kSor384Digest = 180804809892;
 
 /// The row's experiment: the shared base plus its variant's settings.
 inline harness::ExperimentConfig config_for(const Row& row) {

@@ -24,6 +24,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/gauss.hpp"
@@ -65,6 +66,9 @@ TEST(DeterminismGuard, FaultFreeTracesMatchPreTransportBaselines) {
     const std::string what = pinned::describe(row);
     EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
     EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
+    if (std::string_view(row.label) == "SOR-384") {
+      EXPECT_EQ(result.digest, pinned::kSor384Digest) << what;
+    }
     EXPECT_EQ(result.retransmits, 0u) << what;
     EXPECT_EQ(result.link_drops, 0u) << what;
     EXPECT_EQ(result.aborted_rounds, 0u) << what;

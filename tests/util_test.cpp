@@ -1,5 +1,5 @@
-// Unit tests for chk::util — RNG determinism/quality, the formatter, tables,
-// CLI, and the parallel job runner.
+// Unit tests for chk::util — RNG determinism/quality, the byte hash, the
+// formatter, tables, CLI, and the parallel job runner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "util/cli.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -84,6 +85,48 @@ TEST(Rng, ExponentialHasRequestedMean) {
   }
   EXPECT_NEAR(sum / kDraws, 4.0, 0.15);
   EXPECT_GE(min, 0.0);
+}
+
+TEST(Hash, ZeroBuffersOfEveryLengthUpTo64HashApart) {
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::vector<std::byte> zeros(len);
+    EXPECT_TRUE(seen.insert(hash_bytes(zeros)).second) << len << " zero bytes";
+  }
+}
+
+TEST(Hash, EveryChangeInsideOneWordChangesTheHash) {
+  // Lengths around the 8-byte words and the 32-byte stripes of four lanes.
+  Rng rng(17);
+  std::size_t unchanged = 0;
+  std::size_t tried = 0;
+  for (const std::size_t len : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 40u, 70u}) {
+    std::vector<std::byte> bytes(len);
+    for (std::size_t i = 0; i < len; ++i) bytes[i] = static_cast<std::byte>(37 * i + len);
+    const std::uint64_t base = hash_bytes(bytes);
+    // Every one-byte change: each offset, each nonzero xor mask.
+    for (std::size_t at = 0; at < len; ++at) {
+      for (unsigned mask = 1; mask < 256; ++mask) {
+        bytes[at] ^= static_cast<std::byte>(mask);
+        if (hash_bytes(bytes) == base) ++unchanged;
+        ++tried;
+        bytes[at] ^= static_cast<std::byte>(mask);
+      }
+    }
+    // Random changes spread over all bytes of one 8-byte word.
+    for (std::size_t word = 0; word * 8 < len; ++word) {
+      for (int draw = 0; draw < 64; ++draw) {
+        const std::uint64_t mask = rng() | 1;
+        std::vector<std::byte> changed = bytes;
+        for (std::size_t b = 0; b < 8 && word * 8 + b < len; ++b) {
+          changed[word * 8 + b] ^= static_cast<std::byte>(mask >> (8 * b));
+        }
+        if (hash_bytes(changed) == base) ++unchanged;
+        ++tried;
+      }
+    }
+  }
+  EXPECT_EQ(unchanged, 0u) << "of " << tried << " changed buffers";
 }
 
 // Each expected string is what {fmt} 12.1, which util::format replaced,

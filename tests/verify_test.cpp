@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -398,7 +399,7 @@ TEST(Integrity, CorruptedImageIsRejected) {
 
 TEST(Integrity, TruncatedImageIsRejected) {
   auto blob = sample_image().serialize();
-  blob.resize(blob.size() - 3);
+  blob.erase(blob.end() - 3, blob.end());
   EXPECT_THROW((void)chklib::CheckpointImage::deserialize(blob), util::SerializeError);
 }
 
@@ -422,6 +423,75 @@ TEST(Integrity, ChannelLogIsChecksummedToo) {
   EXPECT_EQ(loaded.messages[0].payload, env.payload);
   blob[blob.size() / 2] ^= std::byte{0x80};
   EXPECT_THROW((void)chklib::ChannelLog::deserialize(blob), util::SerializeError);
+}
+
+chklib::ChannelLog sample_log() {
+  chklib::ChannelLog log;
+  for (std::uint64_t seq = 12; seq < 14; ++seq) {
+    Envelope env;
+    env.src = 0;
+    env.dst = 5;
+    env.tag = 4;
+    env.epoch = 2;
+    env.seq = seq;
+    env.payload = {std::byte{1}, std::byte{2}, static_cast<std::byte>(seq)};
+    log.messages.push_back(env);
+  }
+  return log;
+}
+
+/// Flips every bit of `blob` in turn, across magic, checksum, body length
+/// and body, and expects `load` to reject each corrupted copy.
+template <typename Load>
+void expect_every_bit_flip_rejected(std::vector<std::byte> blob, Load load) {
+  for (std::size_t at = 0; at < blob.size(); ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<std::byte>(1u << bit);
+      blob[at] ^= mask;
+      EXPECT_THROW((void)load(blob), util::SerializeError) << "bit " << bit << " of byte " << at;
+      blob[at] ^= mask;
+    }
+  }
+  EXPECT_NO_THROW((void)load(blob));
+}
+
+TEST(Integrity, EverySingleBitFlipOfAnImageIsRejected) {
+  expect_every_bit_flip_rejected(sample_image().serialize(), [](const std::vector<std::byte>& b) {
+    return chklib::CheckpointImage::deserialize(b);
+  });
+}
+
+TEST(Integrity, EverySingleBitFlipOfAChannelLogIsRejected) {
+  expect_every_bit_flip_rejected(sample_log().serialize(), [](const std::vector<std::byte>& b) {
+    return chklib::ChannelLog::deserialize(b);
+  });
+}
+
+/// `blob` resealed as the previous blob version did: `magic`, then the
+/// FNV-1a checksum of the body, then the body.
+std::vector<std::byte> reseal_as_version_two(std::span<const std::byte> blob,
+                                             std::uint32_t magic) {
+  util::ByteReader reader(blob);
+  (void)reader.get<std::uint32_t>();
+  (void)reader.get<std::uint64_t>();
+  const auto body = reader.get_bytes_view();
+  std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
+  for (std::byte b : body) {
+    fnv1a ^= static_cast<std::uint64_t>(b);
+    fnv1a *= 0x100000001b3ULL;
+  }
+  util::ByteWriter writer;
+  writer.put(magic);
+  writer.put(fnv1a);
+  writer.put_bytes(body);
+  return writer.take();
+}
+
+TEST(Integrity, VersionTwoBlobsAreRejected) {
+  const auto image = reseal_as_version_two(sample_image().serialize(), 0x43484b32);  // "CHK2"
+  EXPECT_THROW((void)chklib::CheckpointImage::deserialize(image), util::SerializeError);
+  const auto log = reseal_as_version_two(sample_log().serialize(), 0x43484c32);  // "CHL2"
+  EXPECT_THROW((void)chklib::ChannelLog::deserialize(log), util::SerializeError);
 }
 
 // ---------------------------------------------------------------------------
