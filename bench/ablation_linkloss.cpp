@@ -11,12 +11,11 @@
 // the application cannot tell the links were lossy.
 //
 //   ./ablation_linkloss [--app=SOR-384] [--losses=0.02,0.05,0.1,0.2]
-//                       [--nodes=8] [--checkpoints=0] [--intervals=5]
-//                       [--seed=2026] [--json-out=BENCH_linkloss.json]
-//                       [--quick]
+//                       [--json-out=BENCH_linkloss.json] [--quick]
 //
-// --quick shrinks the sweep (2 loss points). Output is byte-identical
-// across repeats with the same seed.
+// Every run is on the paper's 8 nodes, checkpointing every NORMAL time / 5
+// until the app completes. --quick shrinks the sweep (2 loss points).
+// Output is byte-identical across repeats.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -35,25 +34,15 @@ int main(int argc, char** argv) try {
   const std::string app_label = cli.get("app", "SOR-384");
   const std::vector<double> losses =
       bench::get_list_in(cli, "losses", quick ? "0.05,0.2" : "0.02,0.05,0.1,0.2", 0.0, 1.0);
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
-  const auto checkpoints =
-      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
-  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_linkloss.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
   // Baseline: failure-free, perfect links — sets the checkpoint interval
   // and the digest every lossy run must still compute.
-  harness::ExperimentConfig base;
-  base.label = app_label;
-  base.app = harness::find_row(app_label).app;
-  base.machine.num_nodes = nodes;
-  base.seed = seed;
-  base.checkpoints = checkpoints;
-  const harness::ExperimentResult normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+  const bench::Baseline baseline = bench::run_baseline(app_label);
+  const harness::ExperimentConfig& base = baseline.config;
+  const harness::ExperimentResult& normal = baseline.normal;
 
   // Loss 0 first (the per-scheme reference), then the sweep; all cells
   // fan out and are collected in fixed order.
@@ -102,7 +91,7 @@ int main(int argc, char** argv) try {
                      "corrupt=loss/4; reliable transport on; exec time s, "
                      "overhead vs the same scheme at loss 0, retransmissions; "
                      "digests + invariants verified: {})",
-                     app_label, nodes, all_ok ? "yes" : "NO"))
+                     app_label, base.machine.num_nodes, all_ok ? "yes" : "NO"))
                  .c_str(),
              stdout);
 
@@ -110,8 +99,8 @@ int main(int argc, char** argv) try {
   Value doc = Value::object();
   doc.set("table", Value::string("linkloss"));
   doc.set("app", Value::string(app_label));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
+  doc.set("nodes", Value::number(std::uint64_t{base.machine.num_nodes}));
+  doc.set("seed", Value::number(base.seed));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   Value row_array = Value::array();
@@ -132,8 +121,7 @@ int main(int argc, char** argv) try {
     row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", json_out.c_str());
+  bench::write_bench_json(json_out, doc);
   return all_ok ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return chk::util::usage_error(argv[0], err);

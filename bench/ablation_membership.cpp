@@ -21,19 +21,19 @@
 // higher epoch, and the run completes verified — with the measured
 // detection latency (crash -> evicting view) reported per detector.
 //
-//   ./ablation_membership [--app=SOR-384] [--detector=both|binary|phi]
+//   ./ablation_membership [--detector=both|binary|phi]
 //                         [--timeouts=0.6,1.5,4.0] [--phi-thresholds=4,8,12]
-//                         [--phi-window=32] [--losses=0,0.05,0.2]
-//                         [--hb-period=0.25] [--nodes=8] [--checkpoints=0]
-//                         [--intervals=5] [--seed=2026]
+//                         [--losses=0,0.05,0.2]
 //                         [--json-out=BENCH_membership.json] [--quick]
 //
-// --detector narrows the sweep to one detector ("both" runs the full A/B
-// grid); --phi-thresholds are suspicion thresholds in phi units (phi 8 ~
-// "the silence is < 1e-8 probable"); phi knobs combined with
-// --detector=binary are rejected rather than ignored. --quick shrinks the
-// sweep (2 timeouts x 1 threshold x 2 loss points). Output is
-// byte-identical across repeats with the same seed.
+// Every run is SOR-384 on the paper's 8 nodes, checkpointing every NORMAL
+// time / 5 until the app completes, with the library's heartbeat period
+// (0.25 s) and phi window (32 samples). --detector narrows the sweep to
+// one detector ("both" runs the full A/B grid); --timeouts must exceed the
+// heartbeat period; --phi-thresholds are suspicion thresholds in phi units
+// (phi 8 ~ "the silence is < 1e-8 probable") and are rejected rather than
+// ignored with --detector=binary. --quick shrinks the sweep (2 timeouts x
+// 1 threshold x 2 loss points). Output is byte-identical across repeats.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -49,6 +49,9 @@ namespace {
 
 using namespace chk;
 using chklib::membership::Detector;
+
+/// The app every cell runs.
+constexpr const char* kAppLabel = "SOR-384";
 
 /// The coordinated schemes whose coordinator the kill section murders.
 const std::vector<harness::Scheme>& coordinated_schemes() {
@@ -100,7 +103,6 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
 
-  const std::string app_label = cli.get("app", "SOR-384");
   bool run_binary = true;
   bool run_phi = true;
   const std::string detector_flag = cli.get("detector", "both");
@@ -112,35 +114,25 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("--detector: expected \"both\", \"binary\" or \"phi\", got \"" +
                                 detector_flag + "\"");
   }
-  if (!run_phi) {
-    for (const char* flag : {"phi-thresholds", "phi-window"}) {
-      if (cli.has(flag)) {
-        throw std::invalid_argument(std::string("--") + flag +
-                                    " needs --detector=phi or both (the binary "
-                                    "detector has no phi knobs)");
-      }
-    }
+  if (!run_phi && cli.has("phi-thresholds")) {
+    throw std::invalid_argument(
+        "--phi-thresholds needs --detector=phi or both (the binary detector has no phi "
+        "knobs)");
   }
   const std::vector<double> timeouts =
       bench::get_list_in(cli, "timeouts", quick ? "0.6,4.0" : "0.6,1.5,4.0", 1e-3, 1e3);
   const std::vector<double> thresholds =
       bench::get_list_in(cli, "phi-thresholds", quick ? "8" : "4,8,12", 1e-3, 1e3);
-  const auto phi_window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1, 1024));
   const std::vector<double> losses =
       bench::get_list_in(cli, "losses", quick ? "0,0.2" : "0,0.05,0.2", 0.0, 1.0);
-  const double hb_period = cli.get_double("hb-period", 0.25, 0.0, 1e3);
+  const double hb_period = chklib::membership::MembershipConfig{}.hb_period.to_seconds();
   for (double t : timeouts) {
     if (t <= hb_period) {
-      throw std::invalid_argument(
-          "--timeouts: every detection timeout must exceed --hb-period (" +
-          std::to_string(hb_period) + " s)");
+      throw std::invalid_argument(util::format(
+          "--timeouts: every detection timeout must exceed the heartbeat period ({} s)",
+          hb_period));
     }
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
-  const auto checkpoints =
-      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
-  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_membership.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
@@ -148,18 +140,12 @@ int main(int argc, char** argv) try {
   // Baseline: failure-free, perfect links, no detector — sets the
   // checkpoint interval and the digest every membership run must still
   // compute (fencing has to keep wrongful evictions answer-preserving).
-  harness::ExperimentConfig base;
-  base.label = app_label;
-  base.app = harness::find_row(app_label).app;
-  base.machine.num_nodes = nodes;
-  base.seed = seed;
-  base.checkpoints = checkpoints;
-  const harness::ExperimentResult normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+  const bench::Baseline baseline = bench::run_baseline(kAppLabel);
+  const harness::ExperimentConfig& base = baseline.config;
+  const harness::ExperimentResult& normal = baseline.normal;
 
-  auto make_membership = [&](Detector detector, double knob) {
+  auto make_membership = [](Detector detector, double knob) {
     chklib::membership::MembershipConfig membership;
-    membership.hb_period = des::Duration::seconds(hb_period);
     membership.detector = detector;
     if (detector == Detector::kBinaryTimeout) {
       membership.detect_timeout = des::Duration::seconds(knob);
@@ -167,9 +153,7 @@ int main(int argc, char** argv) try {
       // Phi keeps the lax default timeout as its warm-up bootstrap; the
       // steady-state aggressiveness comes from the threshold, not a
       // hand-tuned timeout — that is the point of the comparison.
-      membership.accrual.threshold_milli =
-          static_cast<std::int64_t>(knob * 1000.0);
-      membership.accrual.window = phi_window;
+      membership.accrual.threshold_milli = static_cast<std::int64_t>(knob * 1000.0);
     }
     return membership;
   };
@@ -293,7 +277,7 @@ int main(int argc, char** argv) try {
               "binary timeouts under loss evict live ranks — fenced, rejoined, "
               "answer preserved — where phi-accrual adapts and evicts none; "
               "digests + invariants verified: {})",
-              app_label, nodes, util::Table::fixed(hb_period, 2),
+              kAppLabel, base.machine.num_nodes, util::Table::fixed(hb_period, 2),
               all_ok ? "yes" : "NO"))
           .c_str(),
       stdout);
@@ -326,11 +310,12 @@ int main(int argc, char** argv) try {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("membership"));
-  doc.set("app", Value::string(app_label));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
+  doc.set("app", Value::string(kAppLabel));
+  doc.set("nodes", Value::number(std::uint64_t{base.machine.num_nodes}));
+  doc.set("seed", Value::number(base.seed));
   doc.set("hb_period_s", Value::number(hb_period));
-  doc.set("phi_window", Value::number(std::uint64_t{phi_window}));
+  doc.set("phi_window",
+          Value::number(std::uint64_t{chklib::membership::AccrualConfig{}.window}));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   doc.set("binary_aggressive_wrongful", Value::number(binary_aggressive_wrongful));
@@ -366,8 +351,7 @@ int main(int argc, char** argv) try {
     }
   }
   doc.set("coordinator_kill", std::move(kill_array));
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", json_out.c_str());
+  bench::write_bench_json(json_out, doc);
   return all_ok ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return util::usage_error(argv[0], err);

@@ -13,13 +13,12 @@
 // the failure-free digest.
 //
 //   ./ablation_storagefault [--app=SOR-384] [--rates=0.05,0.1,0.2]
-//                           [--nodes=8] [--checkpoints=0] [--intervals=5]
-//                           [--mtbf-frac=0.7] [--max-failures=3]
-//                           [--seed=2026]
 //                           [--json-out=BENCH_storagefault.json] [--quick]
 //
-// --quick shrinks the sweep (1 error point). Output is byte-identical
-// across repeats with the same seed.
+// Every run is on the paper's 8 nodes, checkpointing every NORMAL time / 5
+// until the app completes, with crashes at an MTBF of 0.7 NORMAL times and
+// at most 3 per run. --quick shrinks the sweep (1 error point). Output is
+// byte-identical across repeats.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -30,6 +29,15 @@
 #include "util/format.hpp"
 #include "util/parallel.hpp"
 
+namespace {
+
+/// The crash process every cell shares: its MTBF as a fraction of the
+/// NORMAL execution time, and its cap on failures per run.
+constexpr double kMtbfFrac = 0.7;
+constexpr std::uint32_t kMaxFailures = 3;
+
+}  // namespace
+
 int main(int argc, char** argv) try {
   using namespace chk;
   const util::Cli cli(argc, argv);
@@ -38,34 +46,21 @@ int main(int argc, char** argv) try {
   const std::string app_label = cli.get("app", "SOR-384");
   const std::vector<double> rates =
       bench::get_list_in(cli, "rates", quick ? "0.1" : "0.05,0.1,0.2", 0.0, 1.0);
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
-  const auto checkpoints =
-      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
-  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
-  const double mtbf_frac = cli.get_double("mtbf-frac", 0.7, 1e-3, 1e3);
-  const auto max_failures =
-      static_cast<std::uint32_t>(cli.get_int("max-failures", 3, 0, 1000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_storagefault.json");
   cli.reject_unread();
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
   // Baseline: failure-free, perfect storage — sets the checkpoint interval,
   // the crash process MTBF and the digest every faulted run must compute.
-  harness::ExperimentConfig base;
-  base.label = app_label;
-  base.app = harness::find_row(app_label).app;
-  base.machine.num_nodes = nodes;
-  base.seed = seed;
-  base.checkpoints = checkpoints;
-  const harness::ExperimentResult normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
+  const bench::Baseline baseline = bench::run_baseline(app_label);
+  const harness::ExperimentResult& normal = baseline.normal;
+  harness::ExperimentConfig base = baseline.config;
   // Identical crash schedule at every error point: the fault plan's arrival
   // stream is schedule-independent, so the columns isolate pure storage-
   // fault cost under the same failures.
   faultsim::FaultPlan crashes;
-  crashes.mtbf = des::Duration::seconds(normal.exec_time_s * mtbf_frac);
-  crashes.max_failures = max_failures;
+  crashes.mtbf = des::Duration::seconds(normal.exec_time_s * kMtbfFrac);
+  crashes.max_failures = kMaxFailures;
   crashes.stream = 1;
   base.faults = crashes;
 
@@ -121,7 +116,7 @@ int main(int argc, char** argv) try {
               "time s, overhead vs the same scheme at rate 0, client "
               "retries, generation fallbacks; digests + invariants "
               "verified: {})",
-              app_label, nodes, util::Table::fixed(mtbf_frac, 2), max_failures,
+              app_label, base.machine.num_nodes, util::Table::fixed(kMtbfFrac, 2), kMaxFailures,
               all_ok ? "yes" : "NO"))
           .c_str(),
       stdout);
@@ -130,10 +125,10 @@ int main(int argc, char** argv) try {
   Value doc = Value::object();
   doc.set("table", Value::string("storagefault"));
   doc.set("app", Value::string(app_label));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
-  doc.set("mtbf_frac", Value::number(mtbf_frac));
-  doc.set("max_failures", Value::number(std::uint64_t{max_failures}));
+  doc.set("nodes", Value::number(std::uint64_t{base.machine.num_nodes}));
+  doc.set("seed", Value::number(base.seed));
+  doc.set("mtbf_frac", Value::number(kMtbfFrac));
+  doc.set("max_failures", Value::number(std::uint64_t{kMaxFailures}));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   Value row_array = Value::array();
@@ -154,8 +149,7 @@ int main(int argc, char** argv) try {
     row_array.push_back(std::move(entry));
   }
   doc.set("rows", std::move(row_array));
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", json_out.c_str());
+  bench::write_bench_json(json_out, doc);
   return all_ok ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return chk::util::usage_error(argv[0], err);

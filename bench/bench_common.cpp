@@ -49,6 +49,16 @@ ExperimentConfig with_checkpoints(ExperimentConfig base, Scheme scheme,
   return base;
 }
 
+Baseline run_baseline(const std::string& label) {
+  Baseline baseline;
+  baseline.config.label = label;
+  baseline.config.app = harness::find_row(label).app;
+  baseline.config.checkpoints = 0;
+  baseline.normal = harness::run_normal(baseline.config);
+  baseline.config.interval = des::Duration::seconds(baseline.normal.exec_time_s / 5.0);
+  return baseline;
+}
+
 std::vector<RowResults> run_rows(const std::vector<ExperimentConfig>& baselines,
                                  std::size_t columns, const CellConfigFn& cell_config) {
   auto normals = util::parallel_map(
@@ -135,25 +145,8 @@ std::vector<double> get_list_in(const util::Cli& cli, const std::string& key,
   return values;
 }
 
-void read_detector(const util::Cli& cli, chklib::membership::MembershipConfig& membership) {
-  using chklib::membership::Detector;
-  membership.detector = chklib::membership::parse_detector(cli.get("detector", "binary"));
-  if (membership.detector != Detector::kPhiAccrual) {
-    // A phi knob on the binary detector is a silently ignored flag waiting
-    // to mislead: reject it loudly.
-    for (const char* flag : {"phi-threshold", "phi-window"}) {
-      if (cli.has(flag)) {
-        throw std::invalid_argument(std::string("--") + flag +
-                                    " needs --detector=phi (the binary "
-                                    "detector has no phi knobs)");
-      }
-    }
-    return;
-  }
-  const double threshold = cli.get_double("phi-threshold", 8.0, 0.0, 1e3);
-  if (threshold <= 0) throw std::invalid_argument("--phi-threshold must be positive");
-  membership.accrual.threshold_milli = static_cast<std::int64_t>(threshold * 1000.0);
-  membership.accrual.window = static_cast<std::uint32_t>(cli.get_int("phi-window", 32, 1, 1024));
+chklib::membership::Detector read_detector(const util::Cli& cli) {
+  return chklib::membership::parse_detector(cli.get("detector", "binary"));
 }
 
 int bench_main(int argc, char** argv, int (*run)()) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,9 +24,6 @@ using harness::BenchRow;
 using harness::ExperimentConfig;
 using harness::ExperimentResult;
 using harness::Scheme;
-
-/// Upper bound of a --seed flag (seeds are non-negative).
-inline constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
 
 /// The five schemes of the paper's Table 1, in its column order.
 [[nodiscard]] const std::vector<Scheme>& paper_schemes();
@@ -45,6 +41,15 @@ inline constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max(
 [[nodiscard]] ExperimentConfig with_checkpoints(ExperimentConfig base, Scheme scheme,
                                                 std::uint32_t checkpoints,
                                                 const ExperimentResult& normal);
+
+/// A fault bench's baseline: catalog row `label` on the default machine,
+/// run NORMAL, then set to checkpoint every NORMAL time / 5 until the app
+/// completes (checkpoints = 0: failures and faults extend the run).
+struct Baseline {
+  ExperimentConfig config;
+  ExperimentResult normal;  ///< every faulted cell must reproduce its digest
+};
+[[nodiscard]] Baseline run_baseline(const std::string& label);
 
 /// One table row: its NORMAL baseline and its cells, in column order.
 struct RowResults {
@@ -90,10 +95,8 @@ void write_bench_json(const std::string& path, const obs::json::Value& doc);
                                               const std::string& fallback, double lo,
                                               double hi);
 
-/// --detector=binary|phi and, for phi, --phi-threshold (phi units, > 0,
-/// default 8) and --phi-window (samples, default 32) into `membership`. A
-/// phi knob with the binary detector throws std::invalid_argument.
-void read_detector(const util::Cli& cli, chklib::membership::MembershipConfig& membership);
+/// --detector=binary|phi (default binary).
+[[nodiscard]] chklib::membership::Detector read_detector(const util::Cli& cli);
 
 /// main() of a bench that takes no flags: any flag is an error (exit 2);
 /// otherwise returns run()'s exit status.

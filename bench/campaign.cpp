@@ -10,20 +10,18 @@
 // campaign runs that differ only in the failure schedule.
 //
 //   ./campaign [--apps=SOR-384,NQUEENS-14] [--mtbf-fracs=0.35,0.7,1.4]
-//              [--runs=4] [--max-failures=6] [--nodes=8] [--checkpoints=0]
-//              [--intervals=5] [--seed=2026] [--campaign-seed=1]
-//              [--link-loss=0] [--link-dup=0] [--link-corrupt=0]
-//              [--link-delay=0] [--link-delay-mean=0.001]
-//              [--io-error=0] [--io-degrade=1] [--bitrot=0] [--keep-depth=0]
-//              [--detect-timeout=0] [--hb-period=0.25] [--target-coordinator]
-//              [--detector=binary|phi] [--phi-threshold=8] [--phi-window=32]
-//              [--json-out=BENCH_campaign.json] [--quick]
+//              [--runs=4] [--link-loss=0] [--link-dup=0] [--link-corrupt=0]
+//              [--link-delay=0] [--io-error=0] [--io-degrade=1] [--bitrot=0]
+//              [--keep-depth=0] [--detect-timeout=0] [--target-coordinator]
+//              [--detector=binary|phi] [--json-out=BENCH_campaign.json]
+//              [--quick]
 //
-// --intervals sets the checkpoint interval to normal_exec/intervals;
-// --checkpoints=0 keeps checkpointing active until the app completes (the
-// right setting when failures extend the run). --link-loss/--link-dup/
-// --link-corrupt/--link-delay add per-frame link faults on top of the
-// failure process; the reliable FIFO transport always repairs them.
+// Every run is on the paper's 8 nodes, checkpointing every NORMAL time / 5
+// until the app completes (failures extend the run), with at most 6
+// failures per run; campaign seed 1 draws the failure schedules.
+// --link-loss/--link-dup/--link-corrupt/--link-delay add per-frame link
+// faults on top of the failure process (a delayed frame waits 1 ms on
+// average); the reliable FIFO transport always repairs them.
 // --io-error/--io-degrade/--bitrot make the stable storage itself
 // unreliable (transient write/read I/O errors, degraded-throughput
 // windows, silent image corruption); the retrying storage client and
@@ -31,17 +29,14 @@
 // (0 = auto) controlling how many generations retention keeps per rank.
 // --detect-timeout=S (> 0) arms the cluster-membership service: failures
 // go through heartbeat detection, quorum eviction and coordinator election
-// instead of the oracle, with --hb-period setting the beacon period and
-// --target-coordinator aiming every strike at the elected coordinator.
-// --detector picks how suspicion forms: "binary" (fixed timeout, the
-// default) or "phi" (accrual detection adapting to the observed heartbeat
-// inter-arrivals), with --phi-threshold (suspicion level, phi units) and
-// --phi-window (inter-arrival samples); phi knobs on the binary detector
-// are rejected rather than ignored.
-// --quick shrinks the sweep for smoke testing
+// instead of the oracle, with --target-coordinator aiming every strike at
+// the elected coordinator. --detector picks how suspicion forms: "binary"
+// (fixed timeout, the default) or "phi" (accrual detection adapting to the
+// observed heartbeat inter-arrivals, at the library's threshold and
+// window). --quick shrinks the sweep for smoke testing
 // (1 app, 2 MTBF points, 2 runs). Every run verifies the application
 // digest against the failure-free baseline; the output is byte-identical
-// across repeats with the same seeds.
+// across repeats.
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -58,6 +53,11 @@
 namespace {
 
 using namespace chk;
+
+/// The failure process's cap on failures per run, and the seed its
+/// schedules are drawn from.
+constexpr std::uint32_t kMaxFailures = 6;
+constexpr std::uint64_t kCampaignSeed = 1;
 
 struct Cell {
   std::string app;
@@ -78,21 +78,12 @@ int main(int argc, char** argv) try {
   const std::vector<double> mtbf_fracs =
       bench::get_list_in(cli, "mtbf-fracs", quick ? "0.4,0.8" : "0.35,0.7,1.4", 1e-3, 1e3);
   const auto runs = static_cast<std::uint32_t>(cli.get_int("runs", quick ? 2 : 4, 1, 1000));
-  const auto max_failures =
-      static_cast<std::uint32_t>(cli.get_int("max-failures", 6, 0, 1000));
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
-  const auto checkpoints =
-      static_cast<std::uint32_t>(cli.get_int("checkpoints", 0, 0, 1'000'000));
-  const double intervals = cli.get_double("intervals", 5.0, 1e-3, 1e3);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
-  const auto campaign_seed =
-      static_cast<std::uint64_t>(cli.get_int("campaign-seed", 1, 0, bench::kMaxSeed));
+  const harness::ExperimentConfig testbed;  // the library's 8 nodes and seed
   chklib::LinkFaultConfig link_faults;
   link_faults.drop = cli.get_double("link-loss", 0.0, 0.0, 1.0);
   link_faults.duplicate = cli.get_double("link-dup", 0.0, 0.0, 1.0);
   link_faults.corrupt = cli.get_double("link-corrupt", 0.0, 0.0, 1.0);
   link_faults.delay_prob = cli.get_double("link-delay", 0.0, 0.0, 1.0);
-  link_faults.delay_mean_s = cli.get_double("link-delay-mean", 1e-3, 0.0, 1e3);
   link_faults.validate();
   xplorer::StorageFaultConfig storage_faults;
   const double io_error = cli.get_double("io-error", 0.0, 0.0, 1.0);
@@ -104,13 +95,11 @@ int main(int argc, char** argv) try {
   const auto keep_depth = static_cast<std::uint32_t>(cli.get_int("keep-depth", 0, 0, 1000));
   std::optional<chklib::membership::MembershipConfig> membership;
   const double detect_timeout = cli.get_double("detect-timeout", 0.0, 0.0, 1e3);
-  const double hb_period = cli.get_double("hb-period", 0.25, 0.0, 1e3);
   chklib::membership::MembershipConfig m;
-  bench::read_detector(cli, m);
+  m.detector = bench::read_detector(cli);
   if (detect_timeout > 0) {
     m.detect_timeout = des::Duration::seconds(detect_timeout);
-    m.hb_period = des::Duration::seconds(hb_period);
-    m.validate(nodes);
+    m.validate(testbed.machine.num_nodes);
     membership = m;
   } else if (m.detector == chklib::membership::Detector::kPhiAccrual) {
     throw std::invalid_argument(
@@ -130,19 +119,12 @@ int main(int argc, char** argv) try {
   // Failure-free baselines: the MTBF sweep and the checkpoint interval are
   // both expressed relative to each app's normal execution time, and the
   // baseline digest is the ground truth every faulted run must reproduce.
-  std::printf("Baselines (no checkpointing, %zu nodes)...\n", nodes);
-  const std::vector<harness::ExperimentResult> normal_runs =
-      util::parallel_map(app_labels.size(), [&](std::size_t a) {
-        harness::ExperimentConfig config;
-        config.label = app_labels[a];
-        config.app = harness::find_row(app_labels[a]).app;
-        config.machine.num_nodes = nodes;
-        config.seed = seed;
-        return harness::run_normal(config);
-      });
-  std::map<std::string, harness::ExperimentResult> normals;
+  std::printf("Baselines (no checkpointing, %zu nodes)...\n", testbed.machine.num_nodes);
+  std::vector<bench::Baseline> baseline_runs = util::parallel_map(
+      app_labels.size(), [&](std::size_t a) { return bench::run_baseline(app_labels[a]); });
+  std::map<std::string, bench::Baseline> baselines;
   for (std::size_t a = 0; a < app_labels.size(); ++a) {
-    normals.emplace(app_labels[a], normal_runs[a]);
+    baselines.emplace(app_labels[a], std::move(baseline_runs[a]));
   }
 
   // One campaign per (app, mtbf, scheme) cell; cells are independent, so
@@ -158,18 +140,14 @@ int main(int argc, char** argv) try {
   }
   auto campaigns = util::parallel_map(cells.size(), [&](std::size_t i) {
     const Cell& cell = cells[i];
-    const harness::ExperimentResult& normal = normals.at(cell.app);
+    const bench::Baseline& baseline = baselines.at(cell.app);
+    const harness::ExperimentResult& normal = baseline.normal;
     faultsim::CampaignConfig config;
-    config.base.label = cell.app;
-    config.base.app = harness::find_row(cell.app).app;
+    config.base = baseline.config;
     config.base.scheme = cell.scheme;
-    config.base.machine.num_nodes = nodes;
-    config.base.seed = seed;
-    config.base.checkpoints = checkpoints;
-    config.base.interval = des::Duration::seconds(normal.exec_time_s / intervals);
     config.base.faults = faultsim::FaultPlan{
         .mtbf = des::Duration::seconds(normal.exec_time_s * cell.mtbf_frac),
-        .max_failures = max_failures,
+        .max_failures = kMaxFailures,
         // The sweep always spans every scheme; independent schemes have no
         // coordinator to aim at, so they keep the uniform victim draw.
         .target_coordinator = target_coordinator && chklib::is_coordinated(cell.scheme)};
@@ -178,7 +156,7 @@ int main(int argc, char** argv) try {
     config.base.membership = membership;
     config.base.keep_depth = keep_depth;
     config.runs = runs;
-    config.campaign_seed = campaign_seed;
+    config.campaign_seed = kCampaignSeed;
     config.expected_digest = normal.digest;
     return faultsim::run_campaign(config);
   });
@@ -199,7 +177,7 @@ int main(int argc, char** argv) try {
         const faultsim::CampaignSummary& sum = cells[cell_index++].result.summary;
         all_verified = all_verified && sum.all_verified;
         const double slowdown =
-            sum.mean_completion_s / normals.at(label).exec_time_s;
+            sum.mean_completion_s / baselines.at(label).normal.exec_time_s;
         row.push_back(util::format("{} ({}x)",
                                    util::Table::fixed(sum.mean_completion_s, 1),
                                    util::Table::fixed(slowdown, 2)));
@@ -223,11 +201,11 @@ int main(int argc, char** argv) try {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("table", Value::string("campaign"));
-  doc.set("nodes", Value::number(std::uint64_t{nodes}));
+  doc.set("nodes", Value::number(std::uint64_t{testbed.machine.num_nodes}));
   doc.set("runs", Value::number(std::uint64_t{runs}));
-  doc.set("max_failures_per_run", Value::number(std::uint64_t{max_failures}));
-  doc.set("seed", Value::number(seed));
-  doc.set("campaign_seed", Value::number(campaign_seed));
+  doc.set("max_failures_per_run", Value::number(std::uint64_t{kMaxFailures}));
+  doc.set("seed", Value::number(testbed.seed));
+  doc.set("campaign_seed", Value::number(kCampaignSeed));
   doc.set("link_loss", Value::number(link_faults.drop));
   doc.set("link_dup", Value::number(link_faults.duplicate));
   doc.set("link_corrupt", Value::number(link_faults.corrupt));
@@ -264,7 +242,7 @@ int main(int argc, char** argv) try {
   Value row_array = Value::array();
   cell_index = 0;
   for (const std::string& label : app_labels) {
-    const harness::ExperimentResult& normal = normals.at(label);
+    const harness::ExperimentResult& normal = baselines.at(label).normal;
     for (double frac : mtbf_fracs) {
       Value entry = Value::object();
       entry.set("app", Value::string(label));
@@ -289,8 +267,7 @@ int main(int argc, char** argv) try {
     }
   }
   doc.set("rows", std::move(row_array));
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", json_out.c_str());
+  bench::write_bench_json(json_out, doc);
   return all_verified ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return util::usage_error(argv[0], err);

@@ -14,12 +14,14 @@
 // --quick each cell runs once and no rate is printed (its cells are too
 // small to time). The JSON artifact holds only simulation-deterministic
 // fields (event counts, trace hashes, queue high-water marks, compaction
-// counts), so repeats with the same seed are byte-identical and CI can
-// `cmp` them across commits.
+// counts), so repeats are byte-identical and CI can `cmp` them across
+// commits.
 //
 //   ./kernel_throughput [--ranks=8,64,256] [--churn=0,8] [--iters=300]
-//                       [--payload=32] [--seed=2026]
 //                       [--json-out=BENCH_kernel.json] [--quick]
+//
+// Every message carries a 32-byte payload, and think times derive from
+// seed 2026.
 //
 // Invariants checked in-driver (the run fails otherwise):
 //   * tracing on/off never changes trace_hash or the executed-event count;
@@ -32,7 +34,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <chrono>  // chklint:allow(no-ambient-nondeterminism): wall-clock events/sec is the measurement; none of it reaches the JSON artifact.
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,13 +55,15 @@ namespace {
 
 using namespace chk;
 
+/// Payload bytes of every message, and the seed of the think times.
+constexpr std::size_t kPayloadBytes = 32;
+constexpr std::uint64_t kSeed = 2026;
+
 struct CellConfig {
   std::size_t ranks = 8;
   std::size_t churn = 0;  ///< watchdog-style timers re-armed per iteration
   bool tracing = false;
   std::size_t iters = 300;
-  std::size_t payload = 32;
-  std::uint64_t seed = 2026;
 };
 
 struct CellResult {
@@ -100,8 +103,8 @@ std::string rate_spread(std::vector<double> rates) {
 /// Deterministic per-(rank, iteration) think-time in [1, 5] us: enough
 /// spread that sends interleave rather than batch, pure arithmetic so the
 /// schedule is a function of the seed alone.
-des::Duration think_time(std::uint64_t seed, std::size_t rank, std::size_t iter) {
-  std::uint64_t state = seed ^ (static_cast<std::uint64_t>(rank) << 32) ^ iter;
+des::Duration think_time(std::size_t rank, std::size_t iter) {
+  std::uint64_t state = kSeed ^ (static_cast<std::uint64_t>(rank) << 32) ^ iter;
   const std::uint64_t h = util::splitmix64(state);
   return des::Duration::nanos(1'000 + static_cast<std::int64_t>(h % 4'000));
 }
@@ -127,12 +130,12 @@ CellResult run_cell(const CellConfig& cc) {
     watchdogs[r].resize(cc.churn);
     sim.spawn(util::format("rank{}", r), [&, r](des::Process& self) {
       for (std::size_t i = 0; i < cc.iters; ++i) {
-        self.delay(think_time(cc.seed, r, i));
+        self.delay(think_time(r, i));
         chklib::Envelope env;
         env.src = r;
         env.dst = (r + 1) % cc.ranks;
         env.seq = i;
-        env.payload.resize(cc.payload);
+        env.payload.resize(kPayloadBytes);
         transport.send_app(std::move(env));
         // Watchdog churn: cancel last iteration's timers, arm fresh ones
         // far in the future. None ever fires — each becomes a dead heap
@@ -195,9 +198,6 @@ int main(int argc, char** argv) try {
   const std::vector<std::size_t> churns = get_sizes(cli, "churn", "0,8", 0, 1024);
   const auto iters =
       static_cast<std::size_t>(cli.get_int("iters", quick ? 60 : 300, 1, 1'000'000));
-  const auto payload = static_cast<std::size_t>(cli.get_int("payload", 32, 0, 4096));
-  const auto seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", 2026, 0, std::numeric_limits<std::int64_t>::max()));
   const std::string json_out = cli.get("json-out", "BENCH_kernel.json");
   cli.reject_unread();
 
@@ -213,8 +213,7 @@ int main(int argc, char** argv) try {
   for (const std::size_t r : ranks) {
     for (const std::size_t c : churns) {
       Row row;
-      row.config = CellConfig{.ranks = r, .churn = c, .tracing = false,
-                              .iters = iters, .payload = payload, .seed = seed};
+      row.config = CellConfig{.ranks = r, .churn = c, .tracing = false, .iters = iters};
       CellConfig traced_config = row.config;
       traced_config.tracing = true;
       for (int run = 0; run < (quick ? 1 : kTimedRuns); ++run) {
@@ -301,9 +300,9 @@ int main(int argc, char** argv) try {
   // Deterministic artifact: simulation-schedule facts only (no wall clock).
   obs::json::Value doc = obs::json::Value::object();
   doc.set("table", obs::json::Value::string("kernel_throughput"));
-  doc.set("seed", obs::json::Value::number(seed));
+  doc.set("seed", obs::json::Value::number(kSeed));
   doc.set("iters", obs::json::Value::number(static_cast<std::uint64_t>(iters)));
-  doc.set("payload", obs::json::Value::number(static_cast<std::uint64_t>(payload)));
+  doc.set("payload", obs::json::Value::number(std::uint64_t{kPayloadBytes}));
   doc.set("all_ok", obs::json::Value::boolean(all_ok));
   obs::json::Value cells = obs::json::Value::array();
   for (const Row& row : rows) {

@@ -7,14 +7,14 @@
 // interference). The paper's central finding shows up directly: the
 // stable-storage write dominates and the synchronization share is small.
 //
-//   ./overhead_breakdown [--n=256] [--iters=60] [--nodes=8] [--checkpoints=3]
-//                        [--interval-s=<auto>] [--seed=2026]
-//                        [--trace-out=<file>] [--metrics-out=<file>]
-//                        [--trace-scheme=Coord_NBM] [--json-out=<file>]
+//   ./overhead_breakdown [--n=256] [--iters=60] [--trace-out=<file>]
+//                        [--metrics-out=<file>] [--json-out=<file>]
 //
-// --trace-out writes the selected scheme's run as Chrome/Perfetto trace
-// JSON (load with ui.perfetto.dev); --metrics-out writes its metrics
-// snapshot + attribution; --json-out (default BENCH_overhead_breakdown.json)
+// Every run is on the paper's 8 nodes with its three checkpoints, at an
+// interval of the NORMAL execution time / 4. --trace-out writes the
+// Coord_NBM run as Chrome/Perfetto trace JSON (load with
+// ui.perfetto.dev); --metrics-out writes its metrics snapshot +
+// attribution; --json-out (default BENCH_overhead_breakdown.json)
 // collects every scheme's breakdown machine-readably. Exits 1, after
 // writing every file, if any scheme's digest differs from its NORMAL run.
 #include <algorithm>
@@ -31,6 +31,9 @@
 namespace {
 
 using namespace chk;
+
+/// The scheme whose run --trace-out and --metrics-out export.
+constexpr harness::Scheme kTracedScheme = harness::Scheme::kCoordNBM;
 
 obs::json::Value scheme_json(const harness::ExperimentResult& result,
                              const harness::ExperimentResult& normal) {
@@ -55,30 +58,16 @@ int main(int argc, char** argv) try {
       .n = static_cast<std::size_t>(cli.get_int("n", 256, 1, 4096)),
       .iterations = static_cast<std::uint32_t>(cli.get_int("iters", 60, 1, 1'000'000)),
   });
-  base.machine.num_nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 1024));
-  base.checkpoints = static_cast<std::uint32_t>(cli.get_int("checkpoints", 3, 0, 1'000'000));
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   base.observe = true;
-  const bool fixed_interval = cli.has("interval-s");
-  const double interval_s = cli.get_double("interval-s", 30.0, 1e-3, 1e6);
-  const std::string trace_scheme = cli.get("trace-scheme", "Coord_NBM");
   const std::string trace_out = cli.get("trace-out", "");
   const std::string metrics_out = cli.get("metrics-out", "");
   const std::string json_out = cli.get("json-out", "BENCH_overhead_breakdown.json");
   cli.reject_unread();
   const auto& schemes = bench::all_schemes();
-  const auto traced =
-      std::find_if(schemes.begin(), schemes.end(),
-                   [&](harness::Scheme scheme) { return to_string(scheme) == trace_scheme; });
-  if (traced == schemes.end()) {
-    throw std::invalid_argument("--trace-scheme=" + trace_scheme +
-                                " is not a checkpointing scheme");
-  }
 
   std::printf("Baseline run (no checkpointing, %zu nodes)...\n", base.machine.num_nodes);
   const auto normal = harness::run_normal(base);
-  base.interval = des::Duration::seconds(
-      fixed_interval ? interval_s : normal.exec_time_s / (base.checkpoints + 1.0));
+  base.interval = des::Duration::seconds(normal.exec_time_s / (base.checkpoints + 1.0));
 
   // Every scheme's run is independent: fan out, then report in fixed order.
   const auto results = util::parallel_map(schemes.size(), [&](std::size_t s) {
@@ -119,18 +108,20 @@ int main(int argc, char** argv) try {
              stdout);
 
   // Detailed exports for one selected scheme.
-  const harness::ExperimentResult& selected =
-      results[static_cast<std::size_t>(traced - schemes.begin())];
+  const harness::ExperimentResult& selected = *std::find_if(
+      results.begin(), results.end(),
+      [](const harness::ExperimentResult& result) { return result.scheme == kTracedScheme; });
+  const std::string traced_name(to_string(kTracedScheme));
   if (!trace_out.empty()) {
     obs::write_text_file(
         trace_out, obs::to_chrome_trace(selected.obs->trace, base.machine.num_nodes).dump());
     std::printf("\nWrote %s (%s, %zu events; open with ui.perfetto.dev)\n",
-                trace_out.c_str(), trace_scheme.c_str(), selected.obs->trace.events.size());
+                trace_out.c_str(), traced_name.c_str(), selected.obs->trace.events.size());
   }
   if (!metrics_out.empty()) {
     using obs::json::Value;
     Value doc = Value::object();
-    doc.set("scheme", Value::string(trace_scheme));
+    doc.set("scheme", Value::string(traced_name));
     doc.set("metrics", obs::metrics_to_json(selected.obs->metrics));
     doc.set("attribution", obs::attribution_to_json(selected.obs->attribution));
     obs::write_text_file(metrics_out, doc.dump() + "\n");

@@ -2,20 +2,18 @@
 // request-serving workload feels — tail latency SLOs — instead of batch
 // completion time.
 //
-// Each cell hosts the sharded KV service (src/svc) on `--nodes` ranks,
+// Each cell hosts the sharded KV service (src/svc) on the paper's 8 ranks,
 // drives it with an open-loop Poisson client population at one arrival
-// rate, runs one checkpoint scheme, and (at faulty points) a Poisson crash
-// process with the given MTBF. Per-request end-to-end latency is measured
-// against the *scheduled* arrival instant, so freezes, checkpoint drains
-// and recovery windows land in the tail exactly as a live population would
-// experience them. Every run must reproduce the simulator-free LWW
+// rate for a 4 s horizon, runs one checkpoint scheme every 0.8 s, and (at
+// faulty points) a Poisson crash process with the given MTBF and at most
+// 2 failures. Per-request end-to-end latency is measured against the
+// *scheduled* arrival instant, so freezes, checkpoint drains and recovery
+// windows land in the tail exactly as a live population would experience
+// them. Every run must reproduce the simulator-free LWW
 // reference digest — faults may cost latency, never data.
 //
-//   ./svc_latency [--nodes=8] [--rates=200,400] [--mtbfs=0,1.5]
-//                 [--horizon=4] [--interval=0.8] [--max-failures=2]
-//                 [--membership] [--detector=binary|phi] [--detect-timeout=0.6]
-//                 [--hb-period=0.25] [--phi-threshold=8] [--phi-window=32]
-//                 [--seed=2026] [--json-out=BENCH_svc.json] [--quick]
+//   ./svc_latency [--rates=200,400] [--mtbfs=0,1.5] [--membership]
+//                 [--detector=binary|phi] [--json-out=BENCH_svc.json] [--quick]
 //
 // --rates are per-rank arrival rates (Hz); --mtbfs are crash-process MTBFs
 // in seconds, 0 = fault-free. --membership puts the cluster-membership
@@ -24,10 +22,10 @@
 // oracle-reported), and a second section kills the elected coordinator
 // mid-traffic for every scheme — one view change, measured detection
 // latency, and the membership_wait attribution bucket keeping the
-// blocked-time partition exact. --detector picks binary or phi-accrual
-// suspicion (phi knobs with --detector=binary are rejected). --quick
-// shrinks the sweep to one rate and {fault-free, one faulty} points.
-// Output is byte-identical across repeats with the same seed.
+// blocked-time partition exact. Detection times out after 0.6 s;
+// --detector picks binary or phi-accrual suspicion and needs
+// --membership. --quick shrinks the sweep to one rate and {fault-free,
+// one faulty} points. Output is byte-identical across repeats.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -46,6 +44,15 @@
 namespace {
 
 using namespace chk;
+
+/// Each cell's request horizon, checkpoint interval and cap on crashes.
+constexpr double kHorizonS = 4.0;
+constexpr double kIntervalS = 0.8;
+constexpr std::uint32_t kMaxFailures = 2;
+/// The membership detection timeout. Aggressive: the horizon is seconds,
+/// so detection at the lax 2 s default would dominate every faulty cell's
+/// tail. The links are clean here — storms need loss — so 0.6 s is safe.
+constexpr double kDetectTimeoutS = 0.6;
 
 /// One cell of the sweep: the experiment outcome plus the merged workload
 /// metrics rank 0 deposited at drain.
@@ -84,40 +91,28 @@ int main(int argc, char** argv) try {
       bench::get_list_in(cli, "rates", quick ? "300" : "200,400", 1.0, 1e6);
   const std::vector<double> mtbfs = bench::get_list_in(cli, "mtbfs", "0,1.5", 0.0, 1e9);
   std::optional<chklib::membership::MembershipConfig> membership;
-  const bool membership_on = cli.get_bool("membership", false);
-  if (!membership_on) {
-    for (const char* flag :
-         {"detector", "detect-timeout", "hb-period", "phi-threshold", "phi-window"}) {
-      if (cli.has(flag)) {
-        throw std::invalid_argument(std::string("--") + flag +
-                                    " needs --membership (there is no detector "
-                                    "to configure without it)");
-      }
-    }
-  } else {
+  if (cli.get_bool("membership", false)) {
     chklib::membership::MembershipConfig m;
-    bench::read_detector(cli, m);
-    // Aggressive by default: the svc horizon is seconds, so detection at
-    // the lax 2 s default would dominate every faulty cell's tail. The
-    // links are clean here — storms need loss — so 0.6 s is safe.
-    m.detect_timeout =
-        des::Duration::seconds(cli.get_double("detect-timeout", 0.6, 0.0, 1e3));
-    m.hb_period = des::Duration::seconds(cli.get_double("hb-period", 0.25, 0.0, 1e3));
+    m.detector = bench::read_detector(cli);
+    m.detect_timeout = des::Duration::seconds(kDetectTimeoutS);
     membership = m;
+  } else if (cli.has("detector")) {
+    throw std::invalid_argument(
+        "--detector needs --membership (there is no detector to configure without it)");
   }
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 8, 1, 64));
-  const double horizon = cli.get_double("horizon", 4.0, 1e-3, 1e3);
-  const double interval = cli.get_double("interval", 0.8, 1e-3, 1e3);
-  const auto max_failures =
-      static_cast<std::uint32_t>(cli.get_int("max-failures", 2, 0, 1000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026, 0, bench::kMaxSeed));
   const std::string json_out = cli.get("json-out", "BENCH_svc.json");
   cli.reject_unread();
-  if (membership.has_value()) membership->validate(nodes);
   const std::vector<harness::Scheme>& schemes = bench::paper_schemes();
 
+  // What every cell shares: the paper's machine and seed, checkpointing
+  // until the service drains, and the membership layer when it is on.
+  harness::ExperimentConfig base;
+  base.interval = des::Duration::seconds(kIntervalS);
+  base.checkpoints = 0;
+  base.membership = membership;
+  const std::size_t nodes = base.machine.num_nodes;
   svc::SvcParams base_params;
-  base_params.horizon_s = horizon;
+  base_params.horizon_s = kHorizonS;
 
   // Every cell must land on this digest: the shard contents are a pure
   // function of the generated request set (LWW), so scheme and fault
@@ -127,7 +122,7 @@ int main(int argc, char** argv) try {
   for (const double rate : rates) {
     svc::SvcParams p = base_params;
     p.arrival_hz = rate;
-    references.push_back(svc::svc_reference_digest(p, nodes, seed));
+    references.push_back(svc::svc_reference_digest(p, nodes, base.seed));
   }
 
   const std::size_t columns = schemes.size();
@@ -138,18 +133,14 @@ int main(int argc, char** argv) try {
         svc::SvcParams params = base_params;
         params.arrival_hz = rate;
         params.sink = std::make_shared<svc::SvcMetrics>();
-        harness::ExperimentConfig config;
+        harness::ExperimentConfig config = base;
         config.label = util::format("svc-{}hz", rate);
         config.app = svc::make_svc(params);
         config.scheme = schemes[i % columns];
-        config.interval = des::Duration::seconds(interval);
-        config.checkpoints = 0;  // keep checkpointing until the service drains
-        config.seed = seed;
-        config.membership = membership;
         if (mtbf > 0) {
           faultsim::FaultPlan crashes;
           crashes.mtbf = des::Duration::seconds(mtbf);
-          crashes.max_failures = max_failures;
+          crashes.max_failures = kMaxFailures;
           crashes.stream = 1;
           config.faults = crashes;
         }
@@ -167,17 +158,13 @@ int main(int argc, char** argv) try {
         svc::SvcParams params = base_params;
         params.arrival_hz = rates.front();
         params.sink = std::make_shared<svc::SvcMetrics>();
-        harness::ExperimentConfig config;
+        harness::ExperimentConfig config = base;
         config.label = util::format("svc-kill-{}hz", rates.front());
         config.app = svc::make_svc(params);
         config.scheme = schemes[s];
-        config.interval = des::Duration::seconds(interval);
-        config.checkpoints = 0;
-        config.seed = seed;
-        config.membership = membership;
         config.observe = true;
         config.failure = harness::FailureSpec{
-            des::TimePoint::origin() + des::Duration::seconds(horizon * 0.5), 0};
+            des::TimePoint::origin() + des::Duration::seconds(kHorizonS * 0.5), 0};
         return run_cell(config, params);
       });
   // Exactness of the attribution partition: every rank's bucket sum must
@@ -243,8 +230,8 @@ int main(int argc, char** argv) try {
               "Poisson arrivals per rank, horizon {} s, checkpoint interval "
               "{} s, crash MTBF per row (0 = fault-free, <= {} failures); "
               "digests + invariants + open-loop conservation verified: {})",
-              nodes, util::Table::fixed(horizon, 1), util::Table::fixed(interval, 1),
-              max_failures, all_ok ? "yes" : "NO"))
+              nodes, util::Table::fixed(kHorizonS, 1), util::Table::fixed(kIntervalS, 1),
+              kMaxFailures, all_ok ? "yes" : "NO"))
           .c_str(),
       stdout);
 
@@ -280,7 +267,7 @@ int main(int argc, char** argv) try {
                 "change), tail latency absorbs detection + recovery, and the "
                 "membership_wait bucket keeps the per-rank blocked-time "
                 "partition exact",
-                util::Table::fixed(horizon * 0.5, 1), util::Table::fixed(rates.front(), 0),
+                util::Table::fixed(kHorizonS * 0.5, 1), util::Table::fixed(rates.front(), 0),
                 chklib::membership::to_string(membership->detector)))
             .c_str(),
         stdout);
@@ -290,10 +277,10 @@ int main(int argc, char** argv) try {
   Value doc = Value::object();
   doc.set("table", Value::string("svc_latency"));
   doc.set("nodes", Value::number(std::uint64_t{nodes}));
-  doc.set("seed", Value::number(seed));
-  doc.set("horizon_s", Value::number(horizon));
-  doc.set("interval_s", Value::number(interval));
-  doc.set("max_failures", Value::number(std::uint64_t{max_failures}));
+  doc.set("seed", Value::number(base.seed));
+  doc.set("horizon_s", Value::number(kHorizonS));
+  doc.set("interval_s", Value::number(kIntervalS));
+  doc.set("max_failures", Value::number(std::uint64_t{kMaxFailures}));
   doc.set("membership", Value::boolean(membership.has_value()));
   doc.set("detector",
           Value::string(membership.has_value()
@@ -399,8 +386,7 @@ int main(int argc, char** argv) try {
     }
     doc.set("coordinator_kill", std::move(kill_array));
   }
-  obs::write_text_file(json_out, doc.dump() + "\n");
-  std::printf("\nWrote %s\n", json_out.c_str());
+  bench::write_bench_json(json_out, doc);
   return all_ok ? 0 : 1;
 } catch (const std::invalid_argument& err) {
   return util::usage_error(argv[0], err);

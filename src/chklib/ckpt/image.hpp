@@ -20,6 +20,9 @@ struct SendRecord {
   Rank dst = 0;
   std::uint64_t seq = 0;
   std::uint32_t interval = 0;
+  /// Always zero. Images store records as raw bytes, so the tail padding
+  /// gets a name and a value; unnamed, those 4 bytes would be indeterminate.
+  std::uint32_t unused = 0;
 };
 
 /// A message delivered during interval `recv_interval` that was sent by
@@ -67,6 +70,10 @@ struct CheckpointImage {
 
   [[nodiscard]] std::vector<std::byte> serialize() const;
   [[nodiscard]] static CheckpointImage deserialize(std::span<const std::byte> blob);
+  /// Whether `blob` has an intact image envelope: the magic, and a checksum
+  /// that matches the body, nested sent log included. Copies nothing out;
+  /// for a blob serialize() wrote, true exactly when deserialize() succeeds.
+  [[nodiscard]] static bool verify(std::span<const std::byte> blob);
 };
 
 

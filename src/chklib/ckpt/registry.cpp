@@ -39,6 +39,11 @@ std::size_t CheckpointRegistry::state_bytes() const noexcept {
 
 std::vector<std::byte> CheckpointRegistry::capture() const {
   util::ByteWriter writer;
+  std::size_t bytes = sizeof(std::uint32_t) + state_bytes();
+  for (const auto& region : regions_) {
+    bytes += 2 * sizeof(std::uint64_t) + region.name.size();  // name and data lengths
+  }
+  writer.reserve(bytes);
   writer.put<std::uint32_t>(static_cast<std::uint32_t>(regions_.size()));
   for (const auto& region : regions_) {
     writer.put_string(region.name);

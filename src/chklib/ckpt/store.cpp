@@ -113,6 +113,11 @@ std::optional<CheckpointImage> CheckpointStore::try_peek_image(Rank rank,
   }
 }
 
+bool CheckpointStore::verify_image(Rank rank, std::uint32_t index) const {
+  const std::string key = image_key(rank, index);
+  return storage_->exists(key) && CheckpointImage::verify(storage_->peek(key));
+}
+
 void CheckpointStore::erase(Rank rank, std::uint32_t index) {
   storage_->erase(image_key(rank, index));
   storage_->erase(log_key(rank, index));

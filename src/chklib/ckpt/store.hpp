@@ -81,11 +81,9 @@ class CheckpointStore {
   /// the image is missing or fails its CHK3 verification (bit-rot).
   [[nodiscard]] std::optional<CheckpointImage> try_peek_image(Rank rank,
                                                              std::uint32_t index) const;
-  /// True when the image exists and its checksum verifies (free check —
+  /// True when the image exists and its envelope verifies (free check —
   /// the GC precondition before pruning an older generation).
-  [[nodiscard]] bool verify_image(Rank rank, std::uint32_t index) const {
-    return try_peek_image(rank, index).has_value();
-  }
+  [[nodiscard]] bool verify_image(Rank rank, std::uint32_t index) const;
   void erase(Rank rank, std::uint32_t index);
   [[nodiscard]] std::uint64_t bytes_for(Rank rank) const;
   [[nodiscard]] std::uint64_t total_checkpoint_bytes() const;

@@ -66,25 +66,14 @@ Envelope Endpoint::consume_match(des::Process& self, int src, int tag,
   return std::move(*env);
 }
 
-Envelope Endpoint::recv(des::Process& self, int src, int tag) {
+std::optional<Envelope> Endpoint::wait_match(des::Process& self, int src, int tag,
+                                             std::optional<des::TimePoint> deadline) {
   std::int64_t wait_start_ns = -1;  // first suspension instant, if any
   for (;;) {
     if (peek_match(src, tag) != nullptr) {
       return consume_match(self, src, tag, wait_start_ns);
     }
-    if (wait_start_ns < 0) wait_start_ns = sim_->now().to_nanos();
-    recv_waiters_.park(self);
-  }
-}
-
-std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint deadline,
-                                             int src, int tag) {
-  std::int64_t wait_start_ns = -1;
-  for (;;) {
-    if (peek_match(src, tag) != nullptr) {
-      return consume_match(self, src, tag, wait_start_ns);
-    }
-    if (sim_->now() >= deadline) {
+    if (deadline.has_value() && sim_->now() >= *deadline) {
       obs::Tracer* tracer = sim_->tracer();
       if (tracer != nullptr && wait_start_ns >= 0) {
         tracer->span(obs::EventKind::kRecvWait, static_cast<std::uint16_t>(rank_),
@@ -93,13 +82,26 @@ std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint 
       return std::nullopt;
     }
     if (wait_start_ns < 0) wait_start_ns = sim_->now().to_nanos();
+    if (!deadline.has_value()) {
+      recv_waiters_.park(self);
+      continue;
+    }
     // The deadline wakes this process only if it is still parked here: a
     // kill unhooks it first, and the fired timer's wake then finds nothing.
     des::EventHandle timer =
-        sim_->schedule_at(deadline, [this, &self] { recv_waiters_.wake(self); });
+        sim_->schedule_at(*deadline, [this, &self] { recv_waiters_.wake(self); });
     recv_waiters_.park(self);
     timer.cancel();
   }
+}
+
+Envelope Endpoint::recv(des::Process& self, int src, int tag) {
+  return *wait_match(self, src, tag, std::nullopt);
+}
+
+std::optional<Envelope> Endpoint::recv_until(des::Process& self, des::TimePoint deadline,
+                                             int src, int tag) {
+  return wait_match(self, src, tag, deadline);
 }
 
 bool Endpoint::probe(int src, int tag) const {

@@ -126,6 +126,10 @@ class Endpoint {
   }
   std::optional<Envelope> take_match(int src, int tag);
   [[nodiscard]] const Envelope* peek_match(int src, int tag) const;
+  /// The wait loop of recv (no deadline: no timer is armed) and recv_until
+  /// (nullopt once the clock reaches the deadline).
+  std::optional<Envelope> wait_match(des::Process& self, int src, int tag,
+                                     std::optional<des::TimePoint> deadline);
   /// Shared tail of recv/recv_until: charge receive CPU cost, remove the
   /// (guaranteed present) match and run the consumption bookkeeping.
   Envelope consume_match(des::Process& self, int src, int tag,

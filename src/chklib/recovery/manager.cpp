@@ -11,42 +11,26 @@
 namespace chk::chklib {
 
 void RecoveryManager::inject_failure_at(des::TimePoint when, Rank rank) {
-  rt_->sim().schedule_at(when, [this, rank] {
-    if (rt_->apps_done()) return;
-    // Timed failures are crashes like any other: with a membership service
-    // installed the victim goes silent and the cluster must detect it.
-    if (interceptor_ && interceptor_(rank)) return;
-    on_failure(rank);
-  });
+  // Timed failures are crashes like any other: with a membership service
+  // installed the victim goes silent and the cluster must detect it.
+  rt_->sim().schedule_at(when, [this, rank] { fail(rank, /*intercept=*/true); });
 }
 
-void RecoveryManager::fail_now(Rank rank) {
+void RecoveryManager::fail_now(Rank rank) { fail(rank, /*intercept=*/true); }
+
+void RecoveryManager::recover_now(Rank rank) { fail(rank, /*intercept=*/false); }
+
+void RecoveryManager::fail(Rank rank, bool intercept) {
   if (rt_->apps_done()) return;
   if (rt_->sim().current() != nullptr) {
     // Called from a process body (e.g. off a storage write hook fired inside
     // write_blocking). Both the interceptor (it may kill the caller's own
     // rank) and on_failure (it kills every application process — including,
     // possibly, the caller) must run in kernel context, so defer one event.
-    rt_->sim().schedule_now([this, rank] {
-      if (rt_->apps_done()) return;
-      if (interceptor_ && interceptor_(rank)) return;
-      on_failure(rank);
-    });
+    rt_->sim().schedule_now([this, rank, intercept] { fail(rank, intercept); });
     return;
   }
-  if (interceptor_ && interceptor_(rank)) return;
-  on_failure(rank);
-}
-
-void RecoveryManager::recover_now(Rank rank) {
-  if (rt_->apps_done()) return;
-  if (rt_->sim().current() != nullptr) {
-    rt_->sim().schedule_now([this, rank] {
-      if (rt_->apps_done()) return;
-      on_failure(rank);
-    });
-    return;
-  }
+  if (intercept && interceptor_ && interceptor_(rank)) return;
   on_failure(rank);
 }
 

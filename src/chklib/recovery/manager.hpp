@@ -142,6 +142,10 @@ class RecoveryManager {
   [[nodiscard]] const std::vector<RecoveryReport>& reports() const noexcept { return reports_; }
 
  private:
+  /// The body of inject_failure_at, fail_now and recover_now: a no-op once
+  /// the apps are done; from process context, deferred one event; then the
+  /// interceptor (when `intercept`) or on_failure.
+  void fail(Rank rank, bool intercept);
   void on_failure(Rank failed);
   void abort_active_recovery();
   /// Compute the line against the current stable-storage state, reset the

@@ -1,6 +1,6 @@
 #include "obs/tracer.hpp"
 
-#include <cstring>
+#include <utility>
 
 namespace chk::obs {
 
@@ -25,12 +25,6 @@ constexpr std::uint64_t mix_event(std::uint64_t h, const Event& e) noexcept {
   return h;
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
 }  // namespace
 
 std::uint64_t hash_events(const std::vector<Event>& events) noexcept {
@@ -39,39 +33,11 @@ std::uint64_t hash_events(const std::vector<Event>& events) noexcept {
   return h;
 }
 
-std::vector<std::byte> Trace::serialize() const {
-  std::vector<std::byte> out;
-  out.reserve(16 + events.size() * sizeof(Event));
-  put_u64(out, events.size());
-  put_u64(out, hash);
-  for (const Event& e : events) {
-    put_u64(out, static_cast<std::uint64_t>(e.t_ns));
-    put_u64(out, static_cast<std::uint64_t>(e.dur_ns));
-    put_u64(out, e.aux);
-    put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint16_t>(e.kind)) |
-                     static_cast<std::uint64_t>(e.rank) << 16 |
-                     static_cast<std::uint64_t>(e.arg) << 32);
-  }
-  return out;
-}
-
-void Tracer::emit(const Event& event) {
-  if (chunks_.empty() || chunks_.back()->size() == kChunkEvents) {
-    chunks_.push_back(std::make_unique<std::vector<Event>>());
-    chunks_.back()->reserve(kChunkEvents);
-  }
-  chunks_.back()->push_back(event);
-  ++count_;
-  hash_ = mix_event(hash_, event);
-}
-
-Trace Tracer::take() const {
+Trace Tracer::take() {
   Trace trace;
-  trace.events.reserve(count_);
-  for (const auto& chunk : chunks_) {
-    trace.events.insert(trace.events.end(), chunk->begin(), chunk->end());
-  }
-  trace.hash = hash_;
+  trace.events = std::move(events_);
+  events_.clear();  // a moved-from vector is valid but unspecified
+  trace.hash = hash_events(trace.events);
   return trace;
 }
 

@@ -47,6 +47,16 @@ class ByteWriter {
     buffer_.insert(buffer_.end(), raw, raw + v.size() * sizeof(T));
   }
 
+  /// Overwrites the sizeof(T) bytes at `offset`, which an earlier put wrote
+  /// (a placeholder whose value is known only once more has followed).
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void put_at(std::size_t offset, const T& value) {
+    std::memcpy(buffer_.data() + offset, &value, sizeof(T));
+  }
+
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept { return buffer_; }
   [[nodiscard]] std::vector<std::byte> take() noexcept { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }

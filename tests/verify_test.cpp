@@ -35,6 +35,7 @@
 #include "chklib/verify/oracle.hpp"
 #include "des/simulator.hpp"
 #include "harness/experiment.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -485,6 +486,29 @@ std::vector<std::byte> reseal_as_version_two(std::span<const std::byte> blob,
   writer.put(fnv1a);
   writer.put_bytes(body);
   return writer.take();
+}
+
+// The blob format is fixed: the sample blobs' sizes and the hashes of
+// their bytes must not move when the writer changes.
+TEST(Integrity, SampleBlobBytesArePinned) {
+  const auto image = sample_image().serialize();
+  EXPECT_EQ(image.size(), 314u);
+  EXPECT_EQ(util::hash_bytes(image), 0x7dbe3969a5efe218ull);
+  const auto log = sample_log().serialize();
+  EXPECT_EQ(log.size(), 114u);
+  EXPECT_EQ(util::hash_bytes(log), 0xb9d8edee0b1909afull);
+}
+
+TEST(Integrity, VerifyRejectsWhatDeserializeRejects) {
+  const auto blob = sample_image().serialize();
+  expect_every_bit_flip_rejected(blob, [](const std::vector<std::byte>& b) {
+    if (!chklib::CheckpointImage::verify(b)) throw util::SerializeError("verify: rejected");
+    return true;
+  });
+  auto truncated = blob;
+  truncated.pop_back();
+  EXPECT_FALSE(chklib::CheckpointImage::verify(truncated));
+  EXPECT_FALSE(chklib::CheckpointImage::verify(sample_log().serialize()));  // wrong magic
 }
 
 TEST(Integrity, VersionTwoBlobsAreRejected) {
