@@ -32,14 +32,13 @@ void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffi
   const std::size_t packets = bytes == 0 ? 1 : (bytes + packet - 1) / packet;
   const std::uint32_t id = acquire();
   InFlight& record = in_flight_[id];
-  topology_.route(src, dst, record.route);
   record.packets_remaining = packets;
   record.on_delivered = std::move(on_delivered);
   std::size_t remaining = bytes;
   for (std::size_t p = 0; p < packets; ++p) {
     const std::size_t chunk = (bytes == 0) ? 0 : std::min(packet, remaining);
     remaining -= chunk;
-    forward(id, 0, chunk);
+    forward(id, static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst), chunk);
   }
 }
 
@@ -58,13 +57,15 @@ void Network::release(std::uint32_t id) noexcept {
   free_head_ = id;
 }
 
-void Network::forward(std::uint32_t id, std::uint32_t hop, std::size_t bytes) {
-  InFlight& record = in_flight_[id];
-  if (hop < record.route.size()) {
-    links_[record.route[hop]]->submit(bytes,
-                                      [this, id, hop, bytes] { forward(id, hop + 1, bytes); });
+void Network::forward(std::uint32_t id, std::uint32_t at, std::uint32_t dst,
+                      std::size_t bytes) {
+  if (at != dst) {
+    const LinkId link = topology_.next_link(at, dst);
+    const auto next = static_cast<std::uint32_t>(topology_.edge(link).to);
+    links_[link]->submit(bytes, [this, id, next, dst, bytes] { forward(id, next, dst, bytes); });
     return;
   }
+  InFlight& record = in_flight_[id];
   if (--record.packets_remaining > 0) return;
   // The callback may start a transfer that takes this very record, so
   // release it first and touch it no more.

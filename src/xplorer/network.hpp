@@ -8,13 +8,14 @@
 // every shared queue first).
 //
 // Hot path (most events of a large run are packet hops): each in-flight
-// transfer is a pooled record (index plus free list) that owns its route
-// buffer (written by Topology::route), its packet count and its delivery
-// callback. A hop's callback captures only (this, record, hop, bytes), so
-// it stays inside des::InlineFn's inline buffer; once the pool and the
-// route buffers have grown to the peak load, a hop through an idle link
-// allocates nothing. A record is released before its delivery callback
-// runs, so the callback may start a transfer that reuses it.
+// transfer is a pooled record (index plus free list) that holds only its
+// packet count and its delivery callback. A hop's callback captures (this,
+// record, node, destination, bytes) and asks Topology::next_link for the
+// next link, so it keeps no route and stays inside des::InlineFn's inline
+// buffer; once the pool has grown to the peak load, a hop through an idle
+// link allocates nothing, and the record is read only when a packet
+// reaches its destination. A record is released before its delivery
+// callback runs, so the callback may start a transfer that reuses it.
 //
 // The trace hash pins the schedule: every packet is submitted to its first
 // link when the transfer starts, each hop is submitted when the previous
@@ -68,10 +69,8 @@ class Network {
   [[nodiscard]] des::Duration total_link_busy() const noexcept;
 
  private:
-  /// One in-flight transfer. Records are recycled; `route` keeps its
-  /// capacity across uses.
+  /// One in-flight transfer. Records are recycled.
   struct InFlight {
-    std::vector<LinkId> route;
     std::size_t packets_remaining = 0;
     des::InlineFn on_delivered;
     std::uint32_t next_free = 0;
@@ -81,8 +80,8 @@ class Network {
 
   [[nodiscard]] std::uint32_t acquire();
   void release(std::uint32_t id) noexcept;
-  /// One packet of transfer `id` has crossed `hop` links.
-  void forward(std::uint32_t id, std::uint32_t hop, std::size_t bytes);
+  /// One packet of transfer `id`, bound for `dst`, is at node `at`.
+  void forward(std::uint32_t id, std::uint32_t at, std::uint32_t dst, std::size_t bytes);
 
   des::Simulator* sim_;
   MachineConfig config_;

@@ -77,8 +77,8 @@ TEST(FifoServer, CallbackCapturesAreReleasedAfterTheJob) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-// The routes as built before parent links: BFS from src over neighbours
-// in ascending id, parent links walked back from dst.
+// The oracle for Topology's per-hop rule: BFS from src over neighbours in
+// ascending id, parent links walked back from dst.
 std::vector<std::vector<LinkId>> reference_routes(const Topology& topo) {
   const std::size_t n = topo.num_nodes();
   std::vector<std::vector<std::pair<NodeId, LinkId>>> adjacency(n);
@@ -116,7 +116,7 @@ std::vector<std::vector<LinkId>> reference_routes(const Topology& topo) {
 }
 
 TEST(Topology, RoutesMatchTheReferenceOnEveryKind) {
-  constexpr std::array<std::size_t, 8> kSizes{1, 2, 3, 5, 8, 9, 16, 64};
+  constexpr std::array<std::size_t, 12> kSizes{1, 2, 3, 4, 5, 6, 8, 9, 16, 64, 255, 256};
   for (const std::size_t n : kSizes) {
     SCOPED_TRACE(util::format("mesh with {} nodes", n));
     const auto topo = Topology::build(n);
@@ -146,6 +146,16 @@ TEST(Topology, TwoThousandNodeMeshBuilds) {
   EXPECT_EQ(route.size(), 1024u);
   EXPECT_EQ(topo.edge(route.front()).from, 2047u);
   EXPECT_EQ(topo.edge(route.back()).to, 0u);
+  // A 2 x 1024 mesh: every route is a shortest one, |d row| + |d col| hops.
+  auto manhattan = [](NodeId a, NodeId b) {
+    const auto gap = [](std::size_t x, std::size_t y) { return x > y ? x - y : y - x; };
+    return gap(a / 1024, b / 1024) + gap(a % 1024, b % 1024);
+  };
+  constexpr std::array<std::pair<NodeId, NodeId>, 6> kPairs{
+      {{1024, 1023}, {1023, 1024}, {5, 1029}, {1500, 1600}, {700, 1800}, {1999, 3}}};
+  for (const auto& [src, dst] : kPairs) {
+    EXPECT_EQ(topo.distance(src, dst), manhattan(src, dst)) << src << " -> " << dst;
+  }
 }
 
 TEST(Topology, Mesh2x4Routes) {
