@@ -3,6 +3,8 @@
 #include <memory>
 #include <utility>
 
+#include "chklib/membership/service.hpp"
+#include "chklib/verify/monitor.hpp"
 #include "obs/tracer.hpp"
 
 namespace chk::chklib {
@@ -29,10 +31,18 @@ void CommSystem::enable_transport() {
       [this](Rank dst, const ControlMsg& msg) { deliver_control(dst, msg); });
 }
 
+bool CommSystem::rank_down(Rank rank) const noexcept {
+  return membership_ != nullptr && membership_->is_down(rank);
+}
+
+void CommSystem::bump_incarnation() noexcept {
+  ++incarnation_;
+  if (monitor_ != nullptr) monitor_->on_incarnation_bump();
+}
+
 void CommSystem::deliver_app(Envelope env) {
   if (env.incarnation != incarnation_) {
     ++dropped_stale_;  // message from a rolled-back execution
-    if (observer_ != nullptr) observer_->on_stale_dropped(env.dst, env.incarnation);
     return;
   }
   // Crash gate: a down rank neither receives nor has its in-flight frames
@@ -44,15 +54,14 @@ void CommSystem::deliver_app(Envelope env) {
 void CommSystem::deliver_control(Rank dst, const ControlMsg& msg) {
   if (msg.incarnation != incarnation_) {
     ++dropped_stale_;
-    if (observer_ != nullptr) observer_->on_stale_dropped(dst, msg.incarnation);
     return;
   }
   if (rank_down(msg.src) || rank_down(dst)) return;
-  if (observer_ != nullptr) observer_->on_control_delivered(dst, msg);
+  if (monitor_ != nullptr) monitor_->on_control_delivered(dst, msg);
   if (is_membership_kind(msg.kind)) {
     // Event-driven hand-off to the membership service; never a daemon
     // mailbox message (no daemon knows these kinds).
-    if (membership_sink_) membership_sink_(dst, msg);
+    if (membership_ != nullptr) membership_->on_control(dst, msg);
     return;
   }
   endpoint(dst).control_mailbox().send(msg);
@@ -62,7 +71,7 @@ void CommSystem::transmit(des::Process& self, Envelope env) {
   if (rank_down(env.src)) return;  // zombie sender: nothing leaves the node
   if (hooks_ != nullptr) hooks_->on_send(env.src, env);
   env.incarnation = incarnation_;
-  if (observer_ != nullptr) observer_->on_transmit(env);
+  if (monitor_ != nullptr) monitor_->on_transmit(env);
   ++app_messages_;
   app_bytes_ += env.payload.size();
   // Sender-side CPU staging cost (software overhead + copy to link buffer).
@@ -81,23 +90,14 @@ void CommSystem::transmit(des::Process& self, Envelope env) {
 }
 
 void CommSystem::send_control(Rank src, Rank dst, ControlMsg msg) {
-  if (rank_down(src)) return;  // zombie background writer / stale timer
-  msg.incarnation = incarnation_;
-  if (obs::Tracer* tracer = machine_->sim().tracer()) {
-    tracer->instant(obs::EventKind::kControlSend, static_cast<std::uint16_t>(src),
-                    machine_->sim().now().to_nanos(), 0, static_cast<std::uint32_t>(dst));
-  }
-  ++control_messages_;
-  control_bytes_ += kControlWireBytes;
-  if (transport_ != nullptr) {
-    transport_->send_control(src, dst, msg);
-    return;
-  }
-  machine_->network().transfer(src, dst, kControlWireBytes, xplorer::Traffic::kControl,
-                               [this, dst, msg] { deliver_control(dst, msg); });
+  send_control_msg(src, dst, msg, /*datagram=*/false);
 }
 
 void CommSystem::send_control_datagram(Rank src, Rank dst, ControlMsg msg) {
+  send_control_msg(src, dst, msg, /*datagram=*/true);
+}
+
+void CommSystem::send_control_msg(Rank src, Rank dst, ControlMsg msg, bool datagram) {
   if (rank_down(src)) return;  // zombie background writer / stale timer
   msg.incarnation = incarnation_;
   if (obs::Tracer* tracer = machine_->sim().tracer()) {
@@ -107,7 +107,11 @@ void CommSystem::send_control_datagram(Rank src, Rank dst, ControlMsg msg) {
   ++control_messages_;
   control_bytes_ += kControlWireBytes;
   if (transport_ != nullptr) {
-    transport_->send_datagram(src, dst, msg);
+    if (datagram) {
+      transport_->send_datagram(src, dst, msg);
+    } else {
+      transport_->send_control(src, dst, msg);
+    }
     return;
   }
   machine_->network().transfer(src, dst, kControlWireBytes, xplorer::Traffic::kControl,

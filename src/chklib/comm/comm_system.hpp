@@ -1,21 +1,31 @@
 // The communication fabric tying all endpoints to the machine model.
+//
+// Besides the endpoints and the transport, the fabric holds the three
+// things every message path consults: the active protocol's hooks, the
+// invariant monitor (verify/, optional) and the membership service
+// (membership/, optional). The monitor and the service attach themselves;
+// with neither attached, a message path only counts and forwards.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "chklib/comm/endpoint.hpp"
 #include "chklib/comm/envelope.hpp"
 #include "chklib/comm/hooks.hpp"
 #include "chklib/comm/link_fault.hpp"
-#include "chklib/comm/observer.hpp"
 #include "chklib/comm/transport.hpp"
 #include "xplorer/machine.hpp"
 
 namespace chk::chklib {
+
+namespace verify {
+class Monitor;
+}  // namespace verify
+namespace membership {
+class MembershipService;
+}  // namespace membership
 
 /// Control kinds consumed by the membership service rather than a protocol
 /// daemon's mailbox.
@@ -37,10 +47,25 @@ class CommSystem {
   void set_hooks(ProtocolHooks* hooks) noexcept { hooks_ = hooks; }
   [[nodiscard]] ProtocolHooks* hooks() const noexcept { return hooks_; }
 
-  /// Install a passive observer (nullptr = none). Used by the verify/
-  /// invariant monitor; observers must not mutate simulation state.
-  void set_observer(InvariantObserver* observer) noexcept { observer_ = observer; }
-  [[nodiscard]] InvariantObserver* observer() const noexcept { return observer_; }
+  /// The invariant monitor every message path reports to (nullptr = none;
+  /// see Monitor::install). It only watches: it never mutates simulation
+  /// state or takes simulated time.
+  void set_monitor(verify::Monitor* monitor) noexcept { monitor_ = monitor; }
+  [[nodiscard]] verify::Monitor* monitor() const noexcept { return monitor_; }
+
+  /// The membership service (nullptr = none; the service attaches itself
+  /// when constructed). Membership control kinds (heartbeats, suspicions,
+  /// view changes) go to it instead of the destination's control mailbox,
+  /// after the monitor has seen them. A rank it reports down (crashed but
+  /// not yet detected) neither sends nor receives: nothing it sends leaves
+  /// the node, and nothing addressed to it or still in flight from it is
+  /// delivered. The oracle recovery path never marks a rank down.
+  void set_membership(membership::MembershipService* membership) noexcept {
+    membership_ = membership;
+  }
+  [[nodiscard]] membership::MembershipService* membership() const noexcept {
+    return membership_;
+  }
 
   /// Install the unreliable-link model, and with it the reliable transport:
   /// lossy links only ever carry transport frames, so every frame the model
@@ -55,26 +80,6 @@ class CommSystem {
   /// starts.
   void enable_transport();
   [[nodiscard]] Transport* transport() noexcept { return transport_.get(); }
-
-  /// Membership control kinds (heartbeats, suspicions, view changes) are
-  /// routed here instead of the destination's control mailbox — the
-  /// membership service is event-driven, not a daemon. Observer
-  /// notification still happens first, so monitors see membership traffic.
-  using MembershipSink = std::function<void(Rank dst, const ControlMsg&)>;
-  void set_membership_sink(MembershipSink sink) noexcept {
-    membership_sink_ = std::move(sink);
-  }
-
-  /// Crash gate: when set, a rank for which the gate returns true is down —
-  /// nothing it sends leaves the node and nothing addressed to it (or still
-  /// in flight from it) is delivered. This is how the membership service
-  /// models a crashed-but-undetected rank; the oracle-driven recovery path
-  /// never sets it.
-  using DownGate = std::function<bool(Rank)>;
-  void set_down_gate(DownGate gate) noexcept { down_gate_ = std::move(gate); }
-  [[nodiscard]] bool rank_down(Rank rank) const {
-    return down_gate_ && down_gate_(rank);
-  }
 
   /// Application-message transmission (sender process context): applies
   /// hooks, charges sender CPU, then hands the envelope to the network.
@@ -94,10 +99,7 @@ class CommSystem {
 
   /// Recovery support: stale-incarnation messages in flight are dropped on
   /// arrival after this is bumped.
-  void bump_incarnation() noexcept {
-    ++incarnation_;
-    if (observer_ != nullptr) observer_->on_incarnation_bump(incarnation_);
-  }
+  void bump_incarnation() noexcept;
   [[nodiscard]] std::uint32_t incarnation() const noexcept { return incarnation_; }
   /// Drop all queued messages at every endpoint.
   void flush_all();
@@ -141,15 +143,19 @@ class CommSystem {
   /// endpoint delivery.
   void deliver_app(Envelope env);
   void deliver_control(Rank dst, const ControlMsg& msg);
+  /// The body of send_control and send_control_datagram: over the
+  /// transport, `datagram` picks the unsequenced path.
+  void send_control_msg(Rank src, Rank dst, ControlMsg msg, bool datagram);
+  /// The membership service reports `rank` crashed but not yet detected.
+  [[nodiscard]] bool rank_down(Rank rank) const noexcept;
 
   xplorer::Machine* machine_;
   ProtocolHooks* hooks_ = nullptr;
-  InvariantObserver* observer_ = nullptr;
+  verify::Monitor* monitor_ = nullptr;
+  membership::MembershipService* membership_ = nullptr;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<LinkFaultModel> faults_;
   std::unique_ptr<Transport> transport_;
-  MembershipSink membership_sink_;
-  DownGate down_gate_;
   std::uint32_t incarnation_ = 0;
   std::uint64_t app_messages_ = 0;
   std::uint64_t app_bytes_ = 0;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "chklib/comm/comm_system.hpp"
+#include "chklib/verify/monitor.hpp"
 #include "obs/tracer.hpp"
 
 namespace chk::chklib {
@@ -61,7 +62,7 @@ Envelope Endpoint::consume_match(des::Process& self, int src, int tag,
   // safe points).
   auto env = take_match(src, tag);
   note_consumed(env->src, env->seq);
-  if (auto* observer = system_->observer()) observer->on_consume(rank_, *env);
+  if (auto* monitor = system_->monitor()) monitor->on_consume(rank_, *env);
   if (auto* hooks = system_->hooks()) hooks->on_deliver(self, rank_, *env);
   return std::move(*env);
 }
@@ -112,12 +113,11 @@ bool Endpoint::probe(int src, int tag) const {
 }
 
 void Endpoint::deliver(Envelope env) {
-  if (auto* observer = system_->observer()) observer->on_endpoint_arrival(env);
+  if (auto* monitor = system_->monitor()) monitor->on_endpoint_arrival(env);
   if (already_consumed(env.src, env.seq)) {
     // A re-executed sender regenerated a message whose consumption is
     // already part of our restored state (an orphan of the recovery cut).
     ++duplicates_dropped_;
-    if (auto* observer = system_->observer()) observer->on_duplicate_dropped(env);
     return;
   }
   if (auto* hooks = system_->hooks()) hooks->on_arrival(rank_, env);
@@ -132,11 +132,10 @@ std::vector<Envelope> Endpoint::pending_snapshot() const {
 void Endpoint::flush() {
   pending_.clear();
   control_.clear();
-  if (auto* observer = system_->observer()) observer->on_flush(rank_);
+  if (auto* monitor = system_->monitor()) monitor->on_flush(rank_);
 }
 
 void Endpoint::reinject(std::vector<Envelope> envelopes) {
-  if (auto* observer = system_->observer()) observer->on_reinject(rank_, envelopes);
   // Restored channel-log messages precede anything the re-execution sends.
   pending_.insert(pending_.begin(), std::make_move_iterator(envelopes.begin()),
                   std::make_move_iterator(envelopes.end()));
@@ -187,7 +186,7 @@ void Endpoint::restore_seq(const ChannelSeqState& state) {
   for (const auto& [rank, seq] : state.send_next) send_seq_[rank] = seq;
   for (const auto& [rank, seq] : state.consumed_upto) consumed_upto_[rank] = seq;
   for (const auto& [rank, seq] : state.consumed_extra) consumed_extra_[rank].insert(seq);
-  if (auto* observer = system_->observer()) observer->on_restore_seq(rank_, state);
+  if (auto* monitor = system_->monitor()) monitor->on_restore_seq(rank_, state);
 }
 
 // ---------------------------------------------------------------------------

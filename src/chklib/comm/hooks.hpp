@@ -8,8 +8,9 @@ namespace chk::chklib {
 
 /// The communication layer calls these around every application message so
 /// a protocol can piggyback metadata, track dependencies, log channel
-/// contents and induce checkpoints. A null hooks pointer disables all
-/// checkpointing (the "NORMAL" baseline).
+/// contents and induce checkpoints; the application's safe points reach
+/// the protocol through the same interface. A null hooks pointer disables
+/// all checkpointing (the "NORMAL" baseline).
 class ProtocolHooks {
  public:
   virtual ~ProtocolHooks() = default;
@@ -27,6 +28,10 @@ class ProtocolHooks {
   /// handed to the application: induced (communication-triggered)
   /// checkpoints and receive-dependency tracking happen here.
   virtual void on_deliver(des::Process& self, Rank dst, const Envelope& env) = 0;
+
+  /// Application `rank`'s context, at every safe point it declares
+  /// (AppContext::checkpoint_here): a pending checkpoint is taken here.
+  virtual void on_safe_point(des::Process& self, Rank rank) = 0;
 };
 
 }  // namespace chk::chklib

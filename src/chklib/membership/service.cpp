@@ -53,24 +53,21 @@ MembershipService::MembershipService(Runtime& runtime, RecoveryManager& recovery
       rng_(rng) {
   cfg_.validate(num_ranks_);
   members_ = full_bitmap(num_ranks_);
+  // Attached from construction on, so the protocol sees the service from
+  // its own start(); until start() the service absorbs nothing (crash()
+  // declines, on_control ignores) and reports nobody down.
+  rt_->comm().set_membership(this);
 }
 
 MembershipService::~MembershipService() {
-  // Detach every seam: the runtime and recovery manager may outlive us.
-  rt_->comm().set_membership_sink(nullptr);
-  rt_->comm().set_down_gate(nullptr);
-  recovery_->set_failure_interceptor(nullptr);
+  // The runtime and recovery manager may outlive us.
+  if (rt_->comm().membership() == this) rt_->comm().set_membership(nullptr);
   recovery_->remove_observer(this);
 }
 
 void MembershipService::start() {
   if (started_) return;
   started_ = true;
-
-  rt_->comm().set_membership_sink(
-      [this](Rank dst, const ControlMsg& msg) { on_control(dst, msg); });
-  rt_->comm().set_down_gate([this](Rank r) { return down_.contains(r); });
-  recovery_->set_failure_interceptor([this](Rank r) { return crash(r); });
   recovery_->add_observer(this);
 
   const des::TimePoint now = rt_->sim().now();
@@ -398,7 +395,7 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
         ++stats_.wrongful_evictions;
         fenced_.insert(r);
         begin_exclusion(r);
-        if (on_fence_) on_fence_(r, true);
+        recovery_->protocol().on_rank_fenced(r, true);
       }
     } else if ((added >> r) & 1u) {
       if (fenced_.erase(r) > 0) {
@@ -407,7 +404,7 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
         // Decorrelate the rejoined rank's beacon from its pre-eviction
         // schedule; observers' accrual windows for it were reset above.
         rephase_beacon(r);
-        if (on_fence_) on_fence_(r, false);
+        recovery_->protocol().on_rank_fenced(r, false);
       }
     }
   }
@@ -425,7 +422,7 @@ void MembershipService::establish() {
   proposed_view_ = 0;
   proposed_members_ = 0;
   view_acks_.clear();
-  if (on_view_established_) on_view_established_(view_);
+  recovery_->protocol().on_view_established();
 }
 
 des::Duration MembershipService::deadman_delay(Rank r) const {

@@ -25,17 +25,24 @@
 //              ack; a majority of the proposed membership establishes the
 //              view (quorum tracking).
 //   fencing    a live rank excluded from an adopted view is *fenced*: the
-//              protocol layer discards its in-flight round state (via the
-//              fence callback) and its acks stop counting toward commits.
+//              protocol discards its in-flight round state
+//              (Protocol::on_rank_fenced) and its acks stop counting toward
+//              commits.
 //              A fenced rank petitions the coordinator with kJoinRequest
 //              each sweep until a re-adding view is established.
-//   crash      RecoveryManager::fail_now strikes are intercepted: instead
-//              of the oracle rollback, the victim merely goes silent (its
-//              application process dies and the comm down-gate swallows
-//              its traffic). The cluster must *detect* the death; rollback
-//              recovery starts only when the crashed rank is evicted from
-//              the view (with a deadman fallback in case the eviction
-//              quorum never assembles).
+//   crash      RecoveryManager::fail_now strikes go to crash() first:
+//              instead of the oracle rollback, the victim merely goes
+//              silent (its application process dies and the comm system,
+//              asking is_down, swallows its traffic). The cluster must
+//              *detect* the death; rollback recovery starts only when the
+//              crashed rank is evicted from the view (with a deadman
+//              fallback in case the eviction quorum never assembles).
+//
+// Wiring: the constructor attaches the service to the comm system
+// (CommSystem::set_membership), which routes membership control kinds to
+// on_control and asks is_down on every message path. Recovery and the
+// coordinated protocol read the service from there; established views and
+// fences reach the protocol through RecoveryManager::protocol().
 //
 // Determinism: the only RNG draws are the per-rank timer phases, taken
 // once at start() in rank order from a dedicated schedule-independent
@@ -45,7 +52,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,15 +133,17 @@ struct MembershipStats {
 
 class MembershipService final : public RecoveryObserver {
  public:
+  /// Attaches the service to the runtime's comm system (the destructor
+  /// detaches it).
   MembershipService(Runtime& runtime, RecoveryManager& recovery,
                     MembershipConfig config, util::Rng rng);
   MembershipService(const MembershipService&) = delete;
   MembershipService& operator=(const MembershipService&) = delete;
   ~MembershipService() override;
 
-  /// Install the comm sink/gate and the recovery interceptor, draw the
-  /// timer phases (the stream's only draws, in rank order), and arm the
-  /// heartbeat + sweep timers. Call once, before traffic starts.
+  /// Register for recovery events, draw the timer phases (the stream's
+  /// only draws, in rank order), and arm the heartbeat + sweep timers.
+  /// Call once, before traffic starts.
   void start();
 
   /// Close any membership-exclusion episode still open (emits the final
@@ -154,34 +162,24 @@ class MembershipService final : public RecoveryObserver {
   /// Ground truth (simulator-side) — the cluster itself only sees views.
   [[nodiscard]] bool is_down(Rank r) const noexcept { return down_.contains(r); }
 
-  /// Invoked in kernel context when a proposed view gathered its ack
-  /// majority — the protocol aborts an in-flight round and re-initiates it
-  /// under the new coordinator at a higher epoch.
-  void set_view_established_callback(std::function<void(std::uint64_t)> cb) {
-    on_view_established_ = std::move(cb);
-  }
-  /// Invoked in kernel context when a live rank is fenced (true) or
-  /// rejoins (false) — the protocol discards the rank's in-flight round
-  /// state so a wrongly-evicted rank cannot corrupt a commit.
-  void set_fence_callback(std::function<void(Rank, bool)> cb) {
-    on_fence_ = std::move(cb);
-  }
-
   [[nodiscard]] const MembershipStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const MembershipConfig& config() const noexcept { return cfg_; }
 
-  /// RecoveryManager failure-interceptor target: absorb a strike as a
-  /// silent crash the cluster must detect. Returns false (declining the
-  /// interception, so the oracle overlap path runs) while a rollback
-  /// restore is already in flight.
+  /// RecoveryManager's strike path: absorb a strike as a silent crash the
+  /// cluster must detect. Returns false (declining, so the oracle rollback
+  /// runs) before start() and while a rollback restore is already in
+  /// flight. Kernel context.
   bool crash(Rank r);
+
+  /// A membership control kind arrived at `dst` (CommSystem's hand-off,
+  /// kernel context).
+  void on_control(Rank dst, const ControlMsg& msg);
 
   // ---- RecoveryObserver ------------------------------------------------------
   void on_recovery_begin(Rank failed) override;
   void on_recovery_end(const RecoveryReport& report) override;
 
  private:
-  void on_control(Rank dst, const ControlMsg& msg);
   /// Beacon chains are epoch-guarded: a rejoin re-phases the rank's beacon
   /// by bumping its epoch (orphaning the old chain) and scheduling a fresh
   /// one, so post-rejoin heartbeats never alias the pre-eviction schedule.
@@ -225,8 +223,6 @@ class MembershipService final : public RecoveryObserver {
   std::size_t num_ranks_;
   util::Rng rng_;
   MembershipStats stats_;
-  std::function<void(std::uint64_t)> on_view_established_;
-  std::function<void(Rank, bool)> on_fence_;
   bool started_ = false;
 
   // View state. view 0 = the initial full-membership view (coordinator 0).

@@ -1,9 +1,11 @@
 #include "chklib/proto/coordinated.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "chklib/membership/service.hpp"
+#include "chklib/verify/monitor.hpp"
 #include "util/format.hpp"
 
 namespace chk::chklib {
@@ -28,47 +30,34 @@ CoordinatedProtocol::CoordinatedProtocol(Runtime& runtime, Config config)
 
 void CoordinatedProtocol::start() {
   rt_->comm().set_hooks(this);
-  install_safe_points();
   spawn_daemons();
   schedule_next_round(cfg_.interval);
 }
 
 Rank CoordinatedProtocol::coordinator() const noexcept {
-  return membership_ != nullptr ? membership_->coordinator() : kFixedCoordinator;
+  const auto* membership = rt_->comm().membership();
+  return membership != nullptr ? membership->coordinator() : kFixedCoordinator;
 }
 
 std::uint64_t CoordinatedProtocol::current_view() const noexcept {
-  return membership_ != nullptr ? membership_->view() : 0;
-}
-
-void CoordinatedProtocol::set_membership(membership::MembershipService* membership) {
-  membership_ = membership;
-  if (membership_ != nullptr) {
-    membership_->set_view_established_callback(
-        [this](std::uint64_t) { on_view_established(); });
-    membership_->set_fence_callback(
-        [this](Rank r, bool fenced) { on_rank_fenced(r, fenced); });
-  }
+  const auto* membership = rt_->comm().membership();
+  return membership != nullptr ? membership->view() : 0;
 }
 
 void CoordinatedProtocol::on_view_established() {
   // Coord_NBS: a write grant parked at a crashed holder would wedge the
   // FIFO arbiter forever — advance it. A *fenced* (live) holder keeps the
   // grant: its release is still coming.
+  const auto* membership = rt_->comm().membership();
   if (const auto held = grants_.held();
-      held && membership_ != nullptr && membership_->is_down(held->holder)) {
+      held && membership != nullptr && membership->is_down(held->holder)) {
     if (const auto next = grants_.release(held->epoch)) send_grant(coordinator(), *next);
   }
-  if (!round_in_progress_) return;
   // The round in flight was initiated under the previous view: its
   // outstanding acks are unmatchable now (they carry the old view stamp).
   // Abort it and let the new view's coordinator re-initiate at the next
   // epoch — this is how the schemes survive coordinator death mid-round.
-  note_round_abort(round_epoch_);
-  round_watchdog_.cancel();
-  token_watchdog_.cancel();
-  round_in_progress_ = false;
-  begin_round(round_epoch_ + 1);
+  if (round_in_progress_) restart_round();
 }
 
 void CoordinatedProtocol::on_rank_fenced(Rank r, bool fenced) {
@@ -82,12 +71,6 @@ void CoordinatedProtocol::on_rank_fenced(Rank r, bool fenced) {
   agent.logging = false;
   agent.finishing = false;
   agent.log.messages.clear();
-}
-
-void CoordinatedProtocol::install_safe_points() {
-  for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    rt_->rank(r).on_safe_point = [this, r](des::Process& self) { safe_point(r, self); };
-  }
 }
 
 void CoordinatedProtocol::spawn_daemons() {
@@ -144,24 +127,29 @@ void CoordinatedProtocol::begin_round(std::uint32_t epoch) {
 
 void CoordinatedProtocol::on_round_timeout(std::uint32_t epoch) {
   if (!round_in_progress_ || round_epoch_ != epoch) return;
-  note_round_abort(epoch);
-  token_watchdog_.cancel();
-  round_in_progress_ = false;
   if (const auto held = grants_.held()) {
     // A lost Coord_NBS write grant leaves its holder's application blocked
     // in the acquire forever; re-issue it. Grants are lost even over the
-    // transport: under membership the down gate drops a grant still in
-    // flight when its sender, the arbiter, crashes. If the original did
-    // arrive, the holder's grant_outstanding check drops this copy.
+    // transport: under membership a grant still in flight is dropped when
+    // its sender, the arbiter, crashes. If the original did arrive, the
+    // holder's grant_outstanding check drops this copy.
     send_grant(coordinator(), *held);
   }
-  begin_round(epoch + 1);
+  restart_round();
+}
+
+void CoordinatedProtocol::restart_round() {
+  note_round_abort(round_epoch_);
+  round_watchdog_.cancel();
+  token_watchdog_.cancel();
+  round_in_progress_ = false;
+  begin_round(round_epoch_ + 1);
 }
 
 void CoordinatedProtocol::note_round_abort(std::uint32_t epoch) {
   ++stats_.aborted_rounds;
   ring_abort_floor_ = std::max(ring_abort_floor_, epoch);
-  if (auto* iobs = rt_->comm().observer()) iobs->on_round_abort(epoch);
+  if (auto* monitor = rt_->comm().monitor()) monitor->on_round_abort(epoch);
   if (auto* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kRoundAbort,
                     static_cast<std::uint16_t>(coordinator()),
@@ -184,7 +172,7 @@ void CoordinatedProtocol::on_token_timeout(std::uint32_t epoch) {
     // with a crashed sender. Re-issue it toward the next expected holder;
     // a rank that does receive the original drops the duplicate.
     ++stats_.tokens_regenerated;
-    if (auto* iobs = rt_->comm().observer()) iobs->on_token_regenerated(epoch);
+    if (auto* monitor = rt_->comm().monitor()) monitor->on_token_regenerated(epoch);
     if (auto* tracer = rt_->sim().tracer()) {
       tracer->instant(obs::EventKind::kTokenRegen,
                       static_cast<std::uint16_t>(coordinator()),
@@ -242,7 +230,7 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       if (rt_->rank(r).app_process == nullptr && agent.pending_epoch > agent.epoch) {
         do_local_checkpoint(self, r, agent.pending_epoch);
       }
-      agent.markers[msg.epoch].insert(msg.src);
+      agent.markers[msg.epoch].add(msg.src, rt_->num_ranks());
       try_finish(r, self);
       break;
     case ControlKind::kToken:
@@ -290,21 +278,20 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       // Membership fencing: an ack from outside the round's view (an old
       // round's straggler, or a rank evicted since the round began) must
       // never count toward this commit.
-      if (membership_ != nullptr &&
-          (msg.view != round_view_ || !membership_->is_member(msg.src))) {
+      const auto* membership = rt_->comm().membership();
+      if (membership != nullptr &&
+          (msg.view != round_view_ || !membership->is_member(msg.src))) {
         break;
       }
-      acked_.insert(msg.src);
-      if (acked_.size() == rt_->num_ranks()) {
+      acked_.add(msg.src, rt_->num_ranks());
+      if (acked_.count == rt_->num_ranks()) {
         round_watchdog_.cancel();
         token_watchdog_.cancel();
         // The view moved since this round began: its membership no longer
-        // backs the commit. Abort — the established-view callback normally
-        // gets here first, so this is the last line of defence.
-        if (membership_ != nullptr && membership_->view() != round_view_) {
-          note_round_abort(round_epoch_);
-          round_in_progress_ = false;
-          begin_round(round_epoch_ + 1);
+        // backs the commit. Abort — on_view_established normally gets here
+        // first, so this is the last line of defence.
+        if (membership != nullptr && membership->view() != round_view_) {
+          restart_round();
           break;
         }
         // Phase 2: make the global checkpoint permanent, then tell everyone.
@@ -315,9 +302,7 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
           // round and re-initiate at a higher epoch — the same path the
           // round watchdog takes.
           ++stats_.commit_write_failures;
-          note_round_abort(round_epoch_);
-          round_in_progress_ = false;
-          begin_round(round_epoch_ + 1);
+          restart_round();
           break;
         }
         ++stats_.committed_rounds;
@@ -348,13 +333,13 @@ void CoordinatedProtocol::handle_control(Rank r, des::Process& self, const Contr
       if (const auto grant = grants_.handle(msg)) send_grant(r, *grant);
       break;
     default:
-      // Membership kinds are routed to the membership sink by the comm
+      // Membership kinds are routed to the membership service by the comm
       // system and never reach a protocol daemon's mailbox.
       break;
   }
 }
 
-void CoordinatedProtocol::safe_point(Rank r, des::Process& self) {
+void CoordinatedProtocol::on_safe_point(des::Process& self, Rank r) {
   Agent& agent = *agents_[r];
   if (agent.pending_epoch > agent.epoch) do_local_checkpoint(self, r, agent.pending_epoch);
 }
@@ -364,6 +349,8 @@ void CoordinatedProtocol::do_local_checkpoint(des::Process& carrier, Rank r,
   Agent& agent = *agents_[r];
   if (agent.epoch >= epoch) return;
   agent.epoch = epoch;  // from here on, sends are tagged `epoch`
+  // try_finish reads only the markers of the rank's own epoch.
+  agent.markers.erase(agent.markers.begin(), agent.markers.lower_bound(epoch));
 
   Endpoint& endpoint = rt_->comm().endpoint(r);
   RankRuntime& rank = rt_->rank(r);
@@ -480,12 +467,15 @@ void CoordinatedProtocol::try_finish(Rank r, des::Process& proc, WriteContext lo
   Agent& agent = *agents_[r];
   // A fenced/evicted rank never contributes an ack: its cut may predate
   // the view the round now runs under.
-  if (membership_ != nullptr && !membership_->is_member(r)) return;
+  if (const auto* membership = rt_->comm().membership();
+      membership != nullptr && !membership->is_member(r)) {
+    return;
+  }
   if (!agent.logging || agent.finishing || !agent.durable) return;
   const std::size_t needed = rt_->num_ranks() - 1;
   std::size_t have = 0;
   if (const auto it = agent.markers.find(agent.epoch); it != agent.markers.end()) {
-    have = it->second.size();
+    have = it->second.count;
   }
   if (have != needed) return;
   agent.finishing = true;
@@ -616,7 +606,6 @@ void CoordinatedProtocol::prepare_recovery(const RecoveryLine& line) {
 }
 
 void CoordinatedProtocol::resume_after_recovery() {
-  install_safe_points();
   spawn_daemons();
   schedule_next_round(cfg_.interval);
 }

@@ -29,18 +29,14 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "chklib/ckpt/image.hpp"
 #include "chklib/ckpt/incremental.hpp"
 #include "chklib/proto/protocol.hpp"
 #include "chklib/proto/scheme.hpp"
 #include "des/sync.hpp"
-
-namespace chk::chklib::membership {
-class MembershipService;
-}  // namespace chk::chklib::membership
 
 namespace chk::chklib {
 
@@ -90,6 +86,7 @@ class CoordinatedProtocol final : public Protocol {
   void on_send(Rank src, Envelope& env) override;
   void on_arrival(Rank dst, const Envelope& env) override;
   void on_deliver(des::Process& self, Rank dst, const Envelope& env) override;
+  void on_safe_point(des::Process& self, Rank r) override;
 
   // Recovery
   [[nodiscard]] RecoveryLine recovery_line() const override;
@@ -106,18 +103,42 @@ class CoordinatedProtocol final : public Protocol {
   }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
-  /// Attach the cluster-membership service (call before start()): the
-  /// coordinator becomes the *elected* one (rank 0 is only the initial
-  /// holder via view 0), round messages are stamped with the view they run
-  /// under, acks from evicted ranks stop counting, and fenced ranks
-  /// discard their in-flight round state instead of corrupting a commit.
-  /// Without it the protocol behaves exactly as before.
-  void set_membership(membership::MembershipService* membership);
-  /// The round-initiating coordinator: elected when membership is attached,
-  /// rank 0 otherwise.
+  /// The round-initiating coordinator: the elected one when the comm
+  /// system has a membership service (rank 0 is only view 0's), rank 0
+  /// otherwise. With membership, round messages are also stamped with the
+  /// view they run under, acks from evicted ranks stop counting, and fenced
+  /// ranks discard their in-flight round state instead of corrupting a
+  /// commit.
   [[nodiscard]] Rank coordinator() const noexcept;
 
+  /// Membership: a new view gathered its quorum — abort an in-flight round
+  /// (its acks are now unmatchable) and re-initiate it under the new
+  /// coordinator at the next epoch; advance a write grant parked at a
+  /// crashed holder.
+  void on_view_established() override;
+  /// Membership: rank `r` was fenced (true) or rejoined (false). Fencing
+  /// discards the rank's in-flight round state; its token semaphore is
+  /// deliberately left alone (a staggered write may be blocked on it).
+  void on_rank_fenced(Rank r, bool fenced) override;
+
  private:
+  /// The distinct ranks heard from: one bit per rank, and their count
+  /// (the only thing ever read).
+  struct RankTally {
+    std::vector<bool> seen;
+    std::size_t count = 0;
+    void add(Rank r, std::size_t num_ranks) {
+      if (seen.empty()) seen.resize(num_ranks);
+      if (seen[r]) return;
+      seen[r] = true;
+      ++count;
+    }
+    void clear() noexcept {
+      seen.clear();
+      count = 0;
+    }
+  };
+
   struct Agent {
     std::uint32_t epoch = 0;          ///< last locally captured epoch
     std::uint32_t pending_epoch = 0;  ///< requested epoch (capture at next safe point)
@@ -126,8 +147,9 @@ class CoordinatedProtocol final : public Protocol {
     bool finishing = false;           ///< log write + ack underway/done
     ChannelLog log;
     /// Marker senders per epoch; the channel log closes once every peer's
-    /// marker for the rank's epoch is in.
-    std::map<std::uint32_t, std::set<Rank>> markers;
+    /// marker for the rank's epoch is in. Epochs below the rank's own are
+    /// dropped at its cut.
+    std::map<std::uint32_t, RankTally> markers;
     des::SimSemaphore token;          ///< stagger permission to write
     IncrementalTracker tracker;       ///< dirty-chunk baseline (incremental mode)
     std::uint32_t last_ckpt_epoch = 0;
@@ -159,13 +181,11 @@ class CoordinatedProtocol final : public Protocol {
     return ((epoch - 1) % cfg_.full_every) == 0;
   }
 
-  void install_safe_points();
   void spawn_daemons();
   void schedule_next_round(des::Duration delay);
   void begin_round(std::uint32_t epoch);
   void daemon_main(Rank r, des::Process& self);
   void handle_control(Rank r, des::Process& self, const ControlMsg& msg);
-  void safe_point(Rank r, des::Process& self);
   /// Capture, channel-log opening and markers; the save is save_image's.
   void do_local_checkpoint(des::Process& carrier, Rank r, std::uint32_t epoch);
   /// Admission: none (Coord_NB, Coord_NBM), the coordinator's FIFO write
@@ -186,11 +206,15 @@ class CoordinatedProtocol final : public Protocol {
   void try_finish(Rank r, des::Process& proc,
                   WriteContext log_ctx = WriteContext::kBackground);
   void handle_commit(Rank r, std::uint32_t epoch);
-  /// Round watchdog expiry: abort the stalled round, re-initiate at the
-  /// next epoch (and re-issue a possibly-lost Coord_NBS write grant).
+  /// Round watchdog expiry: re-issue a possibly-lost Coord_NBS write
+  /// grant, then restart the stalled round.
   void on_round_timeout(std::uint32_t epoch);
-  /// Round-abort bookkeeping shared by every abort path: stats, the
-  /// ring-token floor, the invariant-observer hook and the trace event.
+  /// Every abort path (watchdog, view change, a commit the view no longer
+  /// backs or that failed to write): abort the round in progress and
+  /// re-initiate it at the next epoch.
+  void restart_round();
+  /// Round-abort bookkeeping: stats, the ring-token floor, the invariant
+  /// monitor and the trace event.
   void note_round_abort(std::uint32_t epoch);
   void arm_token_watchdog();
   /// Token watchdog expiry: regenerate the stagger token toward the next
@@ -198,24 +222,13 @@ class CoordinatedProtocol final : public Protocol {
   void on_token_timeout(std::uint32_t epoch);
   /// The view this message was stamped under (0 with no membership).
   [[nodiscard]] std::uint64_t current_view() const noexcept;
-  /// Membership callback: a new view gathered its quorum — abort an
-  /// in-flight round (its acks are now unmatchable) and re-initiate it
-  /// under the new coordinator at the next epoch; advance a write grant
-  /// parked at a crashed holder.
-  void on_view_established();
-  /// Membership callback: rank `r` was fenced (true) or rejoined (false).
-  /// Fencing discards the rank's in-flight round state; its token
-  /// semaphore is deliberately left alone (an Indep_MS-style acquire may
-  /// be blocked on it).
-  void on_rank_fenced(Rank r, bool fenced);
 
   Config cfg_;
-  membership::MembershipService* membership_ = nullptr;
   /// View the in-flight round was initiated under (0 with no membership).
   std::uint64_t round_view_ = 0;
   std::vector<std::unique_ptr<Agent>> agents_;
   /// Ranks that acked the in-progress round.
-  std::set<Rank> acked_;
+  RankTally acked_;
   std::uint32_t round_epoch_ = 0;
   bool round_in_progress_ = false;
   /// Coord_NBS write grants (arbitrated by the coordinator's daemon).

@@ -49,17 +49,10 @@ IndependentProtocol::IndependentProtocol(Runtime& runtime, Config config)
 
 void IndependentProtocol::start() {
   rt_->comm().set_hooks(this);
-  install_safe_points();
   spawn_daemons();
 }
 
-void IndependentProtocol::install_safe_points() {
-  for (Rank r = 0; r < rt_->num_ranks(); ++r) {
-    rt_->rank(r).on_safe_point = [this, r](des::Process& self) { safe_point(r, self); };
-  }
-}
-
-void IndependentProtocol::safe_point(Rank r, des::Process& self) {
+void IndependentProtocol::on_safe_point(des::Process& self, Rank r) {
   Agent& agent = *agents_[r];
   if (!agent.pending) return;
   agent.pending = false;
@@ -277,9 +270,6 @@ void IndependentProtocol::prepare_recovery(const RecoveryLine& line) {
   grants_.reset();
 }
 
-void IndependentProtocol::resume_after_recovery() {
-  install_safe_points();
-  spawn_daemons();
-}
+void IndependentProtocol::resume_after_recovery() { spawn_daemons(); }
 
 }  // namespace chk::chklib

@@ -70,6 +70,7 @@ class IndependentProtocol final : public Protocol {
   void on_send(Rank src, Envelope& env) override;
   void on_arrival(Rank dst, const Envelope& env) override;
   void on_deliver(des::Process& self, Rank dst, const Envelope& env) override;
+  void on_safe_point(des::Process& self, Rank r) override;
 
   // Recovery
   [[nodiscard]] RecoveryLine recovery_line() const override;
@@ -96,11 +97,9 @@ class IndependentProtocol final : public Protocol {
     des::SimSemaphore captured;  ///< paces the timer daemon
   };
 
-  void install_safe_points();
   void spawn_daemons();
   void timer_main(Rank r, des::Process& self);
   void dispatcher_main(Rank r, des::Process& self);
-  void safe_point(Rank r, des::Process& self);
   /// Capture the state and the interval's dependency records; the save is
   /// save_image's.
   void do_local_checkpoint(des::Process& carrier, Rank r);

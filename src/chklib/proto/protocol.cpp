@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "chklib/verify/monitor.hpp"
+
 namespace chk::chklib {
 
 std::optional<GrantArbiter::Grant> GrantArbiter::handle(const ControlMsg& msg) {
@@ -69,12 +71,12 @@ void Protocol::write_image(des::Process& writer, Rank r, CheckpointImage& image,
   const bool background = context == WriteContext::kBackground;
   xplorer::Node& node = rt_->machine().node(r);
   if (background) node.begin_background_io();
-  // The observer brackets the whole write, retries included: the stagger
+  // The monitor brackets the whole write, retries included: the stagger
   // invariant is about the rank occupying the write pipeline, which it
   // does for every attempt.
-  if (auto* iobs = rt_->comm().observer()) iobs->on_image_write_begin(r, image.index);
+  if (auto* monitor = rt_->comm().monitor()) monitor->on_image_write_begin(r, image.index);
   const xplorer::IoStatus status = rt_->store().write_image_blocking(writer, r, image, context);
-  if (auto* iobs = rt_->comm().observer()) iobs->on_image_write_end(r, image.index);
+  if (auto* monitor = rt_->comm().monitor()) monitor->on_image_write_end(r);
   if (background) node.end_background_io();
   release_write(r, tag);
   if (status != xplorer::IoStatus::kOk) ++stats_.ckpt_write_failures;

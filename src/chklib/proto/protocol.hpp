@@ -123,6 +123,13 @@ class Protocol : public ProtocolHooks {
   /// Kill all protocol processes and cancel pending trigger timers.
   virtual void halt();
 
+  /// Membership service, kernel context: a proposed view gathered its ack
+  /// majority.
+  virtual void on_view_established() {}
+  /// Membership service, kernel context: live rank `r` was fenced (true)
+  /// or rejoined (false).
+  virtual void on_rank_fenced(Rank /*r*/, bool /*fenced*/) {}
+
   /// Completed checkpoints: committed global rounds (coordinated) or
   /// durable local checkpoints (independent).
   [[nodiscard]] const ProtocolStats& stats() const noexcept { return stats_; }

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "chklib/ckpt/incremental.hpp"
-
+#include "chklib/membership/service.hpp"
 #include "util/format.hpp"
 
 namespace chk::chklib {
@@ -24,13 +24,17 @@ void RecoveryManager::fail(Rank rank, bool intercept) {
   if (rt_->apps_done()) return;
   if (rt_->sim().current() != nullptr) {
     // Called from a process body (e.g. off a storage write hook fired inside
-    // write_blocking). Both the interceptor (it may kill the caller's own
-    // rank) and on_failure (it kills every application process — including,
-    // possibly, the caller) must run in kernel context, so defer one event.
+    // write_blocking). Both the membership crash (it may kill the caller's
+    // own rank) and on_failure (it kills every application process —
+    // including, possibly, the caller) must run in kernel context, so defer
+    // one event.
     rt_->sim().schedule_now([this, rank, intercept] { fail(rank, intercept); });
     return;
   }
-  if (intercept && interceptor_ && interceptor_(rank)) return;
+  if (auto* membership = rt_->comm().membership();
+      intercept && membership != nullptr && membership->crash(rank)) {
+    return;
+  }
   on_failure(rank);
 }
 

@@ -17,10 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "chklib/proto/protocol.hpp"
@@ -104,24 +102,19 @@ class RecoveryManager {
   /// originating inside a running process — e.g. triggered off a storage
   /// write hook — is deferred one event so the failure bookkeeping never
   /// unwinds the caller's own stack). No-op once the application is done.
-  /// With a failure interceptor installed, the crash is handed to it
-  /// instead of the oracle rollback below.
+  /// With a membership service on the comm system, the crash goes to it
+  /// first (MembershipService::crash: the rank goes silent and the cluster
+  /// must *detect* it); the oracle rollback below runs only if it declines.
   void fail_now(Rank rank);
 
-  /// Trigger the whole-application rollback now, bypassing any installed
-  /// failure interceptor. The membership service calls this once detection
-  /// has run its course (eviction confirmed, rejoin grace expired); same
-  /// context-safety and no-op rules as fail_now.
+  /// Trigger the whole-application rollback now, bypassing the membership
+  /// service. The service calls this once detection has run its course
+  /// (eviction confirmed, rejoin grace expired); same context-safety and
+  /// no-op rules as fail_now.
   void recover_now(Rank rank);
 
-  /// When set and returning true for a rank, fail_now hands the crash to
-  /// the interceptor (the membership service's crash model: the rank goes
-  /// silent and the cluster must *detect* it) instead of rolling back
-  /// immediately. Always invoked in kernel context.
-  using FailureInterceptor = std::function<bool(Rank)>;
-  void set_failure_interceptor(FailureInterceptor interceptor) noexcept {
-    interceptor_ = std::move(interceptor);
-  }
+  /// The protocol this manager rolls back.
+  [[nodiscard]] Protocol& protocol() noexcept { return *protocol_; }
 
   /// A restore is in flight (loader processes still pending).
   [[nodiscard]] bool recovering() const noexcept { return active_.has_value(); }
@@ -144,7 +137,7 @@ class RecoveryManager {
  private:
   /// The body of inject_failure_at, fail_now and recover_now: a no-op once
   /// the apps are done; from process context, deferred one event; then the
-  /// interceptor (when `intercept`) or on_failure.
+  /// membership service's crash (when `intercept`) or on_failure.
   void fail(Rank rank, bool intercept);
   void on_failure(Rank failed);
   void abort_active_recovery();
@@ -175,7 +168,6 @@ class RecoveryManager {
   Runtime* rt_;
   Protocol* protocol_;
   std::vector<RecoveryObserver*> observers_;
-  FailureInterceptor interceptor_;
   std::optional<ActiveRecovery> active_;
   std::vector<RecoveryReport> reports_;
 };

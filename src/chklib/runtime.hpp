@@ -53,9 +53,6 @@ struct RankRuntime {
   bool ready = false;  ///< registration complete; checkpoints may capture
   des::Process* app_process = nullptr;
   std::uint32_t restarts = 0;
-  /// Installed by the active protocol; invoked (in the application process
-  /// context) at every declared safe point to honour pending checkpoints.
-  std::function<void(des::Process&)> on_safe_point;
 };
 
 class Runtime {
@@ -175,7 +172,7 @@ class AppContext {
   /// executed here, in this process's context — the calling application is
   /// blocked for exactly the scheme's blocking window.
   void checkpoint_here() {
-    if (rank_->on_safe_point) rank_->on_safe_point(*self_);
+    if (auto* hooks = runtime_->comm().hooks()) hooks->on_safe_point(*self_, rank_->rank);
   }
 
   /// Deterministic per-rank RNG stream. Applications that must replay

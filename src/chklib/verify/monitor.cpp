@@ -21,13 +21,13 @@ Monitor::Monitor(Runtime& runtime, Options options)
 Monitor::~Monitor() { uninstall(); }
 
 void Monitor::install() {
-  rt_->comm().set_observer(this);
+  rt_->comm().set_monitor(this);
   installed_ = true;
 }
 
 void Monitor::uninstall() {
   if (!installed_) return;
-  if (rt_->comm().observer() == this) rt_->comm().set_observer(nullptr);
+  if (rt_->comm().monitor() == this) rt_->comm().set_monitor(nullptr);
   installed_ = false;
 }
 
@@ -187,8 +187,7 @@ void Monitor::on_control_delivered(Rank dst, const ControlMsg& msg) {
   }
 }
 
-void Monitor::on_incarnation_bump(std::uint32_t incarnation) {
-  (void)incarnation;
+void Monitor::on_incarnation_bump() {
   // Everything in flight from the old incarnation is dead; sequence
   // counters rewind to the recovery line. All channel expectations reset
   // (on_restore_seq re-seeds the survivors' counters).
@@ -277,10 +276,7 @@ void Monitor::on_image_write_begin(Rank rank, std::uint32_t index) {
   if (!stale) active_writes_[rank] = index;
 }
 
-void Monitor::on_image_write_end(Rank rank, std::uint32_t index) {
-  (void)index;
-  active_writes_.erase(rank);
-}
+void Monitor::on_image_write_end(Rank rank) { active_writes_.erase(rank); }
 
 std::uint64_t Monitor::in_flight() const noexcept {
   std::uint64_t total = 0;

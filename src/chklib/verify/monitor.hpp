@@ -1,9 +1,10 @@
 // Runtime protocol-invariant monitor.
 //
-// A Monitor is an InvariantObserver installed on a Runtime's CommSystem. It
-// re-derives, independently of the endpoint/protocol bookkeeping it is
-// checking, what a correct CHK-LIB execution must look like, and reports
-// any divergence through an InvariantSink:
+// A Monitor installs itself on a Runtime's CommSystem, and the comm system,
+// the endpoints and the protocols call it at every externally visible
+// transition. It re-derives, independently of the endpoint/protocol
+// bookkeeping it is checking, what a correct CHK-LIB execution must look
+// like, and reports any divergence through an InvariantSink:
 //
 //   fifo        per-(src,dst) channel delivery is FIFO, loss-free and
 //               duplication-free within an incarnation: transmissions are
@@ -31,6 +32,7 @@
 //
 // The monitor is passive: it allocates only host memory and never touches
 // simulated time, so an instrumented run is bit-identical to a bare one.
+// Its callbacks run at already-existing event boundaries.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +41,13 @@
 #include <utility>
 #include <vector>
 
-#include "chklib/comm/observer.hpp"
 #include "chklib/proto/scheme.hpp"
 #include "chklib/runtime.hpp"
 #include "chklib/verify/invariants.hpp"
 
 namespace chk::chklib::verify {
 
-class Monitor final : public InvariantObserver {
+class Monitor {
  public:
   /// The fifo, epoch and consume checks always run; these select the rest.
   struct Options {
@@ -65,7 +66,7 @@ class Monitor final : public InvariantObserver {
   [[nodiscard]] static Options options_for(Scheme scheme, Policy policy = default_policy());
 
   Monitor(Runtime& runtime, Options options);
-  ~Monitor() override;
+  ~Monitor();
 
   /// Hook into the runtime's comm system. The monitor unhooks itself on
   /// destruction.
@@ -80,18 +81,40 @@ class Monitor final : public InvariantObserver {
   /// Messages transmitted but not yet arrived in the current incarnation.
   [[nodiscard]] std::uint64_t in_flight() const noexcept;
 
-  // ---- InvariantObserver ---------------------------------------------------
-  void on_transmit(const Envelope& env) override;
-  void on_endpoint_arrival(const Envelope& env) override;
-  void on_consume(Rank dst, const Envelope& env) override;
-  void on_control_delivered(Rank dst, const ControlMsg& msg) override;
-  void on_incarnation_bump(std::uint32_t incarnation) override;
-  void on_flush(Rank rank) override;
-  void on_restore_seq(Rank rank, const ChannelSeqState& state) override;
-  void on_round_abort(std::uint32_t epoch) override;
-  void on_token_regenerated(std::uint32_t epoch) override;
-  void on_image_write_begin(Rank rank, std::uint32_t index) override;
-  void on_image_write_end(Rank rank, std::uint32_t index) override;
+  // ---- application message plane -------------------------------------------
+  /// Sender handed an envelope to the network (epoch/incarnation stamped).
+  void on_transmit(const Envelope& env);
+  /// Envelope reached the destination endpoint, before duplicate
+  /// suppression (kernel context).
+  void on_endpoint_arrival(const Envelope& env);
+  /// Application consumed (recv'd) the envelope at `dst`.
+  void on_consume(Rank dst, const Envelope& env);
+
+  // ---- control plane -------------------------------------------------------
+  /// Control message delivered at `dst` (mailbox or membership service).
+  void on_control_delivered(Rank dst, const ControlMsg& msg);
+
+  // ---- recovery transitions ------------------------------------------------
+  /// Incarnation bumped (all older in-flight traffic is now dead).
+  void on_incarnation_bump();
+  /// Endpoint `rank` dropped all pending messages.
+  void on_flush(Rank rank);
+  /// Endpoint `rank`'s sequence state was restored from a checkpoint.
+  void on_restore_seq(Rank rank, const ChannelSeqState& state);
+  /// A coordinated round was aborted (watchdog timeout, view change or a
+  /// failed commit write): writes begun under it may still be in flight
+  /// and legitimately overlap the re-initiated round's first writer.
+  void on_round_abort(std::uint32_t epoch);
+  /// The stagger-token watchdog re-issued epoch `epoch`'s ring token. If
+  /// the original was merely delayed, the ring briefly carries two tokens
+  /// and same-epoch writes may overlap: slower, but both images are valid.
+  void on_token_regenerated(std::uint32_t epoch);
+
+  // ---- stable-storage checkpoint writes ------------------------------------
+  /// `rank` started writing checkpoint image `index` to stable storage.
+  void on_image_write_begin(Rank rank, std::uint32_t index);
+  /// `rank`'s image write completed.
+  void on_image_write_end(Rank rank);
 
  private:
   using ChannelKey = std::pair<Rank, Rank>;  // (src, dst)

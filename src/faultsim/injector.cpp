@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "chklib/membership/service.hpp"
 
 namespace chk::faultsim {
 
@@ -71,6 +72,15 @@ void FaultInjector::arm() {
         });
   }
   schedule_arrival();
+}
+
+chklib::Rank FaultInjector::draw_victim() noexcept {
+  const auto drawn = static_cast<chklib::Rank>(rng_.uniform_u64(rt_->num_ranks()));
+  if (const auto* membership = rt_->comm().membership();
+      plan_.target_coordinator && membership != nullptr) {
+    return membership->coordinator();
+  }
+  return drawn;
 }
 
 void FaultInjector::schedule_arrival() {

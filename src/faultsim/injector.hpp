@@ -43,11 +43,12 @@
 // re-arms for the next opportunity; it disarms only once it actually lands
 // inside its window. Every strike that does land — targeted or Poisson —
 // counts against `max_failures`.
+//
+// With `target_coordinator`, every victim is instead the elected
+// coordinator of the membership service on the runtime's comm system.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "chklib/recovery/manager.hpp"
 #include "chklib/runtime.hpp"
@@ -68,7 +69,9 @@ struct FaultPlan {
   /// Redirect every strike at the current coordinator (membership runs:
   /// coordinator death mid-round is the interesting election scenario). The
   /// victim draw still happens — the stream consumption per arrival stays
-  /// fixed — but the drawn rank is overridden by the coordinator provider.
+  /// fixed — but the drawn rank is overridden by the membership service's
+  /// coordinator(), read when the strike is scheduled, so an elected
+  /// successor becomes the next target.
   bool target_coordinator = false;
 };
 
@@ -89,13 +92,6 @@ class FaultInjector final : public chklib::RecoveryObserver {
   /// Install the hooks and schedule the first Poisson arrival. Call once,
   /// before Runtime::run_to_completion.
   void arm();
-
-  /// Who the coordinator is *right now* (queried at strike-scheduling time,
-  /// so an elected successor becomes the next target). Required when
-  /// plan.target_coordinator is set; ignored otherwise.
-  void set_coordinator_provider(std::function<chklib::Rank()> provider) noexcept {
-    coordinator_provider_ = std::move(provider);
-  }
 
   [[nodiscard]] const InjectionStats& stats() const noexcept { return stats_; }
 
@@ -124,19 +120,14 @@ class FaultInjector final : public chklib::RecoveryObserver {
   [[nodiscard]] bool poisson_exhausted() const noexcept {
     return stats_.injected + reserved() >= plan_.max_failures;
   }
-  [[nodiscard]] chklib::Rank draw_victim() noexcept {
-    // Always consume the draw (schedule-independent stream), then apply the
-    // coordinator override if configured.
-    const auto drawn = static_cast<chklib::Rank>(rng_.uniform_u64(rt_->num_ranks()));
-    if (plan_.target_coordinator && coordinator_provider_) return coordinator_provider_();
-    return drawn;
-  }
+  /// Always consumes the draw (schedule-independent stream), then applies
+  /// the coordinator override if configured.
+  [[nodiscard]] chklib::Rank draw_victim() noexcept;
 
   chklib::Runtime* rt_;
   chklib::RecoveryManager* recovery_;
   FaultPlan plan_;
   util::Rng rng_;
-  std::function<chklib::Rank()> coordinator_provider_;
   InjectionStats stats_;
   bool midwrite_armed_ = false;  ///< a targeted mid-write strike is scheduled
   bool midwrite_done_ = false;   ///< a strike landed mid-write; stop targeting

@@ -252,18 +252,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<chklib::membership::MembershipService> membership;
   if (protocol) {
     if (membership_on) {
-      // The service intercepts failures (so they route through detection +
-      // election instead of the oracle) and must be attached before the
-      // protocol starts; its RNG stream (tag 0xBEA7) is forked independently
-      // of every other fault domain, so detection phases compose seed-stably.
+      // The service takes failures first (so they route through detection +
+      // election instead of the oracle) and attaches itself to the comm
+      // system when constructed, so the protocol sees it from its own
+      // start(); its RNG stream (tag 0xBEA7) is forked independently of
+      // every other fault domain, so detection phases compose seed-stably.
       recovery = std::make_unique<chklib::RecoveryManager>(runtime, *protocol);
       membership = std::make_unique<chklib::membership::MembershipService>(
           runtime, *recovery, *config.membership,
           runtime.fork_rng(0xBEA7u).fork(config.membership->stream));
-      if (is_coordinated(config.scheme)) {
-        static_cast<chklib::CoordinatedProtocol&>(*protocol).set_membership(
-            membership.get());
-      }
     }
     protocol->start();
     if (membership) membership->start();
@@ -278,14 +275,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       if (config.faults.has_value()) {
         injector = std::make_unique<faultsim::FaultInjector>(runtime, *recovery,
                                                              *config.faults);
-        if (config.faults->target_coordinator) {
-          if (!membership || !is_coordinated(config.scheme)) {
-            throw std::invalid_argument(
-                "faults.target_coordinator needs the membership service on a "
-                "coordinated scheme — there is no elected coordinator to aim at");
-          }
-          injector->set_coordinator_provider(
-              [service = membership.get()] { return service->coordinator(); });
+        if (config.faults->target_coordinator &&
+            (!membership || !is_coordinated(config.scheme))) {
+          throw std::invalid_argument(
+              "faults.target_coordinator needs the membership service on a "
+              "coordinated scheme — there is no elected coordinator to aim at");
         }
         injector->arm();
       }

@@ -280,6 +280,7 @@ TEST(Comm, HookStampsAndObserves) {
       EXPECT_EQ(env.epoch, 42u);
     }
     void on_deliver(des::Process&, Rank, const Envelope&) override { ++delivers; }
+    void on_safe_point(des::Process&, Rank) override {}
   };
   Fixture f;
   CountingHooks hooks;

@@ -18,6 +18,10 @@
 //   * wiring guards: coordinator-targeted strikes without a membership
 //     service, and link faults with the reliable transport turned off (for
 //     every scheme, with or without membership), are configuration errors.
+//   * pinned monitored runs: every scheme with the monitor on, clean and
+//     through a coordinator crash, lossy phi links and coordinator-targeted
+//     strikes, reproduce their trace hash, event count, completion time,
+//     digest, invariant check count, detections and established views.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -29,6 +33,7 @@
 #include "des/simulator.hpp"
 #include "faultsim/injector.hpp"
 #include "harness/experiment.hpp"
+#include "pinned_runs.hpp"
 
 namespace chk {
 namespace {
@@ -386,6 +391,25 @@ TEST(Membership, LinkFaultsWithoutTransportAreRejected) {
           << to_string(scheme) << (with_membership ? " with" : " without")
           << " membership";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned monitored runs.
+// ---------------------------------------------------------------------------
+
+TEST(Membership, MonitoredRowsMatchTheirPins) {
+  for (const pinned::MonitoredRow& row : pinned::kMonitoredRows) {
+    const auto result = harness::run_experiment(pinned::config_for(row));
+    const std::string what = pinned::describe(row);
+    EXPECT_EQ(result.trace_hash, row.trace_hash) << what;
+    EXPECT_EQ(result.events, row.events) << what;
+    EXPECT_EQ(result.exec_time_s, row.exec_time_s) << what;
+    EXPECT_EQ(result.digest, row.digest) << what;
+    EXPECT_EQ(result.invariant_checks, row.invariant_checks) << what;
+    EXPECT_EQ(result.invariant_violations, 0u) << what;
+    EXPECT_EQ(result.detections, row.detections) << what;
+    EXPECT_EQ(result.views_established, row.views_established) << what;
   }
 }
 

@@ -184,6 +184,7 @@ class LeakyHooks final : public chklib::ProtocolHooks {
   void on_deliver(des::Process& self, Rank dst, const Envelope& env) override {
     inner_->on_deliver(self, dst, env);
   }
+  void on_safe_point(des::Process& self, Rank rank) override { inner_->on_safe_point(self, rank); }
 
  private:
   chklib::ProtocolHooks* inner_;
