@@ -50,7 +50,6 @@ int run() {
       baselines, 2, [&](std::size_t r, std::size_t column, const ExperimentResult& normal) {
         ExperimentConfig config = with_checkpoints(baselines[r], Scheme::kCoordNBM, 6, normal);
         config.incremental = column == 1;
-        config.full_every = 3;
         return config;
       });
   print_table(results);

@@ -153,7 +153,7 @@ int main(int argc, char** argv) try {
       // Phi keeps the lax default timeout as its warm-up bootstrap; the
       // steady-state aggressiveness comes from the threshold, not a
       // hand-tuned timeout — that is the point of the comparison.
-      membership.accrual.threshold_milli = static_cast<std::int64_t>(knob * 1000.0);
+      membership.phi_threshold_milli = static_cast<std::int64_t>(knob * 1000.0);
     }
     return membership;
   };
@@ -315,7 +315,7 @@ int main(int argc, char** argv) try {
   doc.set("seed", Value::number(base.seed));
   doc.set("hb_period_s", Value::number(hb_period));
   doc.set("phi_window",
-          Value::number(std::uint64_t{chklib::membership::AccrualConfig{}.window}));
+          Value::number(std::uint64_t{chklib::membership::AccrualWindow::kCapacity}));
   doc.set("normal_exec_s", Value::number(normal.exec_time_s));
   doc.set("all_verified", Value::boolean(all_ok));
   doc.set("binary_aggressive_wrongful", Value::number(binary_aggressive_wrongful));

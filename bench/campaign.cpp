@@ -54,10 +54,8 @@ namespace {
 
 using namespace chk;
 
-/// The failure process's cap on failures per run, and the seed its
-/// schedules are drawn from.
+/// The failure process's cap on failures per run.
 constexpr std::uint32_t kMaxFailures = 6;
-constexpr std::uint64_t kCampaignSeed = 1;
 
 struct Cell {
   std::string app;
@@ -156,7 +154,6 @@ int main(int argc, char** argv) try {
     config.base.membership = membership;
     config.base.keep_depth = keep_depth;
     config.runs = runs;
-    config.campaign_seed = kCampaignSeed;
     config.expected_digest = normal.digest;
     return faultsim::run_campaign(config);
   });
@@ -205,7 +202,7 @@ int main(int argc, char** argv) try {
   doc.set("runs", Value::number(std::uint64_t{runs}));
   doc.set("max_failures_per_run", Value::number(std::uint64_t{kMaxFailures}));
   doc.set("seed", Value::number(testbed.seed));
-  doc.set("campaign_seed", Value::number(kCampaignSeed));
+  doc.set("campaign_seed", Value::number(faultsim::kCampaignSeed));
   doc.set("link_loss", Value::number(link_faults.drop));
   doc.set("link_dup", Value::number(link_faults.duplicate));
   doc.set("link_corrupt", Value::number(link_faults.corrupt));
@@ -229,13 +226,13 @@ int main(int argc, char** argv) try {
           Value::number(
               membership.has_value() &&
                       membership->detector == chklib::membership::Detector::kPhiAccrual
-                  ? static_cast<double>(membership->accrual.threshold_milli) / 1000.0
+                  ? static_cast<double>(membership->phi_threshold_milli) / 1000.0
                   : 0.0));
   doc.set("phi_window",
           Value::number(
               membership.has_value() &&
                       membership->detector == chklib::membership::Detector::kPhiAccrual
-                  ? std::uint64_t{membership->accrual.window}
+                  ? std::uint64_t{chklib::membership::AccrualWindow::kCapacity}
                   : std::uint64_t{0}));
   doc.set("target_coordinator", Value::boolean(target_coordinator));
   doc.set("all_verified", Value::boolean(all_verified));

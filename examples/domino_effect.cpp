@@ -6,8 +6,10 @@
 // no message crossing it — collapses all the way to the initial state: the
 // checkpoints were useless. A loosely coupled application (NQUEENS: no
 // communication until the final reduction) keeps its newest checkpoints.
+// Either way the recovered run must compute the failure-free answer; the
+// example exits 1 if it does not.
 //
-//   ./domino_effect [--fail-at-frac=0.8]
+//   ./domino_effect [--fail-at-frac=0.8] [--verify]
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,8 +23,10 @@ namespace {
 
 using namespace chk;
 
+/// One failure under Indep; clears `answer_ok` if the recovered run's
+/// result differs from the failure-free one.
 harness::ExperimentResult run_case(const char* label, chklib::AppFn app, double fail_frac,
-                                   bool verify) {
+                                   bool verify, bool& answer_ok) {
   harness::ExperimentConfig config;
   config.label = label;
   config.app = std::move(app);
@@ -33,7 +37,9 @@ harness::ExperimentResult run_case(const char* label, chklib::AppFn app, double 
   config.interval = des::Duration::seconds(normal.exec_time_s / 4.0);
   config.failure = harness::FailureSpec{
       des::TimePoint::origin() + des::Duration::seconds(normal.exec_time_s * fail_frac), 2};
-  return harness::run_experiment(config);
+  harness::ExperimentResult result = harness::run_experiment(config);
+  answer_ok = answer_ok && result.digest == normal.digest;
+  return result;
 }
 
 void describe(const char* label, const harness::ExperimentResult& result) {
@@ -62,19 +68,25 @@ int main(int argc, char** argv) try {
   const bool verify = util::verify_requested(cli);
   cli.reject_unread();
 
+  bool answer_ok = true;
   std::puts("Tightly coupled (SOR, halo exchange every iteration):");
-  const auto sor =
-      run_case("SOR", apps::make_sor({.n = 128, .iterations = 120}), fail_frac, verify);
+  const auto sor = run_case("SOR", apps::make_sor({.n = 128, .iterations = 120}), fail_frac,
+                            verify, answer_ok);
   describe("SOR + Indep, strict line", sor);
 
   std::puts("Loosely coupled (NQUEENS, no communication until the end):");
-  const auto nq = run_case("NQUEENS", apps::make_nqueens({.n = 11}), fail_frac, verify);
+  const auto nq =
+      run_case("NQUEENS", apps::make_nqueens({.n = 11}), fail_frac, verify, answer_ok);
   describe("NQUEENS + Indep, strict line", nq);
 
   const bool ok = sor.recoveries.front().rolled_to_origin &&
                   !nq.recoveries.front().rolled_to_origin;
   std::puts(ok ? "Domino observed exactly where the theory predicts."
                : "NOTE: rollback pattern differs from the typical outcome for these sizes.");
+  if (!answer_ok) {
+    std::fputs("ERROR: recovery changed the application result!\n", stderr);
+    return 1;
+  }
   return 0;
 } catch (const std::invalid_argument& err) {
   return util::usage_error(argv[0], err);

@@ -133,9 +133,6 @@ class CommSystem {
   [[nodiscard]] std::uint64_t link_delayed() const noexcept {
     return faults_ != nullptr ? faults_->delayed() : 0;
   }
-  [[nodiscard]] std::uint64_t partition_drops() const noexcept {
-    return faults_ != nullptr ? faults_->partition_drops() : 0;
-  }
 
  private:
   /// Exactly-once hand-up paths (also the raw network callbacks when the

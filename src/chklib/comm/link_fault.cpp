@@ -15,16 +15,10 @@ void check_prob(const char* name, double p) {
   }
 }
 
-void check_nonneg(const char* name, double v) {
-  if (!(v >= 0.0)) {
-    throw std::invalid_argument(std::string(name) +
-                                ": must be non-negative, got " +
-                                std::to_string(v));
-  }
-}
-
 /// Mean lag of a duplicate copy behind the original.
 constexpr double kDupLagMeanS = 5e-4;
+/// Mean extra delay of a delayed frame.
+constexpr double kDelayMeanS = 1e-3;
 
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e9);
@@ -37,27 +31,6 @@ void LinkFaultConfig::validate() const {
   check_prob("link duplicate", duplicate);
   check_prob("link corrupt", corrupt);
   check_prob("link delay probability", delay_prob);
-  check_nonneg("link delay mean", delay_mean_s);
-  check_nonneg("partition period", partition_period_s);
-  check_nonneg("partition duration", partition_duration_s);
-  if (partition_duration_s > 0 && partition_period_s > 0 &&
-      partition_duration_s > partition_period_s) {
-    throw std::invalid_argument(
-        "partition duration must not exceed the partition period, got " +
-        std::to_string(partition_duration_s) + " > " +
-        std::to_string(partition_period_s));
-  }
-}
-
-bool LinkFaultModel::partitioned(std::size_t a, std::size_t b,
-                                 std::int64_t now_ns) const noexcept {
-  if (!cfg_.partition_enabled()) return false;
-  const auto target = static_cast<std::size_t>(cfg_.partition_rank);
-  if (a != target && b != target) return false;
-  const auto period_ns = to_ns(cfg_.partition_period_s);
-  const auto duration_ns = to_ns(cfg_.partition_duration_s);
-  if (period_ns <= 0) return false;
-  return now_ns % period_ns < duration_ns;
 }
 
 LinkFaultModel::Verdict LinkFaultModel::judge() {
@@ -84,7 +57,7 @@ LinkFaultModel::Verdict LinkFaultModel::judge() {
   }
   if (delay) {
     ++delayed_;
-    v.extra_delay_ns = to_ns(rng_.exponential(cfg_.delay_mean_s));
+    v.extra_delay_ns = to_ns(rng_.exponential(kDelayMeanS));
   }
   return v;
 }

@@ -12,7 +12,6 @@
 // path, so the feature is zero-overhead when disabled.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "util/rng.hpp"
@@ -30,36 +29,18 @@ struct LinkFaultConfig {
   /// retransmit recovers it.
   double corrupt = 0;
   /// Per-frame extra-delay probability in [0, 1); a delayed frame arrives
-  /// `delay_mean_s` (exponential) later, which can reorder frames on the
-  /// link (the transport's sequence numbers put them back in order).
+  /// 1 ms (mean, exponential) later, which can reorder frames on the link
+  /// (the transport's sequence numbers put them back in order).
   double delay_prob = 0;
-  double delay_mean_s = 1e-3;
   /// Stream selector forked off the experiment seed, so one experiment
   /// config hosts many campaign runs differing only in the link weather.
   std::uint64_t stream = 0;
-  /// Timed partition windows isolating one rank: every frame touching
-  /// `partition_rank` (as physical sender or receiver) is dropped while a
-  /// window is active. Window k covers
-  /// [k * partition_period_s, k * partition_period_s + partition_duration_s);
-  /// partition_duration_s == 0 disables. Purely a function of simulated
-  /// time: the partition check consumes no RNG draws of its own (the
-  /// drop/dup/corrupt/delay stream advances only for frames that actually
-  /// reach judge()).
-  int partition_rank = -1;
-  double partition_period_s = 0;
-  double partition_duration_s = 0;
 
   /// True when any fault can actually occur.
   [[nodiscard]] bool enabled() const noexcept {
-    return drop > 0 || duplicate > 0 || corrupt > 0 || delay_prob > 0 ||
-           partition_enabled();
+    return drop > 0 || duplicate > 0 || corrupt > 0 || delay_prob > 0;
   }
-  [[nodiscard]] bool partition_enabled() const noexcept {
-    return partition_rank >= 0 && partition_duration_s > 0 &&
-           partition_period_s > 0;
-  }
-  /// Throws std::invalid_argument on out-of-range probabilities (outside
-  /// [0, 1)) or negative delays.
+  /// Throws std::invalid_argument on probabilities outside [0, 1).
   void validate() const;
 };
 
@@ -88,22 +69,11 @@ class LinkFaultModel {
 
   [[nodiscard]] Verdict judge();
 
-  /// True when a frame physically travelling a->b at time `now_ns` falls
-  /// inside an active partition window (either endpoint isolated). Pure
-  /// predicate: consumes no RNG draws. Callers check this *before* judge()
-  /// and count the drop via note_partition_drop().
-  [[nodiscard]] bool partitioned(std::size_t a, std::size_t b,
-                                 std::int64_t now_ns) const noexcept;
-  void note_partition_drop() noexcept { ++partition_drops_; }
-
   [[nodiscard]] const LinkFaultConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] std::uint64_t duplicates() const noexcept { return duplicates_; }
   [[nodiscard]] std::uint64_t corrupted() const noexcept { return corrupted_; }
   [[nodiscard]] std::uint64_t delayed() const noexcept { return delayed_; }
-  [[nodiscard]] std::uint64_t partition_drops() const noexcept {
-    return partition_drops_;
-  }
 
  private:
   LinkFaultConfig cfg_;
@@ -112,7 +82,6 @@ class LinkFaultModel {
   std::uint64_t duplicates_ = 0;
   std::uint64_t corrupted_ = 0;
   std::uint64_t delayed_ = 0;
-  std::uint64_t partition_drops_ = 0;
 };
 
 }  // namespace chk::chklib

@@ -94,7 +94,6 @@ void Transport::send_datagram(Rank src, Rank dst, const ControlMsg& msg) {
   frame.dst = dst;
   frame.msg = msg;
   frame.checksum = checksum_of(frame);
-  ++stats_.datagrams_sent;
   transmit_frame(frame);
 }
 
@@ -103,7 +102,6 @@ void Transport::submit(Frame frame) {
   SenderLink& tx = senders_[link];
   frame.seq = tx.next_seq++;
   frame.checksum = checksum_of(frame);
-  ++stats_.data_frames;
   transmit_frame(frame);
   tx.unacked.emplace(frame.seq, std::move(frame));
   if (!tx.rto_timer.pending()) {
@@ -136,16 +134,6 @@ void Transport::on_frame_arrival(Frame frame) {
   if ((frame.kind == FrameKind::kControl || frame.kind == FrameKind::kDatagram) &&
       drop_filter_ && drop_filter_(frame.msg)) {
     return;
-  }
-  if (faults_ != nullptr) {
-    // Physical travel direction: acks go frame.dst -> frame.src (mirroring
-    // transmit_frame). Partition drops consume no RNG draws.
-    const Rank phys_from = frame.kind == FrameKind::kAck ? frame.dst : frame.src;
-    const Rank phys_to = frame.kind == FrameKind::kAck ? frame.src : frame.dst;
-    if (faults_->partitioned(phys_from, phys_to, sim_->now().to_nanos())) {
-      faults_->note_partition_drop();
-      return;
-    }
   }
   if (faults_ != nullptr) {
     const LinkFaultModel::Verdict verdict = faults_->judge();
@@ -246,7 +234,6 @@ void Transport::send_ack(const LinkKey& link, std::uint64_t ack) {
   frame.dst = link.second;
   frame.ack = ack;
   frame.checksum = checksum_of(frame);
-  ++stats_.acks_sent;
   transmit_frame(frame);
 }
 

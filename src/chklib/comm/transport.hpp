@@ -28,7 +28,7 @@
 // and retransmitting it through the FIFO stream would head-of-line-block
 // behind any stalled data frame, manufacturing multi-second false
 // silences out of ordinary loss — exactly the artifact a failure detector
-// must not see. Link faults (drop/duplicate/corrupt/partition) apply to
+// must not see. Link faults (drop/duplicate/corrupt/delay) apply to
 // datagrams like any other frame; corruption is caught by the checksum
 // and the frame is simply lost.
 //
@@ -50,12 +50,9 @@
 namespace chk::chklib {
 
 struct TransportStats {
-  std::uint64_t data_frames = 0;      ///< first transmissions (app + control)
-  std::uint64_t datagrams_sent = 0;   ///< unsequenced fire-and-forget frames
   std::uint64_t retransmits = 0;      ///< frames re-sent on RTO expiry
   std::uint64_t dups_suppressed = 0;  ///< duplicate data frames discarded
   std::uint64_t corrupt_detected = 0; ///< checksum mismatches discarded
-  std::uint64_t acks_sent = 0;
   /// RTO timer churn. Every cumulative-ack advance cancels the armed timer
   /// and (with frames still in flight) re-arms it, so under ack-heavy
   /// traffic `rto_cancelled` approaches one per ack — each a dead event

@@ -1,8 +1,6 @@
 #include "chklib/membership/accrual.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 namespace chk::chklib::membership {
 namespace {
@@ -16,27 +14,6 @@ constexpr std::int64_t kPhiDen = 1'000'000'000;
 constexpr std::int64_t kZMilliMax = 1'000'000;
 
 }  // namespace
-
-void AccrualConfig::validate() const {
-  if (min_samples < 2) {
-    throw std::invalid_argument("accrual min_samples must be >= 2, got " +
-                                std::to_string(min_samples));
-  }
-  if (window < min_samples || window > 1024) {
-    throw std::invalid_argument("accrual window must be in [min_samples, 1024], got " +
-                                std::to_string(window));
-  }
-  if (threshold_milli <= 0) {
-    throw std::invalid_argument("accrual threshold must be positive, got " +
-                                std::to_string(threshold_milli) + " milli-phi");
-  }
-  if (min_stddev < des::Duration::zero()) {
-    throw std::invalid_argument("accrual min_stddev must be non-negative");
-  }
-  if (bootstrap < des::Duration::zero()) {
-    throw std::invalid_argument("accrual bootstrap timeout must be non-negative");
-  }
-}
 
 std::int64_t isqrt64(std::int64_t v) noexcept {
   if (v <= 0) return 0;
@@ -57,17 +34,13 @@ std::int64_t isqrt64(std::int64_t v) noexcept {
 
 std::int64_t phi_threshold_z_milli(std::int64_t threshold_milli) noexcept {
   // z*^2 = threshold / (log10(e)/2)  =>  z*_milli^2 = threshold_milli * kPhiDen / kPhiNum.
-  // threshold_milli is bounded by validate() callers to sane values, but
-  // clamp defensively so the multiply cannot overflow.
+  // MembershipConfig::validate rejects non-positive thresholds; clamp
+  // the top too so the multiply cannot overflow.
   const std::int64_t t = std::clamp<std::int64_t>(threshold_milli, 1, 1'000'000);
   return isqrt64(t * kPhiDen / kPhiNum);
 }
 
-void AccrualWindow::heard(const AccrualConfig& cfg, des::TimePoint now) {
-  if (capacity_ == 0) {
-    capacity_ = cfg.window;
-    ring_.reserve(capacity_);
-  }
+void AccrualWindow::heard(des::TimePoint now) {
   if (clock_running_) {
     const des::Duration gap = now - last_arrival_;
     std::int64_t sample_us = gap.to_nanos() / 1000;
@@ -80,14 +53,15 @@ void AccrualWindow::heard(const AccrualConfig& cfg, des::TimePoint now) {
       last_arrival_ = now;
       return;
     }
-    if (ring_.size() < capacity_) {
+    if (ring_.size() < kCapacity) {
+      if (ring_.empty()) ring_.reserve(kCapacity);
       ring_.push_back(sample_us);
     } else {
       const std::int64_t old = ring_[head_];
       sum_us_ -= old;
       sum_sq_us_ -= old * old;
       ring_[head_] = sample_us;
-      head_ = (head_ + 1) % capacity_;
+      head_ = (head_ + 1) % kCapacity;
     }
     sum_us_ += sample_us;
     sum_sq_us_ += sample_us * sample_us;
@@ -132,8 +106,8 @@ std::int64_t AccrualWindow::max_sample_us() const noexcept {
   return max_us;
 }
 
-std::int64_t AccrualWindow::floored_stddev_us(const AccrualConfig& cfg) const noexcept {
-  const std::int64_t floor_us = cfg.min_stddev.to_nanos() / 1000;
+std::int64_t AccrualWindow::floored_stddev_us() const noexcept {
+  const std::int64_t floor_us = min_stddev_.to_nanos() / 1000;
   // Heavy-tail guard: beacon inter-arrivals under loss are geometric
   // (multiples of the period), and a Gaussian z on such a tail is
   // overconfident — a window that happens to hold few delayed samples
@@ -147,28 +121,28 @@ std::int64_t AccrualWindow::floored_stddev_us(const AccrualConfig& cfg) const no
   return std::max({stddev_us(), tail_us, floor_us, std::int64_t{1}});
 }
 
-std::int64_t AccrualWindow::phi_milli(const AccrualConfig& cfg,
-                                      des::TimePoint now) const noexcept {
+std::int64_t AccrualWindow::phi_milli(des::TimePoint now,
+                                      std::int64_t threshold_milli) const noexcept {
   if (!clock_running_) return 0;  // never heard: nothing to accrue against
   const des::Duration silence = now - last_arrival_;
-  if (!warmed_up(cfg)) {
+  if (!warmed_up()) {
     // Bootstrap: binary semantics against the warm-up timeout.
-    return silence > cfg.bootstrap ? cfg.threshold_milli : 0;
+    return silence > bootstrap_ ? threshold_milli : 0;
   }
   const std::int64_t silence_us =
       std::clamp<std::int64_t>(silence.to_nanos() / 1000, 0, 2 * kMaxSampleUs);
   const std::int64_t m = mean_us();
   if (silence_us <= m) return 0;
-  const std::int64_t sd = floored_stddev_us(cfg);
+  const std::int64_t sd = floored_stddev_us();
   const std::int64_t z_milli =
       std::min<std::int64_t>((silence_us - m) * 1000 / sd, kZMilliMax);
   return z_milli * z_milli * kPhiNum / kPhiDen;
 }
 
-des::Duration AccrualWindow::implied_timeout(const AccrualConfig& cfg) const noexcept {
-  if (!warmed_up(cfg)) return cfg.bootstrap;
-  const std::int64_t z_milli = phi_threshold_z_milli(cfg.threshold_milli);
-  const std::int64_t sd = floored_stddev_us(cfg);
+des::Duration AccrualWindow::implied_timeout(std::int64_t threshold_milli) const noexcept {
+  if (!warmed_up()) return bootstrap_;
+  const std::int64_t z_milli = phi_threshold_z_milli(threshold_milli);
+  const std::int64_t sd = floored_stddev_us();
   const std::int64_t timeout_us = mean_us() + sd * z_milli / 1000;
   return des::Duration::nanos(timeout_us * 1000);
 }

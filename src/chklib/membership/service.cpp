@@ -41,7 +41,10 @@ void MembershipConfig::validate(std::size_t num_ranks) const {
   if (detect_timeout <= hb_period) {
     throw std::invalid_argument("membership: detect_timeout must exceed hb_period");
   }
-  if (detector == Detector::kPhiAccrual) accrual.validate();
+  if (detector == Detector::kPhiAccrual && phi_threshold_milli <= 0) {
+    throw std::invalid_argument("membership: phi threshold must be positive, got " +
+                                std::to_string(phi_threshold_milli) + " milli-phi");
+  }
 }
 
 MembershipService::MembershipService(Runtime& runtime, RecoveryManager& recovery,
@@ -79,14 +82,12 @@ void MembershipService::start() {
   rejoin_seq_.assign(num_ranks_, 0);
   crash_at_.assign(num_ranks_, now);
 
-  // Resolve the accrual autos against the service's own knobs and prime
-  // the per-pair silence clocks so even a rank that dies before its first
-  // beacon accrues suspicion.
-  acc_ = cfg_.accrual;
-  if (acc_.min_stddev == des::Duration::zero()) acc_.min_stddev = cfg_.hb_period / 4;
-  if (acc_.bootstrap == des::Duration::zero()) acc_.bootstrap = cfg_.detect_timeout;
+  // Prime the per-pair silence clocks so even a rank that dies before its
+  // first beacon accrues suspicion.
   if (cfg_.detector == Detector::kPhiAccrual) {
-    accrual_.assign(num_ranks_, std::vector<AccrualWindow>(num_ranks_));
+    accrual_.assign(num_ranks_,
+                    std::vector<AccrualWindow>(
+                        num_ranks_, AccrualWindow(cfg_.hb_period / 4, cfg_.detect_timeout)));
     for (auto& row : accrual_) {
       for (auto& w : row) w.restart_gap(now);
     }
@@ -187,7 +188,8 @@ void MembershipService::rephase_beacon(Rank r) {
 
 bool MembershipService::suspicious(Rank r, Rank m, des::TimePoint now) const {
   if (cfg_.detector == Detector::kPhiAccrual) {
-    return accrual_[r][m].phi_milli(acc_, now) >= acc_.threshold_milli;
+    return accrual_[r][m].phi_milli(now, cfg_.phi_threshold_milli) >=
+           cfg_.phi_threshold_milli;
   }
   return now - last_heard_[r][m] > cfg_.detect_timeout;
 }
@@ -200,7 +202,8 @@ des::Duration MembershipService::sweep_period(Rank r) const {
   des::Duration tightest = des::Duration::max();
   for (Rank m = 0; m < num_ranks_; ++m) {
     if (m == r || !is_member(m)) continue;
-    tightest = std::min(tightest, accrual_[r][m].implied_timeout(acc_));
+    tightest =
+        std::min(tightest, accrual_[r][m].implied_timeout(cfg_.phi_threshold_milli));
   }
   if (tightest == des::Duration::max()) return cfg_.hb_period;
   return std::clamp(tightest / 4, cfg_.hb_period / 2, cfg_.hb_period * 2);
@@ -256,7 +259,7 @@ void MembershipService::on_control(Rank dst, const ControlMsg& msg) {
       const des::TimePoint now = rt_->sim().now();
       last_heard_[dst][msg.src] = now;
       if (cfg_.detector == Detector::kPhiAccrual) {
-        accrual_[dst][msg.src].heard(acc_, now);
+        accrual_[dst][msg.src].heard(now);
       }
       if (suspects_[dst][msg.src]) {
         suspects_[dst][msg.src] = false;
@@ -336,7 +339,6 @@ void MembershipService::maybe_propose(Rank at) {
 void MembershipService::propose(Rank proposer, std::uint64_t new_members) {
   const std::uint64_t base = std::max(view_, proposed_view_);
   const std::uint64_t next = (base / num_ranks_ + 1) * num_ranks_ + proposer;
-  ++stats_.proposals;
   for (Rank q = 0; q < num_ranks_; ++q) {
     if (q == proposer) continue;
     rt_->comm().send_control(proposer, q,
@@ -436,7 +438,7 @@ des::Duration MembershipService::deadman_delay(Rank r) const {
   des::Duration widest = des::Duration::zero();
   for (Rank obs = 0; obs < num_ranks_; ++obs) {
     if (obs == r || down_.contains(obs)) continue;
-    widest = std::max(widest, accrual_[obs][r].implied_timeout(acc_));
+    widest = std::max(widest, accrual_[obs][r].implied_timeout(cfg_.phi_threshold_milli));
   }
   if (widest == des::Duration::zero()) widest = cfg_.detect_timeout;
   return widest * 2 + grace();

@@ -73,7 +73,7 @@ namespace chk::chklib::membership {
 ///                   rejoin.
 ///   kPhiAccrual     suspicion accrues from the observed heartbeat
 ///                   inter-arrival distribution (accrual.hpp): suspect when
-///                   phi crosses accrual.threshold_milli. Links slowed by
+///                   phi crosses phi_threshold_milli. Links slowed by
 ///                   retransmission storms widen their own windows, so loss
 ///                   stops looking like death. Suspicion is also
 ///                   *hysteretic* in both modes: a suspect whose evidence
@@ -95,8 +95,8 @@ struct MembershipConfig {
   /// The default (2 s) is deliberately lax — BENCH_membership.json measures
   /// the storm regime starting around 0.6 s at 20% link loss, where the
   /// binary detector evicts live ranks every run. kPhiAccrual uses this
-  /// only as the warm-up bootstrap timeout (accrual.bootstrap = 0) and as
-  /// the base of the pre-warm-up deadman.
+  /// only as the accrual windows' warm-up bootstrap timeout and as the
+  /// base of the pre-warm-up deadman.
   des::Duration detect_timeout = des::Duration::seconds(2);
   /// Stream selector forked off the experiment seed (campaign runs differ
   /// only in membership timer phases).
@@ -104,21 +104,21 @@ struct MembershipConfig {
   /// Which failure detector drives suspicion. Binary is the default so
   /// every pre-accrual baseline stays bit-identical.
   Detector detector = Detector::kBinaryTimeout;
-  /// Phi-accrual tuning; consulted only when detector == kPhiAccrual.
-  /// Zero-valued min_stddev / bootstrap resolve to hb_period / 4 and
-  /// detect_timeout at start().
-  AccrualConfig accrual;
+  /// kPhiAccrual: suspect once phi reaches this, in milli-phi (8000 = phi
+  /// 8, the classic default: the current silence is less than 1e-8
+  /// probable under the history). The accrual windows' stddev floor is
+  /// hb_period / 4.
+  std::int64_t phi_threshold_milli = 8000;
 
   /// Throws std::invalid_argument on nonsense values (num_ranks > 64,
-  /// non-positive periods, detect_timeout <= hb_period, malformed accrual
-  /// config in phi mode).
+  /// non-positive periods, detect_timeout <= hb_period, a non-positive
+  /// phi threshold in phi mode).
   void validate(std::size_t num_ranks) const;
 };
 
 struct MembershipStats {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t suspicions = 0;        ///< fresh (observer, subject) suspicions
-  std::uint64_t proposals = 0;         ///< kViewChange broadcasts (elections initiated)
   std::uint64_t views_established = 0; ///< proposals that gathered their ack majority
   std::uint64_t evictions = 0;         ///< members removed by an adopted view
   std::uint64_t wrongful_evictions = 0;///< ... of which were actually alive (fenced)
@@ -237,7 +237,6 @@ class MembershipService final : public RecoveryObserver {
   std::vector<std::vector<des::TimePoint>> last_heard_;  ///< [observer][subject]
   std::vector<std::vector<bool>> suspects_;              ///< [observer][subject]
   bool detection_paused_ = false;  ///< while a rollback restore is in flight
-  AccrualConfig acc_;              ///< cfg_.accrual with autos resolved
   std::vector<std::vector<AccrualWindow>> accrual_;      ///< [observer][subject]
   std::vector<std::uint32_t> beacon_epoch_;  ///< guards heartbeat timer chains
   std::vector<std::uint32_t> rejoin_seq_;    ///< re-phase ordinal per rank

@@ -116,7 +116,7 @@ void CoordinatedProtocol::begin_round(std::uint32_t epoch) {
         cfg_.round_timeout, [this, epoch] { on_round_timeout(epoch); });
     track_timer(round_watchdog_);
   }
-  if (cfg_.scheme == Scheme::kCoordNBMS && cfg_.token_timeout.to_nanos() > 0) {
+  if (cfg_.scheme == Scheme::kCoordNBMS && token_timeout().to_nanos() > 0) {
     token_pos_ = 0;
     token_progress_ = false;
     ring_done_ = false;
@@ -159,7 +159,7 @@ void CoordinatedProtocol::note_round_abort(std::uint32_t epoch) {
 
 void CoordinatedProtocol::arm_token_watchdog() {
   token_watchdog_ = rt_->sim().schedule_after(
-      cfg_.token_timeout,
+      token_timeout(),
       [this, epoch = round_epoch_] { on_token_timeout(epoch); });
   track_timer(token_watchdog_);
 }
@@ -437,7 +437,7 @@ void CoordinatedProtocol::release_write(Rank r, std::uint32_t tag) {
     if (r + 1 < rt_->num_ranks()) {
       rt_->comm().send_control(r, r + 1, ControlMsg{ControlKind::kToken, r, tag, 0});
     }
-    if (cfg_.token_timeout.to_nanos() > 0) {
+    if (token_timeout().to_nanos() > 0) {
       rt_->comm().send_control(r, coordinator(),
                                ControlMsg{ControlKind::kTokenBeacon, r, tag, 0});
     }

@@ -42,6 +42,10 @@ namespace chk::chklib {
 
 class CoordinatedProtocol final : public Protocol {
  public:
+  /// Incremental mode takes a full image every kFullEvery checkpoints
+  /// (epochs 1, 1 + kFullEvery, ...), bounding the recovery chain length.
+  static constexpr std::uint32_t kFullEvery = 3;
+
   struct Config {
     Scheme scheme = Scheme::kCoordNB;
     des::Duration interval = des::Duration::secs(60);
@@ -56,20 +60,18 @@ class CoordinatedProtocol final : public Protocol {
     /// the registered state; recovery applies the delta chain. Commit-time
     /// garbage collection keeps the chain back to the last full image.
     bool incremental = false;
-    /// With incremental on: take a full image every N checkpoints (epoch 1,
-    /// 1+N, ... are full), bounding the recovery chain length.
-    std::uint32_t full_every = 4;
     /// Round watchdog: if > 0, the coordinator aborts a round whose acks
     /// have not completed within this duration and re-initiates it at the
     /// next epoch (the lost messages' checkpoints become tentative and are
     /// superseded). Zero disables the watchdog entirely — arming the timer
     /// perturbs event sequencing, so fault-free runs keep it off.
-    des::Duration round_timeout = des::Duration::zero();
-    /// Stagger-token watchdog period (Coord_NBMS): if > 0, writers beacon
+    ///
+    /// It also sets the stagger-token watchdog (Coord_NBMS): writers beacon
     /// each token pass to the coordinator, which regenerates the token
-    /// toward the next expected holder when a whole period elapses with no
-    /// progress. Zero disables (and suppresses the beacons).
-    des::Duration token_timeout = des::Duration::zero();
+    /// toward the next expected holder when a quarter of round_timeout
+    /// elapses with no progress. Zero disables both (and suppresses the
+    /// beacons).
+    des::Duration round_timeout = des::Duration::zero();
     /// Retention depth: commit-time GC keeps the delta chains of the
     /// newest `keep_depth` committed generations (>= 1). With unreliable
     /// storage a depth of at least 2 lets recovery fall back to the
@@ -176,9 +178,13 @@ class CoordinatedProtocol final : public Protocol {
     std::vector<std::uint32_t> commit_history;
   };
 
-  /// Epochs 1, 1+full_every, ... carry full images in incremental mode.
-  [[nodiscard]] bool is_full_epoch(std::uint32_t epoch) const noexcept {
-    return ((epoch - 1) % cfg_.full_every) == 0;
+  /// Epochs 1, 1 + kFullEvery, ... carry full images in incremental mode.
+  [[nodiscard]] static bool is_full_epoch(std::uint32_t epoch) noexcept {
+    return ((epoch - 1) % kFullEvery) == 0;
+  }
+  /// The stagger-token watchdog period; zero when the watchdogs are off.
+  [[nodiscard]] des::Duration token_timeout() const noexcept {
+    return cfg_.round_timeout / 4;
   }
 
   void spawn_daemons();

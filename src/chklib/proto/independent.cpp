@@ -78,7 +78,7 @@ void IndependentProtocol::timer_main(Rank r, des::Process& self) {
   util::Rng rng = rt_->fork_rng(0x6000 + r).fork(rt_->rank(r).restarts);
   Agent& agent = *agents_[r];
   while (cfg_.count == 0 || agent.intervals < cfg_.count) {
-    const double factor = 1.0 + cfg_.jitter * (2.0 * rng.uniform() - 1.0);
+    const double factor = 1.0 + kJitter * (2.0 * rng.uniform() - 1.0);
     self.delay(cfg_.interval.scaled(factor));
     if (rt_->rank(r).app_process == nullptr) {
       // Application finished: its final state is stable; capture directly.

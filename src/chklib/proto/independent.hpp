@@ -37,13 +37,16 @@ namespace chk::chklib {
 
 class IndependentProtocol final : public Protocol {
  public:
+  /// Timer jitter as a fraction of the interval: each node's next
+  /// checkpoint is due after interval * (1 +- kJitter), which
+  /// desynchronizes the nodes.
+  static constexpr double kJitter = 0.15;
+
   struct Config {
     Scheme scheme = Scheme::kIndep;
     des::Duration interval = des::Duration::secs(60);
     /// Checkpoints per node; 0 = keep going until the run ends.
     std::uint32_t count = 3;
-    /// Timer jitter as a fraction of the interval (desynchronizes nodes).
-    double jitter = 0.15;
     bool gc = false;
     /// Line for GC without message logging; recovery always uses the
     /// strict line (log-free recovery must not cross any message).

@@ -39,7 +39,6 @@ void Protocol::save_image(des::Process& carrier, Rank r, CheckpointImage image, 
   const des::TimePoint block_start = rt_->sim().now();
   const std::uint32_t index = image.index;
   ++stats_.local_checkpoints;
-  if (delta) ++stats_.delta_checkpoints;
   stats_.image_log.push_back(ProtocolStats::ImageRecord{
       index, static_cast<std::uint32_t>(r), image.state.size(), image.captured_at_ns, delta});
 

@@ -40,7 +40,6 @@ struct RecoveryLine {
 
 struct ProtocolStats {
   std::uint64_t local_checkpoints = 0;  ///< per-process checkpoint operations
-  std::uint64_t delta_checkpoints = 0;  ///< of which incremental deltas
   std::uint32_t committed_rounds = 0;   ///< globally committed epochs (coordinated)
   std::uint32_t aborted_rounds = 0;     ///< rounds the watchdog timed out and re-initiated
   std::uint32_t tokens_regenerated = 0; ///< stagger tokens re-issued by the watchdog

@@ -7,16 +7,11 @@
 
 namespace chk::chklib::verify {
 
-Monitor::Options Monitor::options_for(Scheme scheme, Policy policy) {
-  Options options;
-  options.policy = policy;
-  options.check_quiescence = is_coordinated(scheme);
-  options.check_stagger = is_staggered(scheme);
-  return options;
-}
-
-Monitor::Monitor(Runtime& runtime, Options options)
-    : rt_(&runtime), opt_(options), sink_(runtime.sim(), options.policy) {}
+Monitor::Monitor(Runtime& runtime, Scheme scheme, Policy policy)
+    : rt_(&runtime),
+      check_quiescence_(is_coordinated(scheme)),
+      check_stagger_(is_staggered(scheme)),
+      sink_(runtime.sim(), policy) {}
 
 Monitor::~Monitor() { uninstall(); }
 
@@ -85,7 +80,7 @@ void Monitor::on_endpoint_arrival(const Envelope& env) {
   ch.rx_next = env.seq + 1;
   ++ch.rx_count;
 
-  if (opt_.check_quiescence) {
+  if (check_quiescence_) {
     sink_.note_check();
     if (ch.marker_epoch > 0 && env.epoch < ch.marker_epoch) {
       sink_.report("quiescence", env.dst,
@@ -113,11 +108,11 @@ void Monitor::on_consume(Rank dst, const Envelope& env) {
 }
 
 void Monitor::on_control_delivered(Rank dst, const ControlMsg& msg) {
-  if (opt_.check_quiescence && msg.kind == ControlKind::kChannelMarker) {
+  if (check_quiescence_ && msg.kind == ControlKind::kChannelMarker) {
     ChannelState& ch = channel(msg.src, dst);
     ch.marker_epoch = std::max(ch.marker_epoch, msg.epoch);
   }
-  if (!opt_.check_membership) return;
+  if (rt_->comm().membership() == nullptr) return;
   const auto n = static_cast<std::uint64_t>(rt_->num_ranks());
   switch (msg.kind) {
     case ControlKind::kViewChange: {
@@ -253,7 +248,7 @@ void Monitor::on_token_regenerated(std::uint32_t epoch) { regen_epochs_.insert(e
 
 void Monitor::on_image_write_begin(Rank rank, std::uint32_t index) {
   const bool stale = index <= aborted_epoch_;  // a dead round's straggler
-  if (opt_.check_stagger) {
+  if (check_stagger_) {
     sink_.note_check();
     // The stagger token admits one writer per ring epoch at a time. A
     // *previous* round's ring may still be draining when the next round

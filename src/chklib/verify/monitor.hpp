@@ -12,7 +12,7 @@
 //               transmission stream replayed in order;
 //   epoch       the checkpoint epoch stamped on outgoing messages never
 //               decreases at a sender (within an incarnation);
-//   quiescence  coordinated rounds: once rank q received p's channel
+//   quiescence  coordinated schemes: once rank q received p's channel
 //               marker for epoch e, no pre-e application message from p
 //               may arrive at q — a global checkpoint never swallows or
 //               reorders application traffic;
@@ -20,7 +20,7 @@
 //               ChannelSeqState across rollbacks);
 //   stagger     staggered schemes: at most one rank is writing a
 //               checkpoint image to stable storage at any instant;
-//   membership  with the cluster-membership service attached: a view id
+//   membership  while the comm system has a membership service: a view id
 //               always identifies its proposer (view % N == src, so there
 //               is at most one live coordinator per membership epoch), the
 //               same view id never announces two different member sets,
@@ -49,23 +49,10 @@ namespace chk::chklib::verify {
 
 class Monitor {
  public:
-  /// The fifo, epoch and consume checks always run; these select the rest.
-  struct Options {
-    Policy policy = default_policy();
-    /// Default: armed automatically for coordinated schemes.
-    bool check_quiescence = false;
-    /// Default: armed automatically for staggered schemes.
-    bool check_stagger = false;
-    /// Membership-safety checks (see header comment). Off by default; the
-    /// harness arms it when the membership service is attached.
-    bool check_membership = false;
-  };
-
-  /// Builds scheme-appropriate options (quiescence for Coord_*, stagger
-  /// for the *S variants).
-  [[nodiscard]] static Options options_for(Scheme scheme, Policy policy = default_policy());
-
-  Monitor(Runtime& runtime, Options options);
+  /// The fifo, epoch and consume checks always run; `scheme` selects the
+  /// quiescence check (coordinated schemes) and the stagger check
+  /// (staggered schemes). `policy` decides what a violation does.
+  Monitor(Runtime& runtime, Scheme scheme, Policy policy = default_policy());
   ~Monitor();
 
   /// Hook into the runtime's comm system. The monitor unhooks itself on
@@ -142,7 +129,8 @@ class Monitor {
   ChannelState& channel(Rank src, Rank dst) { return channels_[{src, dst}]; }
 
   Runtime* rt_;
-  Options opt_;
+  bool check_quiescence_;
+  bool check_stagger_;
   InvariantSink sink_;
   bool installed_ = false;
   std::map<ChannelKey, ChannelState> channels_;

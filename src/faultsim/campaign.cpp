@@ -13,7 +13,7 @@ RunOutcome run_one(const CampaignConfig& config, std::uint32_t run_index) {
   if (!config.base.faults.has_value()) {
     throw std::invalid_argument("campaign: base.faults must hold the failure process");
   }
-  const std::uint64_t stream = config.campaign_seed + run_index;
+  const std::uint64_t stream = kCampaignSeed + run_index;
   harness::ExperimentConfig experiment = config.base;
   experiment.failure.reset();
   experiment.faults->stream = stream;

@@ -4,11 +4,12 @@
 // A campaign fixes the experiment (app, scheme, interval, machine, base
 // seed, fault plan and fault domains) and varies only the fault
 // schedules: run i forks the injector's RNG stream and every fault
-// domain's stream by i, so the campaign is fully reproducible (same seeds
-// ⇒ byte-identical JSON) while the runs sample independent failure arrival
-// realizations. The headline statistic is the expected completion time
-// under failures — the "which scheme actually wins when failures happen"
-// counterpart to the paper's failure-free overhead tables.
+// domain's stream by kCampaignSeed + i, so the campaign is fully
+// reproducible (same seeds ⇒ byte-identical JSON) while the runs sample
+// independent failure arrival realizations. The headline statistic is the
+// expected completion time under failures — the "which scheme actually
+// wins when failures happen" counterpart to the paper's failure-free
+// overhead tables.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +21,20 @@
 
 namespace chk::faultsim {
 
+/// The fault-schedule stream family: run i of a campaign uses stream
+/// kCampaignSeed + i on top of the experiment seed.
+inline constexpr std::uint64_t kCampaignSeed = 1;
+
 struct CampaignConfig {
   /// The experiment every run executes. `base.faults` is required: its
   /// mtbf, max_failures and target_coordinator shape every run's failure
-  /// process. Run i sets its stream to campaign_seed + i and arms both
+  /// process. Run i sets its stream to kCampaignSeed + i and arms both
   /// targeted strikes; it also forks the stream of each fault domain
   /// present on `base` (link_faults, storage_faults, membership) by
-  /// campaign_seed + i, so realizations vary per run but reproduce
+  /// kCampaignSeed + i, so realizations vary per run but reproduce
   /// exactly. `base.failure` is cleared.
   harness::ExperimentConfig base;
   std::uint32_t runs = 5;
-  /// Selects the fault-schedule stream family; run i uses stream
-  /// campaign_seed + i on top of the experiment seed.
-  std::uint64_t campaign_seed = 1;
   /// Failure-free result digest to verify each run against (any failure
   /// schedule must still compute the same answer).
   std::optional<double> expected_digest;

@@ -1,8 +1,10 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "chklib/proto/coordinated.hpp"
 #include "chklib/proto/independent.hpp"
@@ -20,83 +22,101 @@ namespace {
 constexpr int kDetectLatMinExp = 20;
 constexpr int kDetectLatMaxExp = 34;
 
-/// Publish every scalar of the run's result into `reg`.
-void publish_result(const ExperimentResult& result, obs::Registry& reg) {
-  reg.counter("run/events").set(result.events);
-  reg.counter("comm/app_messages").set(result.app_messages);
-  reg.counter("comm/app_bytes").set(result.app_bytes);
-  reg.counter("comm/control_messages").set(result.control_messages);
-  reg.counter("comm/control_bytes").set(result.control_bytes);
-  reg.counter("comm/checkpoint_bytes").set(result.checkpoint_net_bytes);
-  reg.counter("ckpt/local_checkpoints").set(result.local_checkpoints);
-  reg.counter("ckpt/committed_rounds").set(result.committed_rounds);
-  reg.counter("ckpt/gc_reclaimed").set(result.gc_reclaimed);
-  reg.counter("ckpt/bytes_written").set(result.bytes_written);
-  reg.counter("storage/peak_bytes").set(result.peak_storage_bytes);
-  reg.counter("storage/final_bytes").set(result.final_storage_bytes);
-  reg.counter("storage/final_checkpoints").set(result.final_stored_checkpoints);
+/// Upper edges of the ckpt/window_s buckets, in seconds.
+constexpr double kWindowEdgesS[] = {0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0};
 
-  reg.gauge("run/exec_time_s").set(result.exec_time_s);
-  reg.gauge("overhead/app_blocked_s").set(result.app_blocked_s);
-  reg.gauge("overhead/interference_s").set(result.interference_s);
-  reg.gauge("storage/disk_busy_s").set(result.disk_busy_s);
-  reg.gauge("storage/disk_wait_s").set(result.disk_wait_s);
-  reg.gauge("storage/host_link_busy_s").set(result.host_link_busy_s);
-  reg.gauge("comm/link_busy_s").set(result.link_busy_s);
+/// The membership/detection_latency_s histogram: log-spaced, negative
+/// latencies clamped to 0, the sum kept in integer ns and scaled once.
+obs::HistogramSnapshot detection_latency_histogram(const std::vector<std::int64_t>& latency_ns) {
+  obs::HistogramSnapshot h;
+  h.edges = obs::LogHistogram::make_edges(kDetectLatMinExp, kDetectLatMaxExp, 1e-9);
+  h.counts.assign(h.edges.size() + 1, 0);
+  std::uint64_t sum_ns = 0;
+  for (const std::int64_t ns : latency_ns) {
+    const auto clamped = static_cast<std::uint64_t>(std::max<std::int64_t>(ns, 0));
+    ++h.counts[obs::LogHistogram::bucket_of(clamped, kDetectLatMinExp, kDetectLatMaxExp)];
+    sum_ns += clamped;
+  }
+  h.total_count = latency_ns.size();
+  h.sum = static_cast<double>(sum_ns) * 1e-9;
+  return h;
+}
+
+/// Write every scalar of the run's result into `m`.
+void publish_result(const ExperimentResult& result, obs::MetricsSnapshot& m) {
+  auto& c = m.counters;
+  auto& g = m.gauges;
+  c["run/events"] = result.events;
+  c["comm/app_messages"] = result.app_messages;
+  c["comm/app_bytes"] = result.app_bytes;
+  c["comm/control_messages"] = result.control_messages;
+  c["comm/control_bytes"] = result.control_bytes;
+  c["comm/checkpoint_bytes"] = result.checkpoint_net_bytes;
+  c["ckpt/local_checkpoints"] = result.local_checkpoints;
+  c["ckpt/committed_rounds"] = result.committed_rounds;
+  c["ckpt/gc_reclaimed"] = result.gc_reclaimed;
+  c["ckpt/bytes_written"] = result.bytes_written;
+  c["storage/peak_bytes"] = result.peak_storage_bytes;
+  c["storage/final_bytes"] = result.final_storage_bytes;
+  c["storage/final_checkpoints"] = result.final_stored_checkpoints;
+
+  g["run/exec_time_s"] = result.exec_time_s;
+  g["overhead/app_blocked_s"] = result.app_blocked_s;
+  g["overhead/interference_s"] = result.interference_s;
+  g["storage/disk_busy_s"] = result.disk_busy_s;
+  g["storage/disk_wait_s"] = result.disk_wait_s;
+  g["storage/host_link_busy_s"] = result.host_link_busy_s;
+  g["comm/link_busy_s"] = result.link_busy_s;
 
   // Invariant monitor (all zero unless config.verify).
-  reg.counter("verify/checks").set(result.invariant_checks);
-  reg.counter("verify/violations").set(result.invariant_violations);
-  reg.counter("verify/in_flight_at_end").set(result.messages_in_flight_at_end);
+  c["verify/checks"] = result.invariant_checks;
+  c["verify/violations"] = result.invariant_violations;
+  c["verify/in_flight_at_end"] = result.messages_in_flight_at_end;
 
   // Transport / link-fault counters (all zero with faults off).
-  reg.counter("comm/retransmits").set(result.retransmits);
-  reg.counter("comm/dups_suppressed").set(result.dups_suppressed);
-  reg.counter("comm/corrupt_detected").set(result.corrupt_detected);
-  reg.counter("comm/link_drops").set(result.link_drops);
-  reg.counter("comm/link_duplicates").set(result.link_duplicates);
-  reg.counter("comm/link_corrupted").set(result.link_corrupted);
-  reg.counter("comm/link_delayed").set(result.link_delayed);
-  reg.counter("ckpt/aborted_rounds").set(result.aborted_rounds);
-  reg.counter("ckpt/tokens_regenerated").set(result.tokens_regenerated);
-  reg.counter("comm/partition_drops").set(result.partition_drops);
+  c["comm/retransmits"] = result.retransmits;
+  c["comm/dups_suppressed"] = result.dups_suppressed;
+  c["comm/corrupt_detected"] = result.corrupt_detected;
+  c["comm/link_drops"] = result.link_drops;
+  c["comm/link_duplicates"] = result.link_duplicates;
+  c["comm/link_corrupted"] = result.link_corrupted;
+  c["comm/link_delayed"] = result.link_delayed;
+  c["ckpt/aborted_rounds"] = result.aborted_rounds;
+  c["ckpt/tokens_regenerated"] = result.tokens_regenerated;
 
   // Cluster-membership counters (all zero with the membership service off).
-  reg.counter("membership/heartbeats_sent").set(result.heartbeats_sent);
-  reg.counter("membership/suspicions").set(result.suspicions);
-  reg.counter("membership/views_established").set(result.views_established);
-  reg.counter("membership/evictions").set(result.evictions);
-  reg.counter("membership/wrongful_evictions").set(result.wrongful_evictions);
-  reg.counter("membership/rejoins").set(result.rejoins);
-  reg.counter("membership/crashes").set(result.membership_crashes);
-  reg.counter("membership/forced_recoveries").set(result.forced_recoveries);
-  reg.counter("membership/suspicions_cleared").set(result.suspicions_cleared);
-  reg.counter("membership/detections").set(result.detections);
-  auto& detect_hist = reg.log_histogram("membership/detection_latency_s",
-                                        kDetectLatMinExp, kDetectLatMaxExp, 1e-9);
-  for (const std::int64_t ns : result.detection_latency_ns) {
-    detect_hist.observe(static_cast<std::uint64_t>(std::max<std::int64_t>(ns, 0)));
-  }
+  c["membership/heartbeats_sent"] = result.heartbeats_sent;
+  c["membership/suspicions"] = result.suspicions;
+  c["membership/views_established"] = result.views_established;
+  c["membership/evictions"] = result.evictions;
+  c["membership/wrongful_evictions"] = result.wrongful_evictions;
+  c["membership/rejoins"] = result.rejoins;
+  c["membership/crashes"] = result.membership_crashes;
+  c["membership/forced_recoveries"] = result.forced_recoveries;
+  c["membership/suspicions_cleared"] = result.suspicions_cleared;
+  c["membership/detections"] = result.detections;
+  m.histograms["membership/detection_latency_s"] =
+      detection_latency_histogram(result.detection_latency_ns);
 
   // Stable-storage fault counters (all zero with storage faults off).
-  reg.counter("storage/io_write_errors").set(result.io_write_errors);
-  reg.counter("storage/io_read_errors").set(result.io_read_errors);
-  reg.counter("storage/bitrot_injected").set(result.bitrot_injected);
-  reg.counter("storage/degraded_ops").set(result.degraded_ops);
-  reg.counter("storage/retries").set(result.storage_retries);
-  reg.counter("storage/write_failures").set(result.storage_write_failures);
-  reg.counter("storage/read_failures").set(result.storage_read_failures);
-  reg.counter("storage/reclaimed_bytes").set(result.reclaimed_bytes);
-  reg.counter("ckpt/write_failures").set(result.ckpt_write_failures);
-  reg.counter("ckpt/commit_write_failures").set(result.commit_write_failures);
-  reg.counter("ckpt/corrupt_discarded").set(result.corrupt_discarded);
-  reg.counter("recovery/generations_skipped").set(result.generations_skipped);
-  reg.gauge("storage/retry_wait_s").set(result.storage_retry_wait_s);
+  c["storage/io_write_errors"] = result.io_write_errors;
+  c["storage/io_read_errors"] = result.io_read_errors;
+  c["storage/bitrot_injected"] = result.bitrot_injected;
+  c["storage/degraded_ops"] = result.degraded_ops;
+  c["storage/retries"] = result.storage_retries;
+  c["storage/write_failures"] = result.storage_write_failures;
+  c["storage/read_failures"] = result.storage_read_failures;
+  c["storage/reclaimed_bytes"] = result.reclaimed_bytes;
+  c["ckpt/write_failures"] = result.ckpt_write_failures;
+  c["ckpt/commit_write_failures"] = result.commit_write_failures;
+  c["ckpt/corrupt_discarded"] = result.corrupt_discarded;
+  c["recovery/generations_skipped"] = result.generations_skipped;
+  g["storage/retry_wait_s"] = result.storage_retry_wait_s;
 
   // Fault injection (all zero unless config.faults).
-  reg.counter("faults/injected").set(result.injections.injected);
-  reg.counter("faults/mid_write").set(result.injections.mid_write);
-  reg.counter("faults/during_recovery").set(result.injections.during_recovery);
+  c["faults/injected"] = result.injections.injected;
+  c["faults/mid_write"] = result.injections.mid_write;
+  c["faults/during_recovery"] = result.injections.during_recovery;
 
   // Recovery outcome counters (all zero in failure-free runs).
   std::uint64_t interrupted = 0;
@@ -117,51 +137,48 @@ void publish_result(const ExperimentResult& result, obs::Registry& reg) {
     bytes_reread += rep.bytes_reread;
     latency_s += rep.recovery_latency.to_seconds();
   }
-  reg.counter("recovery/failures").set(result.recoveries.size());
-  reg.counter("recovery/interrupted").set(interrupted);
-  reg.counter("recovery/mid_write").set(mid_write);
-  reg.counter("recovery/rolled_to_origin").set(rolled_to_origin ? 1 : 0);
-  reg.counter("recovery/max_domino_depth").set(max_domino_depth);
-  reg.counter("recovery/bytes_read").set(bytes_read);
-  reg.counter("recovery/bytes_reread").set(bytes_reread);
-  reg.counter("recovery/writes_discarded").set(result.writes_discarded);
-  reg.gauge("recovery/latency_total_s").set(latency_s);
+  c["recovery/failures"] = result.recoveries.size();
+  c["recovery/interrupted"] = interrupted;
+  c["recovery/mid_write"] = mid_write;
+  c["recovery/rolled_to_origin"] = rolled_to_origin ? 1 : 0;
+  c["recovery/max_domino_depth"] = max_domino_depth;
+  c["recovery/bytes_read"] = bytes_read;
+  c["recovery/bytes_reread"] = bytes_reread;
+  c["recovery/writes_discarded"] = result.writes_discarded;
+  g["recovery/latency_total_s"] = latency_s;
 }
 
-/// Publish what only an observed run has: the trace's event count and
-/// checkpoint windows and the per-rank overhead attribution.
-void publish_trace(const ObsData& data, obs::Registry& reg) {
-  reg.counter("run/trace_events").set(data.trace.events.size());
+/// Write what only an observed run has into `m`: the trace's event count
+/// and checkpoint windows and the per-rank overhead attribution.
+void publish_trace(const ObsData& data, obs::MetricsSnapshot& m) {
+  auto& c = m.counters;
+  auto& g = m.gauges;
+  c["run/trace_events"] = data.trace.events.size();
 
   const obs::RankBuckets& total = data.attribution.total;
-  reg.gauge("attrib/sync_wait_s").set(total.sync_wait_s);
-  reg.gauge("attrib/mem_copy_s").set(total.mem_copy_s);
-  reg.gauge("attrib/stable_write_s").set(total.stable_write_s);
-  reg.gauge("attrib/storage_contention_s").set(total.storage_contention_s);
-  reg.gauge("attrib/logging_s").set(total.logging_s);
-  reg.gauge("attrib/interference_s").set(total.interference_s);
-  reg.gauge("attrib/recovery_s").set(total.recovery_s);
-  reg.gauge("attrib/retransmit_wait_s").set(total.retransmit_wait_s);
-  reg.gauge("attrib/storage_retry_wait_s").set(total.storage_retry_wait_s);
-  reg.gauge("attrib/svc_queue_wait_s").set(total.svc_queue_wait_s);
-  reg.gauge("attrib/membership_wait_s").set(total.membership_wait_s);
-  reg.gauge("attrib/total_s").set(total.total_s());
+  g["attrib/sync_wait_s"] = total.sync_wait_s;
+  g["attrib/mem_copy_s"] = total.mem_copy_s;
+  g["attrib/stable_write_s"] = total.stable_write_s;
+  g["attrib/storage_contention_s"] = total.storage_contention_s;
+  g["attrib/logging_s"] = total.logging_s;
+  g["attrib/interference_s"] = total.interference_s;
+  g["attrib/recovery_s"] = total.recovery_s;
+  g["attrib/retransmit_wait_s"] = total.retransmit_wait_s;
+  g["attrib/storage_retry_wait_s"] = total.storage_retry_wait_s;
+  g["attrib/svc_queue_wait_s"] = total.svc_queue_wait_s;
+  g["attrib/membership_wait_s"] = total.membership_wait_s;
+  g["attrib/total_s"] = total.total_s();
 
-  auto& windows = reg.histogram("ckpt/window_s", {0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0});
-  for (const obs::Event& e : data.trace.events) {
-    if (e.kind == obs::EventKind::kCkptWindow) {
-      windows.observe(static_cast<double>(e.dur_ns) * 1e-9);
-    }
-  }
+  m.histograms["ckpt/window_s"] = checkpoint_window_histogram(data.trace);
 }
 
 /// The run's metrics snapshot; `data` (observed runs only) adds the
 /// trace-derived metrics.
 obs::MetricsSnapshot snapshot(const ExperimentResult& result, const ObsData* data) {
-  obs::Registry reg;
-  publish_result(result, reg);
-  if (data != nullptr) publish_trace(*data, reg);
-  return reg.snapshot();
+  obs::MetricsSnapshot m;
+  publish_result(result, m);
+  if (data != nullptr) publish_trace(*data, m);
+  return m;
 }
 
 }  // namespace
@@ -211,7 +228,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const bool needs_watchdog = lossy_links || faulty_storage || membership_on;
   const des::Duration round_timeout =
       needs_watchdog ? config.interval + des::Duration::secs(30) : des::Duration::zero();
-  const des::Duration token_timeout = round_timeout / 4;
 
   std::unique_ptr<chklib::Protocol> protocol;
   if (is_coordinated(config.scheme)) {
@@ -223,9 +239,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                             .ablate_discard_state =
                                                 config.ablate_empty_checkpoints,
                                             .incremental = config.incremental,
-                                            .full_every = config.full_every,
                                             .round_timeout = round_timeout,
-                                            .token_timeout = token_timeout,
                                             .keep_depth = keep_depth});
   } else if (is_independent(config.scheme)) {
     protocol = std::make_unique<chklib::IndependentProtocol>(
@@ -241,9 +255,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   std::unique_ptr<chklib::verify::Monitor> monitor;
   if (config.verify) {
-    auto options = chklib::verify::Monitor::options_for(config.scheme);
-    options.check_membership = membership_on;
-    monitor = std::make_unique<chklib::verify::Monitor>(runtime, options);
+    monitor = std::make_unique<chklib::verify::Monitor>(runtime, config.scheme);
     monitor->install();
   }
 
@@ -325,7 +337,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.link_duplicates = runtime.comm().link_duplicates();
   result.link_corrupted = runtime.comm().link_corrupted();
   result.link_delayed = runtime.comm().link_delayed();
-  result.partition_drops = runtime.comm().partition_drops();
 
   if (membership) {
     const auto& ms = membership->stats();
@@ -396,6 +407,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
 obs::MetricsSnapshot run_metrics(const ExperimentResult& result) {
   return snapshot(result, nullptr);
+}
+
+obs::HistogramSnapshot checkpoint_window_histogram(const obs::Trace& trace) {
+  obs::HistogramSnapshot h;
+  h.edges.assign(std::begin(kWindowEdgesS), std::end(kWindowEdgesS));
+  h.counts.assign(h.edges.size() + 1, 0);
+  for (const obs::Event& e : trace.events) {
+    if (e.kind != obs::EventKind::kCkptWindow) continue;
+    const double seconds = static_cast<double>(e.dur_ns) * 1e-9;
+    const auto bucket = static_cast<std::size_t>(
+        std::lower_bound(h.edges.begin(), h.edges.end(), seconds) - h.edges.begin());
+    ++h.counts[bucket];
+    ++h.total_count;
+    h.sum += seconds;
+  }
+  return h;
 }
 
 ExperimentResult run_normal(ExperimentConfig config) {

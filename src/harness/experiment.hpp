@@ -88,9 +88,9 @@ struct ExperimentConfig {
   /// Ablation: coordinated checkpoints capture empty images (isolates the
   /// protocol's synchronization cost). Incompatible with failure injection.
   bool ablate_empty_checkpoints = false;
-  /// Incremental checkpointing (coordinated schemes only).
+  /// Incremental checkpointing (coordinated schemes only; a full image
+  /// every CoordinatedProtocol::kFullEvery checkpoints).
   bool incremental = false;
-  std::uint32_t full_every = 4;
   /// Install the verify/ invariant monitor for this run (FIFO channels,
   /// coordinated quiescence, stagger mutual exclusion, ...). Defaults to on
   /// in CHK_INVARIANTS builds, where a violation aborts the process.
@@ -153,7 +153,6 @@ struct ExperimentResult {
   std::uint64_t link_delayed = 0;      ///< frames given extra delay
   std::uint32_t aborted_rounds = 0;    ///< rounds the coordinator watchdog re-initiated
   std::uint32_t tokens_regenerated = 0;  ///< stagger tokens re-issued by the watchdog
-  std::uint64_t partition_drops = 0;   ///< frames destroyed by a partition window
 
   // cluster membership (all zero with the membership service off)
   std::uint64_t heartbeats_sent = 0;
@@ -218,6 +217,12 @@ struct ExperimentResult {
 /// the same snapshot plus the trace-derived attrib/*, run/trace_events and
 /// ckpt/window_s.
 [[nodiscard]] obs::MetricsSnapshot run_metrics(const ExperimentResult& result);
+
+/// The ckpt/window_s histogram of an observed run: each kCkptWindow span's
+/// length in seconds, over fixed upper edges 1 ms, 10 ms, 50 ms, 100 ms,
+/// 500 ms, 1 s and 5 s. An edge is inclusive; longer windows land in the
+/// one overflow bucket.
+[[nodiscard]] obs::HistogramSnapshot checkpoint_window_histogram(const obs::Trace& trace);
 
 /// Convenience: run the same app/machine without checkpointing.
 [[nodiscard]] ExperimentResult run_normal(ExperimentConfig config);

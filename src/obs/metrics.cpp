@@ -2,40 +2,8 @@
 
 #include <bit>
 #include <cmath>
-#include <stdexcept>
 
 namespace chk::obs {
-
-Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
-  if (edges_.empty()) throw std::invalid_argument("Histogram: no bucket edges");
-  for (std::size_t i = 1; i < edges_.size(); ++i) {
-    if (edges_[i] <= edges_[i - 1]) {
-      throw std::invalid_argument("Histogram: edges must be strictly increasing");
-    }
-  }
-  counts_.assign(edges_.size() + 1, 0);
-}
-
-void Histogram::observe(double value) noexcept {
-  std::size_t bucket = edges_.size();  // overflow by default
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (value <= edges_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++counts_[bucket];
-  ++total_;
-  sum_ += value;
-}
-
-LogHistogram::LogHistogram(int min_exp, int max_exp, double scale)
-    : min_exp_(min_exp), max_exp_(max_exp), scale_(scale) {
-  if (min_exp < 0 || max_exp < min_exp || max_exp > 62) {
-    throw std::invalid_argument("LogHistogram: need 0 <= min_exp <= max_exp <= 62");
-  }
-  counts_.assign(static_cast<std::size_t>(max_exp - min_exp + 1) + 1, 0);
-}
 
 std::size_t LogHistogram::bucket_of(std::uint64_t value, int min_exp,
                                     int max_exp) noexcept {
@@ -50,12 +18,6 @@ std::size_t LogHistogram::bucket_of(std::uint64_t value, int min_exp,
   return static_cast<std::size_t>(e - min_exp);
 }
 
-void LogHistogram::observe(std::uint64_t value) noexcept {
-  ++counts_[bucket_of(value, min_exp_, max_exp_)];
-  ++total_;
-  sum_ += value;
-}
-
 std::vector<double> LogHistogram::make_edges(int min_exp, int max_exp,
                                              double scale) {
   std::vector<double> edges;
@@ -64,11 +26,6 @@ std::vector<double> LogHistogram::make_edges(int min_exp, int max_exp,
     edges.push_back(std::ldexp(1.0, e) * scale);
   }
   return edges;
-}
-
-HistogramSnapshot LogHistogram::snapshot() const {
-  return HistogramSnapshot{make_edges(min_exp_, max_exp_, scale_), counts_, total_,
-                           static_cast<double>(sum_) * scale_};
 }
 
 double histogram_quantile(const HistogramSnapshot& h, double q) {
@@ -93,40 +50,6 @@ double histogram_quantile(const HistogramSnapshot& h, double q) {
     cum += h.counts[i];
   }
   return h.edges.back();
-}
-
-Histogram& Registry::histogram(const std::string& name, std::vector<double> edges) {
-  if (log_histograms_.contains(name)) {
-    throw std::invalid_argument("Registry: " + name + " is a log histogram");
-  }
-  if (const auto it = histograms_.find(name); it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(edges))).first->second;
-}
-
-LogHistogram& Registry::log_histogram(const std::string& name, int min_exp,
-                                      int max_exp, double scale) {
-  if (histograms_.contains(name)) {
-    throw std::invalid_argument("Registry: " + name + " is a fixed-bucket histogram");
-  }
-  if (const auto it = log_histograms_.find(name); it != log_histograms_.end()) {
-    return it->second;
-  }
-  return log_histograms_.emplace(name, LogHistogram(min_exp, max_exp, scale))
-      .first->second;
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
-  for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.emplace(
-        name, HistogramSnapshot{h.edges(), h.counts(), h.total_count(), h.sum()});
-  }
-  for (const auto& [name, h] : log_histograms_) {
-    snap.histograms.emplace(name, h.snapshot());
-  }
-  return snap;
 }
 
 }  // namespace chk::obs

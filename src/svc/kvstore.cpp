@@ -33,6 +33,8 @@ constexpr std::uint8_t kOpDelete = 2;
 
 constexpr std::uint32_t kTombstone = 1;
 
+constexpr std::uint64_t kKeys = 4096;   ///< keyspace size (hash-partitioned)
+constexpr std::uint64_t kPrefill = 512; ///< keys [0, kPrefill) pre-populated at init
 constexpr double kZipfS = 0.9;      ///< keyspace skew exponent (0 = uniform)
 constexpr double kGetFrac = 0.70;   ///< op mix: gets
 constexpr double kPutFrac = 0.25;   ///< puts; the remainder are deletes
@@ -128,12 +130,12 @@ std::uint32_t prefill_len(std::uint64_t key) noexcept {
   return kMinValueBytes + static_cast<std::uint32_t>(hash64(key ^ 0xF1F0ull) % span);
 }
 
-/// Zipf(kZipfS) cumulative distribution over [0, keys); draw by binary
+/// Zipf(kZipfS) cumulative distribution over [0, kKeys); draw by binary
 /// search.
-std::vector<double> build_zipf_cdf(std::uint64_t keys) {
-  std::vector<double> cdf(keys);
+std::vector<double> build_zipf_cdf() {
+  std::vector<double> cdf(kKeys);
   double total = 0;
-  for (std::uint64_t i = 0; i < keys; ++i) {
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
     total += std::pow(static_cast<double>(i + 1), -kZipfS);
     cdf[i] = total;
   }
@@ -272,7 +274,7 @@ AppFn make_svc(SvcParams params) {
       st.sent_to.assign(nprocs, 0);
       st.served_from.assign(nprocs, 0);
       st.fin_expect.assign(nprocs, -1);
-      for (std::uint64_t key = 0; key < params.prefill; ++key) {
+      for (std::uint64_t key = 0; key < kPrefill; ++key) {
         if (svc_owner(key, nprocs) != rank) continue;
         const std::uint32_t len = prefill_len(key);
         st.entries.push_back(Entry{key, 0, st.heap.size(), len, 0});
@@ -290,7 +292,7 @@ AppFn make_svc(SvcParams params) {
     ctx.ready();
 
     // Schedule-independent lookup table; rebuilt identically each start.
-    const std::vector<double> cdf = build_zipf_cdf(params.keys);
+    const std::vector<double> cdf = build_zipf_cdf();
 
     // Owner-side service: CPU work, LWW apply, response. Returns with the
     // simulation clock at this request's completion instant.
@@ -478,13 +480,13 @@ AppFn make_svc(SvcParams params) {
 
 double svc_reference_digest(const SvcParams& params, std::size_t nprocs,
                             std::uint64_t seed) {
-  const std::vector<double> cdf = build_zipf_cdf(params.keys);
+  const std::vector<double> cdf = build_zipf_cdf();
   const auto horizon_ns =
       static_cast<std::int64_t>(std::llround(params.horizon_s * 1e9));
 
   // Global LWW state, seeded with every rank's prefill.
   SvcState scratch;  // reuse apply_mutation via a scratch state
-  for (std::uint64_t key = 0; key < params.prefill; ++key) {
+  for (std::uint64_t key = 0; key < kPrefill; ++key) {
     const std::uint32_t len = prefill_len(key);
     scratch.entries.push_back(Entry{key, 0, scratch.heap.size(), len, 0});
     append_value(scratch.heap, key, 0, len);

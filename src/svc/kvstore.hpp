@@ -73,9 +73,11 @@ struct SvcMetrics {
   std::vector<std::uint64_t> latency_counts;
 };
 
+/// What the benches vary: the offered load and how long it lasts. The
+/// keyspace (4096 keys, the first 512 prefilled), op mix, value sizes,
+/// Zipf skew and service cost are constants in kvstore.cpp, read by the
+/// app and svc_reference_digest alike.
 struct SvcParams {
-  std::uint64_t keys = 4096;   ///< keyspace size (hash-partitioned)
-  std::uint64_t prefill = 512; ///< keys [0, prefill) pre-populated at init
   double arrival_hz = 400.0;   ///< per-rank open-loop arrival rate
   double horizon_s = 4.0;      ///< arrivals are scheduled in [0, horizon)
   /// When set, rank 0 stores the merged SvcMetrics here at drain.

@@ -12,7 +12,7 @@ Network::Network(des::Simulator& sim, const MachineConfig& config)
   links_.reserve(topology_.num_links());
   for (std::size_t i = 0; i < topology_.num_links(); ++i) {
     links_.push_back(
-        std::make_unique<FifoServer>(sim, config_.link.bandwidth, config_.link.latency));
+        std::make_unique<FifoServer>(sim, kMeshLinkBandwidth, kMeshLinkLatency));
   }
 }
 
@@ -28,15 +28,14 @@ void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffi
     sim_->schedule_after(local + des::Duration::micros(5), std::move(on_delivered));
     return;
   }
-  const std::size_t packet = config_.packet_bytes;
-  const std::size_t packets = bytes == 0 ? 1 : (bytes + packet - 1) / packet;
+  const std::size_t packets = bytes == 0 ? 1 : (bytes + kPacketBytes - 1) / kPacketBytes;
   const std::uint32_t id = acquire();
   InFlight& record = in_flight_[id];
   record.packets_remaining = packets;
   record.on_delivered = std::move(on_delivered);
   std::size_t remaining = bytes;
   for (std::size_t p = 0; p < packets; ++p) {
-    const std::size_t chunk = (bytes == 0) ? 0 : std::min(packet, remaining);
+    const std::size_t chunk = (bytes == 0) ? 0 : std::min(kPacketBytes, remaining);
     remaining -= chunk;
     forward(id, static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst), chunk);
   }
@@ -82,8 +81,7 @@ des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
   }
   std::vector<LinkId> route;
   topology_.route(src, dst, route);
-  const std::size_t packet = config_.packet_bytes;
-  const std::size_t packets = bytes == 0 ? 1 : (bytes + packet - 1) / packet;
+  const std::size_t packets = bytes == 0 ? 1 : (bytes + kPacketBytes - 1) / kPacketBytes;
   // Store-and-forward pipeline with empty queues:
   //   finish[p][hop] = max(finish[p][hop-1], finish[p-1][hop]) + svc_hop
   // rolled over packets, keeping one finish time per hop.
@@ -91,7 +89,7 @@ des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
   des::Duration last;
   std::size_t remaining = bytes;
   for (std::size_t p = 0; p < packets; ++p) {
-    const std::size_t chunk = (bytes == 0) ? 0 : std::min(packet, remaining);
+    const std::size_t chunk = (bytes == 0) ? 0 : std::min(kPacketBytes, remaining);
     remaining -= chunk;
     des::Duration prev;  // this packet's finish at the previous hop
     for (std::size_t hop = 0; hop < route.size(); ++hop) {

@@ -5,7 +5,7 @@
 namespace chk::xplorer {
 
 void Node::compute(des::Process& self, double flops) {
-  const auto base = des::Duration::seconds(flops / config_.cpu_flop_rate);
+  const auto base = des::Duration::seconds(flops / kCpuFlopRate);
   auto total = base;
   if (background_io_ > 0) {
     // The checkpointer thread steals a fixed CPU share while streaming.

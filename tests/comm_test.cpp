@@ -373,7 +373,6 @@ TEST(Comm, LossyTrafficLightsEveryCounter) {
   faults.duplicate = 0.2;
   faults.corrupt = 0.1;
   faults.delay_prob = 0.2;
-  faults.delay_mean_s = 1e-4;
   f.comm.set_link_faults(faults, util::Rng(99));  // installs the transport too
   f.comm.send_control(0, 1, ControlMsg{ControlKind::kCkptRequest, 0, 1, 0});
   std::vector<int> got;
@@ -408,7 +407,6 @@ TEST(Comm, TransportPreservesFifoUnderReordering) {
   Fixture f;
   LinkFaultConfig faults;
   faults.delay_prob = 0.5;
-  faults.delay_mean_s = 5e-4;
   f.comm.set_link_faults(faults, util::Rng(7));
   ASSERT_NE(f.comm.transport(), nullptr) << "lossy links must ride the transport";
   std::vector<int> got;

@@ -7,6 +7,7 @@
 #include "apps/ising.hpp"
 #include "apps/sor.hpp"
 #include "chklib/ckpt/incremental.hpp"
+#include "chklib/proto/coordinated.hpp"
 #include "harness/experiment.hpp"
 #include "util/rng.hpp"
 
@@ -102,7 +103,6 @@ harness::ExperimentConfig config_for(AppFn app, bool incremental) {
   config.scheme = harness::Scheme::kCoordNBM;
   config.checkpoints = 6;
   config.incremental = incremental;
-  config.full_every = 3;
   return config;
 }
 
@@ -161,9 +161,9 @@ TEST(Incremental, CommitGcKeepsTheChain) {
   const auto result = harness::run_experiment(cfg);
   // Deltas were actually taken, and GC never removed an image a committed
   // chain still needs (otherwise recovery tests above would fail); the
-  // retained count per rank is at most full_every.
+  // retained count per rank is at most kFullEvery.
   EXPECT_GT(result.committed_rounds, 0u);
-  EXPECT_LE(result.final_stored_checkpoints, 8u * cfg.full_every);
+  EXPECT_LE(result.final_stored_checkpoints, 8u * CoordinatedProtocol::kFullEvery);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests for the obs/ observability subsystem: tracer determinism and
-// non-perturbation, metrics histogram semantics, the per-rank overhead
-// attribution identity across every scheme, the Chrome-trace export
-// round-trip, and the recovery report's logged_sends contract.
+// non-perturbation, metrics histogram semantics and the pinned metrics
+// JSON, the per-rank overhead attribution identity across every scheme,
+// the Chrome-trace export round-trip, and the recovery report's
+// logged_sends contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/sor.hpp"
@@ -70,25 +73,69 @@ TEST(Tracer, SerializedHashMatchesRecomputedHash) {
 // ---- metrics ----------------------------------------------------------------
 
 TEST(Metrics, HistogramBucketEdges) {
-  obs::Histogram h({1.0, 2.0, 4.0});
-  h.observe(0.5);   // <= 1.0 -> bucket 0
-  h.observe(1.0);   // <= 1.0 -> bucket 0 (inclusive upper edge)
-  h.observe(1.5);   // <= 2.0 -> bucket 1
-  h.observe(4.0);   // <= 4.0 -> bucket 2
-  h.observe(99.0);  // overflow
-  ASSERT_EQ(h.counts().size(), 4u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[1], 1u);
-  EXPECT_EQ(h.counts()[2], 1u);
-  EXPECT_EQ(h.counts()[3], 1u);
-  EXPECT_EQ(h.total_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 4.0 + 99.0);
+  // ckpt/window_s: each checkpoint window's length over fixed edges of
+  // 1 ms, 10 ms, 50 ms, 100 ms, 500 ms, 1 s and 5 s.
+  obs::Trace trace;
+  auto span = [&](obs::EventKind kind, std::int64_t dur_ns) {
+    obs::Event e;
+    e.kind = kind;
+    e.dur_ns = dur_ns;
+    trace.events.push_back(e);
+  };
+  span(obs::EventKind::kCkptWindow, 500'000);         // 0.5 ms -> bucket 0
+  span(obs::EventKind::kCkptWindow, 1'000'000);       // 1 ms -> bucket 0 (inclusive edge)
+  span(obs::EventKind::kCkptWindow, 1'500'000);       // 1.5 ms -> bucket 1
+  span(obs::EventKind::kStableWrite, 2'000'000);      // not a window
+  span(obs::EventKind::kCkptWindow, 5'000'000'000);   // 5 s -> bucket 6
+  span(obs::EventKind::kCkptWindow, 99'000'000'000);  // overflow
+  const obs::HistogramSnapshot h = checkpoint_window_histogram(trace);
+  EXPECT_EQ(h.edges, (std::vector<double>{0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0}));
+  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{2, 1, 0, 0, 0, 0, 1, 1}));
+  EXPECT_EQ(h.total_count, 5u);
+  EXPECT_DOUBLE_EQ(h.sum, 0.0005 + 0.001 + 0.0015 + 5.0 + 99.0);
 }
 
-TEST(Metrics, HistogramRejectsNonIncreasingEdges) {
-  EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::invalid_argument);
+TEST(Metrics, LogHistogramBinsByPowersOfTwo) {
+  // Edges 2^3 .. 2^6 (8, 16, 32, 64); bucket 4 is the overflow.
+  using obs::LogHistogram;
+  EXPECT_EQ(LogHistogram::bucket_of(0, 3, 6), 0u);
+  EXPECT_EQ(LogHistogram::bucket_of(1, 3, 6), 0u);
+  EXPECT_EQ(LogHistogram::bucket_of(8, 3, 6), 0u);
+  // An exact power of two lands on its own edge, one more in the next
+  // bucket.
+  EXPECT_EQ(LogHistogram::bucket_of(16, 3, 6), 1u);
+  EXPECT_EQ(LogHistogram::bucket_of(17, 3, 6), 2u);
+  EXPECT_EQ(LogHistogram::bucket_of(64, 3, 6), 3u);
+  // Above 2^max_exp: the overflow bucket.
+  EXPECT_EQ(LogHistogram::bucket_of(65, 3, 6), 4u);
+  EXPECT_EQ(LogHistogram::bucket_of(~std::uint64_t{0}, 3, 6), 4u);
+  // Edges are the powers of two times the scale.
+  EXPECT_EQ(LogHistogram::make_edges(3, 6, 1.0), (std::vector<double>{8, 16, 32, 64}));
+  EXPECT_EQ(LogHistogram::make_edges(3, 6, 0.5), (std::vector<double>{4, 8, 16, 32}));
+}
+
+TEST(Metrics, HistogramQuantileInterpolatesInsideBuckets) {
+  obs::HistogramSnapshot empty;
+  empty.edges = {1.0, 2.0};
+  empty.counts = {0, 0, 0};
+  EXPECT_EQ(obs::histogram_quantile(empty, 0.5), 0.0);
+
+  obs::HistogramSnapshot h;
+  h.edges = {1.0, 2.0, 4.0};
+  h.counts = {2, 0, 2, 1};  // two samples in [0, 1], two in (2, 4], one above 4
+  h.total_count = 5;
+  // q = 0.2 is sample 1 of 5, the first of bucket 0's two: halfway into
+  // [0, 1].
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.2), 0.5);
+  // Samples 3 and 4 are bucket 2's, interpolated over (2, 4].
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.6), 3.0);
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.8), 4.0);
+  // Sample 5 is in the overflow bucket, which reports the last edge.
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 1.0), 4.0);
+  // q is clamped to [0, 1]; q = 0 is the first sample.
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, -3.0), 0.5);
+  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 7.0), 4.0);
 }
 
 TEST(Metrics, ObservedRunPublishesConsistentSnapshot) {
@@ -152,6 +199,98 @@ TEST(Metrics, ObservedRunPublishesConsistentSnapshot) {
       EXPECT_EQ(plain.counters.at("verify/violations"), 0u);
     }
   }
+}
+
+// The metrics JSON of two small Coord_NB runs, byte for byte: every metric
+// name, value and histogram shape that bench and campaign cells carry.
+// Captured on the tree before the run-scoped metrics registry went; the
+// link-partition counter left with the partition mode.
+constexpr std::string_view kPlainRunMetrics =
+    R"({"counters":{"ckpt/aborted_rounds":0,"ckpt/bytes_written":265312,)"
+    R"("ckpt/commit_write_failures":0,"ckpt/committed_rounds":3,"ckpt/corrupt_discarded":0,)"
+    R"("ckpt/gc_reclaimed":16,"ckpt/local_checkpoints":24,"ckpt/tokens_regenerated":0,)"
+    R"("ckpt/write_failures":0,"comm/app_bytes":860272,"comm/app_messages":1134,)"
+    R"("comm/checkpoint_bytes":265312,"comm/control_bytes":7680,)"
+    R"("comm/control_messages":240,"comm/corrupt_detected":0,"comm/dups_suppressed":0,)"
+    R"("comm/link_corrupted":0,"comm/link_delayed":0,"comm/link_drops":0,)"
+    R"("comm/link_duplicates":0,"comm/retransmits":0,"faults/during_recovery":0,)"
+    R"("faults/injected":0,"faults/mid_write":0,"membership/crashes":0,)"
+    R"("membership/detections":0,"membership/evictions":0,"membership/forced_recoveries":0,)"
+    R"("membership/heartbeats_sent":0,"membership/rejoins":0,"membership/suspicions":0,)"
+    R"("membership/suspicions_cleared":0,"membership/views_established":0,)"
+    R"("membership/wrongful_evictions":0,"recovery/bytes_read":0,"recovery/bytes_reread":0,)"
+    R"("recovery/failures":0,"recovery/generations_skipped":0,"recovery/interrupted":0,)"
+    R"("recovery/max_domino_depth":0,"recovery/mid_write":0,"recovery/rolled_to_origin":0,)"
+    R"("recovery/writes_discarded":0,"run/events":9103,"storage/bitrot_injected":0,)"
+    R"("storage/degraded_ops":0,"storage/final_bytes":87880,"storage/final_checkpoints":8,)"
+    R"("storage/io_read_errors":0,"storage/io_write_errors":0,"storage/peak_bytes":177424,)"
+    R"("storage/read_failures":0,"storage/reclaimed_bytes":177416,"storage/retries":0,)"
+    R"("storage/write_failures":0,"verify/checks":0,"verify/in_flight_at_end":0,)"
+    R"("verify/violations":0},"gauges":{"comm/link_busy_s":1.0853568730000001,)"
+    R"("overhead/app_blocked_s":2.3664092130000003,"overhead/interference_s":0,)"
+    R"("recovery/latency_total_s":0,"run/exec_time_s":1.5005728540000001,)"
+    R"("storage/disk_busy_s":0.59550857600000007,"storage/disk_wait_s":1.2232480190000001,)"
+    R"("storage/host_link_busy_s":0.16640000000000002,"storage/retry_wait_s":0},)"
+    R"("histograms":{"membership/detection_latency_s":{"edges":[0.0010485760000000001,0.0020971520000000001,0.0041943040000000003,0.0083886080000000005,0.016777216000000001,0.033554432000000002,0.067108864000000004,0.13421772800000001,0.26843545600000002,0.53687091200000003,1.0737418240000001,2.1474836480000001,4.2949672960000003,8.5899345920000005,17.179869184000001],)"
+    R"("counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"total_count":0,"sum":0}}})";
+
+constexpr std::string_view kObservedCrashMetrics =
+    R"({"counters":{"ckpt/aborted_rounds":0,"ckpt/bytes_written":266984,)"
+    R"("ckpt/commit_write_failures":0,"ckpt/committed_rounds":3,"ckpt/corrupt_discarded":0,)"
+    R"("ckpt/gc_reclaimed":16,"ckpt/local_checkpoints":24,"ckpt/tokens_regenerated":0,)"
+    R"("ckpt/write_failures":0,"comm/app_bytes":976240,"comm/app_messages":1285,)"
+    R"("comm/checkpoint_bytes":356528,"comm/control_bytes":25248,)"
+    R"("comm/control_messages":789,"comm/corrupt_detected":0,"comm/dups_suppressed":0,)"
+    R"("comm/link_corrupted":0,"comm/link_delayed":0,"comm/link_drops":0,)"
+    R"("comm/link_duplicates":0,"comm/retransmits":0,"faults/during_recovery":0,)"
+    R"("faults/injected":0,"faults/mid_write":0,"membership/crashes":1,)"
+    R"("membership/detections":1,"membership/evictions":1,"membership/forced_recoveries":0,)"
+    R"("membership/heartbeats_sent":532,"membership/rejoins":0,"membership/suspicions":2,)"
+    R"("membership/suspicions_cleared":0,"membership/views_established":1,)"
+    R"("membership/wrongful_evictions":0,"recovery/bytes_read":87872,)"
+    R"("recovery/bytes_reread":0,"recovery/failures":1,"recovery/generations_skipped":0,)"
+    R"("recovery/interrupted":0,"recovery/max_domino_depth":0,"recovery/mid_write":0,)"
+    R"("recovery/rolled_to_origin":0,"recovery/writes_discarded":0,"run/events":11557,)"
+    R"("run/trace_events":2875,"storage/bitrot_injected":0,"storage/degraded_ops":0,)"
+    R"("storage/final_bytes":87880,"storage/final_checkpoints":8,)"
+    R"("storage/io_read_errors":0,"storage/io_write_errors":0,"storage/peak_bytes":179096,)"
+    R"("storage/read_failures":0,"storage/reclaimed_bytes":179088,"storage/retries":0,)"
+    R"("storage/write_failures":0,"verify/checks":6489,"verify/in_flight_at_end":0,)"
+    R"("verify/violations":0},"gauges":{"attrib/interference_s":0,"attrib/logging_s":0,)"
+    R"("attrib/mem_copy_s":0,"attrib/membership_wait_s":0.63392134300000003,)"
+    R"("attrib/recovery_s":0.90924578700000014,"attrib/retransmit_wait_s":0,)"
+    R"("attrib/stable_write_s":0.89269734300000014,)"
+    R"("attrib/storage_contention_s":1.3440347130000001,"attrib/storage_retry_wait_s":0,)"
+    R"("attrib/svc_queue_wait_s":0,"attrib/sync_wait_s":0,)"
+    R"("attrib/total_s":3.7798991860000002,"comm/link_busy_s":1.325195447,)"
+    R"("overhead/app_blocked_s":2.2367320560000001,"overhead/interference_s":0,)"
+    R"("recovery/latency_total_s":0.20600179700000001,"run/exec_time_s":2.4655692610000002,)"
+    R"("storage/disk_busy_s":0.828662864,"storage/disk_wait_s":1.9132694330000002,)"
+    R"("storage/host_link_busy_s":0.22365000000000002,"storage/retry_wait_s":0},)"
+    R"("histograms":{"ckpt/window_s":{"edges":[0.001,0.01,0.050000000000000003,0.10000000000000001,0.5,1,5],)"
+    R"("counts":[0,0,3,11,10,0,0,0],"total_count":24,"sum":2.2367320560000006},)"
+    R"("membership/detection_latency_s":{"edges":[0.0010485760000000001,0.0020971520000000001,0.0041943040000000003,0.0083886080000000005,0.016777216000000001,0.033554432000000002,0.067108864000000004,0.13421772800000001,0.26843545600000002,0.53687091200000003,1.0737418240000001,2.1474836480000001,4.2949672960000003,8.5899345920000005,17.179869184000001],)"
+    R"("counts":[0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0],"total_count":1,)"
+    R"("sum":0.63392134300000003}}})";
+
+TEST(Metrics, JsonIsPinned) {
+  auto plain = small_sor(Scheme::kCoordNB);
+  plain.verify = false;
+  EXPECT_EQ(obs::metrics_to_json(run_metrics(run_experiment(plain))).dump(), kPlainRunMetrics);
+
+  // Observed and monitored, with binary membership and one crash, so the
+  // recovery, verify, membership and trace-derived metrics are non-zero.
+  auto crashed = observed_sor(Scheme::kCoordNB);
+  crashed.verify = true;
+  chklib::membership::MembershipConfig membership;
+  membership.hb_period = des::Duration::millis(250);
+  membership.detect_timeout = des::Duration::millis(600);
+  crashed.membership = membership;
+  crashed.failure = FailureSpec{des::TimePoint::origin() + des::Duration::millis(500), 2};
+  const auto result = run_experiment(crashed);
+  ASSERT_TRUE(result.obs);
+  EXPECT_EQ(result.detections, 1u);
+  EXPECT_EQ(obs::metrics_to_json(result.obs->metrics).dump(), kObservedCrashMetrics);
 }
 
 // ---- attribution ------------------------------------------------------------

@@ -407,8 +407,7 @@ TEST(Independent, StaggeredVariantSerializesDiskWrites) {
     w.rt->set_app("ring", make_ring_app(300, 2e5));
     IndependentProtocol proto(*w.rt, {.scheme = scheme,
                                       .interval = Duration::secs(15),
-                                      .count = 2,
-                                      .jitter = 0.02});  // near-collisions
+                                      .count = 2});
     proto.start();
     w.rt->start_apps();
     w.rt->run_to_completion();

@@ -295,8 +295,7 @@ TEST(Recovery, IncrementalChainRereadsAreCounted) {
     chklib::CoordinatedProtocol protocol(runtime, {.scheme = config.scheme,
                                                    .interval = config.interval,
                                                    .rounds = 0,
-                                                   .incremental = true,
-                                                   .full_every = 3});
+                                                   .incremental = true});
     chklib::RecoveryManager recovery(runtime, protocol);
     StoreSnapshot snapshot(runtime);
     recovery.add_observer(&snapshot);

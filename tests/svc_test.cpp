@@ -29,8 +29,6 @@ constexpr std::uint64_t kSeed = 2026;
 
 svc::SvcParams small_params() {
   svc::SvcParams p;
-  p.keys = 256;
-  p.prefill = 64;
   p.arrival_hz = 250.0;
   p.horizon_s = 1.2;
   return p;

@@ -195,7 +195,7 @@ TEST(Quiescence, MessageLeakedAcrossTheFreezeGateIsCaught) {
   w.rt->set_app("ring", make_ring_app(200, 1e5));
   chklib::CoordinatedProtocol proto(
       *w.rt, {.scheme = Scheme::kCoordNB, .interval = Duration::secs(8), .rounds = 2});
-  Monitor monitor(*w.rt, Monitor::options_for(Scheme::kCoordNB, Policy::kRecord));
+  Monitor monitor(*w.rt, Scheme::kCoordNB, Policy::kRecord);
   monitor.install();
   proto.start();
   LeakyHooks leaky(w.rt->comm().hooks());
@@ -212,7 +212,7 @@ TEST(Quiescence, CorrectProtocolHasNoViolations) {
   w.rt->set_app("ring", make_ring_app(200, 1e5));
   chklib::CoordinatedProtocol proto(
       *w.rt, {.scheme = Scheme::kCoordNB, .interval = Duration::secs(8), .rounds = 2});
-  Monitor monitor(*w.rt, Monitor::options_for(Scheme::kCoordNB, Policy::kRecord));
+  Monitor monitor(*w.rt, Scheme::kCoordNB, Policy::kRecord);
   monitor.install();
   proto.start();
   w.rt->start_apps();
@@ -224,7 +224,7 @@ TEST(Quiescence, CorrectProtocolHasNoViolations) {
 
 TEST(Fifo, ReorderedArrivalIsCaught) {
   World w;
-  Monitor monitor(*w.rt, Monitor::options_for(Scheme::kNone, Policy::kRecord));
+  Monitor monitor(*w.rt, Scheme::kNone, Policy::kRecord);
   monitor.install();
   auto make_env = [](std::uint64_t seq) {
     Envelope env;
@@ -242,7 +242,7 @@ TEST(Fifo, ReorderedArrivalIsCaught) {
 
 TEST(Fifo, GapInTheArrivalStreamIsCaught) {
   World w;
-  Monitor monitor(*w.rt, Monitor::options_for(Scheme::kNone, Policy::kRecord));
+  Monitor monitor(*w.rt, Scheme::kNone, Policy::kRecord);
   monitor.install();
   auto make_env = [](std::uint64_t seq) {
     Envelope env;
@@ -258,24 +258,18 @@ TEST(Fifo, GapInTheArrivalStreamIsCaught) {
   EXPECT_NE(monitor.sink().violations()[0].message.find("lost"), std::string::npos);
 }
 
-TEST(Stagger, OverlappingBackgroundWritesAreCaughtWhenArmed) {
-  // Coord_NBM buffers in memory and writes in the background WITHOUT
-  // staggering, so with 8 ranks checkpointing in the same round the write
-  // windows overlap. Arming the stagger checker against it must fire —
-  // which is exactly why options_for() only arms it for the *S schemes
-  // (the sweep above proves those stay clean).
+TEST(Stagger, OverlappingSameRoundWritesAreCaught) {
+  // The stagger token admits one writer per round. A correct staggered
+  // protocol never lets two ranks write the same checkpoint image at once
+  // (the sweep above runs every scheme clean), so open two such writes
+  // through the monitor's write hooks directly.
   World w;
-  w.rt->set_app("ring", make_ring_app(200, 1e5));
-  chklib::CoordinatedProtocol proto(
-      *w.rt, {.scheme = Scheme::kCoordNBM, .interval = Duration::secs(8), .rounds = 2});
-  auto options = Monitor::options_for(Scheme::kCoordNBM, Policy::kRecord);
-  options.check_stagger = true;
-  Monitor monitor(*w.rt, options);
+  Monitor monitor(*w.rt, Scheme::kCoordNBMS, Policy::kRecord);
   monitor.install();
-  proto.start();
-  w.rt->start_apps();
-  w.rt->run_to_completion();
-  EXPECT_GT(count_checker(monitor, "stagger"), 0u);
+  monitor.on_image_write_begin(1, 1);
+  monitor.on_image_write_begin(2, 1);  // rank 1 is still writing image 1
+  EXPECT_EQ(count_checker(monitor, "stagger"), 1u);
+  EXPECT_EQ(monitor.violations(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -189,68 +189,67 @@ MachineConfig test_config(std::size_t nodes = 8) {
   return config;
 }
 
+/// One full packet's service time on a mesh link: the link latency plus
+/// the packet's transmission time, in seconds.
+double packet_hop_s() {
+  return kMeshLinkLatency.to_seconds() + static_cast<double>(kPacketBytes) / kMeshLinkBandwidth;
+}
+
+/// Link service times are rounded to whole nanoseconds, so a delivery
+/// after `services` back-to-back services can sit up to half a nanosecond
+/// per service from the real-valued formula.
+double ns_slack(int services) { return services * 0.5e-9; }
+
 TEST(Network, DeliversWithLatencyAndBandwidth) {
   Simulator sim;
-  MachineConfig config = test_config();
-  config.link.bandwidth = 1'000'000;
-  config.link.latency = Duration::millis(1);
-  config.packet_bytes = 1 << 20;  // single packet
-  Network net(sim, config);
+  Network net(sim, test_config());
   double delivered = -1;
-  net.transfer(0, 1, 500'000, Traffic::kApplication,
+  net.transfer(0, 1, kPacketBytes, Traffic::kApplication,
                [&] { delivered = sim.now().to_seconds(); });
   sim.run();
-  // one hop: latency 1ms + 0.5s transfer
-  EXPECT_DOUBLE_EQ(delivered, 0.501);
-  EXPECT_EQ(net.bytes_sent(Traffic::kApplication), 500'000u);
+  // One packet over one hop: latency plus transmission time.
+  EXPECT_NEAR(delivered, packet_hop_s(), ns_slack(1));
+  EXPECT_EQ(net.bytes_sent(Traffic::kApplication), kPacketBytes);
   EXPECT_EQ(net.transfers(Traffic::kApplication), 1u);
 }
 
 TEST(Network, MultiHopAccumulates) {
   Simulator sim;
-  MachineConfig config = test_config();
-  config.link.bandwidth = 1'000'000;
-  config.link.latency = Duration::zero();
-  config.packet_bytes = 1 << 20;
-  Network net(sim, config);
+  Network net(sim, test_config());
   double delivered = -1;
-  // 0 -> 3 is 3 hops in the 2x4 mesh
-  net.transfer(0, 3, 100'000, Traffic::kApplication,
+  // 0 -> 3 is 3 hops in the 2x4 mesh; one packet pays every hop in full.
+  net.transfer(0, 3, kPacketBytes, Traffic::kApplication,
                [&] { delivered = sim.now().to_seconds(); });
   sim.run();
-  EXPECT_NEAR(delivered, 0.3, 1e-9);
+  EXPECT_NEAR(delivered, 3 * packet_hop_s(), ns_slack(3));
 }
 
 TEST(Network, PacketizationPipelinesHops) {
   Simulator sim;
-  MachineConfig config = test_config();
-  config.link.bandwidth = 1'000'000;
-  config.link.latency = Duration::zero();
-  config.packet_bytes = 10'000;
-  Network net(sim, config);
+  Network net(sim, test_config());
   double delivered = -1;
-  net.transfer(0, 3, 100'000, Traffic::kApplication,
+  net.transfer(0, 3, 10 * kPacketBytes, Traffic::kApplication,
                [&] { delivered = sim.now().to_seconds(); });
   sim.run();
-  // pipelined: ~ (packets + hops - 1) * per-packet time = (10+2)*0.01 = 0.12
-  EXPECT_NEAR(delivered, 0.12, 1e-6);
+  // Pipelined store-and-forward: (packets + hops - 1) packet times =
+  // (10 + 3 - 1), not packets * hops = 30.
+  EXPECT_NEAR(delivered, 12 * packet_hop_s(), ns_slack(12));
 }
 
 TEST(Network, ContentionSlowsConcurrentTransfers) {
   Simulator sim;
-  MachineConfig config = test_config();
-  config.link.bandwidth = 1'000'000;
-  config.link.latency = Duration::zero();
-  config.packet_bytes = 1000;
-  Network net(sim, config);
+  Network net(sim, test_config());
   std::vector<double> done;
-  // two transfers sharing the 0->1 link
-  net.transfer(0, 1, 100'000, Traffic::kApplication, [&] { done.push_back(sim.now().to_seconds()); });
-  net.transfer(0, 1, 100'000, Traffic::kCheckpoint, [&] { done.push_back(sim.now().to_seconds()); });
+  // Two 25-packet transfers sharing the 0->1 link.
+  net.transfer(0, 1, 25 * kPacketBytes, Traffic::kApplication,
+               [&] { done.push_back(sim.now().to_seconds()); });
+  net.transfer(0, 1, 25 * kPacketBytes, Traffic::kCheckpoint,
+               [&] { done.push_back(sim.now().to_seconds()); });
   sim.run();
   ASSERT_EQ(done.size(), 2u);
-  // the link carries 200 KB total; last finisher at ~0.2s
-  EXPECT_NEAR(done.back(), 0.2, 0.01);
+  // The link serves all 50 packets back to back; the last finisher waits
+  // for every one of them.
+  EXPECT_NEAR(done.back(), 50 * packet_hop_s(), ns_slack(50));
 }
 
 TEST(Network, SelfTransferBypassesLinks) {
@@ -308,27 +307,26 @@ TEST(Network, DeliveryMayStartATransferThatReusesItsRecord) {
 
 TEST(Network, ManyPacketTransferDeliversOnce) {
   Simulator sim;
-  MachineConfig config = test_config();
-  config.packet_bytes = 1000;
-  Network net(sim, config);
+  Network net(sim, test_config());
   int delivered = 0;
   double at = -1;
-  net.transfer(0, 7, 10'000, Traffic::kCheckpoint, [&] {
+  net.transfer(0, 7, 10 * kPacketBytes, Traffic::kCheckpoint, [&] {
     ++delivered;
     at = sim.now().to_seconds();
   });
   sim.run();
   EXPECT_EQ(delivered, 1);
-  // The callback fires at the last packet's arrival, after the pipeline.
-  EXPECT_NEAR(at, net.min_transfer_time(0, 7, 10'000).to_seconds(), 1e-12);
+  // The callback fires at the last packet's arrival, after the pipeline:
+  // 10 packets over the 4 hops from 0 to 7 take (10 + 4 - 1) packet times.
+  EXPECT_NEAR(at, net.min_transfer_time(0, 7, 10 * kPacketBytes).to_seconds(), 1e-12);
+  EXPECT_NEAR(at, 13 * packet_hop_s(), ns_slack(13));
 }
 
 TEST(Node, ComputeAdvancesByFlopRate) {
   Simulator sim;
-  NodeConfig config;
-  config.cpu_flop_rate = 1e6;
-  Node node(sim, 0, config);
-  sim.spawn("p", [&](Process& self) { node.compute(self, 2e6); });
+  Node node(sim, 0, NodeConfig{});
+  // Two seconds' worth of work at the node's flop rate.
+  sim.spawn("p", [&](Process& self) { node.compute(self, 2 * kCpuFlopRate); });
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 2.0);
   EXPECT_DOUBLE_EQ(node.compute_time().to_seconds(), 2.0);
@@ -338,14 +336,14 @@ TEST(Node, ComputeAdvancesByFlopRate) {
 TEST(Node, BackgroundIoStealsCpu) {
   Simulator sim;
   NodeConfig config;
-  config.cpu_flop_rate = 1e6;
   config.background_io_cpu_steal = 0.2;
   Node node(sim, 0, config);
+  // Two one-second pieces of work, the first during a background write.
   sim.spawn("p", [&](Process& self) {
     node.begin_background_io();
-    node.compute(self, 1e6);
+    node.compute(self, kCpuFlopRate);
     node.end_background_io();
-    node.compute(self, 1e6);
+    node.compute(self, kCpuFlopRate);
   });
   sim.run();
   // first second of work takes 1/(1-0.2) = 1.25s, second takes 1s
