@@ -29,7 +29,7 @@ const std::vector<Scheme>& sweep_schemes() {
 }
 
 ExperimentConfig disk_config(double bandwidth_factor) {
-  auto machine = xplorer::MachineConfig::parsytec_xplorer();
+  xplorer::MachineConfig machine;
   machine.disk.bandwidth *= bandwidth_factor;
   machine.host_link.bandwidth *= bandwidth_factor;
 

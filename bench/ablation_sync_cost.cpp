@@ -17,7 +17,7 @@ namespace chk::bench {
 namespace {
 
 xplorer::MachineConfig free_storage_machine(std::size_t nodes) {
-  auto machine = xplorer::MachineConfig::parsytec_xplorer();
+  xplorer::MachineConfig machine;
   machine.num_nodes = nodes;
   machine.disk.bandwidth = 1e15;
   machine.disk.latency = des::Duration::zero();
@@ -37,7 +37,7 @@ ExperimentConfig sor_config(std::size_t nodes, Scheme scheme, bool free_storage,
   config.checkpoints = 3;
   config.interval = des::Duration::seconds(interval_s);
   config.machine = free_storage ? free_storage_machine(nodes) : [nodes] {
-    auto machine = xplorer::MachineConfig::parsytec_xplorer();
+    xplorer::MachineConfig machine;
     machine.num_nodes = nodes;
     return machine;
   }();

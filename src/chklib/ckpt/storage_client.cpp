@@ -1,6 +1,5 @@
 #include "chklib/ckpt/storage_client.hpp"
 
-#include <string>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -20,68 +19,64 @@ constexpr des::Duration kDeadline = des::Duration::secs(30);
 
 }  // namespace
 
-bool StorageClient::backoff(des::Process& self, Rank rank, std::uint32_t attempt,
-                            des::TimePoint started, bool app_blocking) {
+template <typename Attempt>
+xplorer::IoStatus StorageClient::with_retries(des::Process& self, Rank rank,
+                                              bool app_blocking, Attempt attempt) {
+  const des::TimePoint started = self.sim().now();
   des::Duration wait = kInitialBackoff;
-  for (std::uint32_t i = 1; i < attempt; ++i) wait = wait.scaled(kBackoffMultiplier);
-  const des::TimePoint now = self.sim().now();
-  if ((now - started) + wait > kDeadline) return false;
-  const std::int64_t t0 = now.to_nanos();
-  self.delay(wait);
-  retry_wait_ = retry_wait_ + wait;
-  if (obs::Tracer* tracer = self.sim().tracer()) {
-    tracer->span(obs::EventKind::kStorageRetryWait, static_cast<std::uint16_t>(rank), t0,
-                 self.sim().now().to_nanos(), 0, app_blocking ? 1u : 0u);
+  for (std::uint32_t tries = 1;; ++tries) {
+    const xplorer::IoStatus status = attempt();
+    if (status == xplorer::IoStatus::kOk || tries >= kMaxAttempts) return status;
+    const des::TimePoint now = self.sim().now();
+    if ((now - started) + wait > kDeadline) return status;
+    self.delay(wait);
+    retry_wait_ = retry_wait_ + wait;
+    if (obs::Tracer* tracer = self.sim().tracer()) {
+      tracer->span(obs::EventKind::kStorageRetryWait, static_cast<std::uint16_t>(rank),
+                   now.to_nanos(), self.sim().now().to_nanos(), 0, app_blocking ? 1u : 0u);
+    }
+    ++retries_;
+    wait = wait.scaled(kBackoffMultiplier);
   }
-  return true;
 }
 
 xplorer::IoStatus StorageClient::write_blocking(des::Process& self, Rank rank,
-                                                const std::string& key,
+                                                const xplorer::FileId& file,
                                                 std::vector<std::byte> blob,
                                                 obs::EventKind kind, std::uint32_t arg,
                                                 bool app_blocking) {
-  const des::TimePoint started = self.sim().now();
-  const std::size_t bytes = blob.size();
-  for (std::uint32_t attempt = 1;; ++attempt) {
+  const xplorer::IoStatus status = with_retries(self, rank, app_blocking, [&] {
     const std::int64_t t0 = self.sim().now().to_nanos();
     // Each attempt pays the full pipeline; the blob is copied so a retry
     // still has it.
-    const xplorer::IoStatus status =
-        storage_->write_blocking(self, rank, key, blob);
+    const xplorer::IoStatus attempt = storage_->write_blocking(self, rank, file, blob);
     if (obs::Tracer* tracer = self.sim().tracer()) {
-      const auto pure = storage_->pure_write_time(rank, bytes);
+      const auto pure = storage_->pure_write_time(rank, blob.size());
       tracer->span(kind, static_cast<std::uint16_t>(rank), t0, self.sim().now().to_nanos(),
                    static_cast<std::uint64_t>(pure.to_nanos()), arg);
     }
-    if (status == xplorer::IoStatus::kOk) return status;
-    if (attempt >= kMaxAttempts || !backoff(self, rank, attempt, started, app_blocking)) {
-      ++write_failures_;
-      return xplorer::IoStatus::kIoError;
-    }
-    ++retries_;
-  }
+    return attempt;
+  });
+  if (status != xplorer::IoStatus::kOk) ++write_failures_;
+  return status;
 }
 
 xplorer::IoStatus StorageClient::read_blocking(des::Process& self, Rank rank,
-                                               const std::string& key,
+                                               const xplorer::FileId& file,
                                                std::vector<std::byte>* out) {
-  const des::TimePoint started = self.sim().now();
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    xplorer::IoStatus status = xplorer::IoStatus::kOk;
-    auto blob = storage_->read_blocking(self, rank, key, &status);
-    if (status == xplorer::IoStatus::kOk) {
-      if (out != nullptr) *out = std::move(blob);
-      return status;
-    }
-    if (attempt >= kMaxAttempts ||
-        !backoff(self, rank, attempt, started, /*app_blocking=*/false)) {
-      ++read_failures_;
-      if (out != nullptr) out->clear();
-      return xplorer::IoStatus::kIoError;
-    }
-    ++retries_;
+  std::vector<std::byte> blob;
+  const xplorer::IoStatus status = with_retries(self, rank, /*app_blocking=*/false, [&] {
+    xplorer::IoStatus attempt = xplorer::IoStatus::kOk;
+    blob = storage_->read_blocking(self, rank, file, &attempt);
+    return attempt;
+  });
+  if (status != xplorer::IoStatus::kOk) {
+    ++read_failures_;
+    if (out != nullptr) out->clear();
+    return status;
   }
+  if (out != nullptr) *out = std::move(blob);
+  return status;
 }
 
 }  // namespace chk::chklib

@@ -3,12 +3,12 @@
 // Transient I/O errors (IoStatus::kIoError from the StableStorage fault
 // model) are the storage tier's own fault domain; this client is the one
 // door every protocol and the recovery manager go through, so the retry
-// policy lives in exactly one place. A failed attempt is retried after an
-// exponentially growing backoff (50 ms, doubling) until the budget of 4
-// attempts or the 30 s deadline runs out, at which point the terminal
-// error is surfaced to the caller — the protocols decide what a
-// permanently lost write means (abort the round, skip the interval), the
-// client never hides one.
+// policy lives in exactly one place, one loop that writes and reads share.
+// A failed attempt is retried after an exponentially growing backoff
+// (50 ms, doubling) until the budget of 4 attempts or the 30 s deadline
+// runs out, at which point the terminal error is surfaced to the caller —
+// the protocols decide what a permanently lost write means (abort the
+// round, skip the interval), the client never hides one.
 //
 // Each attempt emits its own traced span (the caller's event kind, aux =
 // uncontended write time) and each backoff sleep emits a
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "chklib/comm/envelope.hpp"
@@ -39,15 +38,15 @@ class StorageClient {
   /// attempt (arg = `arg`); backoff sleeps emit kStorageRetryWait spans
   /// with arg = 1 when `app_blocking` (so attribution charges them to the
   /// blocked window) and 0 otherwise.
-  xplorer::IoStatus write_blocking(des::Process& self, Rank rank, const std::string& key,
+  xplorer::IoStatus write_blocking(des::Process& self, Rank rank, const xplorer::FileId& file,
                                    std::vector<std::byte> blob, obs::EventKind kind,
                                    std::uint32_t arg, bool app_blocking);
 
-  /// Blocking read with bounded retries. A missing key is not an error:
+  /// Blocking read with bounded retries. A missing file is not an error:
   /// it returns kOk with an empty blob. Retry sleeps emit
   /// kStorageRetryWait spans with arg = 0 (recovery time is charged
   /// through the caller's enclosing kRecoveryRead span).
-  xplorer::IoStatus read_blocking(des::Process& self, Rank rank, const std::string& key,
+  xplorer::IoStatus read_blocking(des::Process& self, Rank rank, const xplorer::FileId& file,
                                   std::vector<std::byte>* out);
 
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
@@ -57,10 +56,12 @@ class StorageClient {
   [[nodiscard]] des::Duration retry_wait() const noexcept { return retry_wait_; }
 
  private:
-  /// Sleep out the backoff for retry `attempt` (1-based); returns false if
-  /// the deadline would already be exceeded.
-  bool backoff(des::Process& self, Rank rank, std::uint32_t attempt,
-               des::TimePoint started, bool app_blocking);
+  /// The retry loop: runs `attempt` (one timed storage operation, returning
+  /// its status) until it succeeds, sleeping out the backoff between tries,
+  /// and returns the last status once the budget or the deadline runs out.
+  template <typename Attempt>
+  xplorer::IoStatus with_retries(des::Process& self, Rank rank, bool app_blocking,
+                                 Attempt attempt);
 
   xplorer::StableStorage* storage_;
   std::uint64_t retries_ = 0;

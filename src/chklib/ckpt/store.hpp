@@ -1,9 +1,10 @@
 // Checkpoint store: naming, commit bookkeeping and space accounting on top
 // of the raw stable storage.
 //
-// Keys:   ckpt/p{rank}/v{index:08}        process state image
-//         ckpt/p{rank}/v{index:08}.log    channel log (coordinated)
-//         ckpt/commit                     last globally committed epoch
+// Files (xplorer::FileId):
+//   {kImage, rank, index}   process state image
+//   {kLog, rank, index}     channel log (coordinated)
+//   {kCommit, 0, 0}         last globally committed epoch
 //
 // Writes go through the retrying StorageClient and are therefore fully
 // timed (network + host link + disk with contention, plus retry backoff
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "chklib/ckpt/image.hpp"
@@ -37,9 +37,6 @@ class CheckpointStore {
       : storage_(&storage), client_(storage) {}
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
-
-  [[nodiscard]] static std::string image_key(Rank rank, std::uint32_t index);
-  [[nodiscard]] static std::string log_key(Rank rank, std::uint32_t index);
 
   /// Blocking write with bounded retries; kIoError is terminal.
   xplorer::IoStatus write_image_blocking(des::Process& self, Rank rank,
@@ -75,6 +72,7 @@ class CheckpointStore {
   // -- metadata (free) -------------------------------------------------------
   [[nodiscard]] std::uint32_t committed_epoch() const noexcept { return committed_epoch_; }
   [[nodiscard]] bool has_image(Rank rank, std::uint32_t index) const;
+  /// Indices of rank `rank`'s stored images, ascending.
   [[nodiscard]] std::vector<std::uint32_t> saved_indices(Rank rank) const;
   /// Peek image metadata without timed I/O (recovery-line computation scans
   /// dependency records; modelled as free directory metadata): nullopt when
@@ -85,8 +83,13 @@ class CheckpointStore {
   /// the GC precondition before pruning an older generation).
   [[nodiscard]] bool verify_image(Rank rank, std::uint32_t index) const;
   void erase(Rank rank, std::uint32_t index);
+  /// Bytes of rank `rank`'s images and logs.
   [[nodiscard]] std::uint64_t bytes_for(Rank rank) const;
-  [[nodiscard]] std::uint64_t total_checkpoint_bytes() const;
+  /// Every stored byte: images, logs and the commit record.
+  [[nodiscard]] std::uint64_t total_checkpoint_bytes() const noexcept {
+    return storage_->total_bytes();
+  }
+  /// Stored images (logs and the commit record are no checkpoints).
   [[nodiscard]] std::size_t checkpoint_count() const;
 
   [[nodiscard]] xplorer::StableStorage& storage() noexcept { return *storage_; }

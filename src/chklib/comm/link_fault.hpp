@@ -69,7 +69,6 @@ class LinkFaultModel {
 
   [[nodiscard]] Verdict judge();
 
-  [[nodiscard]] const LinkFaultConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] std::uint64_t duplicates() const noexcept { return duplicates_; }
   [[nodiscard]] std::uint64_t corrupted() const noexcept { return corrupted_; }

@@ -18,6 +18,11 @@ constexpr std::uint32_t kSuspectQuorum = 2;
   return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
+[[nodiscard]] constexpr std::uint64_t bit(Rank r) noexcept { return std::uint64_t{1} << r; }
+[[nodiscard]] constexpr bool has(std::uint64_t set, Rank r) noexcept {
+  return (set & bit(r)) != 0;
+}
+
 }  // namespace
 
 Detector parse_detector(const std::string& text) {
@@ -118,7 +123,7 @@ void MembershipService::finalize() {
     if (obs::Tracer* tracer = rt_->sim().tracer()) {
       tracer->span(obs::EventKind::kMembershipWait, static_cast<std::uint16_t>(r),
                    excluded_since_[r].to_nanos(), now_ns, 0,
-                   down_.contains(r) ? 1u : 2u);
+                   is_down(r) ? 1u : 2u);
     }
   }
 }
@@ -147,7 +152,7 @@ void MembershipService::begin_exclusion(Rank r) {
 
 void MembershipService::end_exclusion(Rank r) {
   if (!episode_open_[r]) return;
-  if (down_.contains(r) || fenced_.contains(r)) return;  // still excluded
+  if (is_down(r) || has(fenced_, r)) return;  // still excluded
   episode_open_[r] = false;
   if (obs::Tracer* tracer = rt_->sim().tracer()) {
     tracer->span(obs::EventKind::kMembershipWait, static_cast<std::uint16_t>(r),
@@ -158,7 +163,7 @@ void MembershipService::end_exclusion(Rank r) {
 void MembershipService::heartbeat_tick(Rank r, std::uint32_t epoch) {
   // A stale epoch means this chain was orphaned by a rejoin re-phase.
   if (epoch != beacon_epoch_[r]) return;
-  if (!down_.contains(r)) {
+  if (!is_down(r)) {
     for (Rank q = 0; q < num_ranks_; ++q) {
       if (q == r) continue;
       ++stats_.heartbeats_sent;
@@ -210,8 +215,8 @@ des::Duration MembershipService::sweep_period(Rank r) const {
 }
 
 void MembershipService::sweep_tick(Rank r) {
-  if (!detection_paused_ && !down_.contains(r)) {
-    if (fenced_.contains(r)) {
+  if (!detection_paused_ && !is_down(r)) {
+    if (has(fenced_, r)) {
       // Fenced but alive: petition the coordinator for re-admission.
       rt_->comm().send_control(
           r, coordinator(),
@@ -278,7 +283,7 @@ void MembershipService::on_control(Rank dst, const ControlMsg& msg) {
         if (msg.view >= proposed_view_) {
           proposed_view_ = 0;
           proposed_members_ = 0;
-          view_acks_.clear();
+          view_acks_ = 0;
         }
         adopt(msg);
       }
@@ -290,10 +295,9 @@ void MembershipService::on_control(Rank dst, const ControlMsg& msg) {
       break;
     case ControlKind::kViewAck:
       if (proposed_view_ != 0 && msg.view == proposed_view_) {
-        view_acks_.insert(msg.src);
-        const std::size_t majority =
-            static_cast<std::size_t>(std::popcount(proposed_members_)) / 2 + 1;
-        if (view_acks_.size() >= majority) establish();
+        view_acks_ |= bit(msg.src);
+        const int majority = std::popcount(proposed_members_) / 2 + 1;
+        if (std::popcount(view_acks_) >= majority) establish();
       }
       break;
     case ControlKind::kJoinRequest: {
@@ -349,8 +353,7 @@ void MembershipService::propose(Rank proposer, std::uint64_t new_members) {
   }
   proposed_view_ = next;
   proposed_members_ = new_members;
-  view_acks_.clear();
-  view_acks_.insert(proposer);
+  view_acks_ = bit(proposer);
   // Global-state model: the proposer adopts its own proposal at once; the
   // broadcast above carries it to everyone else (and collects the acks that
   // establish it). Note apply-side effects may start a rollback recovery,
@@ -389,18 +392,19 @@ void MembershipService::apply_view(std::uint64_t view, std::uint64_t members) {
   for (Rank r = 0; r < num_ranks_; ++r) {
     if ((removed >> r) & 1u) {
       ++stats_.evictions;
-      if (down_.contains(r)) {
+      if (is_down(r)) {
         ++stats_.detections;
         stats_.detection_latency_ns.push_back((now - crash_at_[r]).to_nanos());
         if (dead == num_ranks_) dead = r;
       } else {
         ++stats_.wrongful_evictions;
-        fenced_.insert(r);
+        fenced_ |= bit(r);
         begin_exclusion(r);
         recovery_->protocol().on_rank_fenced(r, true);
       }
     } else if ((added >> r) & 1u) {
-      if (fenced_.erase(r) > 0) {
+      if (has(fenced_, r)) {
+        fenced_ &= ~bit(r);
         ++stats_.rejoins;
         end_exclusion(r);
         // Decorrelate the rejoined rank's beacon from its pre-eviction
@@ -423,7 +427,7 @@ void MembershipService::establish() {
   ++stats_.views_established;
   proposed_view_ = 0;
   proposed_members_ = 0;
-  view_acks_.clear();
+  view_acks_ = 0;
   recovery_->protocol().on_view_established();
 }
 
@@ -437,7 +441,7 @@ des::Duration MembershipService::deadman_delay(Rank r) const {
   // bootstrap interval, so the pre-warm-up deadman matches binary's.
   des::Duration widest = des::Duration::zero();
   for (Rank obs = 0; obs < num_ranks_; ++obs) {
-    if (obs == r || down_.contains(obs)) continue;
+    if (obs == r || is_down(obs)) continue;
     widest = std::max(widest, accrual_[obs][r].implied_timeout(cfg_.phi_threshold_milli));
   }
   if (widest == des::Duration::zero()) widest = cfg_.detect_timeout;
@@ -450,14 +454,14 @@ bool MembershipService::crash(Rank r) {
   // oracle path: overlapping-failure semantics (abort + re-plan) predate the
   // membership layer and must not change under it.
   if (recovery_->recovering()) return false;
-  if (down_.contains(r)) return true;  // already silent — nothing new to model
+  if (is_down(r)) return true;  // already silent — nothing new to model
   ++stats_.crashes;
-  down_.insert(r);
+  down_ |= bit(r);
   crash_at_[r] = rt_->sim().now();
   begin_exclusion(r);
   // A fenced rank that now really dies stays in one continuous exclusion
   // episode; it just changes character.
-  fenced_.erase(r);
+  fenced_ &= ~bit(r);
   rt_->kill_app(r);
   if (obs::Tracer* tracer = rt_->sim().tracer()) {
     tracer->instant(obs::EventKind::kFailure, static_cast<std::uint16_t>(r),
@@ -467,7 +471,7 @@ bool MembershipService::crash(Rank r) {
   // detector is configured far too lax for the workload's lifetime), force
   // the rollback rather than hang the application forever.
   rt_->sim().schedule_after(deadman_delay(r), [this, r] {
-    if (down_.contains(r) && !recovery_->recovering()) {
+    if (is_down(r) && !recovery_->recovering()) {
       ++stats_.forced_recoveries;
       recovery_->recover_now(r);
     }
@@ -480,13 +484,13 @@ void MembershipService::on_recovery_begin(Rank /*failed*/) {
   detection_paused_ = true;
   proposed_view_ = 0;
   proposed_members_ = 0;
-  view_acks_.clear();
+  view_acks_ = 0;
   for (auto& row : suspects_) std::fill(row.begin(), row.end(), false);
   // The rollback restarts every rank: exclusions end here, membership goes
   // back to the full set. The view id stays monotone — the elected
   // coordinator survives the recovery.
-  down_.clear();
-  fenced_.clear();
+  down_ = 0;
+  fenced_ = 0;
   for (Rank r = 0; r < num_ranks_; ++r) end_exclusion(r);
   members_ = full_bitmap(num_ranks_);
 }

@@ -52,7 +52,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -160,10 +159,9 @@ class MembershipService final : public RecoveryObserver {
     return ((members_ >> r) & 1u) != 0;
   }
   /// Ground truth (simulator-side) — the cluster itself only sees views.
-  [[nodiscard]] bool is_down(Rank r) const noexcept { return down_.contains(r); }
+  [[nodiscard]] bool is_down(Rank r) const noexcept { return ((down_ >> r) & 1u) != 0; }
 
   [[nodiscard]] const MembershipStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const MembershipConfig& config() const noexcept { return cfg_; }
 
   /// RecoveryManager's strike path: absorb a strike as a silent crash the
   /// cluster must detect. Returns false (declining, so the oracle rollback
@@ -230,7 +228,7 @@ class MembershipService final : public RecoveryObserver {
   std::uint64_t members_ = 0;  ///< rank bitmap of the current view
   std::uint64_t proposed_view_ = 0;     ///< 0 = no proposal in flight
   std::uint64_t proposed_members_ = 0;
-  std::set<Rank> view_acks_;
+  std::uint64_t view_acks_ = 0;  ///< rank bitmap of the proposal's ackers
 
   // Detector state.
   std::vector<std::int64_t> phase_ns_;  ///< per-rank timer phase (the init draws)
@@ -243,8 +241,8 @@ class MembershipService final : public RecoveryObserver {
   std::vector<des::TimePoint> crash_at_;     ///< strike time (valid while down)
 
   // Ground truth + attribution episodes.
-  std::set<Rank> down_;
-  std::set<Rank> fenced_;
+  std::uint64_t down_ = 0;    ///< rank bitmap: crashed, not yet restarted
+  std::uint64_t fenced_ = 0;  ///< rank bitmap: evicted while alive
   std::vector<des::TimePoint> excluded_since_;
   std::vector<bool> episode_open_;
 };

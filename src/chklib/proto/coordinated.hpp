@@ -103,7 +103,6 @@ class CoordinatedProtocol final : public Protocol {
   [[nodiscard]] std::uint32_t committed_epoch() const noexcept {
     return rt_->store().committed_epoch();
   }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// The round-initiating coordinator: the elected one when the comm
   /// system has a membership service (rank 0 is only view 0's), rank 0

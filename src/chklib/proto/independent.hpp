@@ -84,7 +84,6 @@ class IndependentProtocol final : public Protocol {
   [[nodiscard]] std::uint32_t intervals_of(Rank r) const noexcept {
     return agents_[r]->intervals;
   }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   /// Run one garbage-collection pass now (also runs automatically after
   /// each durable checkpoint when cfg.gc is set). Returns reclaimed count.
   std::uint64_t run_gc();

@@ -63,7 +63,6 @@ void RecoveryManager::abort_active_recovery() {
   RecoveryReport& report = *aborted.report;
   report.interrupted = true;
   report.recovery_latency = rt_->sim().now() - report.failed_at;
-  report.logged_sends.clear();  // replay scratch; contract: empty when published
   reports_.push_back(report);
 }
 
@@ -140,6 +139,7 @@ void RecoveryManager::plan_and_spawn() {
   // reads (they contend at the disk exactly like the writes did).
   active_->pending = std::make_shared<std::size_t>(rt_->num_ranks());
   active_->loaders.clear();
+  active_->replay.clear();
   auto pending = active_->pending;
   const std::uint32_t attempt = active_->attempt;
   for (Rank r = 0; r < rt_->num_ranks(); ++r) {
@@ -202,7 +202,7 @@ void RecoveryManager::plan_and_spawn() {
         // line's sent payloads; lost ones are replayed once every rank's
         // sequence state is restored (see the completion block below).
         if (!image.sent_log.messages.empty()) {
-          auto& logged = shared_report->logged_sends;
+          auto& logged = active_->replay;
           logged.insert(logged.end(),
                         std::make_move_iterator(image.sent_log.messages.begin()),
                         std::make_move_iterator(image.sent_log.messages.end()));
@@ -216,7 +216,7 @@ void RecoveryManager::plan_and_spawn() {
           if (older >= index) continue;
           const auto meta = rt_->store().try_peek_image(r, older);
           if (!meta) continue;
-          auto& logged = shared_report->logged_sends;
+          auto& logged = active_->replay;
           logged.insert(logged.end(), meta->sent_log.messages.begin(),
                         meta->sent_log.messages.end());
         }
@@ -258,10 +258,9 @@ void RecoveryManager::replan_after_bad_generation(std::shared_ptr<RecoveryReport
     for (std::uint32_t index : bad) rt_->store().erase(r, index);
     ++report->generations_skipped;
     // Partial restore state from this attempt is rolled back: reinjected
-    // replays and restored sequence counters are flushed, the replay
-    // scratch restarts empty. bytes_read keeps accumulating — the failed
-    // reads did real, timed work.
-    report->logged_sends.clear();
+    // replays and restored sequence counters are flushed, and the next
+    // attempt collects its replay scratch afresh. bytes_read keeps
+    // accumulating — the failed reads did real, timed work.
     report->channel_messages_replayed = 0;
     rt_->comm().flush_all();
     ++active_->attempt;
@@ -274,9 +273,9 @@ void RecoveryManager::finish_recovery(const std::shared_ptr<RecoveryReport>& sha
   // is not part of the receiver's restored state was lost with the
   // crash (its sender will not re-send it); re-inject it. This is
   // what makes the orphan-free line executable.
-  if (!shared_report->logged_sends.empty()) {
+  if (!active_->replay.empty()) {
     std::vector<std::vector<Envelope>> by_dst(rt_->num_ranks());
-    for (Envelope& env : shared_report->logged_sends) {
+    for (Envelope& env : active_->replay) {
       Endpoint& dst = rt_->comm().endpoint(env.dst);
       if (!dst.already_consumed(env.src, env.seq)) {
         by_dst[env.dst].push_back(std::move(env));
@@ -293,10 +292,6 @@ void RecoveryManager::finish_recovery(const std::shared_ptr<RecoveryReport>& sha
       rt_->comm().endpoint(q).reinject(std::move(by_dst[q]));
     }
   }
-  // The replay scratch must not leak into the published report —
-  // "empty in finished reports" is part of its contract (and the
-  // moved-from envelopes above would be garbage anyway).
-  shared_report->logged_sends.clear();
   // 4b. Everything restored: restart the protocol and the application.
   shared_report->recovery_latency = rt_->sim().now() - shared_report->failed_at;
   active_.reset();

@@ -59,9 +59,6 @@ struct RecoveryReport {
   /// failure; the report is partial (recovery_latency covers only the time
   /// until the second failure, and the application did not restart from it).
   bool interrupted = false;
-  /// Scratch during recovery: payload-logged sends awaiting lost-message
-  /// replay (independent + message logging); empty in finished reports.
-  std::vector<Envelope> logged_sends;
 };
 
 /// Domino depth of one rank: how many newer-than-restored checkpoints the
@@ -160,6 +157,9 @@ class RecoveryManager {
     std::shared_ptr<RecoveryReport> report;
     std::shared_ptr<std::size_t> pending;  ///< loader ranks not yet restored
     std::vector<des::Process*> loaders;
+    /// Payload-logged sends this attempt's loaders collected, awaiting
+    /// lost-message replay (independent + message logging).
+    std::vector<Envelope> replay;
     /// Newest saved index per rank at failure time (domino-depth metric).
     std::vector<std::uint32_t> newest;
     std::uint32_t attempt = 0;  ///< restore attempts (re-plans) so far

@@ -47,10 +47,10 @@ void FaultInjector::arm() {
   recovery_->add_observer(this);
   if (plan_.ensure_midwrite) {
     rt_->store().storage().set_write_hook(
-        [this](chklib::Rank from, const std::string& key, std::size_t bytes) {
-          // Target checkpoint *image* writes; the commit record (a few
-          // bytes under "ckpt/commit") makes for a near-degenerate window.
-          if (!key.starts_with("ckpt/p") || bytes == 0) return;
+        [this](chklib::Rank from, const xplorer::FileId& file, std::size_t bytes) {
+          // Target image and channel-log writes; the commit record (two
+          // words) makes for a near-degenerate window.
+          if (file.kind == xplorer::FileKind::kCommit || bytes == 0) return;
           const bool restorable = recovery_->restore_would_read();
           if (restorable) seen_restorable_ = true;
           if (midwrite_done_ || midwrite_armed_ || exhausted()) return;

@@ -8,17 +8,17 @@
 // armed, because the interesting recovery bugs live in narrow windows the
 // arrival process rarely hits:
 //
-//   ensure_midwrite         strike a checkpoint image write mid-pipeline (a
-//                           fraction of its uncontended service time after
-//                           submission, which is always strictly before its
-//                           completion). Prefers a write whose failure
-//                           would roll back to a non-origin line — that
-//                           recovery then has a real restore window for the
-//                           during-recovery target to compose with. If no
-//                           such write shows up within 2*num_ranks image
-//                           writes (independent checkpointing can domino
-//                           every line to the origin), the next image write
-//                           is struck ungated.
+//   ensure_midwrite         strike a checkpoint image or channel-log write
+//                           mid-pipeline (a fraction of its uncontended
+//                           service time after submission, which is always
+//                           strictly before its completion). Prefers a write
+//                           whose failure would roll back to a non-origin
+//                           line — that recovery then has a real restore
+//                           window for the during-recovery target to compose
+//                           with. If no such write shows up within
+//                           2*num_ranks such writes (independent
+//                           checkpointing can domino every line to the
+//                           origin), the next one is struck ungated.
 //   ensure_during_recovery  strike again while a restore is in flight. A
 //                           restore with timed reads is struck as soon as
 //                           the first loader rank finishes — the remaining

@@ -48,7 +48,7 @@ struct ExperimentConfig {
   /// Independent + pessimistic sender logging: recovery restores each
   /// rank's newest verified image, and GC ignores gc_mode.
   bool message_logging = false;
-  xplorer::MachineConfig machine = xplorer::MachineConfig::parsytec_xplorer();
+  xplorer::MachineConfig machine;  ///< default: the paper's testbed
   std::uint64_t seed = 2026;
   std::optional<FailureSpec> failure;
   /// Stochastic fault injection (exponential MTBF arrivals, optional

@@ -57,15 +57,13 @@ struct DiskConfig {
   des::Duration latency = des::Duration::millis(14);
 };
 
+/// A default-constructed MachineConfig is the paper's testbed.
 struct MachineConfig {
   std::size_t num_nodes = 8;  ///< arranged as the mesh in topology.hpp
   NodeConfig node;
   /// The host-interface link between the host node and the Sun host.
   LinkConfig host_link{.bandwidth = 1.6e6, .latency = des::Duration::micros(20)};
   DiskConfig disk;
-
-  /// The paper's testbed, unchanged.
-  static MachineConfig parsytec_xplorer() { return MachineConfig{}; }
 };
 
 }  // namespace chk::xplorer

@@ -28,7 +28,6 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   [[nodiscard]] des::Simulator& sim() noexcept { return *sim_; }
-  [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept { return config_.num_nodes; }
   [[nodiscard]] Node& node(NodeId id) noexcept { return *nodes_[id]; }
   [[nodiscard]] Network& network() noexcept { return network_; }

@@ -24,7 +24,6 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
 
   /// Execute `flops` of application work on the calling process. Runs
   /// slower while a background checkpoint write is in flight on this node.

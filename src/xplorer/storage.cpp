@@ -24,10 +24,10 @@ des::Duration StableStorage::degrade_penalty(std::size_t bytes) {
   return disk_.service_time(bytes).scaled(factor - 1.0);
 }
 
-void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> data,
-                          std::function<void(IoStatus)> on_done) {
+IoStatus StableStorage::write_blocking(des::Process& self, NodeId from, FileId file,
+                                       std::vector<std::byte> data) {
   const std::size_t bytes = data.size();
-  if (write_hook_) write_hook_(from, key, bytes);
+  if (write_hook_) write_hook_(from, file, bytes);
   ++inflight_writes_;
   const std::uint64_t generation = write_generation_;
   // Faults are judged at submission (fixed draw order per operation); a
@@ -35,31 +35,34 @@ void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> d
   StorageFaultModel::WriteVerdict verdict;
   if (faults_ != nullptr) verdict = faults_->judge_write();
   const des::Duration penalty = degrade_penalty(bytes);
+  // The outcome lives outside this frame: a writer killed without a discard
+  // (its write still in flight) leaves the pipeline to finish on its own.
+  des::Completion done;
+  auto status = std::make_shared<IoStatus>(IoStatus::kOk);
   // Stage 1: mesh to the host node. Stage 2: host interface link.
   // Stage 3: disk service. Data becomes durable at disk completion — unless
   // a crash invalidated the write's generation first, in which case the
   // pipeline events still drain but the payload is dropped on the floor,
   // or the fault model ruled a transient I/O error, in which case the
   // fully-timed attempt reports kIoError and stores nothing.
-  auto finish = [this, generation, key = std::move(key), data = std::move(data), verdict,
-                 on_done = std::move(on_done)]() mutable {
+  auto finish = [this, generation, file, data = std::move(data), verdict, status,
+                 wake = done.callback()]() mutable {
     if (generation != write_generation_) return;  // discarded by a crash
     --inflight_writes_;
     if (verdict.io_error) {
       ++writes_failed_;
-      if (on_done) on_done(IoStatus::kIoError);
+      *status = IoStatus::kIoError;
+      wake();
       return;
     }
-    const std::size_t stored = data.size();
-    store_now(key, std::move(data));
-    if (verdict.bitrot && stored > 0) {
+    std::vector<std::byte>& blob = store_now(file, std::move(data));
+    if (verdict.bitrot && !blob.empty()) {
       // Silent corruption between write and read: the durable image gets
       // one byte flipped, detectable only by the blob's own checksum.
-      auto& blob = files_[key];
       blob[verdict.rot_offset % blob.size()] ^= std::byte{verdict.rot_mask};
     }
     ++writes_completed_;
-    if (on_done) on_done(IoStatus::kOk);
+    wake();
   };
   network_->transfer(from, kHostNode, bytes, Traffic::kCheckpoint,
                      [this, bytes, penalty, finish = std::move(finish)]() mutable {
@@ -73,6 +76,8 @@ void StableStorage::write(NodeId from, std::string key, std::vector<std::byte> d
       });
     });
   });
+  done.await(self);
+  return *status;
 }
 
 std::size_t StableStorage::discard_inflight_writes() noexcept {
@@ -83,42 +88,24 @@ std::size_t StableStorage::discard_inflight_writes() noexcept {
   return discarded;
 }
 
-IoStatus StableStorage::write_blocking(des::Process& self, NodeId from, std::string key,
-                                       std::vector<std::byte> data) {
-  des::Completion done;
-  auto status = std::make_shared<IoStatus>(IoStatus::kOk);
-  write(from, std::move(key), std::move(data),
-        [status, cb = done.callback()](IoStatus s) {
-          *status = s;
-          cb();
-        });
-  done.await(self);
-  return *status;
-}
-
-void StableStorage::read(NodeId to, const std::string& key,
-                         std::function<void(std::vector<std::byte>, IoStatus)> on_read) {
+std::vector<std::byte> StableStorage::read_blocking(des::Process& self, NodeId to,
+                                                    const FileId& file, IoStatus* status) {
   std::vector<std::byte> data;
-  if (const auto it = files_.find(key); it != files_.end()) data = it->second;
+  if (const auto it = files_.find(file); it != files_.end()) data = it->second;
   const std::size_t bytes = data.size();
   StorageFaultModel::ReadVerdict verdict;
   if (faults_ != nullptr) verdict = faults_->judge_read();
   const des::Duration penalty = degrade_penalty(bytes);
   if (verdict.io_error) data.clear();
-  const IoStatus status = verdict.io_error ? IoStatus::kIoError : IoStatus::kOk;
   // The failed read is timed like the successful one would have been: the
-  // disk did the work before the error surfaced.
-  disk_.submit(bytes, [this, to, bytes, payload = std::move(data), status, penalty,
-                       on_read = std::move(on_read)]() mutable {
-    auto deliver = [this, to, bytes, payload = std::move(payload), status,
-                    on_read = std::move(on_read)]() mutable {
-      host_link_.submit(bytes, [this, to, bytes, payload = std::move(payload), status,
-                                on_read = std::move(on_read)]() mutable {
-        network_->transfer(kHostNode, to, bytes, Traffic::kCheckpoint,
-                           [payload = std::move(payload), status,
-                            on_read = std::move(on_read)]() mutable {
-          if (on_read) on_read(std::move(payload), status);
-        });
+  // disk did the work before the error surfaced. The data is this frame's
+  // snapshot; the pipeline carries only the wake-up, so a loader killed
+  // mid-read leaves nothing behind for its late completion to touch.
+  des::Completion done;
+  disk_.submit(bytes, [this, to, bytes, penalty, wake = done.callback()]() mutable {
+    auto deliver = [this, to, bytes, wake = std::move(wake)]() mutable {
+      host_link_.submit(bytes, [this, to, bytes, wake = std::move(wake)]() mutable {
+        network_->transfer(kHostNode, to, bytes, Traffic::kCheckpoint, std::move(wake));
       });
     };
     if (penalty > des::Duration::zero()) {
@@ -127,52 +114,28 @@ void StableStorage::read(NodeId to, const std::string& key,
       deliver();
     }
   });
-}
-
-std::vector<std::byte> StableStorage::read_blocking(des::Process& self, NodeId to,
-                                                    const std::string& key,
-                                                    IoStatus* status) {
-  des::Completion done;
-  auto result = std::make_shared<std::pair<std::vector<std::byte>, IoStatus>>();
-  read(to, key, [result, cb = done.callback()](std::vector<std::byte> data, IoStatus s) {
-    result->first = std::move(data);
-    result->second = s;
-    cb();
-  });
   done.await(self);
-  if (status != nullptr) *status = result->second;
-  return std::move(result->first);
+  if (status != nullptr) *status = verdict.io_error ? IoStatus::kIoError : IoStatus::kOk;
+  return data;
 }
 
-std::size_t StableStorage::size(const std::string& key) const {
-  const auto it = files_.find(key);
-  return it == files_.end() ? 0 : it->second.size();
-}
-
-void StableStorage::erase(const std::string& key) {
-  const auto it = files_.find(key);
+void StableStorage::erase(const FileId& file) {
+  const auto it = files_.find(file);
   if (it == files_.end()) return;
   total_bytes_ -= it->second.size();
   bytes_reclaimed_ += it->second.size();
   files_.erase(it);
 }
 
-std::vector<std::string> StableStorage::keys_with_prefix(const std::string& prefix) const {
-  std::vector<std::string> result;
-  for (auto it = files_.lower_bound(prefix); it != files_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    result.push_back(it->first);
-  }
-  return result;
-}
-
-void StableStorage::store_now(const std::string& key, std::vector<std::byte> data) {
+std::vector<std::byte>& StableStorage::store_now(const FileId& file,
+                                                 std::vector<std::byte> data) {
   bytes_written_ += data.size();
-  auto [it, inserted] = files_.try_emplace(key);
+  auto [it, inserted] = files_.try_emplace(file);
   if (!inserted) total_bytes_ -= it->second.size();
   total_bytes_ += data.size();
   it->second = std::move(data);
   peak_bytes_ = std::max(peak_bytes_, total_bytes_);
+  return it->second;
 }
 
 }  // namespace chk::xplorer

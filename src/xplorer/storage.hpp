@@ -7,8 +7,11 @@
 // other node's writes at the host link and disk. This is the bottleneck
 // structure of the paper's testbed.
 //
-// Contents are real bytes, kept versioned by key, so recovery restores
-// actual process state and results can be verified bit-for-bit.
+// Files are named by FileId (a rank's image or channel log at a checkpoint
+// index, or the commit record) and hold real bytes, so recovery restores
+// actual process state and results can be verified bit-for-bit. I/O is
+// blocking, from process context; the file map itself is a free, read-only
+// view (files()).
 //
 // An optional StorageFaultModel turns the disk into a fault domain of its
 // own: transient write/read I/O errors (surfaced through IoStatus after the
@@ -22,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "des/process.hpp"
@@ -37,9 +39,24 @@ namespace chk::xplorer {
 
 /// Result of one storage operation. kIoError is transient: the operation
 /// consumed its full pipeline time but did not take effect (a failed write
-/// leaves the previous version of the key intact; a failed read delivers
+/// leaves the previous version of the file intact; a failed read delivers
 /// no data). Retry policy lives with the caller.
 enum class IoStatus : std::uint8_t { kOk = 0, kIoError = 1 };
+
+/// What a stored file holds.
+enum class FileKind : std::uint8_t { kImage = 0, kLog = 1, kCommit = 2 };
+
+/// Names one stored file: rank `rank`'s process image or channel log at
+/// checkpoint `index`, or the one global commit record (rank and index 0).
+/// Files order by (kind, rank, index), so one rank's images are one
+/// contiguous run of the file map, in index order.
+struct FileId {
+  FileKind kind = FileKind::kImage;
+  NodeId rank = 0;
+  std::uint32_t index = 0;
+
+  friend auto operator<=>(const FileId&, const FileId&) = default;
+};
 
 class StableStorage {
  public:
@@ -47,19 +64,20 @@ class StableStorage {
   StableStorage(const StableStorage&) = delete;
   StableStorage& operator=(const StableStorage&) = delete;
 
-  /// Timed write of `data` under `key` from node `from`. The key's content
-  /// becomes durable exactly when `on_done` fires with IoStatus::kOk
-  /// (kernel context); a crash before that — or a transient I/O error —
-  /// leaves the previous version (if any) intact.
-  void write(NodeId from, std::string key, std::vector<std::byte> data,
-             std::function<void(IoStatus)> on_done);
+  /// Timed write of `data` to `file` from node `from`, from process
+  /// context; returns the write's outcome. The file's content becomes
+  /// durable exactly when the write completes with IoStatus::kOk; a crash
+  /// before that — or a transient I/O error — leaves the previous version
+  /// (if any) intact.
+  IoStatus write_blocking(des::Process& self, NodeId from, FileId file,
+                          std::vector<std::byte> data);
 
   /// Failure seam: every write still in the mesh/host-link/disk pipeline is
   /// invalidated — it never becomes durable, is not counted in
-  /// bytes_written(), and its on_done never fires. Callers must ensure
-  /// the writer processes are killed (a crash takes them down with the
-  /// write); a live write_blocking waiter would hang. Returns the number of
-  /// writes invalidated.
+  /// bytes_written(), and never completes. Callers must ensure the writer
+  /// processes are killed (a crash takes them down with the write); a live
+  /// write_blocking waiter would hang. Returns the number of writes
+  /// invalidated.
   std::size_t discard_inflight_writes() noexcept;
 
   /// Writes submitted but not yet durable (nor discarded).
@@ -70,33 +88,23 @@ class StableStorage {
   /// Passive hook invoked at every write submission (fault injection aims
   /// mid-write strikes with it). Must not mutate storage state; scheduling
   /// simulator events is fine.
-  using WriteHook = std::function<void(NodeId from, const std::string& key, std::size_t bytes)>;
+  using WriteHook = std::function<void(NodeId from, const FileId& file, std::size_t bytes)>;
   void set_write_hook(WriteHook hook) noexcept { write_hook_ = std::move(hook); }
 
-  /// Blocking variant for process context; returns the write's outcome.
-  IoStatus write_blocking(des::Process& self, NodeId from, std::string key,
-                          std::vector<std::byte> data);
-
-  /// Timed read of `key`, delivered to node `to`. `on_read` receives a
-  /// copy of the data (empty vector if the key does not exist or the read
-  /// hit a transient I/O error — the status disambiguates).
-  void read(NodeId to, const std::string& key,
-            std::function<void(std::vector<std::byte>, IoStatus)> on_read);
-  std::vector<std::byte> read_blocking(des::Process& self, NodeId to, const std::string& key,
+  /// Timed read of `file`, delivered to node `to`, from process context.
+  /// Returns a copy of the data: empty if the file does not exist or the
+  /// read hit a transient I/O error (`status` disambiguates).
+  std::vector<std::byte> read_blocking(des::Process& self, NodeId to, const FileId& file,
                                        IoStatus* status = nullptr);
 
-  /// Metadata operations (modelled as free: the paper's protocols do them
-  /// rarely and their cost is subsumed in the per-write latency).
-  [[nodiscard]] bool exists(const std::string& key) const { return files_.contains(key); }
-  /// Zero-time view of a stored blob, for recovery *planning* (scanning
-  /// dependency metadata). Actual state transfer must use read()/
-  /// read_blocking() so it is timed. Throws std::out_of_range if missing.
-  [[nodiscard]] const std::vector<std::byte>& peek(const std::string& key) const {
-    return files_.at(key);
+  /// Every durable file, in FileId order. Reading it is free (the paper's
+  /// protocols scan the directory rarely and the cost is subsumed in the
+  /// per-write latency), so recovery *planning* may inspect stored bytes
+  /// here; state transfer must use read_blocking so it is timed.
+  [[nodiscard]] const std::map<FileId, std::vector<std::byte>>& files() const noexcept {
+    return files_;
   }
-  [[nodiscard]] std::size_t size(const std::string& key) const;
-  void erase(const std::string& key);
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
+  void erase(const FileId& file);
 
   /// Durable bytes currently held / high-water mark.
   [[nodiscard]] std::uint64_t total_bytes() const noexcept { return total_bytes_; }
@@ -134,7 +142,8 @@ class StableStorage {
   /// The node carrying the host interface.
   static constexpr NodeId kHostNode = 0;
 
-  void store_now(const std::string& key, std::vector<std::byte> data);
+  /// Makes `data` the durable content of `file`; returns the stored bytes.
+  std::vector<std::byte>& store_now(const FileId& file, std::vector<std::byte> data);
   /// Extra disk time this operation owes to an open degraded window
   /// (zero when healthy or no model installed).
   [[nodiscard]] des::Duration degrade_penalty(std::size_t bytes);
@@ -143,7 +152,7 @@ class StableStorage {
   Network* network_;
   FifoServer host_link_;
   FifoServer disk_;
-  std::map<std::string, std::vector<std::byte>> files_;
+  std::map<FileId, std::vector<std::byte>> files_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t peak_bytes_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -80,7 +80,6 @@ class StorageFaultModel {
   /// guarantees; windows are generated lazily from their own sub-stream.
   [[nodiscard]] double slowdown_at(des::TimePoint now);
 
-  [[nodiscard]] const StorageFaultConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t write_errors() const noexcept { return write_errors_; }
   [[nodiscard]] std::uint64_t read_errors() const noexcept { return read_errors_; }
   [[nodiscard]] std::uint64_t bitrot_flagged() const noexcept { return bitrot_flagged_; }

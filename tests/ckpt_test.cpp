@@ -2,6 +2,7 @@
 // image round-trips, store naming/commit/GC bookkeeping.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -135,14 +136,9 @@ TEST(ChannelLogTest, RoundTripsEnvelopes) {
 
 struct StoreFixture {
   des::Simulator sim;
-  xplorer::Machine machine{sim, xplorer::MachineConfig::parsytec_xplorer()};
+  xplorer::Machine machine{sim, xplorer::MachineConfig{}};
   CheckpointStore store{machine.storage()};
 };
-
-TEST(Store, KeysAreStable) {
-  EXPECT_EQ(CheckpointStore::image_key(3, 12), "ckpt/p3/v00000012");
-  EXPECT_EQ(CheckpointStore::log_key(3, 12), "ckpt/p3/v00000012.log");
-}
 
 TEST(Store, WriteLoadRoundTrip) {
   StoreFixture f;
@@ -203,6 +199,68 @@ TEST(Store, EraseRemovesImageAndLog) {
     EXPECT_EQ(f.store.bytes_for(1), 0u);
   });
   f.sim.run();
+}
+
+// Ranks 1, 10 and 11 at indices 9, 10 and 100: multi-digit ranks and
+// indices must neither leak into a neighbour's listing nor sort out of
+// order, and the commit record counts towards the totals but is no
+// checkpoint.
+TEST(Store, NamespaceSeparatesRanksIndicesAndKinds) {
+  des::Simulator sim;
+  xplorer::MachineConfig config;
+  config.num_nodes = 12;
+  xplorer::Machine machine{sim, config};
+  CheckpointStore store{machine.storage()};
+  const std::vector<Rank> ranks = {1, 10, 11};
+  const std::vector<std::uint32_t> indices = {9, 10, 100};
+  std::map<Rank, std::uint64_t> rank_bytes;
+  std::uint64_t all_bytes = 0;
+  sim.spawn("p", [&](des::Process& self) {
+    for (const Rank rank : ranks) {
+      for (const std::uint32_t index : indices) {
+        CheckpointImage image;
+        image.rank = rank;
+        image.index = index;
+        image.state = std::vector<std::byte>(100 * rank + index, std::byte{3});
+        ChannelLog log;
+        Envelope env;
+        env.payload = std::vector<std::byte>(rank + index, std::byte{5});
+        log.messages.push_back(env);
+        ASSERT_EQ(store.write_image_blocking(self, rank, image), xplorer::IoStatus::kOk);
+        ASSERT_EQ(store.write_log_blocking(self, rank, index, log), xplorer::IoStatus::kOk);
+        const std::uint64_t bytes = image.serialize().size() + log.serialize().size();
+        rank_bytes[rank] += bytes;
+        all_bytes += bytes;
+      }
+    }
+    ASSERT_EQ(store.write_commit_blocking(self, 0, 7), xplorer::IoStatus::kOk);
+  });
+  ASSERT_EQ(sim.run().reason, des::StopReason::kIdle);
+
+  for (const Rank rank : ranks) {
+    EXPECT_EQ(store.saved_indices(rank), indices) << "rank " << rank;
+    EXPECT_EQ(store.bytes_for(rank), rank_bytes[rank]) << "rank " << rank;
+  }
+  EXPECT_TRUE(store.saved_indices(0).empty());
+  EXPECT_EQ(store.checkpoint_count(), 9u);
+  // The commit record is two 32-bit words.
+  const std::uint64_t commit_bytes = 2 * sizeof(std::uint32_t);
+  EXPECT_EQ(store.total_checkpoint_bytes(), all_bytes + commit_bytes);
+  EXPECT_EQ(store.total_checkpoint_bytes(), machine.storage().total_bytes());
+
+  // Erasing rank 10's generation 10 touches no other rank's files.
+  store.erase(10, 10);
+  EXPECT_FALSE(store.has_image(10, 10));
+  EXPECT_EQ(store.saved_indices(10), (std::vector<std::uint32_t>{9, 100}));
+  EXPECT_EQ(store.saved_indices(1), indices);
+  EXPECT_EQ(store.saved_indices(11), indices);
+  EXPECT_EQ(store.bytes_for(1), rank_bytes[1]);
+  EXPECT_EQ(store.bytes_for(11), rank_bytes[11]);
+  EXPECT_LT(store.bytes_for(10), rank_bytes[10]);
+  EXPECT_EQ(store.checkpoint_count(), 8u);
+  EXPECT_EQ(store.total_checkpoint_bytes(), machine.storage().total_bytes());
+  EXPECT_EQ(store.total_checkpoint_bytes(),
+            all_bytes + commit_bytes - (rank_bytes[10] - store.bytes_for(10)));
 }
 
 TEST(Store, MissingLogIsNullopt) {

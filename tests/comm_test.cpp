@@ -25,7 +25,7 @@ struct Fixture {
 
   explicit Fixture(std::size_t nodes = 8)
       : machine(sim, [nodes] {
-          auto config = xplorer::MachineConfig::parsytec_xplorer();
+          xplorer::MachineConfig config;
           config.num_nodes = nodes;
           return config;
         }()),

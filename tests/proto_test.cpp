@@ -52,7 +52,7 @@ struct World {
   std::unique_ptr<Runtime> rt;
 
   explicit World(std::size_t nodes = 8, std::uint64_t seed = 42) {
-    auto mc = xplorer::MachineConfig::parsytec_xplorer();
+    xplorer::MachineConfig mc;
     mc.num_nodes = nodes;
     rt = std::make_unique<Runtime>(sim, mc, seed);
   }

@@ -217,6 +217,9 @@ TEST(StorageFaults, WriteErrorOnlyTakesOneDrawPerVerdict) {
 // StableStorage under faults: failed writes, bit-rot, failed reads.
 // ---------------------------------------------------------------------------
 
+/// The one file these unit tests write and read.
+constexpr xplorer::FileId kFile{xplorer::FileKind::kImage, 0, 1};
+
 std::vector<std::byte> patterned_blob(std::size_t n) {
   std::vector<std::byte> blob(n);
   for (std::size_t i = 0; i < n; ++i) blob[i] = static_cast<std::byte>(i * 31 & 0xff);
@@ -225,26 +228,25 @@ std::vector<std::byte> patterned_blob(std::size_t n) {
 
 TEST(StorageFaults, FailedWriteLeavesPreviousVersionIntact) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   const auto old_version = patterned_blob(512);
 
   sim.spawn("p", [&](des::Process& self) {
     // Establish a durable version on perfect storage, then make every
     // subsequent write fail.
-    ASSERT_EQ(storage.write_blocking(self, 0, "k", old_version), IoStatus::kOk);
+    ASSERT_EQ(storage.write_blocking(self, 0, kFile, old_version), IoStatus::kOk);
     StorageFaultConfig faults;
     faults.write_error = 0.999;
     storage.set_faults(faults, util::Rng(3));
     bool saw_failure = false;
     for (int attempt = 0; attempt < 20 && !saw_failure; ++attempt) {
       saw_failure =
-          storage.write_blocking(self, 0, "k", patterned_blob(256)) == IoStatus::kIoError;
+          storage.write_blocking(self, 0, kFile, patterned_blob(256)) == IoStatus::kIoError;
     }
     ASSERT_TRUE(saw_failure);
     // The failed attempt was fully timed but took no effect.
-    EXPECT_EQ(storage.peek("k"), old_version);
-    EXPECT_EQ(storage.size("k"), old_version.size());
+    EXPECT_EQ(storage.files().at(kFile), old_version);
   });
   sim.run();
   EXPECT_GE(storage.writes_failed(), 1u);
@@ -253,7 +255,7 @@ TEST(StorageFaults, FailedWriteLeavesPreviousVersionIntact) {
 
 TEST(StorageFaults, BitrotFlipsExactlyOneDurableByte) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   StorageFaultConfig faults;
   faults.bitrot = 0.999;
@@ -262,11 +264,11 @@ TEST(StorageFaults, BitrotFlipsExactlyOneDurableByte) {
 
   sim.spawn("p", [&](des::Process& self) {
     // The write itself reports success — corruption is silent.
-    ASSERT_EQ(storage.write_blocking(self, 0, "k", blob), IoStatus::kOk);
+    ASSERT_EQ(storage.write_blocking(self, 0, kFile, blob), IoStatus::kOk);
   });
   sim.run();
   ASSERT_GE(storage.faults()->bitrot_flagged(), 1u);
-  const auto& durable = storage.peek("k");
+  const auto& durable = storage.files().at(kFile);
   ASSERT_EQ(durable.size(), blob.size());
   std::size_t diffs = 0;
   for (std::size_t i = 0; i < blob.size(); ++i) diffs += durable[i] != blob[i];
@@ -275,19 +277,19 @@ TEST(StorageFaults, BitrotFlipsExactlyOneDurableByte) {
 
 TEST(StorageFaults, FailedReadDeliversNoDataButKeepsTheKey) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   const auto blob = patterned_blob(2048);
 
   sim.spawn("p", [&](des::Process& self) {
-    ASSERT_EQ(storage.write_blocking(self, 0, "k", blob), IoStatus::kOk);
+    ASSERT_EQ(storage.write_blocking(self, 0, kFile, blob), IoStatus::kOk);
     StorageFaultConfig faults;
     faults.read_error = 0.999;
     storage.set_faults(faults, util::Rng(11));
     bool saw_failure = false;
     for (int attempt = 0; attempt < 20 && !saw_failure; ++attempt) {
       IoStatus status = IoStatus::kOk;
-      const auto data = storage.read_blocking(self, 0, "k", &status);
+      const auto data = storage.read_blocking(self, 0, kFile, &status);
       if (status == IoStatus::kIoError) {
         saw_failure = true;
         EXPECT_TRUE(data.empty());  // the error delivers nothing
@@ -296,7 +298,7 @@ TEST(StorageFaults, FailedReadDeliversNoDataButKeepsTheKey) {
       }
     }
     ASSERT_TRUE(saw_failure);
-    EXPECT_TRUE(storage.exists("k"));  // the durable copy is untouched
+    EXPECT_TRUE(storage.files().contains(kFile));  // the durable copy is untouched
   });
   sim.run();
   EXPECT_GE(storage.faults()->read_errors(), 1u);
@@ -309,7 +311,7 @@ TEST(StorageFaults, FailedReadDeliversNoDataButKeepsTheKey) {
 
 TEST(StorageClient, RetriesTransientErrorsUntilSuccess) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   StorageFaultConfig faults;
   faults.write_error = 0.5;
@@ -319,12 +321,12 @@ TEST(StorageClient, RetriesTransientErrorsUntilSuccess) {
 
   IoStatus status = IoStatus::kIoError;
   sim.spawn("p", [&](des::Process& self) {
-    status = client.write_blocking(self, 0, "k", blob, obs::EventKind::kStableWrite,
+    status = client.write_blocking(self, 0, kFile, blob, obs::EventKind::kStableWrite,
                                    /*arg=*/0, /*app_blocking=*/true);
   });
   sim.run();
   EXPECT_EQ(status, IoStatus::kOk);
-  EXPECT_TRUE(storage.exists("k"));
+  EXPECT_TRUE(storage.files().contains(kFile));
   // This stream fails the first two attempts; the third succeeds.
   EXPECT_EQ(client.retries(), 2u);
   EXPECT_EQ(client.write_failures(), 0u);
@@ -334,7 +336,7 @@ TEST(StorageClient, RetriesTransientErrorsUntilSuccess) {
 
 TEST(StorageClient, ExhaustedBudgetSurfacesTerminalError) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   StorageFaultConfig faults;
   faults.write_error = 0.999;
@@ -343,12 +345,12 @@ TEST(StorageClient, ExhaustedBudgetSurfacesTerminalError) {
 
   IoStatus status = IoStatus::kOk;
   sim.spawn("p", [&](des::Process& self) {
-    status = client.write_blocking(self, 0, "k", patterned_blob(256),
+    status = client.write_blocking(self, 0, kFile, patterned_blob(256),
                                    obs::EventKind::kStableWrite, 0, true);
   });
   sim.run();
   EXPECT_EQ(status, IoStatus::kIoError);
-  EXPECT_FALSE(storage.exists("k"));
+  EXPECT_FALSE(storage.files().contains(kFile));
   EXPECT_EQ(client.write_failures(), 1u);
   EXPECT_EQ(client.retries(), 3u);  // attempts 2 to 4 of the budget
 }
@@ -358,7 +360,7 @@ TEST(StorageClient, DeadlineEndsRetriesBeforeTheBudget) {
   // disk), so the second attempt ends past the 30 s deadline while the
   // budget still holds two attempts: the client gives up then.
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   auto& storage = machine.storage();
   StorageFaultConfig faults;
   faults.write_error = 0.999;
@@ -367,12 +369,12 @@ TEST(StorageClient, DeadlineEndsRetriesBeforeTheBudget) {
 
   IoStatus status = IoStatus::kOk;
   sim.spawn("p", [&](des::Process& self) {
-    status = client.write_blocking(self, 0, "k", patterned_blob(12'000'000),
+    status = client.write_blocking(self, 0, kFile, patterned_blob(12'000'000),
                                    obs::EventKind::kStableWrite, 0, true);
   });
   sim.run();
   EXPECT_EQ(status, IoStatus::kIoError);
-  EXPECT_FALSE(storage.exists("k"));
+  EXPECT_FALSE(storage.files().contains(kFile));
   EXPECT_EQ(client.write_failures(), 1u);
   EXPECT_EQ(client.retries(), 1u);  // the budget alone would allow 3
   EXPECT_GT(sim.now() - des::TimePoint::origin(), des::Duration::secs(30));
@@ -380,12 +382,12 @@ TEST(StorageClient, DeadlineEndsRetriesBeforeTheBudget) {
 
 TEST(StorageClient, MissingKeyReadIsOkAndEmpty) {
   des::Simulator sim;
-  xplorer::Machine machine(sim, xplorer::MachineConfig::parsytec_xplorer());
+  xplorer::Machine machine(sim, xplorer::MachineConfig{});
   chklib::StorageClient client(machine.storage());
   IoStatus status = IoStatus::kIoError;
   std::vector<std::byte> out;
   sim.spawn("p", [&](des::Process& self) {
-    status = client.read_blocking(self, 0, "nope", &out);
+    status = client.read_blocking(self, 0, kFile, &out);
   });
   sim.run();
   EXPECT_EQ(status, IoStatus::kOk);

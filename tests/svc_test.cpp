@@ -210,7 +210,7 @@ TEST(DynamicRegions, RestoreRejectsMisalignedBytes) {
 
 TEST(RecvUntil, DeadlineMessageAndPastDeadline) {
   des::Simulator sim;
-  xplorer::MachineConfig machine = xplorer::MachineConfig::parsytec_xplorer();
+  xplorer::MachineConfig machine;
   machine.num_nodes = 2;
   chklib::Runtime runtime(sim, machine, 7);
   runtime.set_app("recv_until", [](chklib::AppContext& ctx) {

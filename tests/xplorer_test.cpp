@@ -184,7 +184,7 @@ TEST(Topology, SingleNodeHasNoLinks) {
 }
 
 MachineConfig test_config(std::size_t nodes = 8) {
-  MachineConfig config = MachineConfig::parsytec_xplorer();
+  MachineConfig config;
   config.num_nodes = nodes;
   return config;
 }
@@ -361,6 +361,8 @@ TEST(Node, MemCopyUsesCopyBandwidth) {
   EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 0.5);
 }
 
+FileId image(NodeId rank, std::uint32_t index) { return {FileKind::kImage, rank, index}; }
+
 TEST(Storage, WriteRoundTripsBytes) {
   Simulator sim;
   Machine machine(sim, test_config());
@@ -368,9 +370,9 @@ TEST(Storage, WriteRoundTripsBytes) {
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::byte>(i & 0xff);
   std::vector<std::byte> readback;
   sim.spawn("p", [&](Process& self) {
-    machine.storage().write_blocking(self, 3, "ckpt/p3/v1", payload);
-    EXPECT_TRUE(machine.storage().exists("ckpt/p3/v1"));
-    readback = machine.storage().read_blocking(self, 3, "ckpt/p3/v1");
+    machine.storage().write_blocking(self, 3, image(3, 1), payload);
+    EXPECT_TRUE(machine.storage().files().contains(image(3, 1)));
+    readback = machine.storage().read_blocking(self, 3, image(3, 1));
   });
   const auto result = sim.run();
   EXPECT_EQ(result.reason, des::StopReason::kIdle);
@@ -383,7 +385,7 @@ TEST(Storage, MissingKeyReadsEmpty) {
   Machine machine(sim, test_config());
   std::size_t size = 999;
   sim.spawn("p", [&](Process& self) {
-    size = machine.storage().read_blocking(self, 0, "nope").size();
+    size = machine.storage().read_blocking(self, 0, image(0, 1)).size();
   });
   sim.run();
   EXPECT_EQ(size, 0u);
@@ -397,7 +399,8 @@ TEST(Storage, WriteTimeScalesWithDistanceToHost) {
     Machine machine(sim, config);
     double elapsed = -1;
     sim.spawn("p", [&](Process& self) {
-      machine.storage().write_blocking(self, from, "k", std::vector<std::byte>(100'000));
+      machine.storage().write_blocking(self, from, image(from, 1),
+                                       std::vector<std::byte>(100'000));
       elapsed = self.now().to_seconds();
     });
     sim.run();
@@ -414,8 +417,7 @@ TEST(Storage, ConcurrentWritersContend) {
     Machine machine(sim, test_config());
     for (std::size_t n = 0; n < writers; ++n) {
       sim.spawn(std::string("w") + std::to_string(n), [&machine, n](Process& self) {
-        machine.storage().write_blocking(self, n, std::string("ckpt/") + std::to_string(n),
-                                         std::vector<std::byte>(200'000));
+        machine.storage().write_blocking(self, n, image(n, 1), std::vector<std::byte>(200'000));
       });
     }
     sim.run();
@@ -432,10 +434,10 @@ TEST(Storage, EraseReclaimsSpace) {
   Simulator sim;
   Machine machine(sim, test_config());
   sim.spawn("p", [&](Process& self) {
-    machine.storage().write_blocking(self, 0, "a", std::vector<std::byte>(500));
-    machine.storage().write_blocking(self, 0, "b", std::vector<std::byte>(700));
+    machine.storage().write_blocking(self, 0, image(0, 1), std::vector<std::byte>(500));
+    machine.storage().write_blocking(self, 0, image(0, 2), std::vector<std::byte>(700));
     EXPECT_EQ(machine.storage().total_bytes(), 1200u);
-    machine.storage().erase("a");
+    machine.storage().erase(image(0, 1));
     EXPECT_EQ(machine.storage().total_bytes(), 700u);
     EXPECT_EQ(machine.storage().peak_bytes(), 1200u);
   });
@@ -446,10 +448,10 @@ TEST(Storage, OverwriteReplacesVersion) {
   Simulator sim;
   Machine machine(sim, test_config());
   sim.spawn("p", [&](Process& self) {
-    machine.storage().write_blocking(self, 0, "k", std::vector<std::byte>(500));
-    machine.storage().write_blocking(self, 0, "k", std::vector<std::byte>(300));
+    machine.storage().write_blocking(self, 0, image(0, 1), std::vector<std::byte>(500));
+    machine.storage().write_blocking(self, 0, image(0, 1), std::vector<std::byte>(300));
     EXPECT_EQ(machine.storage().total_bytes(), 300u);
-    EXPECT_EQ(machine.storage().size("k"), 300u);
+    EXPECT_EQ(machine.storage().files().at(image(0, 1)).size(), 300u);
   });
   sim.run();
 }
@@ -459,25 +461,26 @@ TEST(Storage, EraseAccountsReclaimedBytesExactly) {
   Machine machine(sim, test_config());
   auto& storage = machine.storage();
   sim.spawn("p", [&](Process& self) {
-    storage.write_blocking(self, 0, "ckpt/p0/v1", std::vector<std::byte>(400));
-    storage.write_blocking(self, 0, "ckpt/p0/v2", std::vector<std::byte>(600));
+    storage.write_blocking(self, 0, image(0, 1), std::vector<std::byte>(400));
+    storage.write_blocking(self, 0, image(0, 2), std::vector<std::byte>(600));
     EXPECT_EQ(storage.bytes_reclaimed(), 0u);
-    storage.erase("ckpt/p0/v1");
+    storage.erase(image(0, 1));
     EXPECT_EQ(storage.bytes_reclaimed(), 400u);
-    // Erasing a missing key is a no-op for every counter.
-    storage.erase("ckpt/p0/v1");
-    storage.erase("never-written");
+    // Erasing a missing file is a no-op for every counter.
+    storage.erase(image(0, 1));
+    storage.erase(image(5, 9));
     EXPECT_EQ(storage.bytes_reclaimed(), 400u);
     EXPECT_EQ(storage.total_bytes(), 600u);
-    storage.erase("ckpt/p0/v2");
+    storage.erase(image(0, 2));
     EXPECT_EQ(storage.bytes_reclaimed(), 1000u);
     EXPECT_EQ(storage.total_bytes(), 0u);
     // Overwrites replace the old version without counting as reclamation.
-    storage.write_blocking(self, 0, "k", std::vector<std::byte>(100));
-    storage.write_blocking(self, 0, "k", std::vector<std::byte>(50));
+    const FileId commit{FileKind::kCommit, 0, 0};
+    storage.write_blocking(self, 0, commit, std::vector<std::byte>(100));
+    storage.write_blocking(self, 0, commit, std::vector<std::byte>(50));
     EXPECT_EQ(storage.bytes_reclaimed(), 1000u);
     EXPECT_EQ(storage.total_bytes(), 50u);
-    EXPECT_EQ(storage.keys_with_prefix("ckpt/").size(), 0u);
+    EXPECT_EQ(storage.files().size(), 1u);
   });
   sim.run();
 }
@@ -492,7 +495,7 @@ TEST(Storage, FailedWritesAreCountedSeparatelyFromCompletions) {
   std::size_t failed = 0, ok = 0;
   sim.spawn("p", [&](Process& self) {
     for (int i = 0; i < 10; ++i) {
-      const auto status = storage.write_blocking(self, 0, util::format("k{}", i),
+      const auto status = storage.write_blocking(self, 0, image(0, static_cast<std::uint32_t>(i)),
                                                  std::vector<std::byte>(100));
       (status == IoStatus::kOk ? ok : failed) += 1;
     }
@@ -507,18 +510,26 @@ TEST(Storage, FailedWritesAreCountedSeparatelyFromCompletions) {
   EXPECT_EQ(storage.total_bytes(), ok * 100u);
 }
 
-TEST(Storage, KeysWithPrefix) {
+TEST(Storage, FilesOrderByKindRankIndex) {
+  // Whatever the write order, files() lists every image before every log
+  // and the commit record last, each kind by rank, each rank by index: one
+  // rank's images are one contiguous run.
   Simulator sim;
   Machine machine(sim, test_config());
+  const FileId commit{FileKind::kCommit, 0, 0};
+  const FileId log{FileKind::kLog, 0, 1};
+  const std::vector<FileId> written = {commit,       log,         image(1, 1),
+                                       image(0, 10), image(0, 2), image(0, 1)};
   sim.spawn("p", [&](Process& self) {
-    machine.storage().write_blocking(self, 0, "ckpt/p0/v1", std::vector<std::byte>(10));
-    machine.storage().write_blocking(self, 0, "ckpt/p0/v2", std::vector<std::byte>(10));
-    machine.storage().write_blocking(self, 0, "ckpt/p1/v1", std::vector<std::byte>(10));
-    EXPECT_EQ(machine.storage().keys_with_prefix("ckpt/p0/").size(), 2u);
-    EXPECT_EQ(machine.storage().keys_with_prefix("ckpt/").size(), 3u);
-    EXPECT_EQ(machine.storage().keys_with_prefix("zzz").size(), 0u);
+    for (const FileId& file : written) {
+      machine.storage().write_blocking(self, 0, file, std::vector<std::byte>(10));
+    }
   });
   sim.run();
+  std::vector<FileId> listed;
+  for (const auto& [file, blob] : machine.storage().files()) listed.push_back(file);
+  EXPECT_EQ(listed, (std::vector<FileId>{image(0, 1), image(0, 2), image(0, 10), image(1, 1),
+                                          log, commit}));
 }
 
 }  // namespace
