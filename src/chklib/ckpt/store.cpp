@@ -142,14 +142,6 @@ void CheckpointStore::erase(Rank rank, std::uint32_t index) {
   storage_->erase(log_file(rank, index));
 }
 
-std::uint64_t CheckpointStore::bytes_for(Rank rank) const {
-  std::uint64_t total = 0;
-  for (const FileKind kind : {FileKind::kImage, FileKind::kLog}) {
-    for (const auto& [file, blob] : run_of(*storage_, kind, rank)) total += blob.size();
-  }
-  return total;
-}
-
 std::size_t CheckpointStore::checkpoint_count() const {
   return static_cast<std::size_t>(std::ranges::count_if(
       storage_->files(), [](const auto& entry) { return entry.first.kind == FileKind::kImage; }));

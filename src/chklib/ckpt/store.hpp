@@ -83,8 +83,6 @@ class CheckpointStore {
   /// the GC precondition before pruning an older generation).
   [[nodiscard]] bool verify_image(Rank rank, std::uint32_t index) const;
   void erase(Rank rank, std::uint32_t index);
-  /// Bytes of rank `rank`'s images and logs.
-  [[nodiscard]] std::uint64_t bytes_for(Rank rank) const;
   /// Every stored byte: images, logs and the commit record.
   [[nodiscard]] std::uint64_t total_checkpoint_bytes() const noexcept {
     return storage_->total_bytes();

@@ -52,9 +52,9 @@ inline void finish_switch([[maybe_unused]] void* fake_stack_save,
 #endif
 }
 
-/// Clears ASan's shadow of a stack about to be unmapped: the frame that
-/// never returns keeps its redzones poisoned, and the address range may be
-/// mapped again.
+/// Clears ASan's shadow of a stack about to be unmapped or handed to the
+/// next process: the frame that never returns keeps its redzones poisoned,
+/// and the address range may run another fiber or be mapped again.
 inline void forget_stack([[maybe_unused]] const void* bottom,
                          [[maybe_unused]] std::size_t size) noexcept {
 #ifdef CHK_DES_ASAN

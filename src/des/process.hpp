@@ -5,6 +5,9 @@
 // back when it parks or finishes, so exactly one of them runs at a time.
 // Each process owns a kStackBytes stack with a PROT_NONE guard region below
 // it, so an overflow faults instead of writing into a neighbouring mapping.
+// A finished process hands the mapping to its thread's free list, and the
+// next process spawned on that thread takes it from there (simulator.cpp's
+// StackList), so a spawn on a warm thread makes no system call.
 // The ASan build brackets every switch with
 // __sanitizer_{start,finish}_switch_fiber (des/fiber.hpp).
 //
@@ -70,10 +73,11 @@ class Process {
   /// PROT_NONE region mapped below each stack.
   static constexpr std::size_t kGuardBytes = std::size_t{64} << 10;
 
-  /// Unmaps a guard region plus stack.
-  struct Unmap {
+  /// Hands a guard region plus stack back to its thread's StackList.
+  struct ReturnStack {
     void operator()(std::byte* mapping) const noexcept;
   };
+  friend class StackList;
 
   Process(Simulator& sim, std::uint64_t id, std::string name, ProcessFn body);
 
@@ -102,8 +106,9 @@ class Process {
   bool killed_ = false;
   InlineFn cancel_;  // valid while kBlocked
   ProcessFn body_;   // destroyed on the fiber when it ends
-  /// Guard region, then the stack; unmapped once the process finishes.
-  std::unique_ptr<std::byte, Unmap> stack_;
+  /// Guard region, then the stack; back on its thread's free list once
+  /// the process finishes.
+  std::unique_ptr<std::byte, ReturnStack> stack_;
   void* sp_ = nullptr;  // saved stack pointer while switched out
 };
 

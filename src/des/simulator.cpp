@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <new>
 #include <system_error>
 #include <utility>
 
@@ -327,25 +328,82 @@ RunResult Simulator::run(TimePoint until, std::uint64_t max_events) {
 // Process
 // ---------------------------------------------------------------------------
 
+/// The guard-plus-stack mappings that finished processes left on one
+/// thread, for the processes spawned there next. Each thread has its own,
+/// so simulations that run side by side never share one, and a list holds
+/// no more than its thread's largest simulation had live at once. Thread
+/// exit unmaps it; a stack freed after that is unmapped directly.
+class StackList {
+ public:
+  StackList() = default;
+  StackList(const StackList&) = delete;
+  StackList& operator=(const StackList&) = delete;
+  ~StackList() {
+    for (std::byte* mapping : free_) unmap(mapping);
+    gone_ = true;
+  }
+
+  /// A mapping from this thread's list, or a new one if the list is empty.
+  static std::byte* take() {
+    if (!gone_ && !this_thread_.free_.empty()) {
+      std::byte* mapping = this_thread_.free_.back();
+      this_thread_.free_.pop_back();
+      return mapping;
+    }
+    void* mapping = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (mapping == MAP_FAILED) {
+      throw std::system_error(errno, std::generic_category(), "des: mapping a process stack");
+    }
+    if (::mprotect(mapping, Process::kGuardBytes, PROT_NONE) != 0) {
+      const int error = errno;
+      ::munmap(mapping, kBytes);
+      throw std::system_error(error, std::generic_category(), "des: protecting a stack guard");
+    }
+    return static_cast<std::byte*>(mapping);
+  }
+
+  /// Puts a finished process's mapping on this thread's list.
+  static void give(std::byte* mapping) noexcept {
+    fiber::forget_stack(mapping + Process::kGuardBytes, Process::kStackBytes);
+    if (gone_) {
+      unmap(mapping);
+      return;
+    }
+    try {
+      this_thread_.free_.push_back(mapping);
+    } catch (const std::bad_alloc&) {
+      unmap(mapping);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBytes = Process::kGuardBytes + Process::kStackBytes;
+
+  static void unmap(std::byte* mapping) noexcept { ::munmap(mapping, kBytes); }
+
+  static thread_local StackList this_thread_;
+  static thread_local bool gone_;
+
+  std::vector<std::byte*> free_;
+};
+
+thread_local StackList StackList::this_thread_;
+thread_local bool StackList::gone_ = false;
+
 Process::Process(Simulator& sim, std::uint64_t id, std::string name, ProcessFn body)
-    : sim_(&sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  void* mapping = ::mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  if (mapping == MAP_FAILED) {
-    throw std::system_error(errno, std::generic_category(), "des: mapping a process stack");
-  }
-  stack_.reset(static_cast<std::byte*>(mapping));
-  if (::mprotect(mapping, kGuardBytes, PROT_NONE) != 0) {
-    throw std::system_error(errno, std::generic_category(), "des: protecting a stack guard");
-  }
+    : sim_(&sim),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      stack_(StackList::take()) {
   sp_ = fiber::prepare(stack_.get() + kGuardBytes + kStackBytes, &Process::fiber_main, this);
 }
 
 Process::~Process() = default;
 
-void Process::Unmap::operator()(std::byte* mapping) const noexcept {
-  fiber::forget_stack(mapping + kGuardBytes, kStackBytes);
-  ::munmap(mapping, kGuardBytes + kStackBytes);
+void Process::ReturnStack::operator()(std::byte* mapping) const noexcept {
+  StackList::give(mapping);
 }
 
 void Process::fiber_main(void* self_ptr) noexcept {

@@ -6,8 +6,10 @@
 // stackful fibers on the thread that calls run(): the kernel switches into
 // one process at a time and that process switches back when it parks, so
 // simulator state is never accessed concurrently and the simulation is
-// deterministic. The Simulator holds its own kernel context and no fiber
-// state is global, so independent simulations may run on different threads.
+// deterministic. The Simulator holds its own kernel context, and the only
+// fiber state outside it is each thread's own list of free process stacks
+// (StackList, simulator.cpp), so independent simulations may run on
+// different threads.
 //
 // Event storage is built for raw events/sec (the kernel is the hot path of
 // every 256+-rank sweep):

@@ -32,8 +32,6 @@ void FifoServer::start(Job job) {
 }
 
 void FifoServer::complete() {
-  ++jobs_completed_;
-  bytes_served_ += in_service_.bytes;
   // Complete the job before starting the next so completion callbacks
   // observe a consistent queue; they may themselves submit new jobs.
   des::InlineFn done = std::move(in_service_.on_done);

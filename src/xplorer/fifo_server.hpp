@@ -1,21 +1,20 @@
 // Event-driven FIFO queueing server.
 //
-// Models any exclusive, serially-served resource with a (latency + size /
-// bandwidth) service time: a transputer link carrying packets, the host
-// interface, or the stable-storage disk. Jobs complete via callback, so no
-// simulated process is tied up driving a transfer — processes that need to
-// block on completion park on a semaphore signalled from the callback.
+// Models an exclusive, serially-served resource with a (latency + size /
+// bandwidth) service time whose jobs carry real continuations: the host
+// interface link and the stable-storage disk, whose jobs are the storage
+// pipeline's completion steps. (A mesh link's only continuation is
+// "forward this packet", so Network queues packet records itself.) Jobs
+// complete via callback, so no simulated process is tied up driving a
+// transfer — processes that need to block on completion park on a
+// semaphore signalled from the callback.
 //
-// Each mesh link is one of these, so every packet hop is one submit and one
-// completion event. The server holds the job in service itself and the
-// completion event captures only `this`; with a job callback that fits
-// des::InlineFn's inline buffer (the network's hop callback does), a hop
-// through an idle server allocates nothing. A job's completion is scheduled
-// when it starts service, which the trace hash pins.
+// The server holds the job in service itself and the completion event
+// captures only `this`. A job's completion is scheduled when it starts
+// service, which the trace hash pins.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 
 #include "des/simulator.hpp"
@@ -36,13 +35,9 @@ class FifoServer {
   /// Service time for a job of `bytes` (excluding queueing).
   [[nodiscard]] des::Duration service_time(std::size_t bytes) const noexcept;
 
-  [[nodiscard]] bool idle() const noexcept { return !busy_; }
-
   // -- accumulated statistics ------------------------------------------------
   [[nodiscard]] des::Duration busy_time() const noexcept { return busy_time_; }
   [[nodiscard]] des::Duration wait_time() const noexcept { return wait_time_; }
-  [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return jobs_completed_; }
-  [[nodiscard]] std::uint64_t bytes_served() const noexcept { return bytes_served_; }
 
  private:
   struct Job {
@@ -65,8 +60,6 @@ class FifoServer {
 
   des::Duration busy_time_;
   des::Duration wait_time_;
-  std::uint64_t jobs_completed_ = 0;
-  std::uint64_t bytes_served_ = 0;
 };
 
 }  // namespace chk::xplorer

@@ -8,12 +8,11 @@ namespace chk::xplorer {
 Network::Network(des::Simulator& sim, const MachineConfig& config)
     : sim_(&sim),
       config_(config),
-      topology_(Topology::build(config.num_nodes)) {
-  links_.reserve(topology_.num_links());
-  for (std::size_t i = 0; i < topology_.num_links(); ++i) {
-    links_.push_back(
-        std::make_unique<FifoServer>(sim, kMeshLinkBandwidth, kMeshLinkLatency));
-  }
+      topology_(Topology::build(config.num_nodes)),
+      links_(topology_.num_links()) {}
+
+des::Duration Network::link_service_time(std::size_t bytes) noexcept {
+  return kMeshLinkLatency + des::Duration::seconds(static_cast<double>(bytes) / kMeshLinkBandwidth);
 }
 
 void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffic,
@@ -37,12 +36,13 @@ void Network::transfer(NodeId src, NodeId dst, std::size_t bytes, Traffic traffi
   for (std::size_t p = 0; p < packets; ++p) {
     const std::size_t chunk = (bytes == 0) ? 0 : std::min(kPacketBytes, remaining);
     remaining -= chunk;
-    forward(id, static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst), chunk);
+    forward(id, static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
+            static_cast<std::uint32_t>(chunk));
   }
 }
 
 std::uint32_t Network::acquire() {
-  if (free_head_ == kNoRecord) {
+  if (free_head_ == kNone) {
     in_flight_.emplace_back();
     return static_cast<std::uint32_t>(in_flight_.size() - 1);
   }
@@ -57,11 +57,9 @@ void Network::release(std::uint32_t id) noexcept {
 }
 
 void Network::forward(std::uint32_t id, std::uint32_t at, std::uint32_t dst,
-                      std::size_t bytes) {
+                      std::uint32_t bytes) {
   if (at != dst) {
-    const LinkId link = topology_.next_link(at, dst);
-    const auto next = static_cast<std::uint32_t>(topology_.edge(link).to);
-    links_[link]->submit(bytes, [this, id, next, dst, bytes] { forward(id, next, dst, bytes); });
+    submit(topology_.next_link(at, dst), Packet{id, dst, bytes});
     return;
   }
   InFlight& record = in_flight_[id];
@@ -71,6 +69,55 @@ void Network::forward(std::uint32_t id, std::uint32_t at, std::uint32_t dst,
   des::InlineFn done = std::move(record.on_delivered);
   release(id);
   if (done) done();
+}
+
+void Network::submit(LinkId link, Packet packet) {
+  if (!links_[link].busy) {
+    start(link, packet);
+    return;
+  }
+  std::uint32_t slot = free_packet_;
+  if (slot == kNone) {
+    slot = static_cast<std::uint32_t>(packets_.size());
+    packets_.push_back(packet);
+  } else {
+    free_packet_ = packets_[slot].next;
+    packets_[slot] = packet;
+  }
+  Link& server = links_[link];
+  if (server.tail == kNone) {
+    server.head = slot;
+  } else {
+    packets_[server.tail].next = slot;
+  }
+  server.tail = slot;
+}
+
+void Network::start(LinkId link, Packet packet) {
+  Link& server = links_[link];
+  server.busy = true;
+  server.in_service = packet;
+  const des::Duration service = link_service_time(packet.bytes);
+  server.busy_time += service;
+  sim_->schedule_after(service, [this, link] { complete(link); });
+}
+
+void Network::complete(LinkId link) {
+  Link& server = links_[link];
+  const Packet done = server.in_service;
+  if (server.head == kNone) {
+    server.busy = false;
+  } else {
+    const std::uint32_t slot = server.head;
+    const Packet queued = packets_[slot];
+    server.head = queued.next;
+    if (server.head == kNone) server.tail = kNone;
+    packets_[slot].next = free_packet_;
+    free_packet_ = slot;
+    start(link, queued);
+  }
+  forward(done.transfer, static_cast<std::uint32_t>(topology_.edge(link).to), done.dst,
+          done.bytes);
 }
 
 des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
@@ -94,7 +141,7 @@ des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
     des::Duration prev;  // this packet's finish at the previous hop
     for (std::size_t hop = 0; hop < route.size(); ++hop) {
       const des::Duration start = std::max(prev, hop_finish[hop]);
-      prev = start + links_[route[hop]]->service_time(chunk);
+      prev = start + link_service_time(chunk);
       hop_finish[hop] = prev;
     }
     last = prev;
@@ -104,7 +151,7 @@ des::Duration Network::min_transfer_time(NodeId src, NodeId dst,
 
 des::Duration Network::total_link_busy() const noexcept {
   des::Duration total;
-  for (const auto& link : links_) total += link->busy_time();
+  for (const Link& link : links_) total += link.busy_time;
   return total;
 }
 

@@ -50,7 +50,6 @@ IoStatus StableStorage::write_blocking(des::Process& self, NodeId from, FileId f
     if (generation != write_generation_) return;  // discarded by a crash
     --inflight_writes_;
     if (verdict.io_error) {
-      ++writes_failed_;
       *status = IoStatus::kIoError;
       wake();
       return;
@@ -61,7 +60,6 @@ IoStatus StableStorage::write_blocking(des::Process& self, NodeId from, FileId f
       // one byte flipped, detectable only by the blob's own checksum.
       blob[verdict.rot_offset % blob.size()] ^= std::byte{verdict.rot_mask};
     }
-    ++writes_completed_;
     wake();
   };
   network_->transfer(from, kHostNode, bytes, Traffic::kCheckpoint,

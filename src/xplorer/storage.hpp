@@ -110,9 +110,6 @@ class StableStorage {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] std::uint64_t peak_bytes() const noexcept { return peak_bytes_; }
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_written_; }
-  [[nodiscard]] std::uint64_t writes_completed() const noexcept { return writes_completed_; }
-  /// Writes that finished their pipeline with a transient I/O error.
-  [[nodiscard]] std::uint64_t writes_failed() const noexcept { return writes_failed_; }
   /// Bytes released by erase() over the run (retention-GC accounting).
   [[nodiscard]] std::uint64_t bytes_reclaimed() const noexcept { return bytes_reclaimed_; }
 
@@ -156,8 +153,6 @@ class StableStorage {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t peak_bytes_ = 0;
   std::uint64_t bytes_written_ = 0;
-  std::uint64_t writes_completed_ = 0;
-  std::uint64_t writes_failed_ = 0;
   std::uint64_t bytes_reclaimed_ = 0;
   std::uint64_t write_generation_ = 0;
   std::size_t inflight_writes_ = 0;

@@ -2,6 +2,7 @@
 // image round-trips, store naming/commit/GC bookkeeping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <vector>
@@ -140,6 +141,15 @@ struct StoreFixture {
   CheckpointStore store{machine.storage()};
 };
 
+/// Bytes of rank `rank`'s images and logs, summed over the stored files.
+std::uint64_t rank_file_bytes(const xplorer::StableStorage& storage, Rank rank) {
+  std::uint64_t total = 0;
+  for (const auto& [file, blob] : storage.files()) {
+    if (file.kind != xplorer::FileKind::kCommit && file.rank == rank) total += blob.size();
+  }
+  return total;
+}
+
 TEST(Store, WriteLoadRoundTrip) {
   StoreFixture f;
   f.sim.spawn("p", [&](des::Process& self) {
@@ -193,10 +203,10 @@ TEST(Store, EraseRemovesImageAndLog) {
     image.index = 4;
     f.store.write_image_blocking(self, 1, image);
     f.store.write_log_blocking(self, 1, 4, ChannelLog{});
-    EXPECT_GT(f.store.bytes_for(1), 0u);
+    EXPECT_GT(rank_file_bytes(f.machine.storage(), 1), 0u);
     f.store.erase(1, 4);
     EXPECT_FALSE(f.store.has_image(1, 4));
-    EXPECT_EQ(f.store.bytes_for(1), 0u);
+    EXPECT_EQ(rank_file_bytes(f.machine.storage(), 1), 0u);
   });
   f.sim.run();
 }
@@ -239,7 +249,7 @@ TEST(Store, NamespaceSeparatesRanksIndicesAndKinds) {
 
   for (const Rank rank : ranks) {
     EXPECT_EQ(store.saved_indices(rank), indices) << "rank " << rank;
-    EXPECT_EQ(store.bytes_for(rank), rank_bytes[rank]) << "rank " << rank;
+    EXPECT_EQ(rank_file_bytes(machine.storage(), rank), rank_bytes[rank]) << "rank " << rank;
   }
   EXPECT_TRUE(store.saved_indices(0).empty());
   EXPECT_EQ(store.checkpoint_count(), 9u);
@@ -254,13 +264,14 @@ TEST(Store, NamespaceSeparatesRanksIndicesAndKinds) {
   EXPECT_EQ(store.saved_indices(10), (std::vector<std::uint32_t>{9, 100}));
   EXPECT_EQ(store.saved_indices(1), indices);
   EXPECT_EQ(store.saved_indices(11), indices);
-  EXPECT_EQ(store.bytes_for(1), rank_bytes[1]);
-  EXPECT_EQ(store.bytes_for(11), rank_bytes[11]);
-  EXPECT_LT(store.bytes_for(10), rank_bytes[10]);
+  EXPECT_EQ(rank_file_bytes(machine.storage(), 1), rank_bytes[1]);
+  EXPECT_EQ(rank_file_bytes(machine.storage(), 11), rank_bytes[11]);
+  EXPECT_LT(rank_file_bytes(machine.storage(), 10), rank_bytes[10]);
   EXPECT_EQ(store.checkpoint_count(), 8u);
   EXPECT_EQ(store.total_checkpoint_bytes(), machine.storage().total_bytes());
   EXPECT_EQ(store.total_checkpoint_bytes(),
-            all_bytes + commit_bytes - (rank_bytes[10] - store.bytes_for(10)));
+            all_bytes + commit_bytes -
+                (rank_bytes[10] - rank_file_bytes(machine.storage(), 10)));
 }
 
 TEST(Store, MissingLogIsNullopt) {

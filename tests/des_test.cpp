@@ -7,11 +7,13 @@
 #include <bit>
 #include <cfenv>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -301,6 +303,58 @@ TEST(ProcessDeathTest, StackOverflowFaultsInTheGuardRegion) {
       "");
 }
 
+/// A body that records where its frame sits on its process's stack, and
+/// with `overflow` set then recurses until the stack runs out. Every spawn
+/// of it runs the same code, so two processes on one stack put their
+/// frames at one address. (The frame stands for a local: under ASan's fake
+/// stacks an address-taken local lives off the fiber stack.)
+struct FrameProbe {
+  std::vector<const void*>* frames;
+  bool overflow = false;
+
+  void operator()(Process& /*self*/) const {
+    frames->push_back(__builtin_frame_address(0));
+    if (!overflow) return;
+    // Only an overflow on a reused stack is the case under test; a clean
+    // exit makes the death test fail.
+    if (frames->back() != frames->front()) std::exit(0);
+    const volatile char seed = 1;
+    recurse(&seed, std::numeric_limits<std::size_t>::max());
+  }
+};
+
+TEST(ProcessDeathTest, OverflowOnAReusedStackFaultsInTheGuardRegion) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        std::vector<const void*> frames;
+        sim.spawn("first", FrameProbe{&frames});
+        sim.run();
+        sim.spawn("deep", FrameProbe{&frames, true});
+        sim.run();
+      },
+      "");
+}
+
+TEST(Process, AFinishedProcessHandsItsStackToTheNextSpawn) {
+  std::vector<const void*> frames;
+  {
+    Simulator sim;
+    sim.spawn("first", FrameProbe{&frames});
+    sim.run();
+    sim.spawn("second", FrameProbe{&frames});
+    sim.run();
+  }
+  Simulator later;  // a later simulation on this thread
+  later.spawn("third", FrameProbe{&frames});
+  later.spawn("alongside", FrameProbe{&frames});
+  later.run();
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[1], frames[0]);
+  EXPECT_EQ(frames[2], frames[0]);
+  EXPECT_NE(frames[3], frames[0]);  // two live processes never share a stack
+}
+
 TEST(Process, FloatingPointControlStateIsPerProcess) {
   // fegetround() reads the x87 control word; the division rounds by MXCSR.
   const auto third_bits = [] {
@@ -333,28 +387,37 @@ TEST(Process, FloatingPointControlStateIsPerProcess) {
   EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the kernel's own mode
 }
 
-/// A mailbox ping-pong whose delays depend on `seed`; returns its trace hash.
-std::uint64_t ping_pong_hash(std::int64_t seed) {
-  constexpr std::int64_t kRounds = 2000;
-  Simulator sim;
+/// A mailbox ping-pong whose delays depend on `seed`, spawned but not run.
+struct PingPong {
+  static constexpr std::int64_t kRounds = 2000;
+
   SimMailbox<std::int64_t> ping;
   SimMailbox<std::int64_t> pong;
-  sim.spawn("ping", [&](Process& self) {
-    for (std::int64_t i = 0; i < kRounds; ++i) {
-      self.delay(Duration::nanos(1 + (i * seed) % 7));
-      ping.send(i);
-      pong.recv(self);
-    }
-  });
-  sim.spawn("pong", [&](Process& self) {
-    for (std::int64_t i = 0; i < kRounds; ++i) {
-      const std::int64_t v = ping.recv(self);
-      self.delay(Duration::nanos(1 + (v + seed) % 5));
-      pong.send(v);
-    }
-  });
-  sim.run();
-  return sim.trace_hash();
+  Simulator sim;  // declared last, so its processes go before the mailboxes
+
+  explicit PingPong(std::int64_t seed) {
+    sim.spawn("ping", [this, seed](Process& self) {
+      for (std::int64_t i = 0; i < kRounds; ++i) {
+        self.delay(Duration::nanos(1 + (i * seed) % 7));
+        ping.send(i);
+        pong.recv(self);
+      }
+    });
+    sim.spawn("pong", [this, seed](Process& self) {
+      for (std::int64_t i = 0; i < kRounds; ++i) {
+        const std::int64_t v = ping.recv(self);
+        self.delay(Duration::nanos(1 + (v + seed) % 5));
+        pong.send(v);
+      }
+    });
+  }
+};
+
+/// Runs the ping-pong for `seed` to the end; returns its trace hash.
+std::uint64_t ping_pong_hash(std::int64_t seed) {
+  PingPong game(seed);
+  game.sim.run();
+  return game.sim.trace_hash();
 }
 
 TEST(Process, ParallelSimulationsKeepTheirSerialTraceHashes) {
@@ -365,6 +428,19 @@ TEST(Process, ParallelSimulationsKeepTheirSerialTraceHashes) {
       util::parallel_map(kSeeds.size(), [&](std::size_t i) { return ping_pong_hash(kSeeds[i]); });
   EXPECT_EQ(parallel[0], serial[0]);
   EXPECT_EQ(parallel[1], serial[1]);
+}
+
+TEST(Process, ASimulationSpawnedOnOneThreadRunsAndEndsOnAnother) {
+  constexpr std::int64_t kSeed = 3;
+  const std::uint64_t serial = ping_pong_hash(kSeed);
+  auto game = std::make_unique<PingPong>(kSeed);
+  std::uint64_t moved = 0;
+  std::thread([&] {
+    game->sim.run();
+    moved = game->sim.trace_hash();
+    game.reset();
+  }).join();
+  EXPECT_EQ(moved, serial);
 }
 
 TEST(Semaphore, BlocksUntilRelease) {

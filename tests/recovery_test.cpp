@@ -122,7 +122,7 @@ TEST(StableStorage, DiscardInflightWritesDropsThePayload) {
   EXPECT_TRUE(writer.finished());
   EXPECT_FALSE(storage.files().contains(file));
   EXPECT_EQ(storage.bytes_written(), 0u);
-  EXPECT_EQ(storage.writes_completed(), 0u);
+  EXPECT_TRUE(storage.files().empty());
   EXPECT_EQ(storage.writes_discarded(), 1u);
   EXPECT_EQ(storage.inflight_writes(), 0u);
 
@@ -136,7 +136,7 @@ TEST(StableStorage, DiscardInflightWritesDropsThePayload) {
   EXPECT_TRUE(durable2);
   EXPECT_TRUE(storage.files().contains(file));
   EXPECT_EQ(storage.bytes_written(), blob.size());
-  EXPECT_EQ(storage.writes_completed(), 1u);
+  EXPECT_EQ(storage.files().size(), 1u);
   EXPECT_EQ(storage.writes_discarded(), 1u);
 }
 
