@@ -60,7 +60,7 @@ void Simulator::shutdown() noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Event pool + heap
+// Event pool + ready queue
 // ---------------------------------------------------------------------------
 
 std::uint32_t Simulator::alloc_record() {
@@ -84,7 +84,37 @@ void Simulator::release_record(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-void Simulator::heap_push(HeapEntry entry) {
+void Simulator::Lane::push_back(const QueueEntry& entry) {
+  if (size == ring.size()) {
+    std::vector<QueueEntry> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i) grown[i] = ring[(head + i) & (ring.size() - 1)];
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = entry;
+  ++size;
+}
+
+void Simulator::enqueue(const QueueEntry& entry) {
+  const Duration delay = entry.time - now_;
+  Lane* empty = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.size == 0) {
+      if (empty == nullptr) empty = &lane;
+    } else if (lane.delay == delay) {
+      lane.push_back(entry);
+      return;
+    }
+  }
+  if (empty != nullptr) {
+    empty->push_back(entry);
+    empty->delay = delay;
+    return;
+  }
+  heap_push(entry);
+}
+
+void Simulator::heap_push(const QueueEntry& entry) {
   heap_.push_back(entry);
   std::size_t hole = heap_.size() - 1;
   while (hole > 0) {
@@ -93,7 +123,6 @@ void Simulator::heap_push(HeapEntry entry) {
     std::swap(heap_[hole], heap_[parent]);
     hole = parent;
   }
-  if (heap_.size() > queue_peak_) queue_peak_ = heap_.size();
 }
 
 void Simulator::sift_down(std::size_t hole) noexcept {
@@ -123,29 +152,40 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint64_t seq) noexcept {
   // Release captured resources immediately — a cancelled timer must not pin
   // its captures until the (possibly distant) fire time is popped.
   rec.fn.reset();
-  ++dead_in_heap_;
-  // Reclaim in bulk once dead entries dominate. The floor keeps tiny heaps
+  ++dead_queued_;
+  // Reclaim in bulk once dead entries dominate. The floor keeps tiny queues
   // from compacting on every cancel; the 50% ratio amortizes the O(n) sweep
-  // against the cancellations that earned it, keeping the heap O(live).
+  // against the cancellations that earned it, keeping the queue O(live).
   // Destroying a capture above can itself cancel events — never recurse.
-  if (!compacting_ && dead_in_heap_ >= kCompactMinDead && dead_in_heap_ * 2 >= heap_.size()) {
+  if (!compacting_ && dead_queued_ >= kCompactMinDead && dead_queued_ * 2 >= queued_) {
     compact();
   }
 }
 
 void Simulator::compact() noexcept {
   compacting_ = true;
-  // Phase 1: drop dead heap entries and restore the heap invariant. Pop
-  // order depends only on the unique (time, seq) keys of the surviving
-  // entries, so the schedule — and trace_hash() — is unaffected.
-  std::erase_if(heap_, [this](const HeapEntry& e) { return pool_[e.slot].cancelled; });
+  // Phase 1: drop dead entries, keeping each lane's order and restoring the
+  // heap invariant. Pop order depends only on the unique (time, seq) keys of
+  // the surviving entries, so the schedule — and trace_hash() — is
+  // unaffected.
+  std::erase_if(heap_, [this](const QueueEntry& e) { return pool_[e.slot].cancelled; });
   // Bottom-up heapify over the survivors: O(n).
   for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+  for (Lane& lane : lanes_) {
+    const std::size_t mask = lane.ring.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < lane.size; ++i) {
+      const QueueEntry entry = lane.ring[(lane.head + i) & mask];
+      if (!pool_[entry.slot].cancelled) lane.ring[(lane.head + kept++) & mask] = entry;
+    }
+    lane.size = kept;
+  }
+  queued_ -= static_cast<std::size_t>(dead_queued_);
   // Phase 2: recycle the records (their callbacks are already destroyed).
   for (std::size_t slot = 0; slot < pool_.size(); ++slot) {
     if (pool_[slot].cancelled) release_record(static_cast<std::uint32_t>(slot));
   }
-  dead_in_heap_ = 0;
+  dead_queued_ = 0;
   ++compactions_;
   compacting_ = false;
 }
@@ -159,18 +199,18 @@ EventHandle Simulator::schedule_at(TimePoint when, InlineFn fn) {
     throw SimError(util::format("schedule_at: {} is in the past (now={})", when.str(), now_.str()));
   }
   const std::uint32_t slot = alloc_record();
-  EventRec& rec = pool_[slot];
-  const std::uint64_t seq = next_seq_++;
-  rec.time = when;
-  rec.seq = seq;
-  rec.cancelled = false;
-  rec.fn = std::move(fn);
+  const std::uint64_t seq = next_seq_;
   try {
-    heap_push(HeapEntry{when, seq, slot});
+    enqueue(QueueEntry{when, seq, slot});
   } catch (...) {
     release_record(slot);
     throw;
   }
+  ++next_seq_;
+  EventRec& rec = pool_[slot];
+  rec.seq = seq;
+  rec.fn = std::move(fn);
+  if (++queued_ > queue_peak_) queue_peak_ = queued_;
   return EventHandle{this, slot, seq};
 }
 
@@ -291,20 +331,34 @@ RunResult Simulator::run(TimePoint until, std::uint64_t max_events) {
   RunResult result;
   while (true) {
     if (stop_requested_) { result.reason = StopReason::kStopped; break; }
-    if (heap_.empty()) {
+    if (queued_ == 0) {
       result.reason = live_processes() > 0 ? StopReason::kDeadlock : StopReason::kIdle;
       break;
     }
     if (result.events_executed >= max_events) { result.reason = StopReason::kEventLimit; break; }
-    const HeapEntry top = heap_[0];
+    // The earliest entry is the heap top or a lane head.
+    const QueueEntry* next = heap_.empty() ? nullptr : &heap_[0];
+    Lane* next_lane = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.size != 0 && (next == nullptr || earlier(lane.front(), *next))) {
+        next = &lane.front();
+        next_lane = &lane;
+      }
+    }
+    const QueueEntry top = *next;
     if (top.time > until) { result.reason = StopReason::kTimeLimit; break; }
-    heap_pop_top();
+    if (next_lane != nullptr) {
+      next_lane->pop_front();
+    } else {
+      heap_pop_top();
+    }
+    --queued_;
     EventRec& rec = pool_[top.slot];
     if (rec.cancelled) {
       // Dead entry that compaction had not reclaimed yet: discard without
       // advancing time or touching the trace hash.
-      assert(dead_in_heap_ > 0);
-      --dead_in_heap_;
+      assert(dead_queued_ > 0);
+      --dead_queued_;
       release_record(top.slot);
       continue;
     }

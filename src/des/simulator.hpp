@@ -23,21 +23,33 @@
 //   * Callbacks are stored in InlineFn, a small-buffer-optimized move-only
 //     function: the common capture shapes (this + a few words) stay inline
 //     in the record; only oversized captures fall back to the heap.
-//   * The ready queue is a hand-rolled binary min-heap of 24-byte POD
-//     entries (time, seq, slot). Comparisons touch only the heap vector —
-//     never the records — so sift operations stay in cache.
+//   * The ready queue holds 24-byte POD entries (time, seq, slot) in a
+//     hand-rolled binary min-heap and kDelayLanes FIFO delay lanes beside
+//     it. An event whose delay (time - now) a lane already holds joins that
+//     lane's tail; otherwise it claims an empty lane, or goes to the heap
+//     if none is empty. A lane keeps its delay until it drains. Because
+//     now() never goes down and seq always goes up, events scheduled with
+//     one delay arrive in (time, seq) order, so each lane is sorted without
+//     a comparison, and popping the earliest of the lane heads and the heap
+//     top gives exactly the heap-only order. Most events share one of a few
+//     delays (a link's packet service time, zero for a wakeup), so they
+//     skip the heap's log-n sifts. Comparisons touch only the entries —
+//     never the records — so they stay in cache.
 //   * Cancelled events are marked dead in place (their callback is
 //     destroyed eagerly, releasing captured resources immediately) and
-//     reclaimed in bulk: when dead entries are at least half the heap and
-//     above a fixed floor, the heap is compacted and re-heapified. Pop
-//     order is a function of the unique (time, seq) keys alone, so
-//     compaction can never perturb the schedule — it only bounds memory.
+//     reclaimed in bulk: when dead entries are at least half the queue and
+//     above a fixed floor, the lanes are swept in order and the heap is
+//     compacted and re-heapified. Pop order is a function of the unique
+//     (time, seq) keys alone, so compaction can never perturb the
+//     schedule — it only bounds memory.
 //     Without it, timer-heavy protocols (the transport cancels and re-arms
-//     an RTO per cumulative ack) grow the heap with dead entries that
+//     an RTO per cumulative ack) grow the queue with dead entries that
 //     would otherwise only be discarded at their distant fire time.
 #pragma once
 
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -230,7 +242,7 @@ class Simulator {
   /// Order-sensitive hash over every executed event's (time, seq). Two runs
   /// of the same model with the same seed must produce identical hashes —
   /// the determinism invariant the verify/ subsystem checks. Cancelled
-  /// events never execute, so neither cancellation timing nor heap
+  /// events never execute, so neither cancellation timing nor queue
   /// compaction can influence the hash.
   [[nodiscard]] std::uint64_t trace_hash() const noexcept { return trace_hash_; }
 
@@ -242,7 +254,7 @@ class Simulator {
   [[nodiscard]] std::size_t queue_peak() const noexcept { return queue_peak_; }
   /// Scheduled events that have neither run nor been cancelled.
   [[nodiscard]] std::size_t live_events() const noexcept {
-    return heap_.size() - static_cast<std::size_t>(dead_in_heap_);
+    return queued_ - static_cast<std::size_t>(dead_queued_);
   }
   /// Bulk dead-entry reclamations performed so far.
   [[nodiscard]] std::uint64_t compactions() const noexcept { return compactions_; }
@@ -318,29 +330,53 @@ class Simulator {
   /// Compaction floor: below this many dead entries, pop-time discard is
   /// cheaper than a sweep.
   static constexpr std::uint64_t kCompactMinDead = 64;
+  /// FIFO delay lanes beside the heap. Four hold the few delays that most
+  /// events share (a link's packet service time, zero); every pop compares
+  /// each lane's head, so more would tax the events they do not serve.
+  static constexpr std::size_t kDelayLanes = 4;
 
   /// Pooled event record. `seq` doubles as the generation tag: kFreeSeq
   /// while the record is off-queue, the event's unique sequence number
-  /// while scheduled.
+  /// while scheduled. The queue entry carries the event's time. The
+  /// 16-byte-aligned InlineFn leads so the small fields fill its tail
+  /// instead of padding the record out to 96 bytes.
   struct EventRec {
-    TimePoint time;
-    std::uint64_t seq = kFreeSeq;
     InlineFn fn;
+    std::uint64_t seq = kFreeSeq;
     std::uint32_t next_free = kNilSlot;
     bool cancelled = false;
   };
+  static_assert(sizeof(EventRec) == 80, "an event record packs into 80 bytes");
 
-  /// Heap node: the full ordering key plus the record slot. Comparisons
-  /// never touch the pool.
-  struct HeapEntry {
+  /// Queue entry, in the heap or a lane: the full ordering key plus the
+  /// record slot. Comparisons never touch the pool.
+  struct QueueEntry {
     TimePoint time;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
+  static bool earlier(const QueueEntry& a, const QueueEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
+
+  /// The entries of one delay in schedule order, and so in (time, seq)
+  /// order. A ring over storage that is reused when the lane drains or is
+  /// claimed by another delay; its capacity is 0 or a power of two.
+  struct Lane {
+    Duration delay;
+    std::vector<QueueEntry> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    [[nodiscard]] const QueueEntry& front() const noexcept { return ring[head]; }
+    void pop_front() noexcept {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+    /// Strong guarantee: a failed growth leaves the lane as it was.
+    void push_back(const QueueEntry& entry);
+  };
 
   // Schedules a context switch into `process` at the current instant.
   // Precondition: the process is blocked or not yet started.
@@ -357,14 +393,17 @@ class Simulator {
   // Called on the process's fiber as its final act before the last switch.
   void on_process_exit(Process& process) noexcept;
 
-  // -- event pool + heap -----------------------------------------------------
+  // -- event pool + ready queue ----------------------------------------------
   [[nodiscard]] std::uint32_t alloc_record();
   void release_record(std::uint32_t slot) noexcept;
   [[nodiscard]] bool event_pending(std::uint32_t slot, std::uint64_t seq) const noexcept {
     return slot < pool_.size() && pool_[slot].seq == seq && !pool_[slot].cancelled;
   }
   void cancel_event(std::uint32_t slot, std::uint64_t seq) noexcept;
-  void heap_push(HeapEntry entry);
+  // Puts the entry in its delay's lane, an empty lane or the heap; throws
+  // (on allocation failure) before any change.
+  void enqueue(const QueueEntry& entry);
+  void heap_push(const QueueEntry& entry);
   void heap_pop_top() noexcept;
   void sift_down(std::size_t hole) noexcept;
   void compact() noexcept;
@@ -382,9 +421,12 @@ class Simulator {
   std::string process_failure_;
 
   std::vector<EventRec> pool_;
-  std::vector<HeapEntry> heap_;
+  std::vector<QueueEntry> heap_;
+  std::array<Lane, kDelayLanes> lanes_;
+  /// Entries in the heap and the lanes, cancelled ones included.
+  std::size_t queued_ = 0;
   std::uint32_t free_head_ = kNilSlot;
-  std::uint64_t dead_in_heap_ = 0;
+  std::uint64_t dead_queued_ = 0;
   std::uint64_t compactions_ = 0;
   std::size_t queue_peak_ = 0;
 

@@ -22,6 +22,7 @@
 #include "des/sync.hpp"
 #include "des/time.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace chk::des {
 namespace {
@@ -795,6 +796,160 @@ TEST(Simulator, CompactionPreservesScheduleAndTraceHash) {
   EXPECT_EQ(std::get<0>(quiet), std::get<0>(churned));
   EXPECT_EQ(std::get<1>(quiet), std::get<1>(churned));
   EXPECT_EQ(std::get<2>(quiet), std::get<2>(churned));
+}
+
+// ---------------------------------------------------------------------------
+// Queue order under a seeded mix of delays. Events that share a delay wait
+// in FIFO delay lanes beside the heap, so the mix takes every path into and
+// out of the ready queue: recurring delays, more distinct delays than there
+// are lanes, zero delays, explicit times, scheduling from callbacks,
+// cancellations that compact while lanes hold dead entries, and a
+// run(until) horizon.
+// ---------------------------------------------------------------------------
+
+/// Drives one Simulator with a seeded event mix. Every schedule call on the
+/// simulator is made here, so an event's index in `times_` is the kernel's
+/// sequence number for it, and the expected execution order is the
+/// scheduled, uncancelled events sorted by (time, seq).
+class DelayMix {
+ public:
+  explicit DelayMix(std::uint64_t seed) : rng_(seed) {
+    // Four long delays are scheduled first and take every lane, so the
+    // kHandoff events after them go to the heap. When the first long
+    // delay's event runs, its lane drains and kHandoff claims it while the
+    // older kHandoff events still wait in the heap (see fire()).
+    for (const std::int64_t delay : {20'001, 40'001, 60'001, 80'001}) after(delay);
+    for (int i = 0; i < 3; ++i) after(kHandoff);
+    for (int i = 0; i < kChains; ++i) child();
+  }
+
+  Simulator& sim() { return sim_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& ran() const { return ran_; }
+
+  /// The uncancelled events due by `until`, in (time, seq) order.
+  [[nodiscard]] std::vector<std::uint64_t> expected(TimePoint until) const {
+    std::vector<std::uint64_t> order;
+    for (std::uint64_t seq = 0; seq < times_.size(); ++seq) {
+      if (!cancelled_[seq] && times_[seq] <= until.to_nanos()) order.push_back(seq);
+    }
+    std::ranges::sort(order, [this](std::uint64_t a, std::uint64_t b) {
+      return std::tuple{times_[a], a} < std::tuple{times_[b], b};
+    });
+    return order;
+  }
+
+  /// Uncancelled events due after `until`.
+  [[nodiscard]] std::size_t due_after(TimePoint until) const {
+    std::size_t n = 0;
+    for (std::uint64_t seq = 0; seq < times_.size(); ++seq) {
+      if (!cancelled_[seq] && times_[seq] > until.to_nanos()) ++n;
+    }
+    return n;
+  }
+
+ private:
+  static constexpr std::int64_t kLink = 26'824;  // a marker packet's link service time
+  static constexpr std::int64_t kTick = 1'000;
+  static constexpr std::int64_t kHandoff = 90'001;
+  static constexpr int kChains = 40;
+  static constexpr std::size_t kBudget = 4'000;  // schedules after which chains end
+  static constexpr std::size_t kBurst = 240;
+
+  /// Records an event about to be scheduled for `when`; returns its seq.
+  std::uint64_t record(TimePoint when) {
+    times_.push_back(when.to_nanos());
+    cancelled_.push_back(false);
+    return times_.size() - 1;
+  }
+  void at(TimePoint when) {
+    const std::uint64_t seq = record(when);
+    handles_.push_back(sim_.schedule_at(when, [this, seq] { fire(seq); }));
+  }
+  void after(std::int64_t delay_ns) {
+    const std::uint64_t seq = record(sim_.now() + Duration::nanos(delay_ns));
+    handles_.push_back(sim_.schedule_after(Duration::nanos(delay_ns), [this, seq] { fire(seq); }));
+  }
+  void now() {
+    const std::uint64_t seq = record(sim_.now());
+    handles_.push_back(sim_.schedule_now([this, seq] { fire(seq); }));
+  }
+
+  /// One event of a random delay class: two recurring delays, zero, twelve
+  /// one-off delays, or an explicit time up to 40 ticks out.
+  void child() {
+    const std::uint64_t kind = rng_.uniform_u64(10);
+    if (kind < 4) {
+      after(kLink);
+    } else if (kind < 6) {
+      after(kTick);
+    } else if (kind < 7) {
+      now();
+    } else if (kind < 9) {
+      after(kTick * static_cast<std::int64_t>(2 + rng_.uniform_u64(12)));
+    } else {
+      at(sim_.now() + Duration::nanos(kTick * static_cast<std::int64_t>(rng_.uniform_u64(40))));
+    }
+  }
+
+  void cancel(std::uint64_t seq) {
+    if (!handles_[seq].pending()) return;
+    handles_[seq].cancel();
+    cancelled_[seq] = true;
+  }
+
+  void fire(std::uint64_t seq) {
+    ran_.push_back(seq);
+    if (seq == 0) {
+      for (int i = 0; i < 3; ++i) after(kHandoff);
+    }
+    // Two bursts, each mostly cancelled twenty events later: the dead
+    // entries outnumber the live ones, so the queue compacts.
+    if (ran_.size() == 400 || ran_.size() == 1'600) {
+      burst_begin_ = times_.size();
+      for (std::size_t i = 0; i < kBurst; ++i) child();
+    }
+    if (ran_.size() == 420 || ran_.size() == 1'620) {
+      for (std::uint64_t s = burst_begin_; s < burst_begin_ + kBurst; ++s) {
+        if (rng_.bernoulli(0.9)) cancel(s);
+      }
+    }
+    if (times_.size() >= kBudget) return;
+    child();
+    if (rng_.bernoulli(0.15)) child();
+    if (rng_.bernoulli(0.25)) {
+      cancel(times_.size() - 1 - rng_.uniform_u64(std::min<std::size_t>(64, times_.size())));
+    }
+  }
+
+  Simulator sim_;
+  util::Rng rng_;
+  std::vector<std::int64_t> times_;  // by seq
+  std::vector<EventHandle> handles_;
+  std::vector<bool> cancelled_;
+  std::vector<std::uint64_t> ran_;
+  std::uint64_t burst_begin_ = 0;
+};
+
+TEST(Simulator, MixedDelaysRunInTimeAndScheduleOrder) {
+  DelayMix mix(33);
+  const TimePoint until = TimePoint::origin() + Duration::micros(150);
+  const RunResult first = mix.sim().run(until);
+  EXPECT_EQ(first.reason, StopReason::kTimeLimit);
+  EXPECT_EQ(mix.ran(), mix.expected(until));
+  EXPECT_EQ(mix.sim().live_events(), mix.due_after(until));
+  EXPECT_EQ(first.events_executed, 716u);
+  EXPECT_EQ(mix.sim().live_events(), 106u);
+
+  const RunResult rest = mix.sim().run();
+  EXPECT_EQ(rest.reason, StopReason::kIdle);
+  EXPECT_EQ(mix.ran(), mix.expected(TimePoint::max()));
+  EXPECT_EQ(mix.sim().live_events(), 0u);
+  // Captured before the lanes existed, when every event went through the heap.
+  EXPECT_EQ(mix.sim().events_executed(), 3'155u);
+  EXPECT_EQ(mix.sim().trace_hash(), 0x2e9c07266c0f6165ULL);
+  EXPECT_EQ(mix.sim().queue_peak(), 355u);
+  EXPECT_EQ(mix.sim().compactions(), 2u);
+  EXPECT_EQ(mix.sim().now(), TimePoint::origin() + Duration::nanos(469'712));
 }
 
 // ---------------------------------------------------------------------------
